@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=math.pi / 3.0)
     p.add_argument("--beta", type=float, default=0.0, help="z boost applied to the kinematics")
     p.add_argument("--frame", choices=("cm", "rest"), default="cm")
-    p.add_argument("--spins", type=int, nargs=2, default=(1, 1))
-    p.add_argument("--pols", type=int, nargs=2, default=(1, 1))
+    p.add_argument("--spins", type=int, nargs=2, choices=(1, 2), default=(1, 1))
+    p.add_argument("--pols", type=int, nargs=2, choices=(1, 2), default=(1, 1))
     p.add_argument("--out", default="amplitude.json")
     p.set_defaults(func=cmd_compton)
 
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-cm", type=float, default=4.0)
     p.add_argument("--theta", type=float, default=math.pi / 3.0)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--spins", type=int, nargs=4, default=(1, 1, 1, 1))
+    p.add_argument("--spins", type=int, nargs=4, choices=(1, 2), default=(1, 1, 1, 1))
     p.add_argument("--out", default="amplitude.json")
     p.set_defaults(func=cmd_moller)
 

@@ -1,11 +1,14 @@
 """Pair-bubble energy shift of the exchanged photon and its consequences.
 
 The shift density is the spin-summed, polarization-averaged |coupling|^2
-weighted by the two-level energy brackets; integrating it over all momenta
-with a momentum cutoff gives the level shift whose cutoff convergence is
-diagnosed here. The first-order corrected exchange amplitude and the
-frame-compensating coupling rescale close the loop back to the scattering
-module.
+weighted by the two-level energy brackets. With box-normalized spinors the
+spin and polarization sum is a closed Dirac trace,
+[p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k, so no spinor is
+built for it; `pair_coupling` keeps the explicit spinor bilinear as the
+reference. Integrating the density over all momenta with a momentum cutoff
+gives the level shift whose cutoff convergence is diagnosed here. The
+first-order corrected exchange amplitude and the frame-compensating coupling
+rescale close the loop back to the scattering module.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import AmplitudeResult, moller_total
-from .dirac import polarization_pair, slash, u_spinor, vertex_bilinear
+from .dirac import polarization_pair, u_spinor, vertex_bilinear
 from .errors import (
     ConfigError,
     CorrectionTooLarge,
@@ -26,12 +29,6 @@ from .errors import (
     ZeroWavevector,
 )
 from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost
-
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def outgoing_eta(p3, k3, m: float) -> float:
@@ -81,23 +78,18 @@ def pair_coupling(
     return prefactor * bilinear
 
 
-def _u_batch(p3s: np.ndarray, m: float) -> np.ndarray:
-    """Box-normalized spinors for a batch of momenta; shape (n, 2, 4)."""
-    energies = np.sqrt(np.einsum("ni,ni->n", p3s, p3s) + m * m)
-    sigma_p = np.einsum("ni,ijk->njk", p3s, np.stack(_SIGMA))
-    out = np.zeros((p3s.shape[0], 2, 4), dtype=complex)
-    scale = np.sqrt((energies + m) / (2.0 * energies))
-    for s in (0, 1):
-        out[:, s, s] = 1.0
-        out[:, s, 2:] = sigma_p[:, :, s] / (energies + m)[:, None]
-        out[:, s, :] *= scale[:, None]
-    return out
-
-
-def _density_batch(
+def _density_terms(
     p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float
-) -> np.ndarray:
-    """Spin-summed polarization-averaged shift density for a batch of momenta."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eta1, spinor factor and shift density for a batch of momenta, shape (n, 3).
+
+    The spinor factor is the closed Dirac trace of the spin-summed,
+    polarization-averaged squared bilinear (Peskin & Schroeder 5.1),
+    [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k and 3-vector
+    products. Both differences cancel as p nears the k axis (1e-3 relative
+    at 1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = |p x k|^2 / |k|^2 and
+    E E' - p.p' - m^2 = (|p x k|^2 + m^2 |k|^2) / (E E' + p.p' + m^2).
+    """
     m = constants.m_e
     pks = p3s + k3[None, :]
     e_p = np.sqrt(np.einsum("ni,ni->n", p3s, p3s) + m * m)
@@ -107,26 +99,20 @@ def _density_batch(
         raise RealPairThreshold(
             f"photon energy {photon_energy!r} reaches the pair threshold"
         )
-    eta1_sq = (m / e_pk) ** 2
-    prefactor_sq = (constants.e * constants.c * constants.hbar) ** 2 * eta1_sq / (
+    eta1 = m / e_pk
+    cross = np.cross(p3s, k3)
+    cross_sq = np.einsum("ni,ni->n", cross, cross)
+    k_sq = float(k3 @ k3)
+    e_prod = e_p * e_pk
+    dot = np.einsum("ni,ni->n", p3s, pks)
+    spinor_factor = (
+        cross_sq / k_sq + (cross_sq + m * m * k_sq) / (e_prod + dot + m * m)
+    ) / e_prod
+    prefactor_sq = (constants.e * constants.c * constants.hbar) ** 2 * eta1**2 / (
         constants.V * constants.eps0 * combined
     )
-    u_in = _u_batch(p3s, m)
-    u_out = _u_batch(pks, m)
-    g0 = np.block(
-        [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]]
-    ).astype(complex)
-    bilinear_sq = np.zeros(p3s.shape[0])
-    for pol in polarization_pair(k3):
-        vertex = g0 @ slash(pol.as_array())
-        for s in (0, 1):
-            for s_out in (0, 1):
-                amp = np.einsum(
-                    "nd,de,ne->n", u_out[:, s_out, :].conj(), vertex, u_in[:, s, :]
-                )
-                bilinear_sq += 0.5 * np.abs(amp) ** 2  # average the two polarizations
     bracket = 1.0 / (photon_energy - combined) - 1.0 / (photon_energy + combined)
-    return prefactor_sq * bilinear_sq * bracket
+    return eta1, spinor_factor, prefactor_sq * spinor_factor * bracket
 
 
 @dataclass(frozen=True)
@@ -134,8 +120,9 @@ class PairShiftSample:
     """One pair-momentum sample with its factors split out.
 
     spinor_factor is the spin-summed, polarization-averaged squared vertex
-    bilinear; shift_density is negative whenever the photon energy lies below
-    the pair threshold.
+    bilinear, the Dirac trace [p.p'_perp + E E' - p.p' - m^2] / (E E') with
+    p' = p + k and p.p'_perp = p.p' - (p.khat)(p'.khat); shift_density is
+    negative whenever the photon energy lies below the pair threshold.
     """
 
     p3: np.ndarray
@@ -155,21 +142,10 @@ def pair_shift_sample(
         raise ZeroWavevector("shift density undefined for k = 0")
     if photon_energy is None:
         photon_energy = float(np.linalg.norm(k3))
-    m = constants.m_e
-    density = float(_density_batch(p3[None, :], k3, constants, photon_energy)[0])
-    pk = p3 + k3
-    e_p = math.sqrt(float(p3 @ p3) + m * m)
-    e_pk = math.sqrt(float(pk @ pk) + m * m)
-    combined = e_p + e_pk
-    eta1 = m / e_pk
-    prefactor_sq = (constants.e * constants.c * constants.hbar) ** 2 * eta1**2 / (
-        constants.V * constants.eps0 * combined
-    )
-    bracket = 1.0 / (photon_energy - combined) - 1.0 / (photon_energy + combined)
-    spinor_factor = density / (prefactor_sq * bracket)
+    terms = _density_terms(p3[None, :], k3, constants, photon_energy)
     p3.setflags(write=False)
     k3.setflags(write=False)
-    return PairShiftSample(p3, k3, eta1, spinor_factor, density)
+    return PairShiftSample(p3, k3, *(float(term[0]) for term in terms))
 
 
 def shift_density(
@@ -241,27 +217,11 @@ def _radial_profile(
     grid: GridSpec,
     constants: Constants,
     photon_energy: float,
-    n_threads: int = 1,
 ) -> np.ndarray:
     """Angular integral of the density at each radius (one batched call)."""
     dirs, wts = _directions(grid)
     points = radii[:, None, None] * dirs[None, :, :]
-    flat = points.reshape(-1, 3)
-    if n_threads > 1 and flat.shape[0] > n_threads:
-        # deterministic: fixed chunking, ordered concatenation
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(flat, n_threads)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(
-                    lambda chunk: _density_batch(chunk, k3, constants, photon_energy),
-                    chunks,
-                )
-            )
-        dens = np.concatenate(results)
-    else:
-        dens = _density_batch(flat, k3, constants, photon_energy)
+    _, _, dens = _density_terms(points.reshape(-1, 3), k3, constants, photon_energy)
     dens = dens.reshape(radii.size, dirs.shape[0])
     return dens @ wts
 
@@ -272,7 +232,6 @@ def _integrate(
     grid: GridSpec,
     constants: Constants,
     photon_energy: float,
-    n_threads: int = 1,
 ) -> tuple[float, np.ndarray]:
     """Panel-wise Gauss quadrature in log radius; returns total and per-panel sums."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
@@ -284,9 +243,7 @@ def _integrate(
     us = mid[:, None] + half[:, None] * gl_nodes[None, :]
     ws = half[:, None] * gl_weights[None, :]
     radii = np.exp(us).ravel()
-    profile = _radial_profile(radii, k3, grid, constants, photon_energy, n_threads).reshape(
-        us.shape
-    )
+    profile = _radial_profile(radii, k3, grid, constants, photon_energy).reshape(us.shape)
     # measure: V/(2 pi)^3 * p^2 dp, with dp = p du on the log axis
     measure = constants.V / (2.0 * math.pi) ** 3
     integrand = measure * np.exp(us) ** 3 * profile
@@ -310,9 +267,19 @@ def total_shift(
     cumulative integral versus cutoff, a 1/cutoff tail estimate from the last
     sampled density, and a power-law fit of the radial profile over the top
     two decades. Raises GridTooCoarse when doubling the radial panel count
-    moves the result by more than refine_tol.
+    moves the result by more than refine_tol, and ConfigError for a
+    non-finite k3, cutoff, photon_energy or refine_tol. `n_threads` is
+    accepted and has no effect: the momentum sum runs as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
+    for name, value in (
+        ("k", k3),
+        ("cutoff", cutoff),
+        ("photon_energy", photon_energy),
+        ("refine_tol", refine_tol),
+    ):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if not k3.any():
         raise ZeroWavevector("momentum integral undefined for k = 0")
     m = constants.m_e
@@ -323,12 +290,12 @@ def total_shift(
     p_min = grid.p_min if grid.p_min is not None else 1e-4 * m
 
     edges = np.exp(np.linspace(math.log(p_min), math.log(cutoff), grid.n_radial + 1))
-    total, panel_sums = _integrate(edges, k3, grid, constants, photon_energy, n_threads)
+    total, panel_sums = _integrate(edges, k3, grid, constants, photon_energy)
 
     fine_edges = np.exp(
         np.linspace(math.log(p_min), math.log(cutoff), 2 * grid.n_radial + 1)
     )
-    refined, _ = _integrate(fine_edges, k3, grid, constants, photon_energy, n_threads)
+    refined, _ = _integrate(fine_edges, k3, grid, constants, photon_energy)
     if abs(total - refined) > refine_tol * abs(refined):
         raise GridTooCoarse(
             f"doubling the radial grid moved the result by "
@@ -338,7 +305,7 @@ def total_shift(
     cutoffs = edges[1:]
     partial_sums = np.cumsum(panel_sums)
     measure = constants.V / (2.0 * math.pi) ** 3
-    edge_profile = _radial_profile(cutoffs, k3, grid, constants, photon_energy, n_threads)
+    edge_profile = _radial_profile(cutoffs, k3, grid, constants, photon_energy)
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
     tail_estimates = measure * cutoffs**3 * edge_profile
 

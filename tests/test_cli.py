@@ -106,6 +106,16 @@ class TestAmplitudeCommands:
         # amplitude scales as e^2 through both couplings
         assert doc_a["total"] != doc_b["total"]
 
+    @pytest.mark.parametrize("argv", [
+        ["compton", "--spins", "3", "1"],
+        ["compton", "--pols", "3", "1"],
+        ["moller", "--spins", "3", "1", "1", "1"],
+    ])
+    def test_spin_and_polarization_choices_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"plancks_breakfast": 3}')
@@ -148,6 +158,18 @@ class TestVacpol:
         rc = main(["vacpol", "--cutoff", "1000", "--n-radial", "4",
                    "--out", str(tmp_path / "c.csv"), "--summary", str(tmp_path / "s.json")])
         assert rc == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["--cutoff", "nan"],
+        ["--cutoff", "inf"],
+        ["--k", "nan", "0", "0.5"],
+        ["--photon-energy", "nan"],
+        ["--refine-tol", "nan"],
+    ])
+    def test_non_finite_input_exit_2(self, tmp_path, argv):
+        rc = main(["vacpol"] + argv + ["--out", str(tmp_path / "c.csv"),
+                                       "--summary", str(tmp_path / "s.json")])
+        assert rc == 2
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLAMBDA_THREADS", "not-a-number")

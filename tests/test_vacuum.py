@@ -95,18 +95,30 @@ class TestShiftDensity:
         assert sample.eta1 == pytest.approx(outgoing_eta(p3, K3, 1.0), rel=1e-14)
         assert sample.spinor_factor > 0.0
         assert sample.shift_density == shift_density(p3, K3)
-        # spinor factor agrees with the explicit bilinear sum: divide the
-        # squared couplings by their common prefactor
-        pk = p3 + K3
-        combined = math.sqrt(p3 @ p3 + 1) + math.sqrt(pk @ pk + 1)
-        prefactor_sq = (NATURAL.e * sample.eta1) ** 2 / combined
-        explicit = sum(
-            0.5 * abs(pair_coupling(p3, K3, s, s_out, alpha)) ** 2 / prefactor_sq
-            for alpha in (1, 2)
-            for s in (1, 2)
-            for s_out in (1, 2)
-        )
-        assert sample.spinor_factor == pytest.approx(explicit, rel=1e-12)
+        # the closed-form spinor factor agrees with the explicit bilinear sum:
+        # divide the squared couplings by their common prefactor
+        rng = np.random.default_rng(34)
+        for k3 in (K3, np.array([0.3, -0.4, 0.2]), np.array([-1.1, 0.6, 0.9])):
+            for i in range(50):
+                direction = rng.normal(size=3)
+                log_p, rel = rng.uniform(-3.0, 3.0), 1e-12
+                if i >= 40:
+                    # 1e-4 rad off the k axis, where the direct trace differences
+                    # lose ~1e-8 and the spinor reference itself holds ~2e-11
+                    direction = k3 / np.linalg.norm(k3) + 1e-4 * direction
+                    log_p, rel = rng.uniform(2.0, 3.0), 1e-10
+                p3 = 10.0**log_p * direction / np.linalg.norm(direction)
+                sample = pair_shift_sample(p3, k3)
+                pk = p3 + k3
+                combined = math.sqrt(p3 @ p3 + 1) + math.sqrt(pk @ pk + 1)
+                prefactor_sq = (NATURAL.e * sample.eta1) ** 2 / combined
+                explicit = sum(
+                    0.5 * abs(pair_coupling(p3, k3, s, s_out, alpha)) ** 2 / prefactor_sq
+                    for alpha in (1, 2)
+                    for s in (1, 2)
+                    for s_out in (1, 2)
+                )
+                assert sample.spinor_factor == pytest.approx(explicit, rel=rel, abs=0.0)
 
 
 class TestTotalShift:
