@@ -21,6 +21,7 @@ from .dirac import (
     gamma_set,
     polarization_pair,
     slash,
+    spin_block,
     spin_sum,
     u_spinor,
     ubar,

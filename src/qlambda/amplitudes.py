@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import (
+    gamma_set,
     polarization_pair,
     slash,
+    spin_block,
     u_spinor,
     ubar,
-    vertex_bilinear,
 )
 from .errors import ForwardSingularity, OffShellInput, PoleEncountered
 from .lorentz import (
@@ -45,6 +46,9 @@ from .lorentz import (
 )
 
 _I4 = np.eye(4, dtype=complex)
+_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+# gamma^mu stacked on the leading axis: ubar_b @ _GAMMAS @ u_a is the current J^mu
+_GAMMAS = np.stack(gamma_set().matrices)
 _ONSHELL_RTOL = 1e-9
 _CONSERVATION_RTOL = 1e-10
 _POLE_RTOL = 1e-9
@@ -167,10 +171,11 @@ def _guard_pole(denom: float, scale: float, where: str) -> None:
 
 
 def _pair_state(components: np.ndarray) -> np.ndarray:
-    """Negative-energy solution v(-q, s) at the momentum q of u(q, s).
+    """Negative-energy solutions v(-q, s) at the momentum q of u(q, s).
 
     With u = N (chi ; sigma.q chi / (E+m)) the pair state is
     N (-sigma.q chi / (E+m) ; chi): energy -E_q, same normalization as u.
+    Takes 4 components or a (4, 2) spin block (rows swapped either way).
     """
     return np.concatenate([-components[2:], components[:2]])
 
@@ -229,22 +234,17 @@ def _compton_channel(
     slash_second, f_second = second
     row = ctx["ubar_out"] @ slash_second
     col = slash_first @ ctx["u_in"]
+    # columns: both intermediate spins, as electrons and as pair states
+    u_mid = spin_block(q3, m, ctx["normalization"])
+    v_mid = _pair_state(u_mid)
+    fwd_first = (f_first * (ubar(u_mid) @ col)).tolist()
+    fwd_second = (f_second * (row @ u_mid)).tolist()
+    bwd_first = (-f_second * (row @ v_mid)).tolist()
+    bwd_second = (f_first * (ubar(v_mid) @ col)).tolist()
     parts = []
-    for s in (1, 2):
-        u_mid = u_spinor(q3, s, m, ctx["normalization"]).components
-        v_mid = _pair_state(u_mid)
-        parts.append(DiagramAmplitude(
-            f"{tag}a:s={s}",
-            f_first * complex(ubar(u_mid) @ col),
-            f_second * complex(row @ u_mid),
-            d_fwd,
-        ))
-        parts.append(DiagramAmplitude(
-            f"{tag}b:s={s}",
-            -f_second * complex(row @ v_mid),
-            f_first * complex(ubar(v_mid) @ col),
-            d_bwd,
-        ))
+    for i, s in enumerate((1, 2)):
+        parts.append(DiagramAmplitude(f"{tag}a:s={s}", fwd_first[i], fwd_second[i], d_fwd))
+        parts.append(DiagramAmplitude(f"{tag}b:s={s}", bwd_first[i], bwd_second[i], d_bwd))
     bare = complex(row @ (slash(q) + m * _I4) @ col) / (minkowski_dot(q, q) - m * m)
     # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
     norm = e_q / m if ctx["normalization"] == "covariant" else 1.0
@@ -348,10 +348,13 @@ def moller_total(
 ) -> AmplitudeResult:
     """Electron-electron exchange amplitude summed over photon polarizations.
 
-    Per polarization the two emission orderings average (weight 1/2) to
-    E_k * omega1 * omega2 / (k0^2 - E_k^2); `closed_form` carries that check
-    value summed over the transverse pair. The textbook comparison contracts
-    the two vector currents with the metric over 1/(p1-p2)^2.
+    Each electron line enters through its vector current J^mu = ubar gamma^mu u,
+    computed once: the vertex with polarization eps is f eps . g . J (eps* on
+    the beam line). Per polarization the two emission orderings average
+    (weight 1/2) to E_k * omega1 * omega2 / (k0^2 - E_k^2); `closed_form`
+    carries that check value summed over the transverse pair. The textbook
+    comparison contracts the two currents with the metric,
+    J_beam . g . J_target / (p1-p2)^2.
     """
     m = constants.m_e
     scale = _scale(p1, q1, p2, q2)
@@ -379,13 +382,15 @@ def moller_total(
     u_q1 = u_spinor(q1.spatial, s2, m, normalization)
     u_p2 = u_spinor(p2.spatial, s3, m, normalization)
     u_q2 = u_spinor(q2.spatial, s4, m, normalization)
+    j_beam = ubar(u_p2) @ _GAMMAS @ u_p1.components
+    j_target = ubar(u_q2) @ _GAMMAS @ u_q1.components
+    # real transverse basis shared by both orderings (same transverse plane for -k)
+    eps_lower = np.array([pol.as_array() for pol in polarization_pair(k3)]) @ _METRIC
+    beam = (factor.value * (eps_lower.conj() @ j_beam)).tolist()
+    target = (factor.value * (eps_lower @ j_target)).tolist()
     parts = []
     closed = 0.0 + 0.0j
-    for alpha, pol in enumerate(polarization_pair(k3), start=1):
-        eps = pol.as_array()
-        # real transverse basis shared by both orderings (same transverse plane for -k)
-        beam_current = factor.value * vertex_bilinear(u_p2, eps.conj(), u_p1)
-        target_current = factor.value * vertex_bilinear(u_q2, eps, u_q1)
+    for alpha, beam_current, target_current in zip((1, 2), beam, target):
         parts.append(
             DiagramAmplitude(f"emit-beam:pol={alpha}", beam_current, target_current, d_fwd, 0.5)
         )
@@ -394,12 +399,7 @@ def moller_total(
         )
         closed += e_k * beam_current * target_current / (k0 * k0 - e_k * e_k)
     total = sum(part.value for part in parts)
-    tb = 0.0 + 0.0j
-    for mu, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)):
-        basis = np.zeros(4)
-        basis[mu] = 1.0
-        tb += sign * vertex_bilinear(u_p2, basis, u_p1) * vertex_bilinear(u_q2, basis, u_q1)
-    tb /= transfer2
+    tb = complex(j_beam @ _METRIC @ j_target) / transfer2
     ratio = None if tb == 0.0 else total / tb
     return AmplitudeResult(
         "moller",

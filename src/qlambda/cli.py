@@ -21,6 +21,14 @@ from .jsonio import dump_json
 from .lorentz import CONSTANT_KEYS, Boost, Constants, load_constants
 
 
+def finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities exit 2 at the boundary."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _resolve_constants(args) -> Constants:
     constants = load_constants(args.config) if args.config else Constants()
     if args.constant:
@@ -266,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda-sim", help="evolve a level system and fit the transfer rate")
     common(p)
     p.add_argument("--system", required=True, help="LevelSystem JSON file")
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--t-final", type=finite_float, default=None)
+    p.add_argument("--dt", type=finite_float, default=None)
     p.add_argument("--initial-level", type=int, default=1)
     p.add_argument("--target-level", type=int, default=None)
     p.add_argument("--out", default="trajectory.csv")
@@ -276,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compton", help="photon-electron scattering amplitude")
     common(p)
-    p.add_argument("--photon-energy", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=math.pi / 3.0)
-    p.add_argument("--beta", type=float, default=0.0, help="z boost applied to the kinematics")
+    p.add_argument("--photon-energy", type=finite_float, default=1.0)
+    p.add_argument("--theta", type=finite_float, default=math.pi / 3.0)
+    p.add_argument("--beta", type=finite_float, default=0.0,
+                   help="z boost applied to the kinematics")
     p.add_argument("--frame", choices=("cm", "rest"), default="cm")
     p.add_argument("--spins", type=int, nargs=2, choices=(1, 2), default=(1, 1))
     p.add_argument("--pols", type=int, nargs=2, choices=(1, 2), default=(1, 1))
@@ -287,23 +296,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moller", help="electron-electron exchange amplitude")
     common(p)
-    p.add_argument("--e-cm", type=float, default=4.0)
-    p.add_argument("--theta", type=float, default=math.pi / 3.0)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--e-cm", type=finite_float, default=4.0)
+    p.add_argument("--theta", type=finite_float, default=math.pi / 3.0)
+    p.add_argument("--beta", type=finite_float, default=0.0)
     p.add_argument("--spins", type=int, nargs=4, choices=(1, 2), default=(1, 1, 1, 1))
     p.add_argument("--out", default="amplitude.json")
     p.set_defaults(func=cmd_moller)
 
     p = sub.add_parser("vacpol", help="pair-shift momentum integral with convergence report")
     common(p)
-    p.add_argument("--k", type=float, nargs=3, default=(0.0, 0.0, 0.5), metavar=("KX", "KY", "KZ"))
-    p.add_argument("--cutoff", type=float, default=1e4)
-    p.add_argument("--photon-energy", type=float, default=None,
+    p.add_argument("--k", type=finite_float, nargs=3, default=(0.0, 0.0, 0.5),
+                   metavar=("KX", "KY", "KZ"))
+    p.add_argument("--cutoff", type=finite_float, default=1e4)
+    p.add_argument("--photon-energy", type=finite_float, default=None,
                    help="off-shell photon energy; defaults to |k|")
     p.add_argument("--n-radial", type=int, default=96)
     p.add_argument("--n-theta", type=int, default=16)
     p.add_argument("--n-phi", type=int, default=8)
-    p.add_argument("--refine-tol", type=float, default=0.01)
+    p.add_argument("--refine-tol", type=finite_float, default=0.01)
     p.add_argument("--out", default="convergence.csv")
     p.add_argument("--summary", default="vacpol_summary.json")
     p.set_defaults(func=cmd_vacpol)
@@ -311,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boost-scan", help="amplitude magnitude across boosted frames")
     common(p)
     p.add_argument("--process", choices=("compton", "moller"), required=True)
-    p.add_argument("--betas", type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9])
+    p.add_argument("--betas", type=finite_float, nargs="+", default=[0.0, 0.3, 0.6, 0.9])
     p.add_argument("--normalization", choices=("box", "covariant"), default="box")
-    p.add_argument("--photon-energy", type=float, default=1.0)
-    p.add_argument("--e-cm", type=float, default=4.0)
-    p.add_argument("--theta", type=float, default=math.pi / 3.0)
+    p.add_argument("--photon-energy", type=finite_float, default=1.0)
+    p.add_argument("--e-cm", type=finite_float, default=4.0)
+    p.add_argument("--theta", type=finite_float, default=math.pi / 3.0)
     p.add_argument("--out", default="boost_scan.csv")
     p.set_defaults(func=cmd_boost_scan)
 

@@ -5,6 +5,14 @@ default, which makes the completeness sum over spins equal
 (slash(q_on) + m) / (2 E_q) with q_on the on-shell four-momentum; the
 covariant choice (ubar u = 1) is available behind a flag for frame-scaling
 studies.
+
+Both spin states at one momentum come from one closed form, the (4, 2) spin
+block N (chi ; sigma.p chi / (E + m)) written out component by component
+(`spin_block`); `u_spinor` is one of its columns and the spin sum is
+B ubar(B). `slash` is one product against the lowered-index gamma table, and
+`ubar` accepts a block as well as a spinor, so a vector current
+J^mu = ubar_b gamma^mu u_a is one contraction against the stacked gamma
+matrices and any vertex with a polarization eps is eps . g . J.
 """
 from __future__ import annotations
 
@@ -37,6 +45,10 @@ def _build_gammas() -> tuple[np.ndarray, ...]:
 
 
 _GAMMA = _build_gammas()
+# gamma_mu = g_{mu nu} gamma^nu, one flattened matrix per row, so that
+# slash(v) = v^mu gamma_mu is a single vector-matrix product
+_GAMMA_LOWER = np.stack([_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3]]).reshape(4, 16)
+_GAMMA_LOWER.setflags(write=False)
 _I4 = np.eye(4, dtype=complex)
 
 
@@ -57,7 +69,7 @@ def gamma_set() -> GammaSet:
 def slash(v) -> np.ndarray:
     """Contraction gamma^mu v_mu = v0 g0 - v.gamma for a four-vector."""
     a = v.as_array() if isinstance(v, FourVector) else np.asarray(v)
-    return a[0] * _GAMMA[0] - a[1] * _GAMMA[1] - a[2] * _GAMMA[2] - a[3] * _GAMMA[3]
+    return (a @ _GAMMA_LOWER).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -84,51 +96,61 @@ class BiSpinor:
         return FourVector.from_spatial(self.energy, self.momentum)
 
 
-def u_spinor(p3, s: int, m: float, normalization: str = "box") -> BiSpinor:
-    """Free positive-energy spinor u_s(p).
+def spin_block(p3, m: float, normalization: str = "box") -> np.ndarray:
+    """Both positive-energy spinors u_1(p), u_2(p) as the columns of a (4, 2) array.
 
-    Construction N (chi_s ; sigma.p/(E+m) chi_s); with the default box
-    normalization N = sqrt((E+m)/(2E)) so u^dag u = 1, and ubar u = m/E.
-    The covariant option rescales to ubar u = 1 (massive particles only).
+    N [[1, 0], [0, 1], [pz/d, (px - i py)/d], [(px + i py)/d, -pz/d]] with
+    d = E + m: the upper block is chi_s, the lower block sigma.p chi_s / d.
+    The default box normalization N = sqrt(d / 2E) gives u^dag u = 1 and
+    ubar u = m/E; the covariant option multiplies by sqrt(E/m), so ubar u = 1
+    (massive particles only).
     """
+    px, py, pz = map(float, p3)
+    if m == 0.0 and px == py == pz == 0.0:
+        raise MasslessAtRest("massless spinor needs a nonzero momentum")
+    if normalization == "covariant":
+        if m == 0.0:
+            raise MasslessAtRest("covariant normalization undefined for massless spinors")
+    elif normalization != "box":
+        raise ValueError(f"unknown normalization {normalization!r}")
+    energy = math.sqrt(px * px + py * py + pz * pz + m * m)
+    d = energy + m
+    x, y, z = px / d, py / d, pz / d
+    block = math.sqrt(d / (2.0 * energy)) * np.array(
+        [[1.0, 0.0], [0.0, 1.0], [z, complex(x, -y)], [complex(x, y), -z]]
+    )
+    if normalization == "covariant":
+        block = block * math.sqrt(energy / m)
+    return block
+
+
+def u_spinor(p3, s: int, m: float, normalization: str = "box") -> BiSpinor:
+    """Free positive-energy spinor u_s(p): column s of `spin_block`."""
     p3 = np.array(p3, dtype=float)
     p3.setflags(write=False)
     if s not in (1, 2):
         raise ValueError(f"spin index must be 1 or 2, got {s!r}")
-    if m == 0.0 and not p3.any():
-        raise MasslessAtRest("massless spinor needs a nonzero momentum")
-    energy = on_shell_energy(p3, m)
-    chi = np.zeros(2, dtype=complex)
-    chi[s - 1] = 1.0
-    sigma_p = p3[0] * _SIGMA[0] + p3[1] * _SIGMA[1] + p3[2] * _SIGMA[2]
-    lower = (sigma_p @ chi) / (energy + m)
-    u = math.sqrt((energy + m) / (2.0 * energy)) * np.concatenate([chi, lower])
-    if normalization == "covariant":
-        if m == 0.0:
-            raise MasslessAtRest("covariant normalization undefined for massless spinors")
-        u = u * math.sqrt(energy / m)
-    elif normalization != "box":
-        raise ValueError(f"unknown normalization {normalization!r}")
+    u = spin_block(p3, m, normalization)[:, s - 1]
     u.setflags(write=False)
     return BiSpinor(u, p3, s, m, normalization)
 
 
 def ubar(u) -> np.ndarray:
-    """Dirac adjoint row vector u^dag gamma^0 of a BiSpinor or of 4 components."""
+    """Dirac adjoint u^dag gamma^0 of a BiSpinor or of 4 components (a row).
+
+    For a (4, n) block of spinors it returns the (n, 4) block of their rows.
+    """
     comp = u.components if isinstance(u, BiSpinor) else np.asarray(u)
-    return comp.conj() @ _GAMMA[0]
+    return comp.conj().T @ _GAMMA[0]
 
 
 def spin_sum(p3, m: float) -> np.ndarray:
-    """Sum over spins of u_s(p) ubar_s(p), computed by outer products.
+    """Sum over spins of u_s(p) ubar_s(p), as B ubar(B) for the spin block B.
 
     Equals (slash(p_on) + m) / (2 E_p) with p_on = (E_p, p).
     """
-    total = np.zeros((4, 4), dtype=complex)
-    for s in (1, 2):
-        u = u_spinor(p3, s, m)
-        total += np.outer(u.components, ubar(u))
-    return total
+    block = spin_block(p3, m)
+    return block @ ubar(block)
 
 
 @dataclass(frozen=True)
@@ -147,22 +169,26 @@ def polarization_pair(k3) -> tuple[PolarizationVector, PolarizationVector]:
     """Deterministic real orthonormal transverse pair for wavevector k.
 
     The first vector is the Gram-Schmidt projection of the Cartesian axis
-    least aligned with k; the second is khat x eps1. For k along +z this
-    yields (0,1,0,0) and (0,0,1,0).
+    least aligned with k (the first such axis on a tie); the second is
+    khat x eps1. For k along +z this yields (0,1,0,0) and (0,0,1,0).
     """
     k3 = np.array(k3, dtype=float)
     k3.setflags(write=False)
-    norm = float(np.linalg.norm(k3))
+    kx, ky, kz = k3.tolist()
+    norm = math.sqrt(kx * kx + ky * ky + kz * kz)
     if norm == 0.0:
         raise ZeroWavevector("polarization undefined for k = 0")
-    khat = k3 / norm
-    seed = np.eye(3)[int(np.argmin(np.abs(khat)))]
-    e1 = seed - (seed @ khat) * khat
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(khat, e1)
+    hx, hy, hz = khat = (kx / norm, ky / norm, kz / norm)
+    axis = min(range(3), key=lambda i: abs(khat[i]))
+    # seed axis minus its projection on khat
+    g = [-khat[axis] * h for h in khat]
+    g[axis] += 1.0
+    g_norm = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
+    ex, ey, ez = e1 = (g[0] / g_norm, g[1] / g_norm, g[2] / g_norm)
+    e2 = (hy * ez - hz * ey, hz * ex - hx * ez, hx * ey - hy * ex)
     vecs = []
     for alpha, e in enumerate((e1, e2), start=1):
-        comp = np.concatenate([[0.0], e]).astype(complex)
+        comp = np.array((0.0,) + e, dtype=complex)
         comp.setflags(write=False)
         vecs.append(PolarizationVector(comp, k3, alpha))
     return vecs[0], vecs[1]

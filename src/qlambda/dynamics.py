@@ -32,11 +32,15 @@ class LevelSystem:
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
         couplings = np.asarray(self.couplings, dtype=complex)
+        if energies.ndim != 1:
+            raise ConfigError(f"energies must be a list of numbers, got shape {energies.shape}")
         n = energies.shape[0]
         if n not in (2, 3, 4):
             raise ConfigError(f"supported level counts are 2, 3, 4; got {n}")
         if couplings.shape != (n, n):
             raise ConfigError(f"couplings must be {n}x{n}, got {couplings.shape}")
+        if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(couplings))):
+            raise ConfigError("energies and couplings must be finite")
         scale = max(1.0, float(np.max(np.abs(couplings))))
         if np.max(np.abs(couplings - couplings.conj().T)) > _HERMITICITY_TOL * scale:
             raise ConfigError("couplings must be Hermitian")

@@ -11,7 +11,7 @@ from qlambda.amplitudes import (
     coupling_factor,
     moller_total,
 )
-from qlambda.dirac import gamma_set, polarization_pair, slash, u_spinor, vertex_bilinear
+from qlambda.dirac import gamma_set, polarization_pair, slash, u_spinor, ubar, vertex_bilinear
 from qlambda.errors import ForwardSingularity, OffShellInput, PoleEncountered
 from qlambda.lorentz import (
     NATURAL,
@@ -29,6 +29,15 @@ def random_boost(rng, bmax=0.8):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     return Boost(tuple(direction * rng.uniform(0.0, bmax)))
+
+
+def vertex_scale(f, *spinors):
+    """f |u_b| |u_a|: the size of the terms a vertex contraction sums.
+
+    Two summation orders agree to a few ulps of this scale, not of the value,
+    which cancellation can make far smaller.
+    """
+    return f * math.prod(float(np.linalg.norm(u)) for u in spinors)
 
 
 def random_compton_case(rng):
@@ -215,6 +224,51 @@ class TestComptonTotal:
             )
             assert result.textbook_ratio == pytest.approx(expected, rel=1e-12)
 
+    def test_parts_match_per_spin_loop(self):
+        # the explicit construction the block contractions replace: per
+        # intermediate spin one u_spinor, its pair state and their adjoints;
+        # each omega agrees to 1e-13 of its vertex scale
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            (p, k, p_out, k_out), spins, pols = random_compton_case(rng)
+            for normalization in ("box", "covariant"):
+                result = compton_total(
+                    p, k, p_out, k_out, spins=spins, pols=pols, normalization=normalization
+                )
+                u_in = u_spinor(p.spatial, spins[0], 1.0, normalization).components
+                u_out = u_spinor(p_out.spatial, spins[1], 1.0, normalization)
+                ubar_out = ubar(u_out)
+                eps_in = polarization_pair(k.spatial)[pols[0] - 1].as_array()
+                eps_out = polarization_pair(k_out.spatial)[pols[1] - 1].as_array().conj()
+                f_in = coupling_factor(result.eta, k.t, NATURAL).value
+                f_out = coupling_factor(result.eta, k_out.t, NATURAL).value
+                expected = []
+                for tag, q, (eps1, f1), (eps2, f2) in (
+                    ("1", p + k, (eps_in, f_in), (eps_out, f_out)),
+                    ("2", p - k_out, (eps_out, f_out), (eps_in, f_in)),
+                ):
+                    e_q = on_shell_energy(q.spatial, 1.0)
+                    row = ubar_out @ slash(eps2)
+                    col = slash(eps1) @ u_in
+                    for s in (1, 2):
+                        u_mid = u_spinor(q.spatial, s, 1.0, normalization).components
+                        v_mid = np.concatenate([-u_mid[2:], u_mid[:2]])
+                        # v_mid has the norm of u_mid
+                        scale1 = vertex_scale(f1, u_mid, u_in)
+                        scale2 = vertex_scale(f2, u_out.components, u_mid)
+                        expected.append((f"{tag}a:s={s}", f1 * complex(ubar(u_mid) @ col), scale1,
+                                         f2 * complex(row @ u_mid), scale2, q.t - e_q))
+                        expected.append((f"{tag}b:s={s}", -f2 * complex(row @ v_mid), scale2,
+                                         f1 * complex(ubar(v_mid) @ col), scale1, -(q.t + e_q)))
+                assert [part.name for part in result.parts] == [e[0] for e in expected]
+                for part, (_, omega1, scale1, omega2, scale2, denom) in zip(
+                    result.parts, expected
+                ):
+                    assert part.weight == 1.0
+                    assert part.denom == denom
+                    assert abs(part.omega1 - omega1) <= 1e-13 * scale1
+                    assert abs(part.omega2 - omega2) <= 1e-13 * scale2
+
     def test_json_document_shape(self):
         vectors = compton_cm_kinematics(1.0, 1.0)
         doc = compton_total(*vectors, frame=Boost.along_z(0.0)).to_json_dict()
@@ -237,6 +291,49 @@ class TestMollerTotal:
             vectors = moller_kinematics(e_cm, theta, frame)
             result = moller_total(*vectors, spins=spins)
             assert result.total == pytest.approx(result.closed_form, rel=1e-10, abs=1e-14)
+
+    def test_currents_match_bilinear_loops(self):
+        # the explicit vertex_bilinear loops the per-line currents replace;
+        # each omega agrees to 1e-13 of its vertex scale, the textbook total
+        # to 1e-13 of the sum of its metric terms
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            e_cm = rng.uniform(2.5, 8.0)
+            theta = rng.uniform(0.15, math.pi - 0.15)
+            spins = tuple(int(rng.integers(1, 3)) for _ in range(4))
+            p1, q1, p2, q2 = moller_kinematics(e_cm, theta, random_boost(rng))
+            for normalization in ("box", "covariant"):
+                result = moller_total(p1, q1, p2, q2, spins=spins, normalization=normalization)
+                u_p1, u_q1, u_p2, u_q2 = (
+                    u_spinor(v.spatial, s, 1.0, normalization)
+                    for v, s in zip((p1, q1, p2, q2), spins)
+                )
+                k = p1 - p2
+                f = coupling_factor(result.eta, float(np.linalg.norm(k.spatial)), NATURAL).value
+                beam_scale = vertex_scale(f, u_p2.components, u_p1.components)
+                target_scale = vertex_scale(f, u_q2.components, u_q1.components)
+                for alpha, pol in enumerate(polarization_pair(k.spatial), start=1):
+                    eps = pol.as_array()
+                    beam = f * vertex_bilinear(u_p2, eps.conj(), u_p1)
+                    target = f * vertex_bilinear(u_q2, eps, u_q1)
+                    emit_beam, emit_target = result.parts[2 * alpha - 2 : 2 * alpha]
+                    assert emit_beam.name == f"emit-beam:pol={alpha}"
+                    assert emit_target.name == f"emit-target:pol={alpha}"
+                    assert abs(emit_beam.omega1 - beam) <= 1e-13 * beam_scale
+                    assert abs(emit_beam.omega2 - target) <= 1e-13 * target_scale
+                    assert abs(emit_target.omega1 - target) <= 1e-13 * target_scale
+                    assert abs(emit_target.omega2 - beam) <= 1e-13 * beam_scale
+                textbook = 0.0 + 0.0j
+                terms = 0.0
+                for mu, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)):
+                    basis = np.eye(4)[mu]
+                    term = vertex_bilinear(u_p2, basis, u_p1) * vertex_bilinear(u_q2, basis, u_q1)
+                    textbook += sign * term
+                    terms += abs(term)
+                transfer2 = minkowski_dot(k, k)
+                assert abs(result.textbook_total - textbook / transfer2) <= 1e-13 * terms / abs(
+                    transfer2
+                )
 
     def test_per_polarization_identity(self):
         vectors = moller_kinematics(4.0, 1.0)

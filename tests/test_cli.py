@@ -8,6 +8,14 @@ from qlambda.dynamics import LevelSystem
 from qlambda.errors import StepTooLarge
 
 
+def exit_code(argv) -> int:
+    """Process exit code of one CLI run: argparse rejects by SystemExit, commands by return."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def lambda_file(tmp_path):
     couplings = np.zeros((3, 3), dtype=complex)
@@ -52,6 +60,16 @@ class TestLambdaSim:
                    "--summary", str(tmp_path / "s.json")])
         assert rc == 2
         assert "couplings" in capsys.readouterr().err
+
+    def test_non_finite_energy_exit_2(self, tmp_path, capsys):
+        # json.loads accepts NaN, so the level system itself must reject it
+        bad = tmp_path / "nan.json"
+        zero = [[0.0, 0.0]] * 3
+        bad.write_text('{"energies": [0.0, NaN, 0.0], "couplings": %s}' % json.dumps([zero] * 3))
+        rc = main(["lambda-sim", "--system", str(bad), "--out", str(tmp_path / "t.csv"),
+                   "--summary", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_step_guard_maps_to_exit_3(self, tmp_path, lambda_file, monkeypatch):
         def explode(*args, **kwargs):
@@ -124,6 +142,26 @@ class TestAmplitudeCommands:
         assert "plancks_breakfast" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compton", "--theta", "nan"],
+    ["compton", "--theta", "inf"],
+    ["compton", "--photon-energy", "inf"],
+    ["compton", "--beta", "nan"],
+    ["moller", "--theta", "inf"],
+    ["moller", "--theta", "nan"],
+    ["moller", "--e-cm", "nan"],
+    ["boost-scan", "--process", "compton", "--theta", "nan"],
+    ["boost-scan", "--process", "moller", "--betas", "0", "nan"],
+    ["lambda-sim", "--t-final", "inf"],
+    ["lambda-sim", "--dt", "inf"],
+])
+def test_non_finite_float_flag_exit_2(tmp_path, lambda_file, argv):
+    if argv[0] == "lambda-sim":
+        argv = argv + ["--system", str(lambda_file), "--summary", str(tmp_path / "s.json")]
+    assert exit_code(argv + ["--out", str(tmp_path / "x.out")]) == 2
+    assert not (tmp_path / "x.out").exists()
+
+
 class TestVacpol:
     def test_summary_slope_window(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -167,8 +205,8 @@ class TestVacpol:
         ["--refine-tol", "nan"],
     ])
     def test_non_finite_input_exit_2(self, tmp_path, argv):
-        rc = main(["vacpol"] + argv + ["--out", str(tmp_path / "c.csv"),
-                                       "--summary", str(tmp_path / "s.json")])
+        rc = exit_code(["vacpol"] + argv + ["--out", str(tmp_path / "c.csv"),
+                                            "--summary", str(tmp_path / "s.json")])
         assert rc == 2
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):

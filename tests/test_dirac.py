@@ -6,6 +6,7 @@ from qlambda.dirac import (
     gamma_set,
     polarization_pair,
     slash,
+    spin_block,
     spin_sum,
     u_spinor,
     ubar,
@@ -16,6 +17,11 @@ from qlambda.lorentz import Boost, FourVector, boost_matrix, on_shell_energy
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 I4 = np.eye(4)
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def rand_momenta(rng, n, scale=2.0):
@@ -98,6 +104,55 @@ class TestUSpinor:
         assert abs(u.components.conj() @ u.components - 1.0) < 1e-12
 
 
+class TestSpinBlock:
+    @staticmethod
+    def sigma_construction(p3, s, m, normalization):
+        """N (chi_s ; sigma.p chi_s / (E+m)) with explicit Pauli matrices."""
+        energy = on_shell_energy(p3, m)
+        chi = np.eye(2, dtype=complex)[s - 1]
+        sigma_p = sum(p3[i] * PAULI[i] for i in range(3))
+        u = np.sqrt((energy + m) / (2.0 * energy)) * np.concatenate(
+            [chi, sigma_p @ chi / (energy + m)]
+        )
+        return u * np.sqrt(energy / m) if normalization == "covariant" else u
+
+    def test_matches_sigma_construction(self):
+        rng = np.random.default_rng(31)
+        momenta = [np.zeros(3), np.array([0.0, 0.0, -2.0])] + list(rand_momenta(rng, 60))
+        for p3 in momenta:
+            for normalization in ("box", "covariant"):
+                block = spin_block(p3, 1.0, normalization)
+                assert block.shape == (4, 2)
+                for s in (1, 2):
+                    np.testing.assert_allclose(
+                        block[:, s - 1], self.sigma_construction(p3, s, 1.0, normalization),
+                        rtol=1e-13, atol=0,
+                    )
+                    u = u_spinor(p3, s, 1.0, normalization)
+                    assert np.array_equal(u.components, block[:, s - 1])
+
+    def test_dirac_equation_both_normalizations(self):
+        rng = np.random.default_rng(32)
+        for p3 in rand_momenta(rng, 60, scale=5.0):
+            energy = on_shell_energy(p3, 1.0)
+            p_on = FourVector.from_spatial(energy, p3)
+            for normalization in ("box", "covariant"):
+                block = spin_block(p3, 1.0, normalization)
+                residual = (slash(p_on) - np.eye(4)) @ block
+                assert np.max(np.abs(residual)) < 1e-13 * energy * np.max(np.abs(block))
+                # u^dag u = 1 for box spinors, ubar u = 1 for covariant ones
+                gram = ubar(block) @ block if normalization == "covariant" else block.conj().T @ block
+                assert np.max(np.abs(gram - np.eye(2))) < 1e-13
+
+    def test_rejections(self):
+        with pytest.raises(MasslessAtRest):
+            spin_block((0, 0, 0), 0.0)
+        with pytest.raises(MasslessAtRest):
+            spin_block((0, 0, 1.0), 0.0, normalization="covariant")
+        with pytest.raises(ValueError, match="normalization"):
+            spin_block((0, 0, 1.0), 1.0, normalization="lattice")
+
+
 class TestSpinSum:
     def closed_form(self, p3, m):
         energy = on_shell_energy(p3, m)
@@ -140,6 +195,26 @@ class TestPolarization:
             assert abs(e1.components[1:] @ e2.components[1:]) < 1e-12
             for e in (e1, e2):
                 assert abs(e.components[1:] @ e.components[1:] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("k3", [
+        (1.0, 1.0, 1.0),
+        (1.0, 1.0, 0.0),
+        (0.0, 0.0, -2.0),
+        tuple(np.random.default_rng(33).normal(size=3)),
+    ])
+    def test_matches_gram_schmidt_with_cross(self, k3):
+        # the seed axis is the first of the least-aligned ones (np.argmin)
+        k3 = np.array(k3)
+        khat = k3 / np.linalg.norm(k3)
+        seed = np.eye(3)[int(np.argmin(np.abs(khat)))]
+        e1 = seed - (seed @ khat) * khat
+        e1 = e1 / np.linalg.norm(e1)
+        e2 = np.cross(khat, e1)
+        pol1, pol2 = polarization_pair(k3)
+        np.testing.assert_allclose(pol1.components, np.concatenate([[0.0], e1]), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(pol2.components, np.concatenate([[0.0], e2]), rtol=1e-13, atol=0)
+        assert (pol1.alpha, pol2.alpha) == (1, 2)
+        assert np.array_equal(pol1.wavevector, k3)
 
     def test_zero_wavevector(self):
         with pytest.raises(ZeroWavevector):

@@ -46,6 +46,14 @@ class TestLevelSystem:
             LevelSystem([0.0, 1.0], [[0.5, 0], [0, 0]])  # diagonal coupling
         with pytest.raises(ConfigError):
             LevelSystem([0.0] * 5, np.zeros((5, 5)))  # too many levels
+        with pytest.raises(ConfigError, match="energies"):
+            LevelSystem(5.0, np.zeros((1, 1)))
+        with pytest.raises(ConfigError, match="finite"):
+            LevelSystem([0.0, math.nan], np.zeros((2, 2)))
+        with pytest.raises(ConfigError, match="finite"):
+            LevelSystem([0.0, math.inf, 0.0], np.zeros((3, 3)))
+        with pytest.raises(ConfigError, match="finite"):
+            LevelSystem([0.0, 1.0], [[0, math.nan], [math.nan, 0]])  # NaN passes the Hermitian test
 
     def test_json_round_trip(self):
         sys3 = lambda_system(omega1=0.1 + 0.05j)
