@@ -15,7 +15,6 @@ from .amplitudes import (
 )
 from .dirac import (
     BiSpinor,
-    GammaSet,
     PolarizationVector,
     boost_spinor,
     gamma_set,

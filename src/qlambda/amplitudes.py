@@ -48,7 +48,7 @@ from .lorentz import (
 _I4 = np.eye(4, dtype=complex)
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 # gamma^mu stacked on the leading axis: ubar_b @ _GAMMAS @ u_a is the current J^mu
-_GAMMAS = np.stack(gamma_set().matrices)
+_GAMMAS = np.stack(gamma_set())
 _ONSHELL_RTOL = 1e-9
 _CONSERVATION_RTOL = 1e-10
 _POLE_RTOL = 1e-9
@@ -143,31 +143,36 @@ class AmplitudeResult:
         return doc
 
 
-def _scale(*vectors: FourVector) -> float:
-    return max(1.0, *(abs(c) for v in vectors for c in v.as_array()))
+def _require_process(incoming, outgoing, masses, labels) -> float:
+    """On-shell and conservation guards of a scattering process.
 
-
-def _require_on_shell(v: FourVector, m: float, label: str, scale: float) -> None:
-    residual = abs(minkowski_dot(v, v) - m * m)
-    if residual > _ONSHELL_RTOL * scale * scale:
-        raise OffShellInput(f"{label} off shell: |p.p - m^2| = {residual:.3e}")
-
-
-def _require_conserved(incoming, outgoing, scale: float) -> None:
-    total_in = incoming[0]
-    for v in incoming[1:]:
-        total_in = total_in + v
-    total_out = outgoing[0]
-    for v in outgoing[1:]:
-        total_out = total_out + v
-    residual = float(np.max(np.abs((total_in - total_out).as_array())))
+    masses and labels follow the momenta in incoming + outgoing order. Returns
+    the momentum scale, max(1, largest |component|), that sets every tolerance.
+    """
+    vectors = (*incoming, *outgoing)
+    scale = max(1.0, *(abs(c) for v in vectors for c in v.as_array()))
+    for v, m, label in zip(vectors, masses, labels):
+        residual = abs(minkowski_dot(v, v) - m * m)
+        if residual > _ONSHELL_RTOL * scale * scale:
+            raise OffShellInput(f"{label} off shell: |p.p - m^2| = {residual:.3e}")
+    difference = sum(incoming[1:], incoming[0]) - sum(outgoing[1:], outgoing[0])
+    residual = float(np.max(np.abs(difference.as_array())))
     if residual > _CONSERVATION_RTOL * scale:
         raise OffShellInput(f"four-momentum not conserved: residual {residual:.3e}")
+    return scale
 
 
 def _guard_pole(denom: float, scale: float, where: str) -> None:
     if abs(denom) < _POLE_RTOL * scale:
         raise PoleEncountered(f"{where}: energy denominator {denom!r} vanishes")
+
+
+def _result(process, parts, eta_value, closed, textbook, frame, **provenance) -> AmplitudeResult:
+    """Total as the in-order sum of the parts; ratio None when the textbook total is 0."""
+    total = sum(part.value for part in parts)
+    ratio = None if textbook == 0.0 else total / textbook
+    return AmplitudeResult(process, total, tuple(parts), eta_value, closed, frame=frame,
+                           textbook_total=textbook, textbook_ratio=ratio, provenance=provenance)
 
 
 def _pair_state(components: np.ndarray) -> np.ndarray:
@@ -180,75 +185,68 @@ def _pair_state(components: np.ndarray) -> np.ndarray:
     return np.concatenate([-components[2:], components[:2]])
 
 
-def _compton_context(p, k, p_out, k_out, spins, pols, constants, normalization):
-    m = constants.m_e
-    scale = _scale(p, k, p_out, k_out)
-    _require_on_shell(p, m, "incoming electron", scale)
-    _require_on_shell(p_out, m, "outgoing electron", scale)
-    _require_on_shell(k, 0.0, "incoming photon", scale)
-    _require_on_shell(k_out, 0.0, "outgoing photon", scale)
-    _require_conserved((p, k), (p_out, k_out), scale)
-    spin_in, spin_out = spins
-    pol_in, pol_out = pols
-    eta_value = eta(p + k)
-    eps_in = polarization_pair(k.spatial)[pol_in - 1].as_array()
-    eps_out_conj = polarization_pair(k_out.spatial)[pol_out - 1].as_array().conj()
-    # each vertex carries the prefactor of the photon attached to it
-    return {
-        "m": m,
-        "scale": scale,
-        "eta": eta_value,
-        "normalization": normalization,
-        "u_in": u_spinor(p.spatial, spin_in, m, normalization).components,
-        "ubar_out": ubar(u_spinor(p_out.spatial, spin_out, m, normalization)),
-        "absorb": (slash(eps_in), coupling_factor(eta_value, k.t, constants).value),
-        "emit": (slash(eps_out_conj), coupling_factor(eta_value, k_out.t, constants).value),
-    }
+def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
+    """Photon-electron amplitude summed over the requested rows of the channel table.
 
-
-def _compton_channel(
-    ctx: dict, q: FourVector, first, second, tag: str
-) -> tuple[list[DiagramAmplitude], complex, complex]:
-    """Both orderings of one channel, its closed form and its bare chain.
-
-    first = (slash(eps), f) couples the incoming electron to the intermediate
-    state, second couples the intermediate state to the outgoing electron.
-    The forward ordering (a) runs through the electron u(q, s) over
-    q0 - E_q. In the crossed ordering (b) the second vertex acts first: it
-    creates the outgoing electron together with the pair state v(-q, s), which
-    the first vertex then annihilates with the incoming electron, over
-    -(q0 + E_q); the fermion sign of that ordering rides on its first factor.
-    Summed over s the two give f f' ubar' slash(eps2) (slash(q) + m)
-    slash(eps1) u / (q^2 - m^2), times E_q / m for covariant spinors. The bare
-    chain is the same expression without prefactors or normalization factor.
+    Channel 1 runs through q = p + k with the absorbing vertex on the incoming
+    electron, channel 2 through q = p - k' with the emitting vertex there.
+    In each, the forward ordering (a) runs through the electron u(q, s) over
+    q0 - E_q. In the crossed ordering (b) the vertex on the outgoing electron
+    acts first: it creates that electron together with the pair state
+    v(-q, s), which the other vertex then annihilates with the incoming
+    electron, over -(q0 + E_q); the fermion sign of that ordering rides on its
+    first factor. Summed over s the two give the closed form f f' ubar'
+    slash(eps2) (slash(q) + m) slash(eps1) u / (q^2 - m^2), times E_q / m for
+    covariant spinors; the textbook value is the same chain without
+    prefactors or normalization factor. Closed forms and textbook values sum
+    over the channels starting from the first channel's value, not from 0, so
+    a single channel keeps the sign of its zeros.
     """
-    m = ctx["m"]
-    q3 = q.spatial
-    e_q = on_shell_energy(q3, m)
-    q0 = q.t
-    d_fwd = q0 - e_q
-    d_bwd = -(q0 + e_q)
-    _guard_pole(d_fwd, ctx["scale"], f"channel {tag} forward ordering")
-    _guard_pole(d_bwd, ctx["scale"], f"channel {tag} crossed ordering")
-    slash_first, f_first = first
-    slash_second, f_second = second
-    row = ctx["ubar_out"] @ slash_second
-    col = slash_first @ ctx["u_in"]
-    # columns: both intermediate spins, as electrons and as pair states
-    u_mid = spin_block(q3, m, ctx["normalization"])
-    v_mid = _pair_state(u_mid)
-    fwd_first = (f_first * (ubar(u_mid) @ col)).tolist()
-    fwd_second = (f_second * (row @ u_mid)).tolist()
-    bwd_first = (-f_second * (row @ v_mid)).tolist()
-    bwd_second = (f_first * (ubar(v_mid) @ col)).tolist()
-    parts = []
-    for i, s in enumerate((1, 2)):
-        parts.append(DiagramAmplitude(f"{tag}a:s={s}", fwd_first[i], fwd_second[i], d_fwd))
-        parts.append(DiagramAmplitude(f"{tag}b:s={s}", bwd_first[i], bwd_second[i], d_bwd))
-    bare = complex(row @ (slash(q) + m * _I4) @ col) / (minkowski_dot(q, q) - m * m)
-    # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
-    norm = e_q / m if ctx["normalization"] == "covariant" else 1.0
-    return parts, f_first * f_second * norm * bare, bare
+    m = constants.m_e
+    scale = _require_process(
+        (p, k),
+        (p_out, k_out),
+        (m, 0.0, m, 0.0),
+        ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
+    )
+    eta_value = eta(p + k)
+    eps_in = polarization_pair(k.spatial)[pols[0] - 1].as_array()
+    eps_out_conj = polarization_pair(k_out.spatial)[pols[1] - 1].as_array().conj()
+    u_in = u_spinor(p.spatial, spins[0], m, normalization).components
+    ubar_out = ubar(u_spinor(p_out.spatial, spins[1], m, normalization))
+    # each vertex carries the prefactor of the photon attached to it
+    absorb = (slash(eps_in), coupling_factor(eta_value, k.t, constants).value)
+    emit = (slash(eps_out_conj), coupling_factor(eta_value, k_out.t, constants).value)
+    # intermediate momentum, vertex on the incoming electron, vertex on the outgoing one
+    table = {"1": (p + k, absorb, emit), "2": (p - k_out, emit, absorb)}
+    parts, closed, textbook = [], [], []
+    for tag in channels:
+        q, (slash_first, f_first), (slash_second, f_second) = table[tag]
+        q3 = q.spatial
+        e_q = on_shell_energy(q3, m)
+        d_fwd = q.t - e_q
+        d_bwd = -(q.t + e_q)
+        _guard_pole(d_fwd, scale, f"channel {tag} forward ordering")
+        _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering")
+        row = ubar_out @ slash_second
+        col = slash_first @ u_in
+        # columns: both intermediate spins, as electrons and as pair states
+        u_mid = spin_block(q3, m, normalization)
+        v_mid = _pair_state(u_mid)
+        fwd_first = (f_first * (ubar(u_mid) @ col)).tolist()
+        fwd_second = (f_second * (row @ u_mid)).tolist()
+        bwd_first = (-f_second * (row @ v_mid)).tolist()
+        bwd_second = (f_first * (ubar(v_mid) @ col)).tolist()
+        for i, s in enumerate((1, 2)):
+            parts.append(DiagramAmplitude(f"{tag}a:s={s}", fwd_first[i], fwd_second[i], d_fwd))
+            parts.append(DiagramAmplitude(f"{tag}b:s={s}", bwd_first[i], bwd_second[i], d_bwd))
+        bare = complex(row @ (slash(q) + m * _I4) @ col) / (minkowski_dot(q, q) - m * m)
+        # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
+        norm = e_q / m if normalization == "covariant" else 1.0
+        closed.append(f_first * f_second * norm * bare)
+        textbook.append(bare)
+    return _result(process, parts, eta_value, sum(closed[1:], closed[0]),
+                   sum(textbook[1:], textbook[0]), frame)
 
 
 def compton_pair_A(
@@ -267,12 +265,8 @@ def compton_pair_A(
     Sums the two three-level orderings over the intermediate spin and returns
     the independently evaluated closed form for the same diagram.
     """
-    ctx = _compton_context(p, k, p_out, k_out, spins, pols, constants, normalization)
-    parts, closed, _ = _compton_channel(ctx, p + k, ctx["absorb"], ctx["emit"], "1")
-    total = sum(part.value for part in parts)
-    return AmplitudeResult(
-        "compton_pair_A", total, tuple(parts), ctx["eta"], closed, frame=frame
-    )
+    return _compton("compton_pair_A", ("1",), p, k, p_out, k_out,
+                    spins, pols, constants, normalization, frame)
 
 
 def compton_pair_B(
@@ -287,12 +281,8 @@ def compton_pair_B(
     frame: Boost | None = None,
 ) -> AmplitudeResult:
     """Photon-emitted-first diagram: intermediate momentum p - k'."""
-    ctx = _compton_context(p, k, p_out, k_out, spins, pols, constants, normalization)
-    parts, closed, _ = _compton_channel(ctx, p - k_out, ctx["emit"], ctx["absorb"], "2")
-    total = sum(part.value for part in parts)
-    return AmplitudeResult(
-        "compton_pair_B", total, tuple(parts), ctx["eta"], closed, frame=frame
-    )
+    return _compton("compton_pair_B", ("2",), p, k, p_out, k_out,
+                    spins, pols, constants, normalization, frame)
 
 
 def compton_total(
@@ -315,25 +305,8 @@ def compton_total(
     frame; in the zero-momentum frame omega = omega', so it does not depend
     on the scattering angle.
     """
-    ctx = _compton_context(p, k, p_out, k_out, spins, pols, constants, normalization)
-    parts_a, closed_a, bare_a = _compton_channel(ctx, p + k, ctx["absorb"], ctx["emit"], "1")
-    parts_b, closed_b, bare_b = _compton_channel(
-        ctx, p - k_out, ctx["emit"], ctx["absorb"], "2"
-    )
-    parts = tuple(parts_a + parts_b)
-    total = sum(part.value for part in parts)
-    tb = bare_a + bare_b
-    ratio = None if tb == 0.0 else total / tb
-    return AmplitudeResult(
-        "compton",
-        total,
-        parts,
-        ctx["eta"],
-        closed_a + closed_b,
-        frame=frame,
-        textbook_total=tb,
-        textbook_ratio=ratio,
-    )
+    return _compton("compton", ("1", "2"), p, k, p_out, k_out,
+                    spins, pols, constants, normalization, frame)
 
 
 def moller_total(
@@ -357,11 +330,13 @@ def moller_total(
     J_beam . g . J_target / (p1-p2)^2.
     """
     m = constants.m_e
-    scale = _scale(p1, q1, p2, q2)
-    for v, label in ((p1, "beam electron"), (q1, "target electron"),
-                     (p2, "scattered beam electron"), (q2, "scattered target electron")):
-        _require_on_shell(v, m, label, scale)
-    _require_conserved((p1, q1), (p2, q2), scale)
+    scale = _require_process(
+        (p1, q1),
+        (p2, q2),
+        (m, m, m, m),
+        ("beam electron", "target electron",
+         "scattered beam electron", "scattered target electron"),
+    )
     k = p1 - p2
     transfer2 = minkowski_dot(k, k)
     if abs(transfer2) < 1e-12 * scale * scale:
@@ -398,20 +373,9 @@ def moller_total(
             DiagramAmplitude(f"emit-target:pol={alpha}", target_current, beam_current, d_bwd, 0.5)
         )
         closed += e_k * beam_current * target_current / (k0 * k0 - e_k * e_k)
-    total = sum(part.value for part in parts)
     tb = complex(j_beam @ _METRIC @ j_target) / transfer2
-    ratio = None if tb == 0.0 else total / tb
-    return AmplitudeResult(
-        "moller",
-        total,
-        tuple(parts),
-        eta_value,
-        closed,
-        frame=frame,
-        textbook_total=tb,
-        textbook_ratio=ratio,
-        provenance={"transfer_squared": float(transfer2), "photon_energy": e_k},
-    )
+    return _result("moller", parts, eta_value, closed, tb, frame,
+                   transfer_squared=float(transfer2), photon_energy=e_k)
 
 
 @dataclass(frozen=True)
@@ -449,7 +413,7 @@ def boost_scan(
     photon_energy: float = 1.0,
     e_cm: float = 4.0,
     theta: float = math.pi / 3.0,
-    spins: tuple = (1, 1),
+    spins: tuple | None = None,
     pols: tuple[int, int] = (1, 1),
 ) -> BoostScanTable:
     """Amplitude magnitude versus boosts away from the zero-momentum frame.
@@ -457,9 +421,14 @@ def boost_scan(
     For each beta the kinematics, polarizations, spinors, eta, and the mode
     volume V -> V sqrt(1-beta^2) are all recomputed in the boosted frame.
     Columns: beta, eta, |amp|, |amp|/|amp at beta=0|, sqrt(1-beta^2).
+    spins takes 2 indices for Compton and 4 for Moller; None means all 1.
     """
     if process not in ("compton", "moller"):
         raise ValueError(f"unknown process {process!r}")
+    n_spins = 2 if process == "compton" else 4
+    spins = (1,) * n_spins if spins is None else tuple(spins)
+    if len(spins) != n_spins:
+        raise ValueError(f"{process} takes {n_spins} spin indices, got {spins!r}")
     m = constants.m_e
 
     def evaluate(beta_value: float) -> AmplitudeResult:
@@ -468,15 +437,13 @@ def boost_scan(
         frame = Boost.along_z(beta_value)
         if process == "compton":
             vectors = compton_cm_kinematics(photon_energy, theta, frame, m=m)
-            pair_spins = tuple(spins) if len(spins) == 2 else (1, 1)
             return compton_total(
-                *vectors, spins=pair_spins, pols=pols, constants=consts,
+                *vectors, spins=spins, pols=pols, constants=consts,
                 normalization=normalization, frame=frame,
             )
         vectors = moller_kinematics(e_cm, theta, frame, m=m)
-        all_spins = tuple(spins) if len(spins) == 4 else (1, 1, 1, 1)
         return moller_total(
-            *vectors, spins=all_spins, constants=consts,
+            *vectors, spins=spins, constants=consts,
             normalization=normalization, frame=frame,
         )
 

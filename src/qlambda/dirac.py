@@ -52,18 +52,9 @@ _GAMMA_LOWER.setflags(write=False)
 _I4 = np.eye(4, dtype=complex)
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    """The four gamma matrices, indexable by Lorentz index."""
-
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    def __getitem__(self, mu: int) -> np.ndarray:
-        return self.matrices[mu]
-
-
-def gamma_set() -> GammaSet:
-    return GammaSet(_GAMMA)
+def gamma_set() -> tuple[np.ndarray, ...]:
+    """The four read-only gamma matrices gamma^mu, indexed by Lorentz index."""
+    return _GAMMA
 
 
 def slash(v) -> np.ndarray:

@@ -149,15 +149,21 @@ def evolve(
 
     Each step applies expm(-i H dt / hbar) built once from the eigensystem of
     H, so the stepper is unitary for any dt. Raises StepTooLarge if the norm
-    drifts beyond drift_tol.
+    drifts beyond drift_tol, and ConfigError for non-finite input or a
+    non-positive dt, t_final or hbar.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (system.n_levels,):
         raise ConfigError(f"psi0 must have {system.n_levels} components")
+    if not np.all(np.isfinite(psi)):
+        raise ConfigError("psi0 must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ConfigError("psi0 must be normalized")
-    if not (dt > 0.0 and t_final > 0.0):
-        raise ConfigError("dt and t_final must be positive")
+    for name, value in (("dt", dt), ("t_final", t_final), ("hbar", hbar)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if not math.isfinite(drift_tol):
+        raise ConfigError(f"drift_tol must be finite, got {drift_tol!r}")
     n_steps = max(1, int(round(t_final / dt)))
     evals, evecs = np.linalg.eigh(system.hamiltonian())
     step = (evecs * np.exp(-1j * evals * dt / hbar)) @ evecs.conj().T
@@ -167,7 +173,7 @@ def evolve(
         psi = step @ psi
         states[i] = psi
         drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > drift_tol:
+        if not drift <= drift_tol:
             raise StepTooLarge(f"norm drift {drift:.3e} at step {i} exceeds {drift_tol:.1e}")
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times, states)

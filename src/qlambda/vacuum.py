@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeResult, moller_total
+from .amplitudes import AmplitudeResult, coupling_factor, moller_total
 from .dirac import polarization_pair, u_spinor, vertex_bilinear
 from .errors import (
     ConfigError,
@@ -61,13 +61,7 @@ def pair_coupling(
     e_p = math.sqrt(float(p3 @ p3) + m * m)
     e_pk = math.sqrt(float(pk @ pk) + m * m)
     eta1 = m / e_pk
-    prefactor = (
-        constants.e
-        * constants.c
-        * constants.hbar
-        * eta1
-        * math.sqrt(1.0 / (constants.V * constants.eps0 * (e_pk + e_p)))
-    )
+    prefactor = coupling_factor(eta1, e_pk + e_p, constants).value
     eps = polarization_pair(k3)[alpha - 1].as_array()
     u_in = u_spinor(p3, s, m)
     u_out = u_spinor(pk, s_out, m)

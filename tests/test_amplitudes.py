@@ -138,14 +138,29 @@ class TestComptonPairs:
 
 class TestComptonTotal:
     def test_total_is_sum_of_pairs(self):
-        vectors = compton_cm_kinematics(1.0, 0.9)
-        total = compton_total(*vectors, spins=(1, 2), pols=(2, 1))
-        pair_a = compton_pair_A(*vectors, spins=(1, 2), pols=(2, 1))
-        pair_b = compton_pair_B(*vectors, spins=(1, 2), pols=(2, 1))
-        assert total.total == pytest.approx(pair_a.total + pair_b.total, rel=1e-13)
-        assert total.closed_form == pytest.approx(
-            pair_a.closed_form + pair_b.closed_form, rel=1e-13
-        )
+        # the three entry points are views of one channel table: the total's
+        # parts are the pair views' parts, and its closed form and textbook
+        # value are the pair values summed in channel order
+        cases = [(compton_cm_kinematics(1.0, 0.9), (1, 2), (2, 1))]
+        rng = np.random.default_rng(7)
+        for i in range(24):
+            kinematics = compton_kinematics if i % 2 else compton_cm_kinematics
+            energy = rng.uniform(0.2, 3.0)
+            theta = rng.uniform(0.15, math.pi - 0.15)
+            frame = random_boost(rng) if i % 4 >= 2 else None
+            spins = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            pols = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            cases.append((kinematics(energy, theta, frame), spins, pols))
+        for vectors, spins, pols in cases:
+            for normalization in ("box", "covariant"):
+                kwargs = {"spins": spins, "pols": pols, "normalization": normalization}
+                total = compton_total(*vectors, **kwargs)
+                pair_a = compton_pair_A(*vectors, **kwargs)
+                pair_b = compton_pair_B(*vectors, **kwargs)
+                assert total.parts == pair_a.parts + pair_b.parts
+                assert total.closed_form == pair_a.closed_form + pair_b.closed_form
+                assert total.textbook_total == pair_a.textbook_total + pair_b.textbook_total
+                assert total.total == pytest.approx(pair_a.total + pair_b.total, rel=1e-13)
 
     def test_textbook_ratio_reported(self):
         vectors = compton_cm_kinematics(1.0, 1.2)
@@ -429,6 +444,15 @@ class TestBoostScan:
     def test_unknown_process(self):
         with pytest.raises(ValueError):
             boost_scan("bhabha", [0.0])
+
+    def test_wrong_spin_count(self):
+        with pytest.raises(ValueError):
+            boost_scan("compton", [0.0], spins=(2, 2, 2, 2))
+        with pytest.raises(ValueError):
+            boost_scan("moller", [0.0], spins=(1, 2))
+        default = boost_scan("moller", [0.0, 0.5])
+        explicit = boost_scan("moller", [0.0, 0.5], spins=(1, 1, 1, 1))
+        assert default.rows == explicit.rows
 
 
 class TestPoleGuard:

@@ -103,6 +103,24 @@ class TestEvolve:
             evolve(sys2, [1.0, 1.0], 1.0, 0.1)  # not normalized
         with pytest.raises(ConfigError):
             evolve(sys2, [1.0, 0.0], -1.0, 0.1)
+        # non-finite input is rejected before stepping
+        bad_calls = [
+            ([1.0, 0.0], math.inf, 0.1, {}),
+            ([1.0, 0.0], math.nan, 0.1, {}),
+            ([1.0, 0.0], 1.0, math.inf, {}),
+            ([1.0, 0.0], 1.0, math.nan, {}),
+            ([1.0, 0.0], 1.0, 0.1, {"hbar": 0.0}),
+            ([1.0, 0.0], 1.0, 0.1, {"hbar": -1.0}),
+            ([1.0, 0.0], 1.0, 0.1, {"hbar": math.nan}),
+            ([1.0, 0.0], 1.0, 0.1, {"hbar": math.inf}),
+            ([math.nan, 0.0], 1.0, 0.1, {}),
+            ([1.0, complex(0.0, math.inf)], 1.0, 0.1, {}),
+            ([1.0, 0.0], 1.0, 0.1, {"drift_tol": math.nan}),
+            ([1.0, 0.0], 1.0, 0.1, {"drift_tol": math.inf}),
+        ]
+        for psi0, t_final, dt, kwargs in bad_calls:
+            with pytest.raises(ConfigError):
+                evolve(sys2, psi0, t_final, dt, **kwargs)
 
     def test_csv_emission(self, tmp_path):
         sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
