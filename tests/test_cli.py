@@ -80,6 +80,22 @@ class TestLambdaSim:
                    "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
         assert rc == 3
 
+    def test_step_cap_exit_2(self, tmp_path, lambda_file, capsys):
+        rc = main(["lambda-sim", "--system", str(lambda_file), "--t-final", "1e300",
+                   "--dt", "1e-10", "--out", str(tmp_path / "t.csv"),
+                   "--summary", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "cap" in capsys.readouterr().err
+
+    def test_determinism_byte_identical(self, tmp_path, lambda_file):
+        runs = []
+        for name in ("a", "b"):
+            out, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert main(["lambda-sim", "--system", str(lambda_file), "--out", str(out),
+                         "--summary", str(summary)]) == 0
+            runs.append((out.read_bytes(), summary.read_bytes()))
+        assert runs[0] == runs[1]
+
 
 class TestAmplitudeCommands:
     def test_compton_cm_eta_one(self, tmp_path):

@@ -1,10 +1,13 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from qlambda import dynamics
 from qlambda.dynamics import (
     LevelSystem,
+    Trajectory,
     base_period,
     effective_coupling,
     eliminate_pair_level,
@@ -18,6 +21,7 @@ from qlambda.errors import (
     DegenerateLevels,
     IncommensurateGaps,
     PoleEncountered,
+    StepTooLarge,
 )
 
 
@@ -36,6 +40,71 @@ def four_level(omega=0.1, pair=0.1, e_excited=10.0, e_pair=5.0):
     couplings[1, 2] = couplings[2, 1] = omega
     couplings[1, 3] = couplings[3, 1] = pair
     return LevelSystem([0.0, e_excited, 0.0, e_pair], couplings)
+
+
+def complex_four_level(omega=0.3 * np.exp(0.4j), pair=0.05 * np.exp(-1.1j)):
+    """Pair system with complex couplings, stored as lower triangle plus its adjoint."""
+    couplings = np.zeros((4, 4), dtype=complex)
+    couplings[1, 0] = couplings[1, 2] = omega
+    couplings[3, 1] = pair
+    return LevelSystem([0.0, 10.0, 0.0, 5.0], couplings + couplings.conj().T)
+
+
+def random_system(n, seed):
+    """Complex Hermitian zero-diagonal couplings on random level energies."""
+    rng = np.random.default_rng(seed)
+    couplings = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    couplings = couplings + couplings.conj().T
+    np.fill_diagonal(couplings, 0.0)
+    return LevelSystem(rng.normal(size=n), couplings)
+
+
+def loop_evolve(system, psi0, t_final, dt, hbar=1.0):
+    """Oracle: apply the one-step propagator expm(-i H dt / hbar) step by step."""
+    n_steps = max(1, int(round(t_final / dt)))
+    evals, evecs = np.linalg.eigh(system.hamiltonian())
+    step = (evecs * np.exp(-1j * evals * dt / hbar)) @ evecs.conj().T
+    psi = np.asarray(psi0, dtype=complex)
+    states = np.empty((n_steps + 1, system.n_levels), dtype=complex)
+    states[0] = psi
+    for i in range(1, n_steps + 1):
+        psi = step @ psi
+        states[i] = psi
+    return states
+
+
+def gauss_double_commutator(system, hbar=1.0, n_nodes=96):
+    """Oracle: the averaged half double-commutator with both integrals by Gauss rule."""
+    period = base_period(system, hbar)
+    gaps = (system.energies[:, None] - system.energies[None, :]) / hbar
+    couplings = system.couplings
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    outer_t = 0.5 * period * (nodes + 1.0)
+    outer_w = 0.5 * period * weights
+    k_outer = couplings * np.exp(1j * gaps * outer_t[:, None, None])
+    inner_t = 0.5 * outer_t[:, None] * (nodes[None, :] + 1.0)
+    inner_w = 0.5 * outer_t[:, None] * weights[None, :]
+    k_inner = couplings * np.exp(1j * gaps * inner_t[:, :, None, None])
+    inner_int = np.einsum("oi,oijk->ojk", inner_w, k_inner)
+    comm = k_outer @ inner_int - inner_int @ k_outer
+    double = 0.5 * np.einsum("o,ojk->jk", outer_w, comm)
+    return -1j * double / (hbar * period)
+
+
+def cellwise_csv(trajectory):
+    """Oracle: format the trajectory one cell at a time."""
+    fh = io.StringIO()
+    n = trajectory.states.shape[1]
+    header = ["t"]
+    for i in range(n):
+        header += [f"re_{i}", f"im_{i}"]
+    fh.write(",".join(header) + "\n")
+    for t, state in zip(trajectory.times, trajectory.states):
+        row = [f"{t:.17g}"]
+        for c in state:
+            row += [f"{c.real:.17g}", f"{c.imag:.17g}"]
+        fh.write(",".join(row) + "\n")
+    return fh.getvalue()
 
 
 class TestLevelSystem:
@@ -122,6 +191,54 @@ class TestEvolve:
             with pytest.raises(ConfigError):
                 evolve(sys2, psi0, t_final, dt, **kwargs)
 
+    @pytest.mark.parametrize("n, seed", [(2, 3), (3, 4), (4, 5)])
+    def test_closed_form_matches_step_loop(self, n, seed):
+        system = random_system(n, seed)
+        rng = np.random.default_rng(seed + 100)
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 /= np.linalg.norm(psi0)
+        hbar, dt = 0.7, 0.013
+        traj = evolve(system, psi0, 1e4 * dt, dt, hbar=hbar)
+        expected = loop_evolve(system, psi0, 1e4 * dt, dt, hbar=hbar)
+        assert traj.states.shape == (10001, n)
+        assert np.array_equal(traj.states[0], psi0)
+        assert np.max(np.abs(traj.states - expected)) < 1e-11
+
+    def test_drift_guard_names_first_step(self):
+        sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
+        with pytest.raises(StepTooLarge, match="at step 1 "):
+            evolve(sys2, [1.0, 0.0], 1.0, 0.1, drift_tol=-1.0)
+
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(1e300, 1e-10), (float(dynamics._MAX_STEPS + 1), 1.0)],
+    )
+    def test_step_cap(self, monkeypatch, t_final, dt):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated a step table past the cap")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
+        with pytest.raises(ConfigError, match="cap"):
+            evolve(sys2, [1.0, 0.0], t_final, dt)
+
+    def test_csv_matches_cellwise_formatter(self):
+        times = np.array([0.0, 1.0, 2.0, 1e300])
+        states = np.array(
+            [
+                [1.0 + 0.0j, complex(-0.0, -0.0)],
+                [complex(5e-324, -5e-324), 0.1 + 0.2j],
+                [complex(1e300, -1e-300), complex(-1.0 / 3.0, 2.0)],
+                [complex(-0.0, 1.0), complex(3.0, -0.0)],
+            ]
+        )
+        traj = Trajectory(times, states)
+        fh = io.StringIO()
+        traj.write_csv(fh)
+        text = fh.getvalue()
+        assert text == cellwise_csv(traj)
+        assert "-0," in text and "4.9406564584124654e-324" in text
+
     def test_csv_emission(self, tmp_path):
         sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
         traj = evolve(sys2, [1.0, 0.0], 1.0, 0.5)
@@ -193,6 +310,21 @@ class TestMagnus:
         eff = magnus_second_order(system)
         scale = np.max(np.abs(eff.matrix))
         assert np.max(np.abs(eff.matrix - eff.numeric_matrix)) < 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "system, hbar",
+        [
+            (lambda_system(), 1.0),
+            (lambda_system(omega1=0.2 + 0.1j, omega2=0.05 - 0.15j), 0.7),
+            (LevelSystem([0.0, 10.0], [[0, 0.1 - 0.3j], [0.1 + 0.3j, 0]]), 1.0),
+            (complex_four_level(), 1.3),
+        ],
+    )
+    def test_numeric_matches_double_gauss_rule(self, system, hbar):
+        eff = magnus_second_order(system, hbar=hbar)
+        expected = gauss_double_commutator(system, hbar=hbar)
+        scale = np.max(np.abs(eff.matrix))
+        assert np.max(np.abs(eff.numeric_matrix - expected)) < 1e-13 * scale
 
     def test_hermitian(self):
         eff = magnus_second_order(lambda_system(omega1=0.2 + 0.1j))
