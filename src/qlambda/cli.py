@@ -218,6 +218,7 @@ def cmd_vacpol(args) -> int:
     summary = {
         "pair_shift": shift,
         "fitted_slope": report.fitted_slope,
+        "refine_delta": report.refine_delta,
         "cutoff": float(args.cutoff),
         "photon_energy": args.photon_energy
         if args.photon_energy is not None

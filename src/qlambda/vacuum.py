@@ -30,6 +30,13 @@ from .errors import (
 )
 from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost
 
+# Beyond ~1e95 the p^-4 edge profile underflows and the report turns NaN.
+_MAX_CUTOFF = 1e60
+# The refinement pass evaluates 8 n_radial n_theta momenta at ~200 bytes each,
+# so the largest accepted grid peaks near 400 MB.
+_MAX_N_THETA = 1024
+_MAX_GRID_NODES = 2**18
+
 
 def outgoing_eta(p3, k3, m: float) -> float:
     """Rest-mass-over-energy factor of the electron at momentum p + k."""
@@ -156,7 +163,12 @@ def shift_density(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-radial x Gauss-angular product grid for the momentum sum."""
+    """Log-radial grid x Gauss rule in the angle to k for the momentum sum.
+
+    `n_phi` is accepted and has no effect: the summed density does not depend
+    on the azimuth about k. `n_theta` above _MAX_N_THETA or
+    `n_radial * n_theta` above _MAX_GRID_NODES is a ConfigError.
+    """
 
     n_radial: int = 96
     n_theta: int = 16
@@ -166,16 +178,26 @@ class GridSpec:
     def __post_init__(self):
         if self.n_radial < 4 or self.n_theta < 2 or self.n_phi < 1:
             raise ConfigError("grid too small: need n_radial >= 4, n_theta >= 2, n_phi >= 1")
+        if self.n_theta > _MAX_N_THETA or self.n_radial * self.n_theta > _MAX_GRID_NODES:
+            raise ConfigError(
+                f"grid too large: need n_theta <= {_MAX_N_THETA} and "
+                f"n_radial * n_theta <= {_MAX_GRID_NODES}"
+            )
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Cutoff scan of the momentum integral with tail and slope diagnostics."""
+    """Cutoff scan of the momentum integral with tail and slope diagnostics.
+
+    refine_delta is the relative move of the total when the radial panel
+    count doubles, the figure compared against `refine_tol`.
+    """
 
     cutoffs: np.ndarray
     partial_sums: np.ndarray
     tail_estimates: np.ndarray
     fitted_slope: float
+    refine_delta: float
 
     def write_csv(self, fh) -> None:
         fh.write("cutoff,partial_sum,tail_estimate\n")
@@ -185,24 +207,11 @@ class ConvergenceReport:
     def to_json_dict(self) -> dict:
         return {
             "fitted_slope": self.fitted_slope,
+            "refine_delta": self.refine_delta,
             "cutoffs": [float(c) for c in self.cutoffs],
             "partial_sums": [float(s) for s in self.partial_sums],
             "tail_estimates": [float(t) for t in self.tail_estimates],
         }
-
-
-def _directions(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors and weights with sum(weights) = 4 pi."""
-    nodes, weights = np.polynomial.legendre.leggauss(grid.n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid.n_phi, endpoint=False)
-    dirs = []
-    wts = []
-    for ct, w in zip(nodes, weights):
-        st = math.sqrt(1.0 - ct * ct)
-        for phi in phis:
-            dirs.append((st * math.cos(phi), st * math.sin(phi), ct))
-            wts.append(w * 2.0 * math.pi / grid.n_phi)
-    return np.array(dirs), np.array(wts)
 
 
 def _radial_profile(
@@ -212,12 +221,18 @@ def _radial_profile(
     constants: Constants,
     photon_energy: float,
 ) -> np.ndarray:
-    """Angular integral of the density at each radius (one batched call)."""
-    dirs, wts = _directions(grid)
+    """Angular integral of the density at each radius (one batched call).
+
+    The summed density depends only on |p| and the angle to k, so the polar
+    axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
+    covers the whole sphere.
+    """
+    cos_t, weights = np.polynomial.legendre.leggauss(grid.n_theta)
+    dirs = np.stack([np.sqrt(1.0 - cos_t * cos_t), np.zeros_like(cos_t), cos_t], axis=1)
+    k_axis = np.array([0.0, 0.0, float(np.linalg.norm(k3))])
     points = radii[:, None, None] * dirs[None, :, :]
-    _, _, dens = _density_terms(points.reshape(-1, 3), k3, constants, photon_energy)
-    dens = dens.reshape(radii.size, dirs.shape[0])
-    return dens @ wts
+    _, _, dens = _density_terms(points.reshape(-1, 3), k_axis, constants, photon_energy)
+    return dens.reshape(radii.size, cos_t.size) @ (2.0 * math.pi * weights)
 
 
 def _integrate(
@@ -257,13 +272,15 @@ def total_shift(
     """Momentum integral of the shift density up to `cutoff`.
 
     The radial axis uses log-spaced panels with fixed-order Gauss rules, the
-    angular average a Gauss x uniform product grid. The report carries the
-    cumulative integral versus cutoff, a 1/cutoff tail estimate from the last
-    sampled density, and a power-law fit of the radial profile over the top
-    two decades. Raises GridTooCoarse when doubling the radial panel count
-    moves the result by more than refine_tol, and ConfigError for a
-    non-finite k3, cutoff, photon_energy or refine_tol. `n_threads` is
-    accepted and has no effect: the momentum sum runs as one vectorized pass.
+    angular integral one Gauss rule in the angle to k (`grid.n_phi` is
+    accepted and has no effect). The report carries the cumulative integral
+    versus cutoff, a 1/cutoff tail estimate from the last sampled density, a
+    power-law fit of the radial profile over the top two decades and the
+    grid-refinement delta. Raises GridTooCoarse when doubling the radial
+    panel count moves the result by more than refine_tol, and ConfigError
+    for a non-finite k3, cutoff, photon_energy or refine_tol, or a cutoff
+    above _MAX_CUTOFF. `n_threads` is accepted and has no effect: the
+    momentum sum runs as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
     for name, value in (
@@ -279,6 +296,8 @@ def total_shift(
     m = constants.m_e
     if cutoff <= 10.0 * max(m, float(np.linalg.norm(k3))):
         raise ConfigError(f"cutoff {cutoff!r} must exceed 10 max(m, |k|)")
+    if cutoff > _MAX_CUTOFF:
+        raise ConfigError(f"cutoff {cutoff!r} exceeds {_MAX_CUTOFF:g}")
     if photon_energy is None:
         photon_energy = float(np.linalg.norm(k3))
     p_min = grid.p_min if grid.p_min is not None else 1e-4 * m
@@ -290,10 +309,12 @@ def total_shift(
         np.linspace(math.log(p_min), math.log(cutoff), 2 * grid.n_radial + 1)
     )
     refined, _ = _integrate(fine_edges, k3, grid, constants, photon_energy)
-    if abs(total - refined) > refine_tol * abs(refined):
+    # an all-underflowed integral has no relative move; NaN does not trip the guard
+    refine_delta = abs(total - refined) / abs(refined) if refined else math.nan
+    if refine_delta > refine_tol:
         raise GridTooCoarse(
             f"doubling the radial grid moved the result by "
-            f"{abs(total - refined) / abs(refined):.3e} (> {refine_tol:g})"
+            f"{refine_delta:.3e} (> {refine_tol:g})"
         )
 
     cutoffs = edges[1:]
@@ -308,7 +329,9 @@ def total_shift(
     log_f = np.log(np.abs(edge_profile[window]))
     fitted_slope = float(np.polyfit(log_p, log_f, 1)[0])
 
-    report = ConvergenceReport(cutoffs, partial_sums, tail_estimates, fitted_slope)
+    report = ConvergenceReport(
+        cutoffs, partial_sums, tail_estimates, fitted_slope, refine_delta
+    )
     return total, report
 
 

@@ -225,6 +225,40 @@ class TestVacpol:
                                             "--summary", str(tmp_path / "s.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--cutoff", "1e95"],
+        ["--cutoff", "1e103"],
+        ["--n-theta", "100000"],
+        ["--n-radial", "10000000"],
+    ])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, argv):
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        rc = main(["vacpol"] + argv + ["--out", str(out), "--summary", str(summary)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists() and not summary.exists()
+
+    def test_largest_cutoff_runs(self, tmp_path):
+        summary = tmp_path / "s.json"
+        rc = main(["vacpol", "--cutoff", "1e60", "--out", str(tmp_path / "c.csv"),
+                   "--summary", str(summary)])
+        assert rc == 0
+        doc = json.loads(summary.read_text())
+        assert doc["pair_shift"] < 0.0
+        assert -4.2 < doc["fitted_slope"] < -3.8
+
+    def test_default_run_byte_identical_with_refine_delta(self, tmp_path):
+        def run(tag):
+            out, summary = tmp_path / f"c{tag}.csv", tmp_path / f"s{tag}.json"
+            assert main(["vacpol", "--out", str(out), "--summary", str(summary)]) == 0
+            return out.read_bytes(), summary.read_bytes()
+
+        first = run("a")
+        assert first == run("b")
+        doc = json.loads(first[1])
+        assert list(doc)[:3] == ["pair_shift", "fitted_slope", "refine_delta"]
+        assert 0.0 <= doc["refine_delta"] < 0.01
+
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLAMBDA_THREADS", "not-a-number")
         rc = main(["vacpol", "--cutoff", "1000", "--out", str(tmp_path / "c.csv"),

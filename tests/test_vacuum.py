@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qlambda import vacuum
 from qlambda.errors import (
     ConfigError,
     CorrectionTooLarge,
@@ -172,6 +173,105 @@ class TestTotalShift:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "cutoff,partial_sum,tail_estimate"
         assert len(lines) == len(report.cutoffs) + 1
+
+
+def product_grid_shift(k3, cutoff, n_radial=96, n_theta=64, n_phi=64, p_min=1e-4):
+    """Reference: the same log-radial rule with a theta x phi grid polar on z."""
+    k3 = np.asarray(k3, dtype=float)
+    cos_t, w_t = np.polynomial.legendre.leggauss(n_theta)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    dirs = np.stack(
+        [np.outer(sin_t, np.cos(phis)), np.outer(sin_t, np.sin(phis)),
+         np.repeat(cos_t[:, None], n_phi, axis=1)],
+        axis=-1,
+    ).reshape(-1, 3)
+    wts = np.repeat(w_t * 2.0 * math.pi / n_phi, n_phi)
+    x, w = np.polynomial.legendre.leggauss(4)
+    log_edges = np.linspace(math.log(p_min), math.log(cutoff), n_radial + 1)
+    total = 0.0
+    for lo, hi in zip(log_edges[:-1], log_edges[1:]):
+        radii = np.exp(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        points = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+        _, _, dens = vacuum._density_terms(points, k3, NATURAL, float(np.linalg.norm(k3)))
+        profile = dens.reshape(radii.size, -1) @ wts
+        total += float(0.5 * (hi - lo) * w @ (radii**3 * profile))
+    return NATURAL.V / (2.0 * math.pi) ** 3 * total
+
+
+class TestAlignedAngularRule:
+    def test_axis_directions_bit_identical(self):
+        shifts = [total_shift(0.5 * axis, 1e4)[0] for axis in np.eye(3)]
+        assert shifts[0] == shifts[1] == shifts[2]
+
+    def test_oblique_k_matches_axis(self):
+        direction = np.array([0.3, -0.4, 0.2]) / math.sqrt(0.29)
+        oblique, _ = total_shift(0.5 * direction, 1e4)
+        on_axis, _ = total_shift(K3, 1e4)
+        assert oblique == pytest.approx(on_axis, rel=1e-13, abs=0.0)
+
+    def test_n_phi_has_no_effect(self):
+        k3 = np.array([0.3, -0.4, 0.2])
+        one, report_one = total_shift(k3, 1e3, GridSpec(n_phi=1))
+        eight, report_eight = total_shift(k3, 1e3, GridSpec(n_phi=8))
+        assert one == eight
+        assert np.array_equal(report_one.partial_sums, report_eight.partial_sums)
+
+    @pytest.mark.parametrize("k3, rel", [
+        ((0.3, -0.4, 0.2), 1e-12),
+        ((1.0, 2.0, -0.5), 1e-5),
+    ])
+    def test_default_grid_against_product_grid(self, k3, rel):
+        shift, _ = total_shift(k3, 1e4)
+        reference = product_grid_shift(k3, 1e4)
+        assert shift == pytest.approx(reference, rel=rel, abs=0.0)
+
+
+class TestTotalShiftBounds:
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("built a quadrature rule past the cap")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_allocation)
+
+    @pytest.mark.parametrize("cutoff", [1e95, 1e103])
+    def test_cutoff_cap(self, no_quadrature, cutoff):
+        with pytest.raises(ConfigError, match="exceeds"):
+            total_shift(K3, cutoff)
+
+    def test_cutoff_at_cap_runs(self):
+        shift, report = total_shift(K3, vacuum._MAX_CUTOFF)
+        assert shift < 0.0 and math.isfinite(shift)
+        assert report.fitted_slope == pytest.approx(-4.0, abs=1e-6)
+        assert np.all(np.isfinite(report.tail_estimates))
+
+    @pytest.mark.parametrize("n_radial, n_theta", [
+        (96, vacuum._MAX_N_THETA + 1),
+        (4, 100_000),
+        (10_000_000, 16),
+        (vacuum._MAX_GRID_NODES // 16 + 1, 16),
+    ])
+    def test_grid_cap(self, no_quadrature, n_radial, n_theta):
+        with pytest.raises(ConfigError, match="too large"):
+            GridSpec(n_radial=n_radial, n_theta=n_theta)
+
+    def test_grid_at_cap_accepted(self):
+        GridSpec(n_radial=vacuum._MAX_GRID_NODES // vacuum._MAX_N_THETA,
+                 n_theta=vacuum._MAX_N_THETA)
+        GridSpec(n_radial=vacuum._MAX_GRID_NODES // 2, n_theta=2)
+
+    def test_refine_delta_is_the_guarded_move(self):
+        coarse, report = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8))
+        fine, _ = total_shift(K3, 1e3, GridSpec(n_radial=96, n_theta=8))
+        assert report.refine_delta == abs(coarse - fine) / abs(fine)
+        assert 0.0 < report.refine_delta < 1e-3
+        assert report.to_json_dict()["refine_delta"] == report.refine_delta
+        total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8),
+                    refine_tol=report.refine_delta)
+        with pytest.raises(GridTooCoarse):
+            total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8),
+                        refine_tol=0.5 * report.refine_delta)
 
 
 class TestCorrectedAmplitude:
