@@ -20,6 +20,7 @@ of the exchanged photon in both prefactors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,8 @@ from .dirac import (
     u_spinor,
     ubar,
 )
-from .errors import ForwardSingularity, OffShellInput, PoleEncountered
+from .errors import ConfigError, ForwardSingularity, OffShellInput, PoleEncountered, ZeroReference
+from .jsonio import write_table
 from .lorentz import (
     NATURAL,
     Boost,
@@ -76,14 +78,22 @@ class CouplingFactor:
             raise OffShellInput(f"coupling factor must be positive, got {self.value!r}")
 
 
+def coupling_prefactor(eta_value, energy, constants: Constants):
+    """e c hbar eta sqrt(1/(V eps0 E)), elementwise over arrays of eta and E.
+
+    Raises ConfigError unless the squared coupling scale (e c hbar)^2 / (V eps0)
+    is a finite normal float, so the prefactor and its square stay in range.
+    """
+    charge = constants.e * constants.c * constants.hbar
+    medium = constants.V * constants.eps0
+    if not (medium > 0.0 and sys.float_info.min <= charge * charge / medium <= sys.float_info.max):
+        raise ConfigError("coupling scale (e c hbar)^2 / (V eps0) is not a finite normal float")
+    return charge * eta_value * np.sqrt(1.0 / (medium * energy))
+
+
 def coupling_factor(eta_value: float, energy: float, constants: Constants) -> CouplingFactor:
-    value = (
-        constants.e
-        * constants.c
-        * constants.hbar
-        * eta_value
-        * math.sqrt(1.0 / (constants.V * constants.eps0 * energy))
-    )
+    """coupling_prefactor at one vertex, with the CouplingFactor checks."""
+    value = float(coupling_prefactor(eta_value, energy, constants))
     return CouplingFactor(value, eta_value, energy, constants.V)
 
 
@@ -400,9 +410,7 @@ class BoostScanTable:
 
     def write_csv(self, fh) -> None:
         fh.write(f"# process={self.process} normalization={self.normalization}\n")
-        fh.write(",".join(self.COLUMNS) + "\n")
-        for row in self.rows:
-            fh.write(",".join(f"{v:.17g}" for v in row.as_tuple()) + "\n")
+        write_table(fh, self.COLUMNS, (row.as_tuple() for row in self.rows))
 
 
 def boost_scan(
@@ -422,6 +430,7 @@ def boost_scan(
     volume V -> V sqrt(1-beta^2) are all recomputed in the boosted frame.
     Columns: beta, eta, |amp|, |amp|/|amp at beta=0|, sqrt(1-beta^2).
     spins takes 2 indices for Compton and 4 for Moller; None means all 1.
+    Raises ZeroReference when the amplitude at beta=0 is zero.
     """
     if process not in ("compton", "moller"):
         raise ValueError(f"unknown process {process!r}")
@@ -449,9 +458,7 @@ def boost_scan(
 
     reference = abs(evaluate(0.0).total)
     if reference == 0.0:
-        raise ValueError(
-            "reference amplitude vanishes at beta=0; pick different spins/pols"
-        )
+        raise ZeroReference("reference amplitude vanishes at beta=0; choose other spins/pols")
     rows = []
     for beta_value in beta_grid:
         result = evaluate(float(beta_value))

@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from . import amplitudes, dynamics, vacuum
+from . import amplitudes, dynamics, lorentz, vacuum
 from .errors import ConfigError, GridTooCoarse, PhysicsDomainError, StepTooLarge
-from .jsonio import dump_json
-from .lorentz import CONSTANT_KEYS, Boost, Constants, load_constants
+from .jsonio import dump_json, dump_key_value_csv
+from .lorentz import Boost, Constants, constants_from_mapping, read_constants_file
 
 
 def finite_float(text: str) -> float:
@@ -30,35 +30,24 @@ def finite_float(text: str) -> float:
 
 
 def _resolve_constants(args) -> Constants:
-    constants = load_constants(args.config) if args.config else Constants()
-    if args.constant:
-        overrides = {}
-        for key, value in args.constant:
-            try:
-                overrides[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"constant override {key!r} needs a number: {value!r}") from exc
-        # flags win over the config file
-        base = {k: getattr(constants, k) for k in CONSTANT_KEYS}
-        unknown = sorted(set(overrides) - set(base))
-        if unknown:
-            raise ConfigError(f"unknown constants key {unknown[0]!r}")
-        base.update(overrides)
-        constants = Constants(**base)
-    return constants
+    """Config-file keys, then --constant flags on top, read as one mapping."""
+    mapping = read_constants_file(args.config) if args.config else {}
+    for key, value in args.constant or ():
+        try:
+            mapping[key] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"constant override {key!r} needs a number: {value!r}") from exc
+    return constants_from_mapping(mapping)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("QLAMBDA_THREADS")
-    if raw is None:
-        return 1
+def _thread_cap() -> None:
+    raw = os.environ.get("QLAMBDA_THREADS", "1")
     try:
         value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"QLAMBDA_THREADS must be an integer, got {raw!r}") from exc
     if value < 1:
         raise ConfigError(f"QLAMBDA_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -69,33 +58,15 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _amplitude_csv(doc: dict) -> str:
-    lines = ["key,value"]
-
-    def emit(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k, v in value.items():
-                emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, (list, tuple)):
-            if all(isinstance(v, (int, float)) for v in value):
-                lines.append(f"{prefix},{';'.join(f'{float(v):.17g}' for v in value)}")
-            else:
-                for i, v in enumerate(value):
-                    emit(f"{prefix}[{i}]", v)
-        elif isinstance(value, float):
-            lines.append(f"{prefix},{value:.17g}")
-        else:
-            lines.append(f"{prefix},{value}")
-
-    emit("", doc)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str, artifact) -> None:
+    """Write the output of `artifact.write_csv` to path in one piece."""
+    buffer = io.StringIO()
+    artifact.write_csv(buffer)
+    _write_text(path, buffer.getvalue())
 
 
 def _emit_result_doc(doc: dict, out: str, fmt: str) -> None:
-    if fmt == "csv":
-        _write_text(out, _amplitude_csv(doc))
-    else:
-        _write_text(out, dump_json(doc))
+    _write_text(out, dump_key_value_csv(doc) if fmt == "csv" else dump_json(doc))
 
 
 def cmd_lambda_sim(args) -> int:
@@ -125,9 +96,7 @@ def cmd_lambda_sim(args) -> int:
     dt = args.dt if args.dt is not None else t_final / 4096.0
 
     trajectory = dynamics.evolve(system, psi0, t_final, dt, hbar=constants.hbar)
-    buffer = io.StringIO()
-    trajectory.write_csv(buffer)
-    _write_text(args.out, buffer.getvalue())
+    _write_csv(args.out, trajectory)
 
     populations = trajectory.populations()[:, target]
     fitted = _fit_rabi_rate(trajectory.times, populations, constants.hbar)
@@ -168,10 +137,8 @@ def _beta_from_args(args) -> Boost | None:
 
 def cmd_compton(args) -> int:
     constants = _resolve_constants(args)
-    from .lorentz import compton_cm_kinematics, compton_kinematics
-
     frame = _beta_from_args(args)
-    maker = compton_cm_kinematics if args.frame == "cm" else compton_kinematics
+    maker = lorentz.compton_cm_kinematics if args.frame == "cm" else lorentz.compton_kinematics
     vectors = maker(args.photon_energy, args.theta, frame, m=constants.m_e)
     result = amplitudes.compton_total(
         *vectors,
@@ -186,10 +153,8 @@ def cmd_compton(args) -> int:
 
 def cmd_moller(args) -> int:
     constants = _resolve_constants(args)
-    from .lorentz import moller_kinematics
-
     frame = _beta_from_args(args)
-    vectors = moller_kinematics(args.e_cm, args.theta, frame, m=constants.m_e)
+    vectors = lorentz.moller_kinematics(args.e_cm, args.theta, frame, m=constants.m_e)
     result = amplitudes.moller_total(
         *vectors, spins=tuple(args.spins), constants=constants, frame=frame
     )
@@ -203,18 +168,11 @@ def cmd_vacpol(args) -> int:
         n_radial=args.n_radial, n_theta=args.n_theta, n_phi=args.n_phi
     )
     k3 = np.array(args.k, dtype=float)
-    shift, report = vacuum.total_shift(
-        k3,
-        args.cutoff,
-        grid,
-        constants,
-        photon_energy=args.photon_energy,
-        refine_tol=args.refine_tol,
-        n_threads=_thread_cap(),
-    )
-    buffer = io.StringIO()
-    report.write_csv(buffer)
-    _write_text(args.out, buffer.getvalue())
+    _thread_cap()  # validated for the CLI contract; the sum runs as one vectorized pass
+    shift, report = vacuum.total_shift(k3, args.cutoff, grid, constants,
+                                       photon_energy=args.photon_energy,
+                                       refine_tol=args.refine_tol)
+    _write_csv(args.out, report)
     summary = {
         "pair_shift": shift,
         "fitted_slope": report.fitted_slope,
@@ -247,9 +205,7 @@ def cmd_boost_scan(args) -> int:
         e_cm=args.e_cm,
         theta=args.theta,
     )
-    buffer = io.StringIO()
-    table.write_csv(buffer)
-    _write_text(args.out, buffer.getvalue())
+    _write_csv(args.out, table)
     return 0
 
 

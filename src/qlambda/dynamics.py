@@ -18,11 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DegenerateLevels, IncommensurateGaps, PoleEncountered, StepTooLarge
+from .jsonio import write_table
 
 _HERMITICITY_TOL = 1e-14
 _ENERGY_MATCH_RTOL = 1e-9
 # largest t_final / dt that evolve accepts; the state table grows with it
 _MAX_STEPS = 2**20
+# Gauss nodes of the outer double-commutator integral in magnus_second_order
+_MAGNUS_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -115,18 +118,14 @@ class Trajectory:
         return np.abs(self.states) ** 2
 
     def write_csv(self, fh) -> None:
-        """One row per sample: t, then re/im of each amplitude, all as %.17g."""
+        """One row per sample: t, then re/im of each amplitude (jsonio.write_table)."""
         n = self.states.shape[1]
-        header = ["t"]
-        for i in range(n):
-            header += [f"re_{i}", f"im_{i}"]
-        fh.write(",".join(header) + "\n")
+        header = ["t", *(f"{part}_{i}" for i in range(n) for part in ("re", "im"))]
         table = np.empty((self.times.shape[0], 2 * n + 1))
         table[:, 0] = self.times
         table[:, 1::2] = self.states.real
         table[:, 2::2] = self.states.imag
-        row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
-        fh.write("".join(row % tuple(values) for values in table.tolist()))
+        write_table(fh, header, table.tolist())
 
 
 @dataclass(frozen=True)
@@ -267,26 +266,23 @@ def _secular_matrix(system: LevelSystem) -> np.ndarray:
 
 
 @functools.cache
-def _unit_gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], built once per n_nodes."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def _unit_gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """_MAGNUS_NODES Gauss-Legendre nodes and weights on [0, 1], built once."""
+    nodes, weights = np.polynomial.legendre.leggauss(_MAGNUS_NODES)
+    rule = (0.5 * (nodes + 1.0), 0.5 * weights)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
-def magnus_second_order(
-    system: LevelSystem, hbar: float = 1.0, n_nodes: int = 96
-) -> EffectiveHamiltonian:
+def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHamiltonian:
     """Second-order averaged Hamiltonian over one common period.
 
     Returns both the analytic secular matrix and the integrated half
     double-commutator (1/2) int_0^T [K(s), int_0^s K] ds of the rotating
     coupling matrix K. The inner integral is exact,
     int_0^s exp(i g t) dt = s exp(i g s / 2) sinc(g s / 2 pi), and the outer
-    one an n_nodes-point Gauss rule over the period; the two results agree
+    one a _MAGNUS_NODES-point Gauss rule over the period; the two results agree
     to quadrature accuracy.
     """
     period = base_period(system, hbar)
@@ -297,7 +293,7 @@ def magnus_second_order(
 
     gaps = (system.energies[:, None] - system.energies[None, :]) / hbar
     couplings = system.couplings
-    nodes, weights = _unit_gauss_rule(n_nodes)
+    nodes, weights = _unit_gauss_rule()
     sigma = (period * nodes)[:, None, None]
     k_outer = couplings * np.exp(1j * gaps * sigma)
     inner_int = couplings * sigma * np.exp(0.5j * gaps * sigma) * np.sinc(

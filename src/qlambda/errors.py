@@ -74,6 +74,10 @@ class CorrectionTooLarge(PhysicsDomainError):
     """First-order expansion requested outside its validity window."""
 
 
+class ZeroReference(PhysicsDomainError):
+    """The reference value a ratio is taken against is zero."""
+
+
 class StepTooLarge(QLambdaError):
     """Integrator norm drift exceeded the guard tolerance."""
 

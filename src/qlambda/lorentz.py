@@ -54,19 +54,25 @@ class Constants:
 NATURAL = Constants()
 
 
-def load_constants(path: str) -> Constants:
-    """Read constants from a flat JSON key-value file; absent keys keep defaults."""
+def read_constants_file(path: str) -> dict:
+    """The flat key-value mapping of a constants JSON file, unconverted."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read constants file {path!r}: {exc}") from exc
-    return constants_from_mapping(data)
+    if not isinstance(data, dict):
+        raise ConfigError("constants document must be a JSON object")
+    return data
+
+
+def load_constants(path: str) -> Constants:
+    """Read constants from a flat JSON key-value file; absent keys keep defaults."""
+    return constants_from_mapping(read_constants_file(path))
 
 
 def constants_from_mapping(data: dict) -> Constants:
-    if not isinstance(data, dict):
-        raise ConfigError("constants document must be a JSON object")
+    """Constants from flat keys: absent keys keep defaults, `alpha` alone sets e."""
     unknown = sorted(set(data) - set(CONSTANT_KEYS))
     if unknown:
         raise ConfigError(f"unknown constants key {unknown[0]!r}")
@@ -198,10 +204,10 @@ def cm_boost(total: FourVector) -> Boost:
     return Boost(tuple(-total.spatial / total.t))
 
 
-def on_shell_energy(p3: Iterable[float], m: float, c: float = 1.0) -> float:
-    """Energy sqrt(|p|^2 c^2 + (m c^2)^2) of an on-shell particle."""
+def on_shell_energy(p3: Iterable[float], m: float) -> float:
+    """Energy sqrt(|p|^2 + m^2) of an on-shell particle, in natural units."""
     p3 = np.asarray(tuple(p3), dtype=float)
-    return math.sqrt(float(p3 @ p3) * c * c + (m * c * c) ** 2)
+    return math.sqrt(float(p3 @ p3) + m**2)
 
 
 def _maybe_boost(vectors, beta: Boost | None):

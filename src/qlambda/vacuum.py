@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeResult, coupling_factor, moller_total
+from .amplitudes import AmplitudeResult, _guard_pole, coupling_factor, coupling_prefactor
+from .amplitudes import moller_total
 from .dirac import polarization_pair, u_spinor, vertex_bilinear
 from .errors import (
     ConfigError,
@@ -28,6 +29,7 @@ from .errors import (
     SignMismatch,
     ZeroWavevector,
 )
+from .jsonio import write_table
 from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost
 
 # Beyond ~1e95 the p^-4 edge profile underflows and the report turns NaN.
@@ -36,6 +38,9 @@ _MAX_CUTOFF = 1e60
 # so the largest accepted grid peaks near 400 MB.
 _MAX_N_THETA = 1024
 _MAX_GRID_NODES = 2**18
+# d^3p / (2 pi)^3: the V of the box-sum measure V d^3p / (2 pi)^3 cancels the
+# 1/V of the squared prefactor exactly, so the momentum sum runs at V = 1
+_MEASURE = 1.0 / (2.0 * math.pi) ** 3
 
 
 def outgoing_eta(p3, k3, m: float) -> float:
@@ -109,9 +114,7 @@ def _density_terms(
     spinor_factor = (
         cross_sq / k_sq + (cross_sq + m * m * k_sq) / (e_prod + dot + m * m)
     ) / e_prod
-    prefactor_sq = (constants.e * constants.c * constants.hbar) ** 2 * eta1**2 / (
-        constants.V * constants.eps0 * combined
-    )
+    prefactor_sq = coupling_prefactor(eta1, combined, constants) ** 2
     bracket = 1.0 / (photon_energy - combined) - 1.0 / (photon_energy + combined)
     return eta1, spinor_factor, prefactor_sq * spinor_factor * bracket
 
@@ -173,7 +176,6 @@ class GridSpec:
     n_radial: int = 96
     n_theta: int = 16
     n_phi: int = 8
-    p_min: float | None = None
 
     def __post_init__(self):
         if self.n_radial < 4 or self.n_theta < 2 or self.n_phi < 1:
@@ -200,9 +202,8 @@ class ConvergenceReport:
     refine_delta: float
 
     def write_csv(self, fh) -> None:
-        fh.write("cutoff,partial_sum,tail_estimate\n")
-        for c, s, t in zip(self.cutoffs, self.partial_sums, self.tail_estimates):
-            fh.write(f"{c:.17g},{s:.17g},{t:.17g}\n")
+        write_table(fh, ("cutoff", "partial_sum", "tail_estimate"),
+                    zip(self.cutoffs, self.partial_sums, self.tail_estimates))
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,9 +254,8 @@ def _integrate(
     ws = half[:, None] * gl_weights[None, :]
     radii = np.exp(us).ravel()
     profile = _radial_profile(radii, k3, grid, constants, photon_energy).reshape(us.shape)
-    # measure: V/(2 pi)^3 * p^2 dp, with dp = p du on the log axis
-    measure = constants.V / (2.0 * math.pi) ** 3
-    integrand = measure * np.exp(us) ** 3 * profile
+    # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
+    integrand = _MEASURE * np.exp(us) ** 3 * profile
     panel_sums = np.einsum("pi,pi->p", ws, integrand)
     return float(panel_sums.sum()), panel_sums
 
@@ -271,9 +271,10 @@ def total_shift(
 ) -> tuple[float, ConvergenceReport]:
     """Momentum integral of the shift density up to `cutoff`.
 
-    The radial axis uses log-spaced panels with fixed-order Gauss rules, the
-    angular integral one Gauss rule in the angle to k (`grid.n_phi` is
-    accepted and has no effect). The report carries the cumulative integral
+    The radial axis uses log-spaced panels from 1e-4 m with fixed-order Gauss
+    rules, the angular integral one Gauss rule in the angle to k (`grid.n_phi`
+    is accepted and has no effect); the mode volume V cancels exactly, so the
+    result does not depend on it. The report carries the cumulative integral
     versus cutoff, a 1/cutoff tail estimate from the last sampled density, a
     power-law fit of the radial profile over the top two decades and the
     grid-refinement delta. Raises GridTooCoarse when doubling the radial
@@ -300,14 +301,13 @@ def total_shift(
         raise ConfigError(f"cutoff {cutoff!r} exceeds {_MAX_CUTOFF:g}")
     if photon_energy is None:
         photon_energy = float(np.linalg.norm(k3))
-    p_min = grid.p_min if grid.p_min is not None else 1e-4 * m
+    constants = constants.with_volume(1.0)  # see _MEASURE
+    log_range = (math.log(1e-4 * m), math.log(cutoff))
 
-    edges = np.exp(np.linspace(math.log(p_min), math.log(cutoff), grid.n_radial + 1))
+    edges = np.exp(np.linspace(*log_range, grid.n_radial + 1))
     total, panel_sums = _integrate(edges, k3, grid, constants, photon_energy)
 
-    fine_edges = np.exp(
-        np.linspace(math.log(p_min), math.log(cutoff), 2 * grid.n_radial + 1)
-    )
+    fine_edges = np.exp(np.linspace(*log_range, 2 * grid.n_radial + 1))
     refined, _ = _integrate(fine_edges, k3, grid, constants, photon_energy)
     # an all-underflowed integral has no relative move; NaN does not trip the guard
     refine_delta = abs(total - refined) / abs(refined) if refined else math.nan
@@ -319,10 +319,9 @@ def total_shift(
 
     cutoffs = edges[1:]
     partial_sums = np.cumsum(panel_sums)
-    measure = constants.V / (2.0 * math.pi) ** 3
     edge_profile = _radial_profile(cutoffs, k3, grid, constants, photon_energy)
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
-    tail_estimates = measure * cutoffs**3 * edge_profile
+    tail_estimates = _MEASURE * cutoffs**3 * edge_profile
 
     window = cutoffs >= cutoff / 100.0
     log_p = np.log(cutoffs[window])
@@ -386,8 +385,7 @@ def corrected_amplitude(
     scale = max(abs(part.denom) for part in base.parts)
     for part in base.parts:
         shifted = part.denom - pair_shift
-        if abs(shifted) < 1e-9 * scale:
-            raise PoleEncountered("shifted denominator vanishes")
+        _guard_pole(shifted, scale, f"{part.name} shifted by the pair shift")
         exact += part.weight * part.omega1 * part.omega2 / shifted
     return CorrectedAmplitude(base, first_order, factor, exact, pair_shift)
 

@@ -9,13 +9,21 @@ from qlambda.amplitudes import (
     compton_pair_B,
     compton_total,
     coupling_factor,
+    coupling_prefactor,
     moller_total,
 )
 from qlambda.dirac import gamma_set, polarization_pair, slash, u_spinor, ubar, vertex_bilinear
-from qlambda.errors import ForwardSingularity, OffShellInput, PoleEncountered
+from qlambda.errors import (
+    ConfigError,
+    ForwardSingularity,
+    OffShellInput,
+    PoleEncountered,
+    ZeroReference,
+)
 from qlambda.lorentz import (
     NATURAL,
     Boost,
+    Constants,
     FourVector,
     compton_cm_kinematics,
     compton_kinematics,
@@ -59,6 +67,28 @@ class TestCouplingFactor:
     def test_eta_range_enforced(self):
         with pytest.raises(OffShellInput):
             coupling_factor(1.5, 1.0, NATURAL)
+
+    def test_prefactor_elementwise_matches_factor(self):
+        etas, energies = [0.3, 0.8, 1.0], [0.5, 2.0, 7.0]
+        values = coupling_prefactor(np.array(etas), np.array(energies), NATURAL)
+        assert values.tolist() == [
+            coupling_factor(a, b, NATURAL).value for a, b in zip(etas, energies)
+        ]
+
+    @pytest.mark.parametrize("overrides", [
+        {"e": 1e200},
+        {"e": 1e-200},
+        {"V": 1e-300, "e": 1e150},
+        {"V": 1e-200, "eps0": 1e-200},
+        {"hbar": 1e-160},
+    ])
+    def test_unrepresentable_coupling_scale(self, overrides):
+        with pytest.raises(ConfigError, match="coupling scale"):
+            coupling_factor(1.0, 1.0, Constants(**overrides))
+
+    def test_extreme_but_representable_volume(self):
+        f = coupling_factor(1.0, 1.0, Constants(V=1e300))
+        assert f.value == pytest.approx(NATURAL.e * 1e-150, rel=1e-14)
 
 
 class TestComptonPairs:
@@ -445,6 +475,11 @@ class TestBoostScan:
         with pytest.raises(ValueError):
             boost_scan("bhabha", [0.0])
 
+    def test_vanishing_reference_is_physics_domain(self):
+        # backscattered Moller with every spin 1 has a zero amplitude
+        with pytest.raises(ZeroReference, match="vanishes at beta=0"):
+            boost_scan("moller", [0.0, 0.5], theta=math.pi)
+
     def test_wrong_spin_count(self):
         with pytest.raises(ValueError):
             boost_scan("compton", [0.0], spins=(2, 2, 2, 2))
@@ -453,6 +488,31 @@ class TestBoostScan:
         default = boost_scan("moller", [0.0, 0.5])
         explicit = boost_scan("moller", [0.0, 0.5], spins=(1, 1, 1, 1))
         assert default.rows == explicit.rows
+
+
+def klein_nishina_sum(p, k, k_out, m=1.0):
+    """Summed |M|^2 of Peskin & Schroeder (5.87) at e = 1, over (2m)^2 for ubar u = 1."""
+    pk, pk_out = minkowski_dot(p, k), minkowski_dot(p, k_out)
+    d = 1.0 / pk - 1.0 / pk_out
+    return 8.0 * (pk_out / pk + pk / pk_out + 2.0 * m * m * d + m**4 * d * d) / (2.0 * m) ** 2
+
+
+class TestKleinNishinaOracle:
+    @pytest.mark.parametrize("vectors", [
+        compton_kinematics(1.3, 1.1),
+        compton_kinematics(1.3, 1.1, Boost((0.3, -0.4, 0.5))),
+        compton_cm_kinematics(1.3, 1.1, Boost.along_z(0.9)),
+        compton_kinematics(0.05, 2.9),
+    ], ids=["rest", "rest-boosted", "zero-momentum-boosted", "soft-backward"])
+    def test_textbook_total_spin_sum(self, vectors):
+        p, k, _, k_out = vectors
+        summed = sum(
+            abs(compton_total(*vectors, spins=(s, s_out), pols=(a, a_out),
+                              normalization="covariant").textbook_total) ** 2
+            for s in (1, 2) for s_out in (1, 2) for a in (1, 2) for a_out in (1, 2)
+        )
+        expected = klein_nishina_sum(p, k, k_out)
+        assert abs(summed - expected) / expected < 1e-13
 
 
 class TestPoleGuard:

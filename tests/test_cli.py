@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlambda
 from qlambda.cli import main
 from qlambda.dynamics import LevelSystem
 from qlambda.errors import StepTooLarge
@@ -158,6 +163,49 @@ class TestAmplitudeCommands:
         assert "plancks_breakfast" in capsys.readouterr().err
 
 
+ALPHA_RUNS = {
+    "compton": (["compton", "--theta", "1.1"], ("--out",)),
+    "moller": (["moller", "--e-cm", "3.0"], ("--out",)),
+    "boost-scan": (["boost-scan", "--process", "moller", "--betas", "0", "0.5"], ("--out",)),
+    "vacpol": (["vacpol", "--cutoff", "1000", "--n-radial", "48", "--n-theta", "8"],
+               ("--out", "--summary")),
+}
+
+
+class TestConstantsResolution:
+    @pytest.mark.parametrize("command", sorted(ALPHA_RUNS))
+    def test_alpha_flag_matches_config_key(self, tmp_path, command):
+        """--constant alpha derives e exactly as an alpha key in --config does."""
+        argv, outputs = ALPHA_RUNS[command]
+        cfg = tmp_path / "alpha.json"
+        cfg.write_text('{"alpha": 0.01}')
+        runs = []
+        for tag, source in (("flag", ["--constant", "alpha", "0.01"]),
+                            ("config", ["--config", str(cfg)]),
+                            ("default", [])):
+            paths = [tmp_path / f"{tag}{i}.out" for i in range(len(outputs))]
+            files = [arg for flag, path in zip(outputs, paths) for arg in (flag, str(path))]
+            assert main(argv + source + files) == 0
+            runs.append([path.read_bytes() for path in paths])
+        assert runs[0] == runs[1] != runs[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["vacpol", "--constant", "e", "1e-200"],
+        ["vacpol", "--constant", "e", "1e200"],
+        ["compton", "--constant", "e", "1e200"],
+        ["moller", "--constant", "e", "1e-200"],
+        ["boost-scan", "--process", "compton", "--constant", "V", "1e-300",
+         "--constant", "e", "1e150"],
+    ])
+    def test_unrepresentable_coupling_scale_exit_2(self, tmp_path, capsys, argv):
+        out, summary = tmp_path / "x.out", tmp_path / "s.json"
+        extra = ["--summary", str(summary)] if argv[0] == "vacpol" else []
+        assert main(argv + ["--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "coupling scale" in err
+        assert not out.exists() and not summary.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compton", "--theta", "nan"],
     ["compton", "--theta", "inf"],
@@ -282,6 +330,29 @@ class TestVacpol:
 
 
 class TestBoostScan:
+    def test_vanishing_reference_exit_4_without_traceback(self, tmp_path):
+        """Backscattered Moller with all spins 1 has a zero amplitude at beta = 0."""
+        out = tmp_path / "scan.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlambda.cli", "boost-scan", "--process", "moller",
+             "--theta", "3.141592653589793", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("physics domain error: reference amplitude vanishes")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_determinism_byte_identical(self, tmp_path):
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.csv"
+            assert main(["boost-scan", "--process", "compton", "--betas", "0", "0.3", "0.9",
+                         "--theta", "2.2", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_single_beta_zero(self, tmp_path):
         out = tmp_path / "scan.csv"
         rc = main(["boost-scan", "--process", "compton", "--betas", "0", "--out", str(out)])

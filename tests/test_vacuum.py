@@ -166,6 +166,17 @@ class TestTotalShift:
         multi, _ = total_shift(K3, 1e3, grid, n_threads=4)
         assert single == multi
 
+    def test_density_scales_as_inverse_volume(self):
+        p3 = np.array([0.4, -1.3, 0.7])
+        scaled = shift_density(p3, K3, Constants(V=4.0))
+        assert 4.0 * scaled == pytest.approx(shift_density(p3, K3), rel=1e-15, abs=0.0)
+
+    def test_mode_volume_cancels(self):
+        # the V of the measure cancels the 1/V of the density at any representable V
+        shifts = [total_shift(K3, 1e4, constants=Constants(V=v))[0] for v in (1e-300, 1.0, 1e300)]
+        for shift in shifts:
+            assert shift == pytest.approx(shifts[1], rel=1e-14, abs=0.0)
+
     def test_report_csv(self):
         _, report = total_shift(K3, 1e3, GridSpec(n_radial=32, n_theta=8, n_phi=4))
         buf = io.StringIO()
