@@ -30,7 +30,7 @@ from .dirac import (
     polarization_pair,
     slash,
     spin_block,
-    u_spinor,
+    spin_column,
     ubar,
 )
 from .errors import ConfigError, ForwardSingularity, OffShellInput, PoleEncountered, ZeroReference
@@ -51,6 +51,7 @@ _I4 = np.eye(4, dtype=complex)
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 # gamma^mu stacked on the leading axis: ubar_b @ _GAMMAS @ u_a is the current J^mu
 _GAMMAS = np.stack(gamma_set())
+_ORDERING_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _ONSHELL_RTOL = 1e-9
 _CONSERVATION_RTOL = 1e-10
 _POLE_RTOL = 1e-9
@@ -158,15 +159,22 @@ def _require_process(incoming, outgoing, masses, labels) -> float:
 
     masses and labels follow the momenta in incoming + outgoing order. Returns
     the momentum scale, max(1, largest |component|), that sets every tolerance.
+    Components that are not finite, or whose squares are not, fail first:
+    neither residual below can be trusted then.
     """
     vectors = (*incoming, *outgoing)
-    scale = max(1.0, *(abs(c) for v in vectors for c in v.as_array()))
+    rows = [(v.t, v.x, v.y, v.z) for v in vectors]
+    components = [c for row in rows for c in row]
+    scale = max(1.0, *map(abs, components))
+    if not (all(map(math.isfinite, components)) and math.isfinite(scale * scale)):
+        raise OffShellInput("kinematics overflowed: a momentum component or its square "
+                            "is not a finite float")
     for v, m, label in zip(vectors, masses, labels):
         residual = abs(minkowski_dot(v, v) - m * m)
         if residual > _ONSHELL_RTOL * scale * scale:
             raise OffShellInput(f"{label} off shell: |p.p - m^2| = {residual:.3e}")
-    difference = sum(incoming[1:], incoming[0]) - sum(outgoing[1:], outgoing[0])
-    residual = float(np.max(np.abs(difference.as_array())))
+    n_in = len(incoming)
+    residual = max(abs(sum(column[:n_in]) - sum(column[n_in:])) for column in zip(*rows))
     if residual > _CONSERVATION_RTOL * scale:
         raise OffShellInput(f"four-momentum not conserved: residual {residual:.3e}")
     return scale
@@ -220,10 +228,10 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
         ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
     )
     eta_value = eta(p + k)
-    eps_in = polarization_pair(k.spatial)[pols[0] - 1].as_array()
-    eps_out_conj = polarization_pair(k_out.spatial)[pols[1] - 1].as_array().conj()
-    u_in = u_spinor(p.spatial, spins[0], m, normalization).components
-    ubar_out = ubar(u_spinor(p_out.spatial, spins[1], m, normalization))
+    eps_in = polarization_pair((k.x, k.y, k.z))[pols[0] - 1].as_array()
+    eps_out_conj = polarization_pair((k_out.x, k_out.y, k_out.z))[pols[1] - 1].as_array().conj()
+    u_in = spin_column((p.x, p.y, p.z), spins[0], m, normalization)
+    ubar_out = ubar(spin_column((p_out.x, p_out.y, p_out.z), spins[1], m, normalization))
     # each vertex carries the prefactor of the photon attached to it
     absorb = (slash(eps_in), coupling_factor(eta_value, k.t, constants).value)
     emit = (slash(eps_out_conj), coupling_factor(eta_value, k_out.t, constants).value)
@@ -232,7 +240,7 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
     parts, closed, textbook = [], [], []
     for tag in channels:
         q, (slash_first, f_first), (slash_second, f_second) = table[tag]
-        q3 = q.spatial
+        q3 = (q.x, q.y, q.z)
         e_q = on_shell_energy(q3, m)
         d_fwd = q.t - e_q
         d_bwd = -(q.t + e_q)
@@ -240,16 +248,16 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
         _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering")
         row = ubar_out @ slash_second
         col = slash_first @ u_in
-        # columns: both intermediate spins, as electrons and as pair states
+        # columns: both intermediate spins as electrons, then as pair states
         u_mid = spin_block(q3, m, normalization)
-        v_mid = _pair_state(u_mid)
-        fwd_first = (f_first * (ubar(u_mid) @ col)).tolist()
-        fwd_second = (f_second * (row @ u_mid)).tolist()
-        bwd_first = (-f_second * (row @ v_mid)).tolist()
-        bwd_second = (f_first * (ubar(v_mid) @ col)).tolist()
+        block = np.concatenate([u_mid, _pair_state(u_mid)], axis=1)
+        first = (f_first * (ubar(block) @ col)).tolist()
+        # row @ block: the forward ordering's second factors, then the crossed
+        # ordering's first factors, which carry its fermion sign
+        second = (f_second * _ORDERING_SIGNS * (row @ block)).tolist()
         for i, s in enumerate((1, 2)):
-            parts.append(DiagramAmplitude(f"{tag}a:s={s}", fwd_first[i], fwd_second[i], d_fwd))
-            parts.append(DiagramAmplitude(f"{tag}b:s={s}", bwd_first[i], bwd_second[i], d_bwd))
+            parts.append(DiagramAmplitude(f"{tag}a:s={s}", first[i], second[i], d_fwd))
+            parts.append(DiagramAmplitude(f"{tag}b:s={s}", second[i + 2], first[i + 2], d_bwd))
         bare = complex(row @ (slash(q) + m * _I4) @ col) / (minkowski_dot(q, q) - m * m)
         # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
         norm = e_q / m if normalization == "covariant" else 1.0
@@ -353,8 +361,8 @@ def moller_total(
         raise ForwardSingularity(f"(p1-p2)^2 = {transfer2!r} vanishes")
     # kinematic energies are natural-units throughout; constants enter the
     # coupling prefactors only
-    k3 = k.spatial
-    e_k = float(np.linalg.norm(k3))
+    k3 = (k.x, k.y, k.z)
+    e_k = math.hypot(*k3)
     k0 = k.t
     eta_value = eta(p1 + q1)
     factor = coupling_factor(eta_value, e_k, constants)
@@ -363,12 +371,12 @@ def moller_total(
     _guard_pole(d_fwd, scale, "exchange forward ordering")
     _guard_pole(d_bwd, scale, "exchange crossed ordering")
     s1, s2, s3, s4 = spins
-    u_p1 = u_spinor(p1.spatial, s1, m, normalization)
-    u_q1 = u_spinor(q1.spatial, s2, m, normalization)
-    u_p2 = u_spinor(p2.spatial, s3, m, normalization)
-    u_q2 = u_spinor(q2.spatial, s4, m, normalization)
-    j_beam = ubar(u_p2) @ _GAMMAS @ u_p1.components
-    j_target = ubar(u_q2) @ _GAMMAS @ u_q1.components
+    u_p1 = spin_column((p1.x, p1.y, p1.z), s1, m, normalization)
+    u_q1 = spin_column((q1.x, q1.y, q1.z), s2, m, normalization)
+    u_p2 = spin_column((p2.x, p2.y, p2.z), s3, m, normalization)
+    u_q2 = spin_column((q2.x, q2.y, q2.z), s4, m, normalization)
+    j_beam = ubar(u_p2) @ _GAMMAS @ u_p1
+    j_target = ubar(u_q2) @ _GAMMAS @ u_q1
     # real transverse basis shared by both orderings (same transverse plane for -k)
     eps_lower = np.array([pol.as_array() for pol in polarization_pair(k3)]) @ _METRIC
     beam = (factor.value * (eps_lower.conj() @ j_beam)).tolist()

@@ -65,11 +65,21 @@ def _write_csv(path: str, artifact) -> None:
     _write_text(path, buffer.getvalue())
 
 
-def _emit_result_doc(doc: dict, out: str, fmt: str) -> None:
+def _emit_result_doc(doc: dict, out: str, fmt: str | None) -> None:
+    """JSON unless --format csv was given."""
     _write_text(out, dump_key_value_csv(doc) if fmt == "csv" else dump_json(doc))
 
 
+def _require_csv(args) -> None:
+    """Commands whose artifacts are CSV tables accept --format csv and reject json."""
+    if args.format == "json":
+        raise ConfigError(
+            f"{args.command} writes CSV only for --out; --format json is not available"
+        )
+
+
 def cmd_lambda_sim(args) -> int:
+    _require_csv(args)
     constants = _resolve_constants(args)
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
@@ -163,6 +173,7 @@ def cmd_moller(args) -> int:
 
 
 def cmd_vacpol(args) -> int:
+    _require_csv(args)
     constants = _resolve_constants(args)
     grid = vacuum.GridSpec(
         n_radial=args.n_radial, n_theta=args.n_theta, n_phi=args.n_phi
@@ -180,7 +191,7 @@ def cmd_vacpol(args) -> int:
         "cutoff": float(args.cutoff),
         "photon_energy": args.photon_energy
         if args.photon_energy is not None
-        else float(np.linalg.norm(k3)),
+        else math.hypot(*k3),
         "grid": {
             "n_radial": grid.n_radial,
             "n_theta": grid.n_theta,
@@ -192,6 +203,7 @@ def cmd_vacpol(args) -> int:
 
 
 def cmd_boost_scan(args) -> int:
+    _require_csv(args)
     constants = _resolve_constants(args)
     for b in args.betas:
         if not 0.0 <= b < 1.0:
@@ -226,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar=("KEY", "VALUE"),
             help="override one constant (repeatable; wins over --config)",
         )
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        # compton and moller write JSON by default; the other commands write CSV only
+        p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("lambda-sim", help="evolve a level system and fit the transfer rate")
     common(p)

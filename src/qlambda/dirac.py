@@ -49,6 +49,8 @@ _GAMMA = _build_gammas()
 # slash(v) = v^mu gamma_mu is a single vector-matrix product
 _GAMMA_LOWER = np.stack([_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3]]).reshape(4, 16)
 _GAMMA_LOWER.setflags(write=False)
+# (1, 1, -1, -1), read-only: ubar multiplies by it in place of a matmul by gamma^0
+_GAMMA0_DIAGONAL = _GAMMA[0].diagonal().real
 _I4 = np.eye(4, dtype=complex)
 
 
@@ -115,13 +117,18 @@ def spin_block(p3, m: float, normalization: str = "box") -> np.ndarray:
     return block
 
 
+def spin_column(p3, s: int, m: float, normalization: str = "box") -> np.ndarray:
+    """Components of u_s(p), column s of `spin_block`; s must be 1 or 2."""
+    if s not in (1, 2):
+        raise ValueError(f"spin index must be 1 or 2, got {s!r}")
+    return spin_block(p3, m, normalization)[:, s - 1]
+
+
 def u_spinor(p3, s: int, m: float, normalization: str = "box") -> BiSpinor:
     """Free positive-energy spinor u_s(p): column s of `spin_block`."""
     p3 = np.array(p3, dtype=float)
     p3.setflags(write=False)
-    if s not in (1, 2):
-        raise ValueError(f"spin index must be 1 or 2, got {s!r}")
-    u = spin_block(p3, m, normalization)[:, s - 1]
+    u = spin_column(p3, s, m, normalization)
     u.setflags(write=False)
     return BiSpinor(u, p3, s, m, normalization)
 
@@ -132,7 +139,7 @@ def ubar(u) -> np.ndarray:
     For a (4, n) block of spinors it returns the (n, 4) block of their rows.
     """
     comp = u.components if isinstance(u, BiSpinor) else np.asarray(u)
-    return comp.conj().T @ _GAMMA[0]
+    return comp.conj().T * _GAMMA0_DIAGONAL
 
 
 def spin_sum(p3, m: float) -> np.ndarray:

@@ -178,22 +178,22 @@ class Boost:
 def boost_matrix(v: Boost) -> np.ndarray:
     """4x4 matrix taking a rest four-momentum to one moving with velocity +beta."""
     b2 = v.beta2
-    L = np.eye(4)
     if b2 == 0.0:
-        return L
+        return np.eye(4)
     g = v.gamma
-    beta = v.beta_vector
-    L[0, 0] = g
-    L[0, 1:] = g * beta
-    L[1:, 0] = g * beta
-    L[1:, 1:] += (g - 1.0) / b2 * np.outer(beta, beta)
-    return L
+    c = (g - 1.0) / b2
+    bx, by, bz = v.beta
+    return np.array([
+        [g, g * bx, g * by, g * bz],
+        [g * bx, 1.0 + c * (bx * bx), c * (bx * by), c * (bx * bz)],
+        [g * by, c * (by * bx), 1.0 + c * (by * by), c * (by * bz)],
+        [g * bz, c * (bz * bx), c * (bz * by), 1.0 + c * (bz * bz)],
+    ])
 
 
 def boost(v: Boost, p: FourVector) -> FourVector:
     """Apply the boost; preserves minkowski_dot."""
-    out = boost_matrix(v) @ p.as_array()
-    return FourVector(out[0], out[1], out[2], out[3])
+    return FourVector(*(boost_matrix(v) @ p.as_array()).tolist())
 
 
 def cm_boost(total: FourVector) -> Boost:
@@ -206,14 +206,16 @@ def cm_boost(total: FourVector) -> Boost:
 
 def on_shell_energy(p3: Iterable[float], m: float) -> float:
     """Energy sqrt(|p|^2 + m^2) of an on-shell particle, in natural units."""
-    p3 = np.asarray(tuple(p3), dtype=float)
-    return math.sqrt(float(p3 @ p3) + m**2)
+    px, py, pz = map(float, p3)
+    return math.sqrt(px * px + py * py + pz * pz + m**2)
 
 
 def _maybe_boost(vectors, beta: Boost | None):
+    """The vectors boosted by beta: one matrix applied to the stacked momenta."""
     if beta is None or beta.beta2 == 0.0:
         return vectors
-    return tuple(boost(beta, v) for v in vectors)
+    rows = np.array([(v.t, v.x, v.y, v.z) for v in vectors]) @ boost_matrix(beta).T
+    return tuple(FourVector(*row) for row in rows.tolist())
 
 
 def compton_kinematics(

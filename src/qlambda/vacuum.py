@@ -93,10 +93,13 @@ def _density_terms(
     polarization-averaged squared bilinear (Peskin & Schroeder 5.1),
     [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k and 3-vector
     products. Both differences cancel as p nears the k axis (1e-3 relative
-    at 1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = |p x k|^2 / |k|^2 and
-    E E' - p.p' - m^2 = (|p x k|^2 + m^2 |k|^2) / (E E' + p.p' + m^2).
+    at 1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = |p x khat|^2 and
+    E E' - p.p' - m^2 = |k|^2 (|p x khat|^2 + m^2) / (E E' + p.p' + m^2). Only
+    the unit vector khat enters the cross product, so a |k|^2 that underflows
+    drops out instead of dividing.
     """
     m = constants.m_e
+    k_norm = math.hypot(*k3)
     pks = p3s + k3[None, :]
     e_p = np.sqrt(np.einsum("ni,ni->n", p3s, p3s) + m * m)
     e_pk = np.sqrt(np.einsum("ni,ni->n", pks, pks) + m * m)
@@ -106,13 +109,13 @@ def _density_terms(
             f"photon energy {photon_energy!r} reaches the pair threshold"
         )
     eta1 = m / e_pk
-    cross = np.cross(p3s, k3)
-    cross_sq = np.einsum("ni,ni->n", cross, cross)
-    k_sq = float(k3 @ k3)
+    hx, hy, hz = (component / k_norm for component in k3.tolist())
+    px, py, pz = p3s.T
+    cross_sq = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
     e_prod = e_p * e_pk
     dot = np.einsum("ni,ni->n", p3s, pks)
     spinor_factor = (
-        cross_sq / k_sq + (cross_sq + m * m * k_sq) / (e_prod + dot + m * m)
+        cross_sq + k_norm * k_norm * (cross_sq + m * m) / (e_prod + dot + m * m)
     ) / e_prod
     prefactor_sq = coupling_prefactor(eta1, combined, constants) ** 2
     bracket = 1.0 / (photon_energy - combined) - 1.0 / (photon_energy + combined)
@@ -145,7 +148,7 @@ def pair_shift_sample(
     if not k3.any():
         raise ZeroWavevector("shift density undefined for k = 0")
     if photon_energy is None:
-        photon_energy = float(np.linalg.norm(k3))
+        photon_energy = math.hypot(*k3)
     terms = _density_terms(p3[None, :], k3, constants, photon_energy)
     p3.setflags(write=False)
     k3.setflags(write=False)
@@ -230,7 +233,7 @@ def _radial_profile(
     """
     cos_t, weights = np.polynomial.legendre.leggauss(grid.n_theta)
     dirs = np.stack([np.sqrt(1.0 - cos_t * cos_t), np.zeros_like(cos_t), cos_t], axis=1)
-    k_axis = np.array([0.0, 0.0, float(np.linalg.norm(k3))])
+    k_axis = np.array([0.0, 0.0, math.hypot(*k3)])
     points = radii[:, None, None] * dirs[None, :, :]
     _, _, dens = _density_terms(points.reshape(-1, 3), k_axis, constants, photon_energy)
     return dens.reshape(radii.size, cos_t.size) @ (2.0 * math.pi * weights)
@@ -295,12 +298,12 @@ def total_shift(
     if not k3.any():
         raise ZeroWavevector("momentum integral undefined for k = 0")
     m = constants.m_e
-    if cutoff <= 10.0 * max(m, float(np.linalg.norm(k3))):
+    if cutoff <= 10.0 * max(m, math.hypot(*k3)):
         raise ConfigError(f"cutoff {cutoff!r} must exceed 10 max(m, |k|)")
     if cutoff > _MAX_CUTOFF:
         raise ConfigError(f"cutoff {cutoff!r} exceeds {_MAX_CUTOFF:g}")
     if photon_energy is None:
-        photon_energy = float(np.linalg.norm(k3))
+        photon_energy = math.hypot(*k3)
     constants = constants.with_volume(1.0)  # see _MEASURE
     log_range = (math.log(1e-4 * m), math.log(cutoff))
 
@@ -410,7 +413,7 @@ def cm_correction_factor(
     k_cm = b1 - b2
     shift_cm, _ = total_shift(k_cm.spatial, cutoff, grid, constants)
     return correction_factor(
-        b1.t - b2.t, float(np.linalg.norm(k_cm.spatial)), shift_cm
+        b1.t - b2.t, math.hypot(k_cm.x, k_cm.y, k_cm.z), shift_cm
     )
 
 

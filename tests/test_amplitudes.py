@@ -524,3 +524,89 @@ class TestPoleGuard:
         denom = min(abs(p.denom) for p in base.parts)
         with pytest.raises(PoleEncountered):
             corrected_amplitude(*vectors, pair_shift=-denom, spins=(1, 2, 1, 2), guard=10.0)
+
+
+def _shifted(v, dt=0.0, dx=0.0, dy=0.0, dz=0.0):
+    return FourVector(v.t + dt, v.x + dx, v.y + dy, v.z + dz)
+
+
+def _guard_cases():
+    c = compton_cm_kinematics(1.3, 1.1)
+    cb = compton_kinematics(0.8, 2.0, Boost((0.3, -0.2, 0.5)))
+    c_energy = compton_cm_kinematics(1.3 + 1e-6, 1.1)
+    c_angle = compton_cm_kinematics(1.3, 1.1 + 1e-3)
+    m = moller_kinematics(4.0, 1.1)
+    mb = moller_kinematics(3.0, 0.7, Boost((-0.4, 0.1, 0.6)))
+    m_energy = moller_kinematics(4.0 + 1e-5, 1.1)
+    m_angle = moller_kinematics(4.0, 1.2)
+    return [
+        (compton_total, (_shifted(c[0], dt=1e-3), *c[1:]),
+         "incoming electron off shell: |p.p - m^2| = 3.281e-03"),
+        (compton_total, (c[0], _shifted(c[1], dx=1e-4), *c[2:]),
+         "incoming photon off shell: |p.p - m^2| = 1.000e-08"),
+        (compton_total, (*c[:2], _shifted(c[2], dz=0.2), c[3]),
+         "outgoing electron off shell: |p.p - m^2| = 1.959e-01"),
+        (compton_total, (*c[:3], _shifted(c[3], dt=-5e-3)),
+         "outgoing photon off shell: |p.p - m^2| = 1.297e-02"),
+        (compton_total, (*cb[:3], _shifted(cb[3], dy=1e-6)),
+         "outgoing photon off shell: |p.p - m^2| = 1.974e-07"),
+        (compton_total, (*c[:2], *c_energy[2:]),
+         "four-momentum not conserved: residual 1.793e-06"),
+        (compton_total, (c[0], c[1], c_angle[2], c[3]),
+         "four-momentum not conserved: residual 1.159e-03"),
+        (moller_total, (_shifted(m[0], dt=1e-3), *m[1:]),
+         "beam electron off shell: |p.p - m^2| = 4.001e-03"),
+        (moller_total, (m[0], _shifted(m[1], dz=-1e-2), *m[2:]),
+         "target electron off shell: |p.p - m^2| = 3.474e-02"),
+        (moller_total, (*m[:2], _shifted(m[2], dx=3e-5), m[3]),
+         "scattered beam electron off shell: |p.p - m^2| = 9.262e-05"),
+        (moller_total, (*mb[:3], _shifted(mb[3], dt=1e-4)),
+         "scattered target electron off shell: |p.p - m^2| = 3.720e-04"),
+        (moller_total, (*m[:2], *m_energy[2:]),
+         "four-momentum not conserved: residual 1.000e-05"),
+        (moller_total, (m[0], m[1], m_angle[2], m[3]),
+         "four-momentum not conserved: residual 1.580e-01"),
+    ]
+
+
+class TestProcessGuards:
+    """The float guards keep the class and text of every on-shell and conservation error."""
+
+    @pytest.mark.parametrize("index", range(13))
+    def test_off_shell_and_conservation_messages(self, index):
+        fn, vectors, message = _guard_cases()[index]
+        with pytest.raises(OffShellInput) as caught:
+            fn(*vectors)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("vectors", [
+        compton_kinematics(1e200, 1.0),  # finite components whose squares overflow
+        (FourVector(math.inf, 0.0, 0.0, 0.0),) + compton_cm_kinematics(1.0, 1.0)[1:],
+        (FourVector(math.nan, 0.0, 0.0, 0.0),) + compton_cm_kinematics(1.0, 1.0)[1:],
+    ])
+    def test_overflowed_kinematics_rejected(self, vectors):
+        with pytest.raises(OffShellInput, match="kinematics overflowed"):
+            compton_total(*vectors)
+
+    @pytest.mark.parametrize("fn, spins, bad", [
+        (compton_total, (0, 1), 0),
+        (compton_total, (1, 3), 3),
+        (compton_pair_A, (3, 1), 3),
+        (compton_pair_B, (1, 0), 0),
+        (moller_total, (0, 1, 1, 1), 0),
+        (moller_total, (1, 1, 3, 1), 3),
+        (moller_total, (1, 1, 1, 0), 0),
+    ])
+    def test_bad_spin_index_message(self, fn, spins, bad):
+        maker = moller_kinematics if fn is moller_total else compton_cm_kinematics
+        vectors = maker(4.0 if fn is moller_total else 1.0, 1.0)
+        with pytest.raises(ValueError) as caught:
+            fn(*vectors, spins=spins)
+        assert str(caught.value) == f"spin index must be 1 or 2, got {bad}"
+
+    def test_pole_message_shows_plain_float(self):
+        vectors = compton_cm_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.9999999999999999))
+        with pytest.raises(PoleEncountered) as caught:
+            compton_total(*vectors)
+        assert "np.float64(" not in str(caught.value)
+        assert "energy denominator 2.98" in str(caught.value)

@@ -390,3 +390,78 @@ class TestBoostScan:
             eta_box = float(line_box.split(",")[1])
             eta_cov = float(line_cov.split(",")[1])
             assert eta_box == eta_cov
+
+
+class TestOverflowingKinematics:
+    @pytest.mark.parametrize("argv", [
+        ["compton", "--photon-energy", "1e300"],
+        ["compton", "--frame", "rest", "--photon-energy", "1e200"],
+        ["moller", "--e-cm", "1e300"],
+        ["boost-scan", "--process", "moller", "--e-cm", "1e300"],
+        ["compton", "--beta", "0.9999999999999999"],
+    ])
+    def test_exit_4_with_a_true_message(self, tmp_path, capsys, argv):
+        out = tmp_path / "artifact"
+        assert main(argv + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("physics domain error: ")
+        assert "Traceback" not in err
+        assert "eta must lie" not in err
+        assert "np.float64(" not in err
+        assert not out.exists()
+        if argv[-1] != "0.9999999999999999":
+            assert "kinematics overflowed" in err
+
+
+class TestTinyWavevectorVacpol:
+    def test_summary_is_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        shifts = []
+        for size in ("1e-300", "1e-160", "1e-8"):
+            summary = tmp_path / f"s{size}.json"
+            rc = main(["vacpol", "--k", size, "0", "0", "--out", str(tmp_path / "c.csv"),
+                       "--summary", str(summary)])
+            assert rc == 0
+            doc = json.loads(summary.read_text(), parse_constant=reject)
+            assert doc["photon_energy"] == float(size)
+            shifts.append(doc["pair_shift"])
+        assert max(shifts) - min(shifts) <= 1e-12 * abs(shifts[-1])
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("command", [
+        ["boost-scan", "--process", "compton"],
+        ["vacpol", "--summary", "{summary}"],
+        ["lambda-sim", "--system", "{system}", "--summary", "{summary}"],
+    ])
+    def test_json_rejected_by_csv_commands(self, tmp_path, capsys, lambda_file, command):
+        out = tmp_path / "out.json"
+        summary = tmp_path / "summary.json"
+        argv = [a.format(system=lambda_file, summary=summary) for a in command]
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+        assert "writes CSV only" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["boost-scan", "--process", "compton", "--betas", "0", "0.5"],
+        ["boost-scan", "--process", "moller", "--betas", "0", "0.5"],
+        ["vacpol", "--n-radial", "16", "--cutoff", "1e3"],
+    ])
+    def test_csv_same_bytes_as_default(self, tmp_path, command):
+        outputs = []
+        for name, flag in (("plain", []), ("csv", ["--format", "csv"])):
+            out = tmp_path / f"{name}.csv"
+            extra = ["--summary", str(tmp_path / f"{name}.json")] if command[0] == "vacpol" else []
+            assert main(command + flag + extra + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_amplitude_commands_default_to_json(self, tmp_path):
+        for command in ("compton", "moller"):
+            plain, explicit = tmp_path / f"{command}.json", tmp_path / f"{command}-json.json"
+            assert main([command, "--out", str(plain)]) == 0
+            assert main([command, "--format", "json", "--out", str(explicit)]) == 0
+            assert plain.read_bytes() == explicit.read_bytes()
+            json.loads(plain.read_text())

@@ -199,6 +199,35 @@ class TestMollerKinematics:
             moller_kinematics(1.9, 0.5)
 
 
+class TestBoostedKinematics:
+    """A boosted set applies one matrix to all four momenta; per-vector boost is the reference."""
+
+    def test_matches_per_vector_boost(self):
+        rng = np.random.default_rng(2024)
+        makers = (
+            (compton_cm_kinematics, 0.0),
+            (compton_kinematics, 0.0),
+            (moller_kinematics, 2.2),  # e_cm above the 2m threshold
+        )
+        for _ in range(50):
+            direction = rng.normal(size=3)
+            beta = Boost(tuple(direction / np.linalg.norm(direction) * rng.uniform(0.0, 0.99)))
+            energy = rng.uniform(0.2, 5.0)
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            for maker, offset in makers:
+                boosted = maker(energy + offset, theta, beta)
+                reference = [boost(beta, v) for v in maker(energy + offset, theta)]
+                for got, want in zip(boosted, reference):
+                    scale = float(np.max(np.abs(want.as_array())))
+                    gap = float(np.max(np.abs(got.as_array() - want.as_array())))
+                    assert gap <= 1e-15 * scale, (maker.__name__, beta, gap / scale)
+                    assert all(type(c) is float for c in (got.t, got.x, got.y, got.z))
+
+    def test_boost_returns_python_floats(self):
+        v = boost(Boost((0.3, -0.2, 0.5)), FourVector(2.0, 0.1, 0.2, 0.3))
+        assert all(type(c) is float for c in (v.t, v.x, v.y, v.z))
+
+
 class TestConstants:
     def test_defaults(self):
         c = Constants()

@@ -122,6 +122,43 @@ class TestShiftDensity:
                 assert sample.spinor_factor == pytest.approx(explicit, rel=rel, abs=0.0)
 
 
+class TestCrossProductByComponents:
+    def test_matches_np_cross(self):
+        # the spinor factor reads |p x khat|^2 by components; the reference writes the
+        # same trace with np.cross(p, k): |p x k|^2 / |k|^2 + (|p x k|^2 + m^2 |k|^2) / (...)
+        rng = np.random.default_rng(35)
+        p3s = rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(1000, 1))
+        for k3 in (K3, np.array([0.3, -0.4, 0.2]), np.array([1.0, 2.0, -0.5])):
+            _, spinor_factor, _ = vacuum._density_terms(p3s, k3, NATURAL, float(np.linalg.norm(k3)))
+            cross = np.cross(p3s, k3)
+            cross_sq = np.einsum("ni,ni->n", cross, cross)
+            k_sq = float(k3 @ k3)
+            pks = p3s + k3
+            e_prod = np.sqrt(np.einsum("ni,ni->n", p3s, p3s) + 1.0) * np.sqrt(
+                np.einsum("ni,ni->n", pks, pks) + 1.0)
+            dot = np.einsum("ni,ni->n", p3s, pks)
+            reference = (cross_sq / k_sq + (cross_sq + k_sq) / (e_prod + dot + 1.0)) / e_prod
+            assert np.max(np.abs(spinor_factor - reference) / reference) < 1e-14
+
+
+class TestTinyWavevector:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shift_independent_of_tiny_k(self):
+        # |k|^2 underflows to zero at 1e-300 and is subnormal at 1e-160
+        shifts = [total_shift([size, 0.0, 0.0], 1e4)[0] for size in (1e-300, 1e-160, 1e-100, 1e-8)]
+        assert all(math.isfinite(s) and s < 0.0 for s in shifts)
+        assert max(shifts) - min(shifts) <= 1e-12 * abs(shifts[-1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sample_at_tiny_k(self):
+        # the factors move by O(|k|) relative, so below 1e-100 they must agree to rounding
+        reference = vacuum.pair_shift_sample([0.3, -0.2, 0.7], [1e-100, 0.0, 0.0])
+        for size in (1e-300, 1e-160):
+            sample = vacuum.pair_shift_sample([0.3, -0.2, 0.7], [size, 0.0, 0.0])
+            assert sample.spinor_factor == pytest.approx(reference.spinor_factor, rel=1e-14)
+            assert sample.shift_density == pytest.approx(reference.shift_density, rel=1e-14)
+
+
 class TestTotalShift:
     def test_converged_negative_value(self):
         shift, report = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8, n_phi=4))
