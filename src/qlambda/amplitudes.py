@@ -27,6 +27,7 @@ import numpy as np
 
 from .dirac import (
     gamma_set,
+    polarization_column,
     polarization_pair,
     slash,
     spin_block,
@@ -228,8 +229,8 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
         ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
     )
     eta_value = eta(p + k)
-    eps_in = polarization_pair((k.x, k.y, k.z))[pols[0] - 1].as_array()
-    eps_out_conj = polarization_pair((k_out.x, k_out.y, k_out.z))[pols[1] - 1].as_array().conj()
+    eps_in = polarization_column((k.x, k.y, k.z), pols[0])
+    eps_out_conj = polarization_column((k_out.x, k_out.y, k_out.z), pols[1]).conj()
     u_in = spin_column((p.x, p.y, p.z), spins[0], m, normalization)
     ubar_out = ubar(spin_column((p_out.x, p_out.y, p_out.z), spins[1], m, normalization))
     # each vertex carries the prefactor of the photon attached to it

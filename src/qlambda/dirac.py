@@ -117,10 +117,15 @@ def spin_block(p3, m: float, normalization: str = "box") -> np.ndarray:
     return block
 
 
+def _require_index(kind: str, index: int) -> None:
+    """Spin and polarization indices are 1 or 2; anything else is a ValueError."""
+    if index not in (1, 2):
+        raise ValueError(f"{kind} index must be 1 or 2, got {index!r}")
+
+
 def spin_column(p3, s: int, m: float, normalization: str = "box") -> np.ndarray:
     """Components of u_s(p), column s of `spin_block`; s must be 1 or 2."""
-    if s not in (1, 2):
-        raise ValueError(f"spin index must be 1 or 2, got {s!r}")
+    _require_index("spin", s)
     return spin_block(p3, m, normalization)[:, s - 1]
 
 
@@ -190,6 +195,12 @@ def polarization_pair(k3) -> tuple[PolarizationVector, PolarizationVector]:
         comp.setflags(write=False)
         vecs.append(PolarizationVector(comp, k3, alpha))
     return vecs[0], vecs[1]
+
+
+def polarization_column(k3, alpha: int) -> np.ndarray:
+    """Components of polarization alpha of `polarization_pair`; alpha must be 1 or 2."""
+    _require_index("polarization", alpha)
+    return polarization_pair(k3)[alpha - 1].as_array()
 
 
 def vertex_bilinear(ub: BiSpinor, eps, ua: BiSpinor) -> complex:

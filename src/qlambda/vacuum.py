@@ -12,6 +12,7 @@ rescale close the loop back to the scattering module.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeResult, _guard_pole, coupling_factor, coupling_prefactor
 from .amplitudes import moller_total
-from .dirac import polarization_pair, u_spinor, vertex_bilinear
+from .dirac import polarization_column, u_spinor, vertex_bilinear
 from .errors import (
     ConfigError,
     CorrectionTooLarge,
@@ -74,7 +75,7 @@ def pair_coupling(
     e_pk = math.sqrt(float(pk @ pk) + m * m)
     eta1 = m / e_pk
     prefactor = coupling_factor(eta1, e_pk + e_p, constants).value
-    eps = polarization_pair(k3)[alpha - 1].as_array()
+    eps = polarization_column(k3, alpha)
     u_in = u_spinor(p3, s, m)
     u_out = u_spinor(pk, s_out, m)
     if conjugate:
@@ -84,42 +85,63 @@ def pair_coupling(
     return prefactor * bilinear
 
 
-def _density_terms(
-    p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """eta1, spinor factor and shift density for a batch of momenta, shape (n, 3).
+@functools.cache
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
-    The spinor factor is the closed Dirac trace of the spin-summed,
+
+def _cylindrical_terms(p_perp2, p_par, k_norm: float, constants: Constants, photon_energy: float):
+    """eta1, spinor factor and shift density in cylindrical coordinates about k.
+
+    `p_perp2 = |p x khat|^2` and `p_par = p.khat` broadcast as arrays or
+    floats. The spinor factor is the closed Dirac trace of the spin-summed,
     polarization-averaged squared bilinear (Peskin & Schroeder 5.1),
     [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k and 3-vector
     products. Both differences cancel as p nears the k axis (1e-3 relative
-    at 1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = |p x khat|^2 and
-    E E' - p.p' - m^2 = |k|^2 (|p x khat|^2 + m^2) / (E E' + p.p' + m^2). Only
-    the unit vector khat enters the cross product, so a |k|^2 that underflows
-    drops out instead of dividing.
+    at 1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = p_perp2
+    and E E' - p.p' - m^2 = |k|^2 (p_perp2 + m^2) / (E E' + p.p' + m^2). That
+    ratio is at most 1/2, so the product cannot overflow, and a |k|^2 that
+    underflows drops out instead of dividing. The bracket
+    1/(w - E - E') - 1/(w + E + E') has poles at w = +-(E + E'), so
+    RealPairThreshold is raised once |w| reaches E + E' at any momentum.
     """
     m = constants.m_e
-    k_norm = math.hypot(*k3)
-    pks = p3s + k3[None, :]
-    e_p = np.sqrt(np.einsum("ni,ni->n", p3s, p3s) + m * m)
-    e_pk = np.sqrt(np.einsum("ni,ni->n", pks, pks) + m * m)
+    m_sq = m * m
+    p_pk = p_par + k_norm
+    e_p = np.sqrt(p_perp2 + p_par * p_par + m_sq)
+    e_pk = np.sqrt(p_perp2 + p_pk * p_pk + m_sq)
     combined = e_p + e_pk
-    if np.any(photon_energy >= combined * (1.0 - 1e-12)):
+    if (abs(photon_energy) >= combined * (1.0 - 1e-12)).any():
         raise RealPairThreshold(
             f"photon energy {photon_energy!r} reaches the pair threshold"
         )
     eta1 = m / e_pk
-    hx, hy, hz = (component / k_norm for component in k3.tolist())
-    px, py, pz = p3s.T
-    cross_sq = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
     e_prod = e_p * e_pk
-    dot = np.einsum("ni,ni->n", p3s, pks)
+    dot = p_perp2 + p_par * p_pk
     spinor_factor = (
-        cross_sq + k_norm * k_norm * (cross_sq + m * m) / (e_prod + dot + m * m)
+        p_perp2 + k_norm * k_norm * ((p_perp2 + m_sq) / (e_prod + dot + m_sq))
     ) / e_prod
     prefactor_sq = coupling_prefactor(eta1, combined, constants) ** 2
     bracket = 1.0 / (photon_energy - combined) - 1.0 / (photon_energy + combined)
     return eta1, spinor_factor, prefactor_sq * spinor_factor * bracket
+
+
+def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
+    """eta1, spinor factor and shift density for momenta of shape (..., 3).
+
+    The Cartesian entry to `_cylindrical_terms`: p.khat and |p x khat|^2 are
+    read by components, so only the unit vector khat enters them.
+    """
+    k_norm = math.hypot(*k3)
+    hx, hy, hz = (component / k_norm for component in k3.tolist())
+    px, py, pz = p3s.transpose(-1, *range(p3s.ndim - 1))
+    p_par = px * hx + py * hy + pz * hz
+    p_perp2 = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
+    return _cylindrical_terms(p_perp2, p_par, k_norm, constants, photon_energy)
 
 
 @dataclass(frozen=True)
@@ -142,17 +164,30 @@ class PairShiftSample:
 def pair_shift_sample(
     p3, k3, constants: Constants = NATURAL, photon_energy: float | None = None
 ) -> PairShiftSample:
-    """Shift density at one pair momentum, with its provenance fields."""
+    """Shift density at one pair momentum, with its provenance fields.
+
+    Raises ConfigError for a non-finite p3, k3 or photon_energy, or for
+    momenta whose squared energies overflow.
+    """
     p3 = np.array(p3, dtype=float)
     k3 = np.array(k3, dtype=float)
-    if not k3.any():
+    p_norm, k_norm = math.hypot(*p3.tolist()), math.hypot(*k3.tolist())
+    for name, value, norm in (("p", p3, p_norm), ("k", k3, k_norm),
+                              ("photon_energy", photon_energy, photon_energy)):
+        if norm is not None and not math.isfinite(norm):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if k_norm == 0.0:
         raise ZeroWavevector("shift density undefined for k = 0")
+    # every squared-energy sum of the kernel stays below 4 (|p| + |k| + m)^2
+    reach = p_norm + k_norm + constants.m_e
+    if not math.isfinite(4.0 * reach * reach):
+        raise ConfigError(f"|p| + |k| + m = {reach:.3g} must have a finite square")
     if photon_energy is None:
-        photon_energy = math.hypot(*k3)
-    terms = _density_terms(p3[None, :], k3, constants, photon_energy)
+        photon_energy = k_norm
+    terms = _density_terms(p3, k3, constants, photon_energy)
     p3.setflags(write=False)
     k3.setflags(write=False)
-    return PairShiftSample(p3, k3, *(float(term[0]) for term in terms))
+    return PairShiftSample(p3, k3, *(float(term) for term in terms))
 
 
 def shift_density(
@@ -229,14 +264,17 @@ def _radial_profile(
 
     The summed density depends only on |p| and the angle to k, so the polar
     axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
-    covers the whole sphere.
+    covers the whole sphere. The kernel takes the (radius, node) grid of
+    r sin(theta) and r cos(theta) directly.
     """
-    cos_t, weights = np.polynomial.legendre.leggauss(grid.n_theta)
-    dirs = np.stack([np.sqrt(1.0 - cos_t * cos_t), np.zeros_like(cos_t), cos_t], axis=1)
-    k_axis = np.array([0.0, 0.0, math.hypot(*k3)])
-    points = radii[:, None, None] * dirs[None, :, :]
-    _, _, dens = _density_terms(points.reshape(-1, 3), k_axis, constants, photon_energy)
-    return dens.reshape(radii.size, cos_t.size) @ (2.0 * math.pi * weights)
+    cos_t, weights = _gauss_rule(grid.n_theta)
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    p_perp = np.multiply.outer(radii, sin_t)
+    p_par = np.multiply.outer(radii, cos_t)
+    _, _, dens = _cylindrical_terms(
+        p_perp * p_perp, p_par, math.hypot(*k3), constants, photon_energy
+    )
+    return dens @ (2.0 * math.pi * weights)
 
 
 def _integrate(
@@ -247,7 +285,7 @@ def _integrate(
     photon_energy: float,
 ) -> tuple[float, np.ndarray]:
     """Panel-wise Gauss quadrature in log radius; returns total and per-panel sums."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
+    gl_nodes, gl_weights = _gauss_rule(4)
     log_edges = np.log(edges)
     lo = log_edges[:-1]
     hi = log_edges[1:]

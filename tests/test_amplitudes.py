@@ -604,6 +604,23 @@ class TestProcessGuards:
             fn(*vectors, spins=spins)
         assert str(caught.value) == f"spin index must be 1 or 2, got {bad}"
 
+    @pytest.mark.parametrize("fn, pols, bad", [
+        (compton_total, (0, 1), 0),
+        (compton_total, (-1, 1), -1),
+        (compton_total, (3, 1), 3),
+        (compton_pair_A, (1, 0), 0),
+        (compton_pair_B, (1, 3), 3),
+    ])
+    def test_bad_polarization_index_message(self, fn, pols, bad):
+        with pytest.raises(ValueError) as caught:
+            fn(*compton_cm_kinematics(1.0, 1.0), pols=pols)
+        assert str(caught.value) == f"polarization index must be 1 or 2, got {bad}"
+
+    @pytest.mark.parametrize("pols", [(0, 1), (-1, 1), (1, 3)])
+    def test_boost_scan_bad_polarization_index(self, pols):
+        with pytest.raises(ValueError, match="polarization index must be 1 or 2"):
+            boost_scan("compton", [0.0, 0.5], pols=pols)
+
     def test_pole_message_shows_plain_float(self):
         vectors = compton_cm_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.9999999999999999))
         with pytest.raises(PoleEncountered) as caught:

@@ -256,6 +256,23 @@ class TestVacpol:
                    "--out", str(tmp_path / "c.csv"), "--summary", str(tmp_path / "s.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("energy", ["-3.0", "-2.5"])
+    def test_negative_threshold_exit_4(self, tmp_path, capsys, energy):
+        # the bracket's second pole sits at photon energy -(E + E')
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        rc = main(["vacpol", "--photon-energy", energy, "--out", str(out),
+                   "--summary", str(summary)])
+        assert rc == 4
+        assert f"photon energy {energy} reaches the pair threshold" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
+    def test_negative_energy_inside_window_runs(self, tmp_path):
+        summary = tmp_path / "s.json"
+        rc = main(["vacpol", "--photon-energy", "-1.0", "--out", str(tmp_path / "c.csv"),
+                   "--summary", str(summary)])
+        assert rc == 0
+        assert json.loads(summary.read_text())["pair_shift"] < 0.0
+
     def test_coarse_grid_exit_5(self, tmp_path):
         rc = main(["vacpol", "--cutoff", "1000", "--n-radial", "4",
                    "--out", str(tmp_path / "c.csv"), "--summary", str(tmp_path / "s.json")])

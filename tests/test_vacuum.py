@@ -59,6 +59,10 @@ class TestPairCoupling:
         with pytest.raises(ZeroWavevector):
             pair_coupling((0.1, 0.2, 0.3), (0.0, 0.0, 0.0))
 
+    def test_bad_polarization_index(self):
+        with pytest.raises(ValueError, match="polarization index must be 1 or 2, got 0"):
+            pair_coupling((0.1, 0.2, 0.3), K3, 1, 1, 0)
+
 
 class TestShiftDensity:
     def test_negative_below_threshold(self):
@@ -70,6 +74,19 @@ class TestShiftDensity:
     def test_threshold_raises_with_offshell_energy(self):
         with pytest.raises(RealPairThreshold):
             shift_density((0.1, 0.0, 0.0), K3, photon_energy=5.0)
+
+    def test_negative_energy_threshold(self):
+        # the bracket 1/(w - E - E') - 1/(w + E + E') has its second pole at w = -(E + E')
+        with pytest.raises(RealPairThreshold):
+            shift_density((0.1, 0.0, 0.0), K3, photon_energy=-5.0)
+        for energy in (-3.0, -2.5):
+            with pytest.raises(RealPairThreshold, match="reaches the pair threshold"):
+                total_shift(K3, 1e3, photon_energy=energy)
+
+    def test_negative_energy_inside_window(self):
+        assert shift_density((0.1, 0.0, 0.0), K3, photon_energy=-1.0) < 0.0
+        shift, _ = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8), photon_energy=-1.0)
+        assert shift < 0.0 and math.isfinite(shift)
 
     def test_zero_photon_energy_allowed(self):
         value = shift_density((0.4, 0.1, -0.2), K3, photon_energy=0.0)
@@ -120,6 +137,31 @@ class TestShiftDensity:
                     for s_out in (1, 2)
                 )
                 assert sample.spinor_factor == pytest.approx(explicit, rel=rel, abs=0.0)
+
+
+class TestNonFiniteSampleInput:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p3, k3, energy, message", [
+        ((math.nan, 0.2, 0.7), K3, None, "p must be finite"),
+        ((math.inf, 0.0, 0.0), K3, None, "p must be finite"),
+        ((0.3, -0.2, 0.7), (0.0, math.nan, 0.5), None, "k must be finite"),
+        ((0.3, -0.2, 0.7), K3, math.nan, "photon_energy must be finite"),
+        ((0.3, -0.2, 0.7), K3, math.inf, "photon_energy must be finite"),
+        ((1e200, 0.0, 0.0), K3, None, "must have a finite square"),
+        ((0.3, -0.2, 0.7), (1e200, 0.0, 0.0), None, "must have a finite square"),
+    ])
+    def test_rejected(self, p3, k3, energy, message):
+        for fn in (vacuum.pair_shift_sample, shift_density):
+            with pytest.raises(ConfigError, match=message):
+                fn(p3, k3, photon_energy=energy)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_momenta_run(self):
+        # every kernel product stays in range up to the accepted limit
+        for p3, k3 in (((1e150, 0.0, 0.0), K3), ((0.0, 1e150, 0.0), (1e150, 0.0, 0.0)),
+                       ((1e150, 1e150, 0.0), (-1e150, 0.0, 1e-300))):
+            sample = vacuum.pair_shift_sample(p3, k3)
+            assert math.isfinite(sample.spinor_factor) and sample.shift_density <= 0.0
 
 
 class TestCrossProductByComponents:
@@ -273,6 +315,80 @@ class TestAlignedAngularRule:
         shift, _ = total_shift(k3, 1e4)
         reference = product_grid_shift(k3, 1e4)
         assert shift == pytest.approx(reference, rel=rel, abs=0.0)
+
+
+def cartesian_route(k3, cutoff, photon_energy=None, n_radial=96, n_theta=16):
+    """Reference: radii x directions as 3-vectors through `_density_terms`.
+
+    The directions are a Gauss rule in the angle to the actual khat, so an
+    oblique k runs through the Cartesian entry by components. Returns the
+    partial sums per radial panel.
+    """
+    k3 = np.asarray(k3, dtype=float)
+    k_norm = float(np.linalg.norm(k3))
+    omega = k_norm if photon_energy is None else photon_energy
+    khat = k3 / k_norm
+    seed = np.eye(3)[np.argmin(np.abs(khat))]
+    e1 = seed - (seed @ khat) * khat
+    e1 /= np.linalg.norm(e1)
+    cos_t, w_t = np.polynomial.legendre.leggauss(n_theta)
+    dirs = np.sqrt(1.0 - cos_t * cos_t)[:, None] * e1 + cos_t[:, None] * khat
+    x, w = np.polynomial.legendre.leggauss(4)
+    log_edges = np.linspace(math.log(1e-4), math.log(cutoff), n_radial + 1)
+    panels = []
+    for lo, hi in zip(log_edges[:-1], log_edges[1:]):
+        radii = np.exp(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        points = radii[:, None, None] * dirs[None, :, :]
+        _, _, dens = vacuum._density_terms(points, k3, NATURAL, omega)
+        profile = dens @ (2.0 * math.pi * w_t)
+        panels.append(0.5 * (hi - lo) * w @ (radii**3 * profile))
+    return NATURAL.V / (2.0 * math.pi) ** 3 * np.cumsum(panels)
+
+
+class TestCylindricalKernel:
+    @pytest.mark.parametrize("k3, energy", [
+        ((0.0, 0.0, 0.5), None),
+        ((0.3, -0.4, 0.2), None),
+        ((1.0, 2.0, -0.5), None),
+        ((0.0, 0.0, 0.5), 1.3),
+    ])
+    def test_total_shift_matches_cartesian_route(self, k3, energy):
+        shift, report = total_shift(k3, 1e4, photon_energy=energy)
+        reference = cartesian_route(k3, 1e4, photon_energy=energy)
+        assert shift == pytest.approx(reference[-1], rel=1e-13, abs=0.0)
+        assert np.max(np.abs(report.partial_sums / reference - 1.0)) < 1e-13
+
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(36)
+        p3s = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(200, 1))
+        for k3 in (K3, np.array([0.3, -0.4, 0.2]), np.array([1.0, 2.0, -0.5])):
+            batch = vacuum._density_terms(p3s, k3, NATURAL, float(np.linalg.norm(k3)))
+            for i, p3 in enumerate(p3s):
+                sample = vacuum.pair_shift_sample(p3, k3)
+                rows = (sample.eta1, sample.spinor_factor, sample.shift_density)
+                for row, column in zip(rows, batch):
+                    assert row == pytest.approx(column[i], rel=1e-15, abs=0.0)
+
+    def test_rules_read_only(self):
+        for n in (4, 16):
+            for array in vacuum._gauss_rule(n):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_rules_built_once_per_node_count(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            built.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        vacuum._gauss_rule.cache_clear()
+        for n_theta in (8, 16, 8, 16):
+            total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=n_theta))
+        assert sorted(built) == [4, 8, 16]
 
 
 class TestTotalShiftBounds:
