@@ -16,6 +16,12 @@ The electron-electron exchange diagram averages its orderings (weight 1/2),
 which is the convention under which the summed amplitude equals
 E_k * omega1 * omega2 / (k0^2 - E_k^2) per polarization, with E_k the energy
 of the exchanged photon in both prefactors.
+
+Every vertex is evaluated on the Pauli blocks of the spinors with the
+scalar helpers of `dirac`; the only numpy call left on this path is the
+scalar square root inside `coupling_prefactor`, which vacuum shares. Each
+result records in `provenance["guard_margins"]` how close it came to the
+pole, on-shell and conservation guards.
 """
 from __future__ import annotations
 
@@ -26,13 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import (
-    gamma_set,
-    polarization_column,
-    polarization_pair,
-    slash,
-    spin_block,
-    spin_column,
-    ubar,
+    _require_index,
+    bar_dot,
+    pair_spinor,
+    row_dot,
+    slash_column,
+    slash_row,
+    slash_sandwich,
+    spin_pair,
+    transverse_basis,
+    vector_current,
 )
 from .errors import ConfigError, ForwardSingularity, OffShellInput, PoleEncountered, ZeroReference
 from .jsonio import write_table
@@ -45,17 +54,14 @@ from .lorentz import (
     eta,
     minkowski_dot,
     moller_kinematics,
-    on_shell_energy,
 )
 
-_I4 = np.eye(4, dtype=complex)
-_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-# gamma^mu stacked on the leading axis: ubar_b @ _GAMMAS @ u_a is the current J^mu
-_GAMMAS = np.stack(gamma_set())
-_ORDERING_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _ONSHELL_RTOL = 1e-9
 _CONSERVATION_RTOL = 1e-10
 _POLE_RTOL = 1e-9
+# guard_margins keys: compare with _POLE_RTOL (from above), _ONSHELL_RTOL and
+# _CONSERVATION_RTOL (from below)
+_MARGIN_KEYS = ("min_denominator", "on_shell_residual", "conservation_residual")
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,16 @@ def coupling_prefactor(eta_value, energy, constants: Constants):
 
     Raises ConfigError unless the squared coupling scale (e c hbar)^2 / (V eps0)
     is a finite normal float, so the prefactor and its square stay in range.
+    It is evaluated as ((e c hbar / sqrt(V eps0)) eta) sqrt(1/E): the first
+    factor is the square root of the checked scale, so V eps0 and E never
+    meet in one product that could overflow or underflow, and at
+    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E).
     """
     charge = constants.e * constants.c * constants.hbar
     medium = constants.V * constants.eps0
     if not (medium > 0.0 and sys.float_info.min <= charge * charge / medium <= sys.float_info.max):
         raise ConfigError("coupling scale (e c hbar)^2 / (V eps0) is not a finite normal float")
-    return charge * eta_value * np.sqrt(1.0 / (medium * energy))
+    return charge / math.sqrt(medium) * eta_value * np.sqrt(1.0 / energy)
 
 
 def coupling_factor(eta_value: float, energy: float, constants: Constants) -> CouplingFactor:
@@ -155,53 +165,59 @@ class AmplitudeResult:
         return doc
 
 
-def _require_process(incoming, outgoing, masses, labels) -> float:
-    """On-shell and conservation guards of a scattering process.
+def _require_process(incoming, outgoing, masses, labels) -> tuple[float, float, float]:
+    """On-shell and conservation guards of a two-to-two scattering process.
 
     masses and labels follow the momenta in incoming + outgoing order. Returns
-    the momentum scale, max(1, largest |component|), that sets every tolerance.
-    Components that are not finite, or whose squares are not, fail first:
-    neither residual below can be trusted then.
+    the momentum scale, max(1, largest |component|), that sets every
+    tolerance, then the two residuals in its units: the largest
+    |p.p - m^2| / scale^2 (against _ONSHELL_RTOL) and the conservation
+    residual / scale (against _CONSERVATION_RTOL). Components that are not
+    finite, or whose squares are not, fail first: neither residual below can
+    be trusted then.
     """
-    vectors = (*incoming, *outgoing)
-    rows = [(v.t, v.x, v.y, v.z) for v in vectors]
-    components = [c for row in rows for c in row]
-    scale = max(1.0, *map(abs, components))
-    if not (all(map(math.isfinite, components)) and math.isfinite(scale * scale)):
+    a, b = incoming
+    c, d = outgoing
+    components = (a.t, a.x, a.y, a.z, b.t, b.x, b.y, b.z,
+                  c.t, c.x, c.y, c.z, d.t, d.x, d.y, d.z)
+    scale = max(1.0, max(components), -min(components))
+    # a finite sum of finite components: any inf or NaN makes it non-finite,
+    # and a sum that overflows needs a component whose square overflows too
+    if not (math.isfinite(sum(components)) and math.isfinite(scale * scale)):
         raise OffShellInput("kinematics overflowed: a momentum component or its square "
                             "is not a finite float")
-    for v, m, label in zip(vectors, masses, labels):
-        residual = abs(minkowski_dot(v, v) - m * m)
-        if residual > _ONSHELL_RTOL * scale * scale:
+    on_shell_bound = _ONSHELL_RTOL * scale * scale
+    on_shell = 0.0
+    for v, m, label in zip((a, b, c, d), masses, labels):
+        residual = abs(v.t * v.t - v.x * v.x - v.y * v.y - v.z * v.z - m * m)
+        if residual > on_shell_bound:
             raise OffShellInput(f"{label} off shell: |p.p - m^2| = {residual:.3e}")
-    n_in = len(incoming)
-    residual = max(abs(sum(column[:n_in]) - sum(column[n_in:])) for column in zip(*rows))
+        on_shell = max(on_shell, residual)
+    residual = max(abs(a.t + b.t - (c.t + d.t)), abs(a.x + b.x - (c.x + d.x)),
+                   abs(a.y + b.y - (c.y + d.y)), abs(a.z + b.z - (c.z + d.z)))
     if residual > _CONSERVATION_RTOL * scale:
         raise OffShellInput(f"four-momentum not conserved: residual {residual:.3e}")
-    return scale
+    return scale, on_shell / (scale * scale), residual / scale
 
 
-def _guard_pole(denom: float, scale: float, where: str) -> None:
+def _guard_pole(denom: float, scale: float, where: str) -> float:
+    """Raise PoleEncountered when |denom| < _POLE_RTOL * scale; else return |denom| / scale."""
     if abs(denom) < _POLE_RTOL * scale:
         raise PoleEncountered(f"{where}: energy denominator {denom!r} vanishes")
+    return abs(denom) / scale
 
 
-def _result(process, parts, eta_value, closed, textbook, frame, **provenance) -> AmplitudeResult:
-    """Total as the in-order sum of the parts; ratio None when the textbook total is 0."""
+def _result(process, parts, eta_value, closed, textbook, frame, margins, **provenance):
+    """Total as the in-order sum of the parts; ratio None when the textbook total is 0.
+
+    margins is (smallest |denominator| / scale, on-shell residual, conservation
+    residual); it is recorded last in the provenance as `guard_margins`.
+    """
     total = sum(part.value for part in parts)
     ratio = None if textbook == 0.0 else total / textbook
+    provenance["guard_margins"] = dict(zip(_MARGIN_KEYS, margins))
     return AmplitudeResult(process, total, tuple(parts), eta_value, closed, frame=frame,
                            textbook_total=textbook, textbook_ratio=ratio, provenance=provenance)
-
-
-def _pair_state(components: np.ndarray) -> np.ndarray:
-    """Negative-energy solutions v(-q, s) at the momentum q of u(q, s).
-
-    With u = N (chi ; sigma.q chi / (E+m)) the pair state is
-    N (-sigma.q chi / (E+m) ; chi): energy -E_q, same normalization as u.
-    Takes 4 components or a (4, 2) spin block (rows swapped either way).
-    """
-    return np.concatenate([-components[2:], components[:2]])
 
 
 def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
@@ -220,52 +236,63 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
     prefactors or normalization factor. Closed forms and textbook values sum
     over the channels starting from the first channel's value, not from 0, so
     a single channel keeps the sign of its zeros.
+
+    Every factor is Pauli-block arithmetic on Python scalars: the vertex on
+    the incoming electron is the column slash(eps) u, the one on the outgoing
+    electron the row ubar' slash(eps'), and each intermediate spinor and its
+    pair state is contracted against them.
     """
     m = constants.m_e
-    scale = _require_process(
+    scale, on_shell, conservation = _require_process(
         (p, k),
         (p_out, k_out),
         (m, 0.0, m, 0.0),
         ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
     )
-    eta_value = eta(p + k)
-    eps_in = polarization_column((k.x, k.y, k.z), pols[0])
-    eps_out_conj = polarization_column((k_out.x, k_out.y, k_out.z), pols[1]).conj()
-    u_in = spin_column((p.x, p.y, p.z), spins[0], m, normalization)
-    ubar_out = ubar(spin_column((p_out.x, p_out.y, p_out.z), spins[1], m, normalization))
+    q_absorb = p + k
+    eta_value = eta(q_absorb)
+    # the polarization vectors are real, so eps'* = eps'
+    _require_index("polarization", pols[0])
+    e_in = transverse_basis(k.x, k.y, k.z)[pols[0] - 1]
+    _require_index("polarization", pols[1])
+    e_out = transverse_basis(k_out.x, k_out.y, k_out.z)[pols[1] - 1]
+    _require_index("spin", spins[0])
+    u_in = spin_pair(p.x, p.y, p.z, m, normalization)[spins[0] - 1]
+    _require_index("spin", spins[1])
+    u_out = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)[spins[1] - 1]
     # each vertex carries the prefactor of the photon attached to it
-    absorb = (slash(eps_in), coupling_factor(eta_value, k.t, constants).value)
-    emit = (slash(eps_out_conj), coupling_factor(eta_value, k_out.t, constants).value)
+    absorb = (e_in, coupling_factor(eta_value, k.t, constants).value)
+    emit = (e_out, coupling_factor(eta_value, k_out.t, constants).value)
     # intermediate momentum, vertex on the incoming electron, vertex on the outgoing one
-    table = {"1": (p + k, absorb, emit), "2": (p - k_out, emit, absorb)}
+    table = {"1": (q_absorb, absorb, emit), "2": (p - k_out, emit, absorb)}
     parts, closed, textbook = [], [], []
+    min_denominator = math.inf
     for tag in channels:
-        q, (slash_first, f_first), (slash_second, f_second) = table[tag]
-        q3 = (q.x, q.y, q.z)
-        e_q = on_shell_energy(q3, m)
+        q, (e_first, f_first), (e_second, f_second) = table[tag]
+        u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
         d_fwd = q.t - e_q
         d_bwd = -(q.t + e_q)
-        _guard_pole(d_fwd, scale, f"channel {tag} forward ordering")
-        _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering")
-        row = ubar_out @ slash_second
-        col = slash_first @ u_in
-        # columns: both intermediate spins as electrons, then as pair states
-        u_mid = spin_block(q3, m, normalization)
-        block = np.concatenate([u_mid, _pair_state(u_mid)], axis=1)
-        first = (f_first * (ubar(block) @ col)).tolist()
-        # row @ block: the forward ordering's second factors, then the crossed
-        # ordering's first factors, which carry its fermion sign
-        second = (f_second * _ORDERING_SIGNS * (row @ block)).tolist()
-        for i, s in enumerate((1, 2)):
-            parts.append(DiagramAmplitude(f"{tag}a:s={s}", first[i], second[i], d_fwd))
-            parts.append(DiagramAmplitude(f"{tag}b:s={s}", second[i + 2], first[i + 2], d_bwd))
-        bare = complex(row @ (slash(q) + m * _I4) @ col) / (minkowski_dot(q, q) - m * m)
+        min_denominator = min(
+            min_denominator,
+            _guard_pole(d_fwd, scale, f"channel {tag} forward ordering"),
+            _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering"),
+        )
+        row = slash_row(u_out, e_second)
+        col = slash_column(e_first, u_in)
+        for s, u_mid in ((1, u_1), (2, u_2)):
+            v_mid = pair_spinor(u_mid)
+            parts.append(DiagramAmplitude(f"{tag}a:s={s}", f_first * bar_dot(u_mid, col),
+                                          f_second * row_dot(row, u_mid), d_fwd))
+            parts.append(DiagramAmplitude(f"{tag}b:s={s}", -f_second * row_dot(row, v_mid),
+                                          f_first * bar_dot(v_mid, col), d_bwd))
+        bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
         # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
         norm = e_q / m if normalization == "covariant" else 1.0
         closed.append(f_first * f_second * norm * bare)
         textbook.append(bare)
     return _result(process, parts, eta_value, sum(closed[1:], closed[0]),
-                   sum(textbook[1:], textbook[0]), frame)
+                   sum(textbook[1:], textbook[0]), frame,
+                   (min_denominator, on_shell, conservation))
 
 
 def compton_pair_A(
@@ -349,7 +376,7 @@ def moller_total(
     J_beam . g . J_target / (p1-p2)^2.
     """
     m = constants.m_e
-    scale = _require_process(
+    scale, on_shell, conservation = _require_process(
         (p1, q1),
         (p2, q2),
         (m, m, m, m),
@@ -366,25 +393,26 @@ def moller_total(
     e_k = math.hypot(*k3)
     k0 = k.t
     eta_value = eta(p1 + q1)
-    factor = coupling_factor(eta_value, e_k, constants)
+    f = coupling_factor(eta_value, e_k, constants).value
     d_fwd = k0 - e_k
     d_bwd = -(k0 + e_k)
-    _guard_pole(d_fwd, scale, "exchange forward ordering")
-    _guard_pole(d_bwd, scale, "exchange crossed ordering")
+    min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
+                          _guard_pole(d_bwd, scale, "exchange crossed ordering"))
     s1, s2, s3, s4 = spins
-    u_p1 = spin_column((p1.x, p1.y, p1.z), s1, m, normalization)
-    u_q1 = spin_column((q1.x, q1.y, q1.z), s2, m, normalization)
-    u_p2 = spin_column((p2.x, p2.y, p2.z), s3, m, normalization)
-    u_q2 = spin_column((q2.x, q2.y, q2.z), s4, m, normalization)
-    j_beam = ubar(u_p2) @ _GAMMAS @ u_p1
-    j_target = ubar(u_q2) @ _GAMMAS @ u_q1
-    # real transverse basis shared by both orderings (same transverse plane for -k)
-    eps_lower = np.array([pol.as_array() for pol in polarization_pair(k3)]) @ _METRIC
-    beam = (factor.value * (eps_lower.conj() @ j_beam)).tolist()
-    target = (factor.value * (eps_lower @ j_target)).tolist()
+    spinors = []
+    for v, s in ((p1, s1), (q1, s2), (p2, s3), (q2, s4)):
+        _require_index("spin", s)
+        spinors.append(spin_pair(v.x, v.y, v.z, m, normalization)[s - 1])
+    u_p1, u_q1, u_p2, u_q2 = spinors
+    j_beam = vector_current(u_p2, u_p1)
+    j_target = vector_current(u_q2, u_q1)
     parts = []
     closed = 0.0 + 0.0j
-    for alpha, beam_current, target_current in zip((1, 2), beam, target):
+    # real transverse basis shared by both orderings (same transverse plane
+    # for -k); with eps = (0, e) the vertex is f eps . g . J = -f e . J
+    for alpha, (ex, ey, ez) in zip((1, 2), transverse_basis(*k3)):
+        beam_current = f * -(ex * j_beam[1] + ey * j_beam[2] + ez * j_beam[3])
+        target_current = f * -(ex * j_target[1] + ey * j_target[2] + ez * j_target[3])
         parts.append(
             DiagramAmplitude(f"emit-beam:pol={alpha}", beam_current, target_current, d_fwd, 0.5)
         )
@@ -392,8 +420,10 @@ def moller_total(
             DiagramAmplitude(f"emit-target:pol={alpha}", target_current, beam_current, d_bwd, 0.5)
         )
         closed += e_k * beam_current * target_current / (k0 * k0 - e_k * e_k)
-    tb = complex(j_beam @ _METRIC @ j_target) / transfer2
+    tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
+          - j_beam[3] * j_target[3]) / transfer2
     return _result("moller", parts, eta_value, closed, tb, frame,
+                   (min_denominator, on_shell, conservation),
                    transfer_squared=float(transfer2), photon_energy=e_k)
 
 

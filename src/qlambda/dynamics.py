@@ -155,9 +155,10 @@ def evolve(
     eigendecomposition H = V diag(lambda) V^dagger as
     psi(t_n) = V exp(-i lambda t_n / hbar) V^dagger psi0, for all n in one
     broadcast; the result is unitary for any dt. Raises StepTooLarge if the
-    norm of any sample drifts beyond drift_tol, and ConfigError for
-    non-finite input, a non-positive dt, t_final or hbar, or more than
-    _MAX_STEPS steps.
+    norm of any sample drifts beyond drift_tol or the largest phase
+    |lambda| t / hbar overflows, and ConfigError for non-finite input, a
+    non-positive dt, t_final or hbar, more than _MAX_STEPS steps, or a last
+    sample time that overflows.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (system.n_levels,):
@@ -175,8 +176,16 @@ def evolve(
     if ratio > _MAX_STEPS:
         raise ConfigError(f"t_final / dt = {ratio:.3g} exceeds the cap of {_MAX_STEPS} steps")
     n_steps = max(1, int(round(ratio)))
+    t_last = n_steps * dt
+    if not math.isfinite(t_last):
+        raise ConfigError(f"the last sample time {n_steps} x dt overflows")
     times = np.arange(n_steps + 1) * dt
     evals, evecs = np.linalg.eigh(system.hamiltonian())
+    # the largest phase |lambda| t / hbar, formed as the broadcast below forms
+    # it; eigh returns the eigenvalues in ascending order
+    peak = max(-float(evals[0]), float(evals[-1]))
+    if not math.isfinite((1.0 / hbar) * (peak * t_last)):
+        raise StepTooLarge(f"the phase lambda t / hbar overflows by t = {t_last!r}")
     phases = np.exp(-1j / hbar * np.outer(times, evals))
     states = (phases * (evecs.conj().T @ psi)) @ evecs.T
     states[0] = psi
@@ -283,7 +292,8 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     coupling matrix K. The inner integral is exact,
     int_0^s exp(i g t) dt = s exp(i g s / 2) sinc(g s / 2 pi), and the outer
     one a _MAGNUS_NODES-point Gauss rule over the period; the two results agree
-    to quadrature accuracy.
+    to quadrature accuracy. Raises ConfigError when a level gap over hbar,
+    or 1 / hbar, overflows.
     """
     period = base_period(system, hbar)
     analytic = _secular_matrix(system)
@@ -291,6 +301,10 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
         zeros = np.zeros_like(analytic)
         return EffectiveHamiltonian(analytic, period, zeros)
 
+    # every gap is at most the spread of the levels, so this bounds all of them
+    levels = system.energies.tolist()
+    if not (math.isfinite((max(levels) - min(levels)) / hbar) and math.isfinite(0.5 / hbar)):
+        raise ConfigError(f"level gaps / hbar overflow for hbar = {hbar!r}")
     gaps = (system.energies[:, None] - system.energies[None, :]) / hbar
     couplings = system.couplings
     nodes, weights = _unit_gauss_rule()

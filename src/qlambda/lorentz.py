@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -29,6 +30,11 @@ _NULL_TOL = 1e-10
 CONSTANT_KEYS = ("hbar", "c", "eps0", "e", "m_e", "V", "alpha")
 
 
+def _require_positive(key: str, value: float) -> None:
+    if not (value > 0.0) or not math.isfinite(value):
+        raise ConfigError(f"constant {key!r} must be strictly positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Constants:
     """Physical constants and the mode volume entering coupling prefactors."""
@@ -43,9 +49,11 @@ class Constants:
 
     def __post_init__(self):
         for key in CONSTANT_KEYS:
-            value = getattr(self, key)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ConfigError(f"constant {key!r} must be strictly positive, got {value!r}")
+            _require_positive(key, getattr(self, key))
+        # every energy is sqrt(|p|^2 + m^2); an m^2 that underflows leaves
+        # zero energies for particles at rest
+        if self.m_e * self.m_e < sys.float_info.min:
+            raise ConfigError(f"constant 'm_e' = {self.m_e!r} is too small: m_e^2 underflows")
 
     def with_volume(self, volume: float) -> "Constants":
         return replace(self, V=volume)
@@ -82,6 +90,7 @@ def constants_from_mapping(data: dict) -> Constants:
             raise ConfigError(f"constants key {key!r} must be a number, got {raw!r}")
         values[key] = float(raw)
     if "alpha" in values and "e" not in values:
+        _require_positive("alpha", values["alpha"])  # before the square root
         values["e"] = math.sqrt(4.0 * math.pi * values["alpha"])
     return Constants(**values)
 
@@ -211,10 +220,15 @@ def on_shell_energy(p3: Iterable[float], m: float) -> float:
 
 
 def _maybe_boost(vectors, beta: Boost | None):
-    """The vectors boosted by beta: one matrix applied to the stacked momenta."""
+    """The vectors boosted by beta: one matrix applied to the stacked momenta.
+
+    Components that overflow come out as inf or NaN without a warning; the
+    amplitudes reject them as overflowed kinematics.
+    """
     if beta is None or beta.beta2 == 0.0:
         return vectors
-    rows = np.array([(v.t, v.x, v.y, v.z) for v in vectors]) @ boost_matrix(beta).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.array([(v.t, v.x, v.y, v.z) for v in vectors]) @ boost_matrix(beta).T
     return tuple(FourVector(*row) for row in rows.tolist())
 
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from qlambda.amplitudes import (
+    _CONSERVATION_RTOL,
+    _ONSHELL_RTOL,
+    _POLE_RTOL,
     boost_scan,
     compton_pair_A,
     compton_pair_B,
@@ -27,6 +30,7 @@ from qlambda.lorentz import (
     FourVector,
     compton_cm_kinematics,
     compton_kinematics,
+    eta,
     minkowski_dot,
     moller_kinematics,
     on_shell_energy,
@@ -55,6 +59,53 @@ def random_compton_case(rng):
     spins = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
     pols = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
     return compton_cm_kinematics(energy, theta, frame), spins, pols
+
+
+def gamma_compton_reference(p, k, p_out, k_out, spins, pols, normalization, channels=("1", "2")):
+    """The Compton parts, closed form and textbook total from 4x4 gamma matrices.
+
+    Built only from `slash`, `ubar` and `gamma_set`: each vertex is
+    ubar slash(eps) u, each pair state v(-q, s) = (-lower ; upper), and the
+    closed form the chain ubar' slash(eps') (slash(q) + m) slash(eps) u. Every
+    value comes with its scale: f |u_b| |u_a| for a vertex, and
+    f f' |u'| |u| (|q0| + |q| + m) / |q^2 - m^2| per channel for the chains;
+    each part also carries its denominator.
+    """
+    identity = gamma_set()[0] @ gamma_set()[0]
+    u_in = u_spinor(p.spatial, spins[0], 1.0, normalization).components
+    u_out = u_spinor(p_out.spatial, spins[1], 1.0, normalization).components
+    eps_in = polarization_pair(k.spatial)[pols[0] - 1].as_array()
+    eps_out = polarization_pair(k_out.spatial)[pols[1] - 1].as_array().conj()
+    eta_value = eta(p + k)
+    f_in = coupling_factor(eta_value, k.t, NATURAL).value
+    f_out = coupling_factor(eta_value, k_out.t, NATURAL).value
+    table = {"1": (p + k, (eps_in, f_in), (eps_out, f_out)),
+             "2": (p - k_out, (eps_out, f_out), (eps_in, f_in))}
+    parts, closed, closed_scale, textbook, textbook_scale = [], 0.0, 0.0, 0.0, 0.0
+    for tag in channels:
+        q, (eps1, f1), (eps2, f2) = table[tag]
+        e_q = on_shell_energy(q.spatial, 1.0)
+        row = ubar(u_out) @ slash(eps2)
+        col = slash(eps1) @ u_in
+        for s in (1, 2):
+            u_mid = u_spinor(q.spatial, s, 1.0, normalization).components
+            v_mid = np.concatenate([-u_mid[2:], u_mid[:2]])
+            scale1 = vertex_scale(f1, u_mid, u_in)
+            scale2 = vertex_scale(f2, u_out, u_mid)
+            # v_mid has the norm of u_mid
+            parts.append((f"{tag}a:s={s}", f1 * complex(ubar(u_mid) @ col), scale1,
+                          f2 * complex(row @ u_mid), scale2, q.t - e_q))
+            parts.append((f"{tag}b:s={s}", -f2 * complex(row @ v_mid), scale2,
+                          f1 * complex(ubar(v_mid) @ col), scale1, -(q.t + e_q)))
+        q2 = minkowski_dot(q, q) - 1.0
+        bare = complex(row @ (slash(q) + identity) @ col) / q2
+        chain = vertex_scale(1.0, u_out, u_in) * (abs(q.t) + np.linalg.norm(q.spatial) + 1.0) / abs(q2)
+        norm = e_q if normalization == "covariant" else 1.0
+        closed += f1 * f2 * norm * bare
+        closed_scale += f1 * f2 * norm * chain
+        textbook += bare
+        textbook_scale += chain
+    return parts, (closed, closed_scale), (textbook, textbook_scale)
 
 
 class TestCouplingFactor:
@@ -280,31 +331,8 @@ class TestComptonTotal:
                 result = compton_total(
                     p, k, p_out, k_out, spins=spins, pols=pols, normalization=normalization
                 )
-                u_in = u_spinor(p.spatial, spins[0], 1.0, normalization).components
-                u_out = u_spinor(p_out.spatial, spins[1], 1.0, normalization)
-                ubar_out = ubar(u_out)
-                eps_in = polarization_pair(k.spatial)[pols[0] - 1].as_array()
-                eps_out = polarization_pair(k_out.spatial)[pols[1] - 1].as_array().conj()
-                f_in = coupling_factor(result.eta, k.t, NATURAL).value
-                f_out = coupling_factor(result.eta, k_out.t, NATURAL).value
-                expected = []
-                for tag, q, (eps1, f1), (eps2, f2) in (
-                    ("1", p + k, (eps_in, f_in), (eps_out, f_out)),
-                    ("2", p - k_out, (eps_out, f_out), (eps_in, f_in)),
-                ):
-                    e_q = on_shell_energy(q.spatial, 1.0)
-                    row = ubar_out @ slash(eps2)
-                    col = slash(eps1) @ u_in
-                    for s in (1, 2):
-                        u_mid = u_spinor(q.spatial, s, 1.0, normalization).components
-                        v_mid = np.concatenate([-u_mid[2:], u_mid[:2]])
-                        # v_mid has the norm of u_mid
-                        scale1 = vertex_scale(f1, u_mid, u_in)
-                        scale2 = vertex_scale(f2, u_out.components, u_mid)
-                        expected.append((f"{tag}a:s={s}", f1 * complex(ubar(u_mid) @ col), scale1,
-                                         f2 * complex(row @ u_mid), scale2, q.t - e_q))
-                        expected.append((f"{tag}b:s={s}", -f2 * complex(row @ v_mid), scale2,
-                                         f1 * complex(ubar(v_mid) @ col), scale1, -(q.t + e_q)))
+                expected, _, _ = gamma_compton_reference(p, k, p_out, k_out, spins, pols,
+                                                         normalization)
                 assert [part.name for part in result.parts] == [e[0] for e in expected]
                 for part, (_, omega1, scale1, omega2, scale2, denom) in zip(
                     result.parts, expected
@@ -627,3 +655,233 @@ class TestProcessGuards:
             compton_total(*vectors)
         assert "np.float64(" not in str(caught.value)
         assert "energy denominator 2.98" in str(caught.value)
+
+
+def oblique_cases(seed, n=50):
+    """n seeded generators with boosts of random direction and |beta| up to 0.9."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield rng, random_boost(rng, bmax=0.9)
+
+
+class TestPauliBlocksAgainstGammaMatrices:
+    """The scalar Pauli-block vertices against a gamma-matrix reference kept here."""
+
+    def test_compton_parts_closed_form_and_textbook(self):
+        for rng, frame in oblique_cases(61):
+            vectors = compton_cm_kinematics(rng.uniform(0.2, 3.0),
+                                            rng.uniform(0.15, math.pi - 0.15), frame)
+            for normalization in ("box", "covariant"):
+                for spins in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                    for pols in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                        result = compton_total(*vectors, spins=spins, pols=pols,
+                                               normalization=normalization)
+                        parts, (closed, c_scale), (textbook, t_scale) = gamma_compton_reference(
+                            *vectors, spins, pols, normalization)
+                        assert [part.name for part in result.parts] == [e[0] for e in parts]
+                        for part, (_, omega1, scale1, omega2, scale2, _) in zip(result.parts, parts):
+                            assert abs(part.omega1 - omega1) <= 1e-12 * scale1
+                            assert abs(part.omega2 - omega2) <= 1e-12 * scale2
+                        assert abs(result.closed_form - closed) <= 1e-12 * c_scale
+                        assert abs(result.textbook_total - textbook) <= 1e-12 * t_scale
+
+    def test_compton_pair_views(self):
+        for rng, frame in oblique_cases(62, n=20):
+            vectors = compton_cm_kinematics(rng.uniform(0.2, 3.0),
+                                            rng.uniform(0.15, math.pi - 0.15), frame)
+            spins = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            pols = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            for fn, tag in ((compton_pair_A, "1"), (compton_pair_B, "2")):
+                for normalization in ("box", "covariant"):
+                    result = fn(*vectors, spins=spins, pols=pols, normalization=normalization)
+                    _, (closed, c_scale), (textbook, t_scale) = gamma_compton_reference(
+                        *vectors, spins, pols, normalization, channels=(tag,))
+                    assert abs(result.closed_form - closed) <= 1e-12 * c_scale
+                    assert abs(result.textbook_total - textbook) <= 1e-12 * t_scale
+
+    def test_moller_currents_and_textbook(self):
+        g = gamma_set()
+        for rng, frame in oblique_cases(63):
+            p1, q1, p2, q2 = moller_kinematics(rng.uniform(2.5, 8.0),
+                                               rng.uniform(0.15, math.pi - 0.15), frame)
+            k = p1 - p2
+            for normalization in ("box", "covariant"):
+                for spins in np.ndindex(2, 2, 2, 2):
+                    spins = tuple(int(s) + 1 for s in spins)
+                    result = moller_total(p1, q1, p2, q2, spins=spins,
+                                          normalization=normalization)
+                    u_p1, u_q1, u_p2, u_q2 = (
+                        u_spinor(v.spatial, s, 1.0, normalization).components
+                        for v, s in zip((p1, q1, p2, q2), spins)
+                    )
+                    j_beam = np.array([ubar(u_p2) @ g[mu] @ u_p1 for mu in range(4)])
+                    j_target = np.array([ubar(u_q2) @ g[mu] @ u_q1 for mu in range(4)])
+                    f = coupling_factor(result.eta, float(np.linalg.norm(k.spatial)), NATURAL).value
+                    beam_scale = vertex_scale(f, u_p2, u_p1)
+                    target_scale = vertex_scale(f, u_q2, u_q1)
+                    for alpha, pol in enumerate(polarization_pair(k.spatial), start=1):
+                        eps = pol.as_array()
+                        beam = f * (np.conj(eps) @ np.diag([1.0, -1.0, -1.0, -1.0]) @ j_beam)
+                        target = f * (eps @ np.diag([1.0, -1.0, -1.0, -1.0]) @ j_target)
+                        emit_beam = result.parts[2 * alpha - 2]
+                        assert abs(emit_beam.omega1 - beam) <= 1e-12 * beam_scale
+                        assert abs(emit_beam.omega2 - target) <= 1e-12 * target_scale
+                    textbook = (j_beam[0] * j_target[0] - j_beam[1:] @ j_target[1:]) / minkowski_dot(k, k)
+                    scale = beam_scale * target_scale / f**2 * 4.0 / abs(minkowski_dot(k, k))
+                    assert abs(result.textbook_total - textbook) <= 1e-12 * scale
+
+
+def test_amplitude_calls_use_no_numpy_arrays(monkeypatch):
+    # with numpy cut down to the scalar square root of the shared coupling
+    # prefactor and the integer type of the index check, every amplitude still runs
+    import qlambda.amplitudes
+    import qlambda.dirac
+
+    class ScalarNumpy:
+        sqrt = staticmethod(np.sqrt)
+        integer = np.integer
+
+    cases = [(fn, compton_cm_kinematics(1.3, 1.0, Boost((0.1, 0.2, 0.3))), {"pols": (2, 1)})
+             for fn in (compton_pair_A, compton_pair_B, compton_total)]
+    cases.append((moller_total, moller_kinematics(4.0, 1.0, Boost((0.1, 0.2, 0.3))), {}))
+    expected = [fn(*v, **kw, normalization="covariant").total for fn, v, kw in cases]
+    monkeypatch.setattr(qlambda.amplitudes, "np", ScalarNumpy)
+    monkeypatch.setattr(qlambda.dirac, "np", ScalarNumpy)
+    for (fn, vectors, kwargs), total in zip(cases, expected):
+        assert fn(*vectors, **kwargs, normalization="covariant").total == total
+
+
+class TestIntegerIndices:
+    CM = compton_cm_kinematics(1.0, 1.0)
+    MOLLER = moller_kinematics(4.0, 1.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda v, mv: compton_total(*v, spins=(True, 2)), "spin index must be 1 or 2, got True"),
+        (lambda v, mv: compton_total(*v, spins=(1.0, 1)), "spin index must be 1 or 2, got 1.0"),
+        (lambda v, mv: compton_total(*v, pols=(2.0, 1)),
+         "polarization index must be 1 or 2, got 2.0"),
+        (lambda v, mv: compton_pair_A(*v, pols=(1, True)),
+         "polarization index must be 1 or 2, got True"),
+        (lambda v, mv: compton_pair_B(*v, spins=(1, 2.0)), "spin index must be 1 or 2, got 2.0"),
+        (lambda v, mv: moller_total(*mv, spins=(1, 1, 1, 2.0)),
+         "spin index must be 1 or 2, got 2.0"),
+        (lambda v, mv: moller_total(*mv, spins=(False, 1, 1, 1)),
+         "spin index must be 1 or 2, got False"),
+        (lambda v, mv: boost_scan("compton", [0.0, 0.5], spins=(True, 1)),
+         "spin index must be 1 or 2, got True"),
+        (lambda v, mv: boost_scan("compton", [0.0, 0.5], pols=(1.0, 1)),
+         "polarization index must be 1 or 2, got 1.0"),
+        (lambda v, mv: boost_scan("moller", [0.0, 0.5], spins=(1, 1, 1, 2.0)),
+         "spin index must be 1 or 2, got 2.0"),
+    ])
+    def test_bool_and_float_indices_rejected(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call(self.CM, self.MOLLER)
+        assert str(caught.value) == message
+
+    def test_numpy_integers_accepted(self):
+        spins, pols = (np.int64(2), np.int32(1)), (np.int8(2), np.uint16(1))
+        for fn in (compton_pair_A, compton_pair_B, compton_total):
+            assert (fn(*self.CM, spins=spins, pols=pols).total
+                    == fn(*self.CM, spins=(2, 1), pols=(2, 1)).total)
+        m_spins = tuple(np.int64(s) for s in (1, 2, 2, 1))
+        assert (moller_total(*self.MOLLER, spins=m_spins).total
+                == moller_total(*self.MOLLER, spins=(1, 2, 2, 1)).total)
+        scan = boost_scan("compton", [0.0, 0.5], spins=spins, pols=pols)
+        assert scan.rows == boost_scan("compton", [0.0, 0.5], spins=(2, 1), pols=(2, 1)).rows
+
+    def test_wrong_number_of_moller_spins(self):
+        with pytest.raises(ValueError):
+            moller_total(*self.MOLLER, spins=(1, 1, 1, 1, 1))
+
+
+MARGIN_KEYS = ["min_denominator", "on_shell_residual", "conservation_residual"]
+
+
+class TestGuardMargins:
+    @staticmethod
+    def scale(vectors):
+        return max(1.0, *(abs(c) for v in vectors for c in (v.t, v.x, v.y, v.z)))
+
+    @pytest.mark.parametrize("frame", [None, Boost.along_z(0.6), Boost((0.3, -0.4, 0.5))])
+    def test_default_kinematics_within_tolerances(self, frame):
+        cases = [(fn, compton_cm_kinematics(1.0, math.pi / 3.0, frame))
+                 for fn in (compton_pair_A, compton_pair_B, compton_total)]
+        cases.append((moller_total, moller_kinematics(4.0, math.pi / 3.0, frame)))
+        for fn, vectors in cases:
+            result = fn(*vectors)
+            margins = result.provenance["guard_margins"]
+            assert list(margins) == MARGIN_KEYS
+            assert all(type(value) is float for value in margins.values())
+            assert margins["min_denominator"] >= _POLE_RTOL
+            assert 0.0 <= margins["on_shell_residual"] <= _ONSHELL_RTOL
+            assert 0.0 <= margins["conservation_residual"] <= _CONSERVATION_RTOL
+            # the pole margin is the smallest guarded denominator in units of the scale
+            smallest = min(abs(part.denom) for part in result.parts)
+            assert margins["min_denominator"] == smallest / self.scale(vectors)
+
+    def test_json_keys_extend_without_change(self):
+        doc = moller_total(*moller_kinematics(4.0, 1.0)).to_json_dict()
+        assert list(doc)[-3:] == ["transfer_squared", "photon_energy", "guard_margins"]
+        assert list(doc["guard_margins"]) == MARGIN_KEYS
+        doc = compton_total(*compton_cm_kinematics(1.0, 1.0)).to_json_dict()
+        assert list(doc) == ["process", "frame", "eta", "parts", "total", "closed_form",
+                             "textbook_ratio", "guard_margins"]
+
+    def test_residuals_are_the_guarded_figures(self):
+        # a small off-shell shift shows up in the margin, below the guard
+        p, k, p_out, k_out = compton_cm_kinematics(1.0, 1.0)
+        shifted = FourVector(p.t + 1e-11, p.x, p.y, p.z)
+        moved = FourVector(p_out.t + 1e-11, p_out.x, p_out.y, p_out.z)
+        result = compton_total(shifted, k, moved, k_out)
+        margins = result.provenance["guard_margins"]
+        scale = self.scale((shifted, k, moved, k_out))
+        expected = max(abs(minkowski_dot(v, v) - m * m)
+                       for v, m in ((shifted, 1.0), (k, 0.0), (moved, 1.0), (k_out, 0.0)))
+        assert margins["on_shell_residual"] == expected / scale**2
+        assert 1e-12 < margins["on_shell_residual"] <= _ONSHELL_RTOL
+
+
+class TestCouplingPrefactorRange:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_volume_shift_density(self):
+        # V eps0 E = 2e310 used to overflow before the reciprocal was taken
+        from qlambda.vacuum import pair_shift_sample
+        p3, k3 = (1e10, 0.0, 0.0), (0.0, 0.0, 0.5)
+        reference = pair_shift_sample(p3, k3)
+        for volume in (1e200, 1e250):
+            value = pair_shift_sample(p3, k3, Constants(V=volume)).shift_density
+            assert value < 0.0
+            assert value == pytest.approx(reference.shift_density / volume, rel=1e-12)
+        # at V = 1e300 the density, about -4.6e-342, rounds to zero; the
+        # prefactor itself is a normal float
+        sample = pair_shift_sample(p3, k3, Constants(V=1e300))
+        assert sample.shift_density == 0.0
+        energy = math.sqrt(1e20 + 1.0) + math.sqrt(1e20 + 0.25 + 1.0)
+        prefactor = float(coupling_prefactor(sample.eta1, energy, Constants(V=1e300)))
+        charge = NATURAL.e * NATURAL.c * NATURAL.hbar
+        assert prefactor == pytest.approx(
+            charge * sample.eta1 / math.sqrt(1e300) / math.sqrt(energy), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_volumes_and_energies_against_logs(self):
+        volumes = [1e-300, 1e-150, 1.0, 1e150, 1e300]
+        energies = np.array([1e-300, 1e-10, 1.0, 1e10, 1e300])
+        for volume in volumes:
+            constants = Constants(V=volume)
+            charge = constants.e * constants.c * constants.hbar
+            for eta_value in (1.0, 1e-3):
+                values = coupling_prefactor(np.full(energies.shape, eta_value), energies, constants)
+                for energy, value in zip(energies, values):
+                    log_value = (math.log(charge) + math.log(eta_value)
+                                 - 0.5 * (math.log(volume) + math.log(energy)))
+                    assert value == pytest.approx(math.exp(log_value), rel=1e-12)
+
+    def test_default_constants_bit_identical(self):
+        rng = np.random.default_rng(64)
+        eta_values = rng.uniform(0.01, 1.0, 200)
+        energies = rng.uniform(0.01, 50.0, 200)
+        charge = NATURAL.e * NATURAL.c * NATURAL.hbar
+        medium = NATURAL.V * NATURAL.eps0
+        expected = charge * eta_values * np.sqrt(1.0 / (medium * energies))
+        assert np.array_equal(coupling_prefactor(eta_values, energies, NATURAL), expected)

@@ -122,6 +122,24 @@ class TestAmplitudeCommands:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["compton", "--beta", "0.4"],
+        ["compton", "--format", "csv"],
+        ["moller", "--beta", "0.7", "--spins", "1", "2", "2", "1"],
+        ["moller", "--format", "csv"],
+    ])
+    def test_guard_margins_recorded_byte_identical(self, tmp_path, argv):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        keys = ("min_denominator", "on_shell_residual", "conservation_residual")
+        if "csv" in argv:
+            lines = a.read_text().splitlines()
+            assert [line.split(",")[0] for line in lines[-3:]] == [f"guard_margins.{k}" for k in keys]
+        else:
+            assert tuple(json.loads(a.read_text())["guard_margins"]) == keys
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "amp.csv"
         rc = main(["moller", "--format", "csv", "--out", str(out)])
@@ -482,3 +500,31 @@ class TestFormatFlag:
             assert main([command, "--format", "json", "--out", str(explicit)]) == 0
             assert plain.read_bytes() == explicit.read_bytes()
             json.loads(plain.read_text())
+
+
+class TestExtremeConstantsAndSteps:
+    """Inputs the seeded CLI fuzzing found ending in a traceback or a warning."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["compton", "--constant", "alpha", "-1"], 2, "constant 'alpha' must be strictly positive"),
+        (["compton", "--constant", "m_e", "1e-300"], 2, "m_e^2 underflows"),
+        (["vacpol", "--constant", "m_e", "5e-324"], 2, "m_e^2 underflows"),
+        (["compton", "--photon-energy", "1e308", "--beta", "0.5"], 4, "kinematics overflowed"),
+    ])
+    def test_amplitude_and_vacpol_commands(self, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "artifact"
+        assert exit_code(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--constant", "hbar", "5e-324"], 2, "level gaps / hbar overflow"),
+        (["--dt", "1e308"], 3, "phase lambda t / hbar overflows"),
+    ])
+    def test_lambda_sim(self, tmp_path, capsys, lambda_file, argv, code, message):
+        argv = ["lambda-sim", "--system", str(lambda_file), "--out", str(tmp_path / "t.csv"),
+                "--summary", str(tmp_path / "s.json")] + argv
+        assert exit_code(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

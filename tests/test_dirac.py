@@ -2,14 +2,26 @@ import numpy as np
 import pytest
 
 from qlambda.dirac import (
+    bar_dot,
     boost_spinor,
     gamma_set,
+    pair_spinor,
+    polarization_column,
     polarization_pair,
+    row_dot,
+    sigma_dot,
     slash,
+    slash_column,
+    slash_row,
+    slash_sandwich,
     spin_block,
+    spin_column,
+    spin_pair,
     spin_sum,
+    transverse_basis,
     u_spinor,
     ubar,
+    vector_current,
     vertex_bilinear,
 )
 from qlambda.errors import MasslessAtRest, ZeroWavevector
@@ -273,3 +285,121 @@ class TestBoostSpinor:
             boosted_current = np.array([ubar(v) @ g[mu] @ v.components for mu in range(4)])
             expected = boost_matrix(b) @ current
             assert np.max(np.abs(boosted_current - expected)) < 1e-10
+
+
+class TestScalarBuilders:
+    """The array views are the scalar builders' values, bit for bit."""
+
+    MOMENTA = [(0.0, 0.0, 0.0), (0.0, 0.0, -2.0), (1e-300, 0.0, 0.0)] + [
+        tuple(p.tolist()) for p in rand_momenta(np.random.default_rng(34), 40, scale=5.0)
+    ]
+
+    @pytest.mark.parametrize("normalization", ["box", "covariant"])
+    def test_spin_views_equal_spin_pair(self, normalization):
+        for p3 in self.MOMENTA:
+            u1, u2, energy = spin_pair(*p3, 1.0, normalization)
+            px, py, pz = p3
+            assert energy == np.sqrt(px * px + py * py + pz * pz + 1.0)
+            block = spin_block(p3, 1.0, normalization)
+            assert block.dtype == complex and block.shape == (4, 2)
+            for s, u in ((1, u1), (2, u2)):
+                expected = np.array(u, dtype=complex)
+                assert np.array_equal(block[:, s - 1], expected)
+                assert np.array_equal(spin_column(p3, s, 1.0, normalization), expected)
+                assert np.array_equal(u_spinor(p3, s, 1.0, normalization).components, expected)
+
+    def test_spin_pair_rejections_match_spin_block(self):
+        with pytest.raises(MasslessAtRest):
+            spin_pair(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(MasslessAtRest):
+            spin_pair(0.0, 0.0, 1.0, 0.0, "covariant")
+        with pytest.raises(ValueError, match="unknown normalization 'lattice'"):
+            spin_pair(0.0, 0.0, 1.0, 1.0, "lattice")
+
+    def test_polarization_views_equal_transverse_basis(self):
+        wavevectors = [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (0.0, 0.0, -2.0), (0.0, 1e-150, 0.0)] + [
+            tuple(k.tolist()) for k in rand_momenta(np.random.default_rng(35), 40)
+        ]
+        for k3 in wavevectors:
+            basis = transverse_basis(*k3)
+            pair = polarization_pair(k3)
+            for alpha, e in enumerate(basis, start=1):
+                assert all(type(c) is float for c in e)
+                expected = np.array((0.0,) + e, dtype=complex)
+                assert np.array_equal(pair[alpha - 1].components, expected)
+                assert np.array_equal(polarization_column(k3, alpha), expected)
+
+    def test_transverse_basis_z_axis_exact(self):
+        assert transverse_basis(0.0, 0.0, 1.0) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+    def test_transverse_basis_zero_wavevector(self):
+        with pytest.raises(ZeroWavevector):
+            transverse_basis(0.0, 0.0, 0.0)
+
+
+def random_spinor(rng):
+    return tuple(complex(a, b) for a, b in rng.normal(size=(4, 2)))
+
+
+class TestPauliBlockHelpers:
+    """Each helper against its gamma-matrix form, to 1e-14 of the term scale."""
+
+    @staticmethod
+    def close(value, expected, scale):
+        assert np.max(np.abs(np.asarray(value) - np.asarray(expected))) <= 1e-14 * scale
+
+    def test_against_gamma_matrices(self):
+        rng = np.random.default_rng(36)
+        g = gamma_set()
+        for _ in range(200):
+            ua, ub = random_spinor(rng), random_spinor(rng)
+            e = tuple(rng.normal(size=3))
+            q = tuple(rng.normal(size=4) * 3.0)
+            m = float(rng.uniform(0.1, 2.0))
+            a, b = np.array(ua), np.array(ub)
+            norm_e = float(np.linalg.norm(e))
+            scale = norm_e * np.linalg.norm(a) * np.linalg.norm(b)
+            eps_slash = slash(np.concatenate([[0.0], e]))
+            sigma_e = sum(e[i] * PAULI[i] for i in range(3))
+            self.close(sigma_dot(e, ua[:2]), sigma_e @ a[:2], norm_e * np.linalg.norm(a))
+            self.close(slash_column(e, ua), eps_slash @ a, norm_e * np.linalg.norm(a))
+            self.close(slash_row(ub, e), ubar(b) @ eps_slash, norm_e * np.linalg.norm(b))
+            self.close(bar_dot(ub, a), ubar(b) @ a, np.linalg.norm(a) * np.linalg.norm(b))
+            self.close(row_dot(ub, a), b @ a, np.linalg.norm(a) * np.linalg.norm(b))
+            assert pair_spinor(ua) == (-ua[2], -ua[3], ua[0], ua[1])
+            row, col = slash_row(ub, e), slash_column(e, ua)
+            sandwich = np.array(row) @ (slash(q) + m * I4) @ np.array(col)
+            self.close(slash_sandwich(row, q, m, col), sandwich,
+                       scale * norm_e * (np.sum(np.abs(q)) + m))
+            current = [ubar(b) @ g[mu] @ a for mu in range(4)]
+            self.close(vector_current(ub, ua), current, np.linalg.norm(a) * np.linalg.norm(b))
+
+    def test_elementwise_over_stacked_arrays(self):
+        # the helpers take (n,) arrays in every slot and match a scalar loop to
+        # 1e-14 of the largest value at each index
+        rng = np.random.default_rng(37)
+        n = 64
+        ua = tuple(rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4))
+        ub = tuple(rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4))
+        e = tuple(rng.normal(size=n) for _ in range(3))
+        q = tuple(rng.normal(size=n) * 3.0 for _ in range(4))
+        m = 0.7
+
+        def calls(ua, ub, e, q):
+            row, col = slash_row(ub, e), slash_column(e, ua)
+            return (sigma_dot(e, ua[:2]), col, row, bar_dot(ub, col), row_dot(row, ua),
+                    pair_spinor(ua), slash_sandwich(row, q, m, col), vector_current(ub, ua))
+
+        stacked = calls(ua, ub, e, q)
+        flat = [np.broadcast_to(np.asarray(v), (n,)) for group in stacked
+                for v in (group if isinstance(group, tuple) else (group,))]
+        for i in range(n):
+            pick = (lambda arrays: tuple(complex(x[i]) if np.iscomplexobj(x) else float(x[i])
+                                         for x in arrays))
+            scalar = calls(pick(ua), pick(ub), pick(e), pick(q))
+            values = [v for group in scalar for v in (group if isinstance(group, tuple) else (group,))]
+            assert len(values) == len(flat)
+            # numpy may round a complex product differently from Python
+            top = max(abs(value) for value in values)
+            for array, value in zip(flat, values):
+                assert abs(array[i] - value) <= 1e-14 * top

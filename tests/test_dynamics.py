@@ -140,6 +140,20 @@ class TestLevelSystem:
 
 
 class TestEvolve:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_phase_is_a_step_guard(self):
+        # |lambda| t / hbar = 10 x 1e308 used to become NaN phases with warnings
+        with pytest.raises(StepTooLarge, match="phase lambda t / hbar overflows"):
+            evolve(lambda_system(), [1.0, 0.0, 0.0], 1e308, 1e308)
+        with pytest.raises(StepTooLarge, match="phase lambda t / hbar overflows"):
+            evolve(lambda_system(), [1.0, 0.0, 0.0], 1.0, 1.0, hbar=5e-324)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sample_time_rejected(self):
+        # t_final / dt = 1.7 rounds to two steps, and 2 x 1e308 overflows
+        with pytest.raises(ConfigError, match="last sample time 2 x dt overflows"):
+            evolve(lambda_system(), [1.0, 0.0, 0.0], 1.7e308, 1e308)
+
     def test_zero_couplings_flat_populations(self):
         sys2 = LevelSystem([0.0, 3.0], np.zeros((2, 2)))
         psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -297,6 +311,12 @@ class TestBasePeriod:
 
 
 class TestMagnus:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("hbar", [5e-324, 3e-308])
+    def test_overflowing_gap_over_hbar_rejected(self, hbar):
+        with pytest.raises(ConfigError, match="level gaps / hbar overflow"):
+            magnus_second_order(lambda_system(), hbar=hbar)
+
     @pytest.mark.parametrize(
         "system",
         [

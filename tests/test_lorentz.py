@@ -248,6 +248,21 @@ class TestConstants:
         with pytest.raises(ConfigError, match="bogus"):
             constants_from_mapping({"bogus": 1.0})
 
+    @pytest.mark.parametrize("m_e", [1e-160, 1e-300, 5e-324])
+    def test_mass_whose_square_underflows_rejected(self, m_e):
+        # every energy is sqrt(|p|^2 + m^2): a zero m^2 leaves zero rest energies
+        with pytest.raises(ConfigError, match="m_e\\^2 underflows"):
+            Constants(m_e=m_e)
+
+    def test_smallest_masses_with_a_normal_square_accepted(self):
+        assert Constants(m_e=1e-150).m_e == 1e-150
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan")])
+    def test_bad_alpha_rejected_before_the_square_root(self, alpha):
+        with pytest.raises(ConfigError) as caught:
+            constants_from_mapping({"alpha": alpha})
+        assert str(caught.value) == f"constant 'alpha' must be strictly positive, got {alpha!r}"
+
     def test_alpha_derives_charge(self):
         c = constants_from_mapping({"alpha": 0.01})
         assert c.e == pytest.approx(math.sqrt(4 * math.pi * 0.01), rel=1e-14)
