@@ -18,10 +18,11 @@ E_k * omega1 * omega2 / (k0^2 - E_k^2) per polarization, with E_k the energy
 of the exchanged photon in both prefactors.
 
 Every vertex is evaluated on the Pauli blocks of the spinors with the
-scalar helpers of `dirac`; the only numpy call left on this path is the
-scalar square root inside `coupling_prefactor`, which vacuum shares. Each
-result records in `provenance["guard_margins"]` how close it came to the
-pole, on-shell and conservation guards.
+scalar helpers of `pauli`, and the module imports no numpy:
+`coupling_prefactor`, which vacuum shares, takes numpy's square root only
+when it is handed arrays. Each result records in
+`provenance["guard_margins"]` how close it came to the pole, on-shell and
+conservation guards.
 """
 from __future__ import annotations
 
@@ -29,20 +30,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .dirac import (
-    _require_index,
-    bar_dot,
-    pair_spinor,
-    row_dot,
-    slash_column,
-    slash_row,
-    slash_sandwich,
-    spin_pair,
-    transverse_basis,
-    vector_current,
-)
 from .errors import ConfigError, ForwardSingularity, OffShellInput, PoleEncountered, ZeroReference
 from .jsonio import write_table
 from .lorentz import (
@@ -54,6 +41,18 @@ from .lorentz import (
     eta,
     minkowski_dot,
     moller_kinematics,
+)
+from .pauli import (
+    _require_index,
+    bar_dot,
+    pair_spinor,
+    row_dot,
+    slash_column,
+    slash_row,
+    slash_sandwich,
+    spin_pair,
+    transverse_basis,
+    vector_current,
 )
 
 _ONSHELL_RTOL = 1e-9
@@ -94,13 +93,22 @@ def coupling_prefactor(eta_value, energy, constants: Constants):
     It is evaluated as ((e c hbar / sqrt(V eps0)) eta) sqrt(1/E): the first
     factor is the square root of the checked scale, so V eps0 and E never
     meet in one product that could overflow or underflow, and at
-    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E).
+    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E). A scalar E
+    (int or float, numpy float64 included) takes math.sqrt, with NaN for an E
+    that is not positive; anything else, arrays of E above all, takes numpy's
+    square root.
     """
     charge = constants.e * constants.c * constants.hbar
     medium = constants.V * constants.eps0
     if not (medium > 0.0 and sys.float_info.min <= charge * charge / medium <= sys.float_info.max):
         raise ConfigError("coupling scale (e c hbar)^2 / (V eps0) is not a finite normal float")
-    return charge / math.sqrt(medium) * eta_value * np.sqrt(1.0 / energy)
+    if isinstance(energy, (int, float)):  # numpy float64 too
+        root = math.sqrt(1.0 / energy) if energy > 0.0 else math.nan
+    else:
+        import numpy as np
+
+        root = np.sqrt(1.0 / energy)
+    return charge / math.sqrt(medium) * eta_value * root
 
 
 def coupling_factor(eta_value: float, energy: float, constants: Constants) -> CouplingFactor:
@@ -140,7 +148,7 @@ class AmplitudeResult:
 
     def to_json_dict(self) -> dict:
         def cplx(z):
-            return [float(np.real(z)), float(np.imag(z))]
+            return [float(z.real), float(z.imag)]
 
         doc = {
             "process": self.process,

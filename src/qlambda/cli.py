@@ -4,6 +4,10 @@ Subcommands: lambda-sim, compton, moller, vacpol, boost-scan. Every command
 is deterministic for a given configuration; repeated runs produce
 byte-identical artifacts. Exit codes: 0 success, 2 configuration error,
 3 integration guard, 4 physics-domain error, 5 convergence guard.
+
+compton, moller and boost-scan run on the numpy-free scalar layer; only
+lambda-sim and vacpol import numpy, dynamics and vacuum, inside their
+commands, so the amplitude commands start without them.
 """
 from __future__ import annotations
 
@@ -13,9 +17,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import amplitudes, dynamics, lorentz, vacuum
+from . import amplitudes, lorentz
 from .errors import ConfigError, GridTooCoarse, PhysicsDomainError, StepTooLarge
 from .jsonio import dump_json, dump_key_value_csv
 from .lorentz import Boost, Constants, constants_from_mapping, read_constants_file
@@ -79,6 +81,10 @@ def _require_csv(args) -> None:
 
 
 def cmd_lambda_sim(args) -> int:
+    import numpy as np
+
+    from . import dynamics
+
     _require_csv(args)
     constants = _resolve_constants(args)
     try:
@@ -126,6 +132,8 @@ def cmd_lambda_sim(args) -> int:
 
 def _fit_rabi_rate(times: np.ndarray, populations: np.ndarray, hbar: float) -> float:
     """Rate from the first transfer maximum, with parabolic peak refinement."""
+    import numpy as np
+
     idx = int(np.argmax(populations))
     if idx == 0:
         return 0.0
@@ -173,6 +181,10 @@ def cmd_moller(args) -> int:
 
 
 def cmd_vacpol(args) -> int:
+    import numpy as np
+
+    from . import vacuum
+
     _require_csv(args)
     constants = _resolve_constants(args)
     grid = vacuum.GridSpec(

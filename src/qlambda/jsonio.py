@@ -7,8 +7,8 @@ byte-identical artifacts regardless of locale.
 from __future__ import annotations
 
 import json
-
-import numpy as np
+import math
+import numbers
 
 FLOAT_FORMAT = "%.17g"
 
@@ -31,11 +31,11 @@ def _format(obj, level: int) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # int and numpy integers
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # float and numpy floats
         value = float(obj)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             return json.dumps(value)  # Infinity / -Infinity / NaN, as json.dumps
         return FLOAT_FORMAT % value
     if isinstance(obj, complex):

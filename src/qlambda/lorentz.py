@@ -3,6 +3,10 @@
 Default constants are natural units (hbar = c = eps0 = 1, m_e = 1) with the
 electron charge derived from the fine-structure constant. The metric is
 (+,-,-,-).
+
+The module imports numpy only inside the accessors that return arrays
+(`FourVector.spatial`, `FourVector.as_array`, `Boost.beta_vector`,
+`boost_matrix`); kinematics and boosts run on Python floats.
 """
 from __future__ import annotations
 
@@ -10,9 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable
-
-import numpy as np
+from collections.abc import Iterable
 
 from .errors import (
     BelowThreshold,
@@ -111,9 +113,13 @@ class FourVector:
 
     @property
     def spatial(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.t, self.x, self.y, self.z])
 
     def __add__(self, other: "FourVector") -> "FourVector":
@@ -168,6 +174,8 @@ class Boost:
 
     @property
     def beta_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.beta)
 
     @property
@@ -184,20 +192,32 @@ class Boost:
         return Boost((-bx, -by, -bz))
 
 
-def boost_matrix(v: Boost) -> np.ndarray:
-    """4x4 matrix taking a rest four-momentum to one moving with velocity +beta."""
-    b2 = v.beta2
+def _boost_rows(v: Boost):
+    """Rows of the boost matrix as Python floats; None for the identity.
+
+    beta is cast to float first, so numpy scalars in it do not carry over
+    into the boosted momenta.
+    """
+    bx, by, bz = (float(b) for b in v.beta)
+    b2 = bx * bx + by * by + bz * bz
     if b2 == 0.0:
-        return np.eye(4)
+        return None
     g = v.gamma
     c = (g - 1.0) / b2
-    bx, by, bz = v.beta
-    return np.array([
-        [g, g * bx, g * by, g * bz],
-        [g * bx, 1.0 + c * (bx * bx), c * (bx * by), c * (bx * bz)],
-        [g * by, c * (by * bx), 1.0 + c * (by * by), c * (by * bz)],
-        [g * bz, c * (bz * bx), c * (bz * by), 1.0 + c * (bz * bz)],
-    ])
+    return (
+        (g, g * bx, g * by, g * bz),
+        (g * bx, 1.0 + c * (bx * bx), c * (bx * by), c * (bx * bz)),
+        (g * by, c * (by * bx), 1.0 + c * (by * by), c * (by * bz)),
+        (g * bz, c * (bz * bx), c * (bz * by), 1.0 + c * (bz * bz)),
+    )
+
+
+def boost_matrix(v: Boost) -> np.ndarray:
+    """4x4 matrix taking a rest four-momentum to one moving with velocity +beta."""
+    import numpy as np
+
+    rows = _boost_rows(v)
+    return np.eye(4) if rows is None else np.array(rows)
 
 
 def boost(v: Boost, p: FourVector) -> FourVector:
@@ -210,7 +230,7 @@ def cm_boost(total: FourVector) -> Boost:
     if not total.t > 0.0:
         raise NonpositiveEnergy(f"total energy must be positive, got {total.t!r}")
     invariant_mass(total)  # reject spacelike totals
-    return Boost(tuple(-total.spatial / total.t))
+    return Boost((-total.x / total.t, -total.y / total.t, -total.z / total.t))
 
 
 def on_shell_energy(p3: Iterable[float], m: float) -> float:
@@ -220,16 +240,22 @@ def on_shell_energy(p3: Iterable[float], m: float) -> float:
 
 
 def _maybe_boost(vectors, beta: Boost | None):
-    """The vectors boosted by beta: one matrix applied to the stacked momenta.
+    """The vectors boosted by beta: the rows of one boost matrix, in Python floats.
 
     Components that overflow come out as inf or NaN without a warning; the
     amplitudes reject them as overflowed kinematics.
     """
-    if beta is None or beta.beta2 == 0.0:
+    rows = None if beta is None else _boost_rows(beta)
+    if rows is None:
         return vectors
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.array([(v.t, v.x, v.y, v.z) for v in vectors]) @ boost_matrix(beta).T
-    return tuple(FourVector(*row) for row in rows.tolist())
+    (t0, t1, t2, t3), (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = rows
+    return tuple(
+        FourVector(t0 * v.t + t1 * v.x + t2 * v.y + t3 * v.z,
+                   x0 * v.t + x1 * v.x + x2 * v.y + x3 * v.z,
+                   y0 * v.t + y1 * v.x + y2 * v.y + y3 * v.z,
+                   z0 * v.t + z1 * v.x + z2 * v.y + z3 * v.z)
+        for v in vectors
+    )
 
 
 def compton_kinematics(

@@ -320,8 +320,8 @@ def total_shift(
     power-law fit of the radial profile over the top two decades and the
     grid-refinement delta. Raises GridTooCoarse when doubling the radial
     panel count moves the result by more than refine_tol, and ConfigError
-    for a non-finite k3, cutoff, photon_energy or refine_tol, or a cutoff
-    above _MAX_CUTOFF. `n_threads` is accepted and has no effect: the
+    for a non-finite k3, cutoff, photon_energy or refine_tol, a negative
+    refine_tol (0 demands an exact match), or a cutoff above _MAX_CUTOFF. `n_threads` is accepted and has no effect: the
     momentum sum runs as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
@@ -333,6 +333,8 @@ def total_shift(
     ):
         if value is not None and not np.all(np.isfinite(value)):
             raise ConfigError(f"{name} must be finite, got {value}")
+    if refine_tol < 0.0:
+        raise ConfigError(f"refine_tol must be >= 0, got {refine_tol!r}")
     if not k3.any():
         raise ZeroWavevector("momentum integral undefined for k = 0")
     m = constants.m_e

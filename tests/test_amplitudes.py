@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -731,24 +736,48 @@ class TestPauliBlocksAgainstGammaMatrices:
                     assert abs(result.textbook_total - textbook) <= 1e-12 * scale
 
 
-def test_amplitude_calls_use_no_numpy_arrays(monkeypatch):
-    # with numpy cut down to the scalar square root of the shared coupling
-    # prefactor and the integer type of the index check, every amplitude still runs
-    import qlambda.amplitudes
-    import qlambda.dirac
+# every scalar subcommand: both frames, boosted kinematics and both boost-scan processes
+SCALAR_COMMANDS = {
+    "compton_cm.json": ["compton"],
+    "compton_rest.json": ["compton", "--frame", "rest", "--spins", "2", "1"],
+    "compton_boosted.json": ["compton", "--beta", "0.4", "--pols", "2", "1"],
+    "compton_rest_boosted.csv": ["compton", "--frame", "rest", "--beta", "-0.3",
+                                 "--format", "csv"],
+    "moller.json": ["moller", "--spins", "1", "2", "1", "2"],
+    "moller_boosted.json": ["moller", "--beta", "0.6", "--theta", "2.0"],
+    "scan_compton.csv": ["boost-scan", "--process", "compton"],
+    "scan_moller.csv": ["boost-scan", "--process", "moller", "--normalization", "covariant"],
+}
 
-    class ScalarNumpy:
-        sqrt = staticmethod(np.sqrt)
-        integer = np.integer
+NO_NUMPY_SCRIPT = """
+import json, sys
+from qlambda.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(json.dumps([argv[0], code, "numpy" in sys.modules]))
+"""
 
-    cases = [(fn, compton_cm_kinematics(1.3, 1.0, Boost((0.1, 0.2, 0.3))), {"pols": (2, 1)})
-             for fn in (compton_pair_A, compton_pair_B, compton_total)]
-    cases.append((moller_total, moller_kinematics(4.0, 1.0, Boost((0.1, 0.2, 0.3))), {}))
-    expected = [fn(*v, **kw, normalization="covariant").total for fn, v, kw in cases]
-    monkeypatch.setattr(qlambda.amplitudes, "np", ScalarNumpy)
-    monkeypatch.setattr(qlambda.dirac, "np", ScalarNumpy)
-    for (fn, vectors, kwargs), total in zip(cases, expected):
-        assert fn(*vectors, **kwargs, normalization="covariant").total == total
+
+def test_amplitude_calls_use_no_numpy_arrays(tmp_path):
+    # a fresh interpreter runs every scalar subcommand without importing numpy,
+    # and writes the same bytes as the same argv run here, with numpy loaded
+    import qlambda
+    from qlambda.cli import main
+
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    argvs = [[*argv, "--out", str(fresh / name)] for name, argv in SCALAR_COMMANDS.items()]
+    env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert runs == [[argv[0], 0, False] for argv in argvs]
+    assert "numpy" in sys.modules
+    for name, argv in SCALAR_COMMANDS.items():
+        assert main([*argv, "--out", str(here / name)]) == 0
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
 class TestIntegerIndices:

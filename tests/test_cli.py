@@ -80,7 +80,7 @@ class TestLambdaSim:
         def explode(*args, **kwargs):
             raise StepTooLarge("synthetic drift")
 
-        monkeypatch.setattr("qlambda.cli.dynamics.evolve", explode)
+        monkeypatch.setattr("qlambda.dynamics.evolve", explode)
         rc = main(["lambda-sim", "--system", str(lambda_file),
                    "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
         assert rc == 3
@@ -308,6 +308,19 @@ class TestVacpol:
                                             "--summary", str(tmp_path / "s.json")])
         assert rc == 2
 
+    def test_negative_refine_tol_exit_2(self, tmp_path, capsys):
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        rc = main(["vacpol", "--refine-tol", "-1", "--out", str(out), "--summary", str(summary)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: refine_tol must be >= 0")
+        assert not out.exists() and not summary.exists()
+
+    def test_zero_refine_tol_reaches_the_guard(self, tmp_path):
+        # 0 passes the boundary; the default grid then moves the result by more
+        rc = main(["vacpol", "--refine-tol", "0", "--out", str(tmp_path / "c.csv"),
+                   "--summary", str(tmp_path / "s.json")])
+        assert rc == 5
+
     @pytest.mark.parametrize("argv", [
         ["--cutoff", "1e95"],
         ["--cutoff", "1e103"],
@@ -446,6 +459,19 @@ class TestOverflowingKinematics:
         assert not out.exists()
         if argv[-1] != "0.9999999999999999":
             assert "kinematics overflowed" in err
+
+
+class TestTinyPhotonEnergy:
+    def test_vanishing_denominator_not_zero_wavevector(self, tmp_path, capsys):
+        # |k|^2 underflows at 1e-300, but k itself is nonzero: the run reaches
+        # the pole guard of the forward ordering, whose denominator rounds to 0
+        out = tmp_path / "amplitude.json"
+        assert main(["compton", "--photon-energy", "1e-300", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("physics domain error: channel 1 forward ordering: "
+                              "energy denominator")
+        assert "k = 0" not in err
+        assert not out.exists()
 
 
 class TestTinyWavevectorVacpol:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,40 @@ class TestScalarBuilders:
     def test_transverse_basis_zero_wavevector(self):
         with pytest.raises(ZeroWavevector):
             transverse_basis(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("k3, direction", [
+        ((0.0, 1e-300, 0.0), (0.0, 1.0, 0.0)),
+        ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, -1e-170, 1e-170), (0.0, -1.0, 1.0)),
+        ((1e300, 0.0, 1e300), (1.0, 0.0, 1.0)),
+    ])
+    def test_transverse_basis_of_tiny_and_huge_k(self, k3, direction):
+        # |k|^2 underflows or overflows; the direction alone sets the basis
+        assert transverse_basis(*k3) == transverse_basis(*direction)
+
+    def test_transverse_basis_rescale_is_exact(self):
+        def unscaled(kx, ky, kz):
+            norm = math.sqrt(kx * kx + ky * ky + kz * kz)
+            hx, hy, hz = kx / norm, ky / norm, kz / norm
+            ax, ay, az = abs(hx), abs(hy), abs(hz)
+            if ax <= ay and ax <= az:
+                gx, gy, gz = 1.0 - hx * hx, -hx * hy, -hx * hz
+            elif ay <= az:
+                gx, gy, gz = -hy * hx, 1.0 - hy * hy, -hy * hz
+            else:
+                gx, gy, gz = -hz * hx, -hz * hy, 1.0 - hz * hz
+            g_norm = math.sqrt(gx * gx + gy * gy + gz * gz)
+            ex, ey, ez = gx / g_norm, gy / g_norm, gz / g_norm
+            return (ex, ey, ez), (hy * ez - hz * ey, hz * ex - hx * ez, hx * ey - hy * ex)
+
+        # magnitudes whose squares stay normal floats: the unscaled formula is exact there
+        rng = np.random.default_rng(36)
+        for _ in range(20000):
+            k3 = rng.normal(size=3) * 10.0 ** rng.uniform(-100.0, 100.0)
+            if rng.random() < 0.2:
+                k3[rng.integers(3)] = 0.0
+            k3 = k3.tolist()
+            assert transverse_basis(*k3) == unscaled(*k3), k3
 
 
 def random_spinor(rng):

@@ -425,6 +425,20 @@ class TestTotalShiftBounds:
                  n_theta=vacuum._MAX_N_THETA)
         GridSpec(n_radial=vacuum._MAX_GRID_NODES // 2, n_theta=2)
 
+    @pytest.mark.parametrize("refine_tol", [-1.0, -5e-324, -math.inf])
+    def test_negative_refine_tol_rejected_before_integration(self, monkeypatch, refine_tol):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated with a negative refine_tol")
+
+        monkeypatch.setattr(vacuum, "_integrate", no_integral)
+        with pytest.raises(ConfigError, match="refine_tol"):
+            total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8), refine_tol=refine_tol)
+
+    def test_zero_refine_tol_is_valid(self):
+        # 0 is a valid tolerance: any nonzero grid-refinement move trips the guard
+        with pytest.raises(GridTooCoarse):
+            total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8), refine_tol=0.0)
+
     def test_refine_delta_is_the_guarded_move(self):
         coarse, report = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8))
         fine, _ = total_shift(K3, 1e3, GridSpec(n_radial=96, n_theta=8))
