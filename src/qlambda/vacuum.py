@@ -35,10 +35,18 @@ from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost
 
 # Beyond ~1e95 the p^-4 edge profile underflows and the report turns NaN.
 _MAX_CUTOFF = 1e60
-# The refinement pass evaluates 8 n_radial n_theta momenta at ~200 bytes each,
-# so the largest accepted grid peaks near 400 MB.
+# The kernel runs in blocks of _BLOCK_POINTS, so its memory does not grow with
+# the grid: the largest accepted grid (256 x 1024) peaks at 47 MB RSS, of which
+# 17 MB is leggauss's 1024 x 1024 companion matrix and 29 MB the interpreter.
 _MAX_N_THETA = 1024
 _MAX_GRID_NODES = 2**18
+# Grid points per kernel call in _radial_profile. Each temporary of a block is
+# 32 KiB, a quarter of glibc's 128 KiB heap-trim threshold; the freed block is
+# reused by the next one and total_shift takes no page fault. From 6144 points
+# the freed temporaries push the heap top past the threshold, it is returned
+# to the OS, and the default grid faults 80-200 pages back in per call. Fewer
+# points per block pay more per-call Python overhead (2048: about 12 % slower).
+_BLOCK_POINTS = 4096
 # d^3p / (2 pi)^3: the V of the box-sum measure V d^3p / (2 pi)^3 cancels the
 # 1/V of the squared prefactor exactly, so the momentum sum runs at V = 1
 _MEASURE = 1.0 / (2.0 * math.pi) ** 3
@@ -94,54 +102,66 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _cylindrical_terms(p_perp2, p_par, k_norm: float, constants: Constants, photon_energy: float):
+def _cylindrical_terms(
+    p_sq, p_perp2, p_par, k_norm: float, constants: Constants, photon_energy: float
+):
     """eta1, spinor factor and shift density in cylindrical coordinates about k.
 
-    `p_perp2 = |p x khat|^2` and `p_par = p.khat` broadcast as arrays or
-    floats. The spinor factor is the closed Dirac trace of the spin-summed,
-    polarization-averaged squared bilinear (Peskin & Schroeder 5.1),
-    [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k and 3-vector
-    products. Both differences cancel as p nears the k axis (1e-3 relative
-    at 1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = p_perp2
-    and E E' - p.p' - m^2 = |k|^2 (p_perp2 + m^2) / (E E' + p.p' + m^2). That
-    ratio is at most 1/2, so the product cannot overflow, and a |k|^2 that
-    underflows drops out instead of dividing. The bracket
-    1/(w - E - E') - 1/(w + E + E') has poles at w = +-(E + E'), so
-    RealPairThreshold is raised once |w| reaches E + E' at any momentum.
+    `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` broadcast as
+    arrays or floats; E = sqrt(|p|^2 + m^2) is evaluated on the shape of
+    `p_sq`, so a grid passes it once per radius. The spinor factor is the
+    closed Dirac trace of the spin-summed, polarization-averaged squared
+    bilinear (Peskin & Schroeder 5.1), [p.p'_perp + E E' - p.p' - m^2] / (E E')
+    with p' = p + k and 3-vector products. Both differences cancel as p nears
+    the k axis (1e-3 relative at 1e-7 rad and |p| = 1e3), so they are
+    evaluated as p.p'_perp = p_perp2 and
+    E E' - p.p' - m^2 = |k|^2 (p_perp2 + m^2) / (E E' + p.p' + m^2), with
+    p.p' + m^2 = E^2 + |k| p.khat. That ratio is at most 1/2, so the product
+    cannot overflow, and a |k|^2 that underflows drops out instead of
+    dividing. The squared prefactor P0 eta1^2 / C (C = E + E') times the
+    bracket 1/(w - C) - 1/(w + C) is P0 eta1^2 2 / (w^2 - C^2), with
+    P0 = coupling_prefactor(1, 1)^2. The bracket has poles at w = +-C, so
+    RealPairThreshold is raised once |w| reaches C at any momentum; scaling
+    the smallest C by 1 - 1e-12 rounds exactly as scaling each C would.
     """
     m = constants.m_e
     m_sq = m * m
+    e_p_sq = p_sq + m_sq
+    e_p = np.sqrt(e_p_sq)
+    perp_m = p_perp2 + m_sq
     p_pk = p_par + k_norm
-    e_p = np.sqrt(p_perp2 + p_par * p_par + m_sq)
-    e_pk = np.sqrt(p_perp2 + p_pk * p_pk + m_sq)
+    e_pk = np.sqrt(perp_m + p_pk * p_pk)
     combined = e_p + e_pk
-    if (abs(photon_energy) >= combined * (1.0 - 1e-12)).any():
+    if abs(photon_energy) >= combined.min() * (1.0 - 1e-12):
         raise RealPairThreshold(
             f"photon energy {photon_energy!r} reaches the pair threshold"
         )
     eta1 = m / e_pk
     e_prod = e_p * e_pk
-    dot = p_perp2 + p_par * p_pk
     spinor_factor = (
-        p_perp2 + k_norm * k_norm * ((p_perp2 + m_sq) / (e_prod + dot + m_sq))
+        p_perp2 + k_norm * k_norm * (perp_m / (e_prod + (e_p_sq + k_norm * p_par)))
     ) / e_prod
-    prefactor_sq = coupling_prefactor(eta1, combined, constants) ** 2
-    bracket = 1.0 / (photon_energy - combined) - 1.0 / (photon_energy + combined)
-    return eta1, spinor_factor, prefactor_sq * spinor_factor * bracket
+    # grouped so each product stays in range up to |p| ~ 1e150; forming
+    # E E'^2 (w^2 - C^2) first would overflow there
+    scale = 2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
+    bracket = eta1 * eta1 / (photon_energy * photon_energy - combined * combined)
+    return eta1, spinor_factor, (scale * spinor_factor) * bracket
 
 
 def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
     """eta1, spinor factor and shift density for momenta of shape (..., 3).
 
-    The Cartesian entry to `_cylindrical_terms`: p.khat and |p x khat|^2 are
-    read by components, so only the unit vector khat enters them.
+    The Cartesian entry to `_cylindrical_terms`: |p|^2, p.khat and
+    |p x khat|^2 are read by components, so only the unit vector khat enters
+    them.
     """
     k_norm = math.hypot(*k3)
     hx, hy, hz = (component / k_norm for component in k3.tolist())
     px, py, pz = p3s.transpose(-1, *range(p3s.ndim - 1))
+    p_sq = px * px + py * py + pz * pz
     p_par = px * hx + py * hy + pz * hz
     p_perp2 = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
-    return _cylindrical_terms(p_perp2, p_par, k_norm, constants, photon_energy)
+    return _cylindrical_terms(p_sq, p_perp2, p_par, k_norm, constants, photon_energy)
 
 
 @dataclass(frozen=True)
@@ -260,21 +280,28 @@ def _radial_profile(
     constants: Constants,
     photon_energy: float,
 ) -> np.ndarray:
-    """Angular integral of the density at each radius (one batched call).
+    """Angular integral of the density at each radius, in blocks of radii.
 
     The summed density depends only on |p| and the angle to k, so the polar
     axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
     covers the whole sphere. The kernel takes the (radius, node) grid of
-    r sin(theta) and r cos(theta) directly.
+    r^2 sin^2(theta) and r cos(theta) directly, _BLOCK_POINTS points at a time.
     """
     cos_t, weights = _gauss_rule(grid.n_theta)
-    sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    p_perp = np.multiply.outer(radii, sin_t)
-    p_par = np.multiply.outer(radii, cos_t)
-    _, _, dens = _cylindrical_terms(
-        p_perp * p_perp, p_par, math.hypot(*k3), constants, photon_energy
-    )
-    return dens @ (2.0 * math.pi * weights)
+    sin_sq = 1.0 - cos_t * cos_t
+    angular = 2.0 * math.pi * weights
+    k_norm = math.hypot(*k3)
+    r_sq = (radii * radii)[:, None]
+    rows = max(1, _BLOCK_POINTS // grid.n_theta)
+    profile = np.empty(radii.size)
+    for start in range(0, radii.size, rows):
+        block = slice(start, start + rows)
+        _, _, dens = _cylindrical_terms(
+            r_sq[block], r_sq[block] * sin_sq, np.multiply.outer(radii[block], cos_t),
+            k_norm, constants, photon_energy,
+        )
+        profile[block] = dens @ angular
+    return profile
 
 
 def _integrate(

@@ -391,6 +391,63 @@ class TestCylindricalKernel:
         assert sorted(built) == [4, 8, 16]
 
 
+def oracle_profile(radius, k_norm, photon_energy):
+    """2 pi times the mpmath integral over cos(theta) of the textbook point density.
+
+    The density is e^2 eta1^2 / (E + E') times the direct trace
+    [p.p'_perp + E E' - p.p' - m^2] / (E E') times 1/(w - C) - 1/(w + C), at
+    50 digits: at |p| = 1e8 the trace difference cancels 16 of them.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        r, k, w = mp.mpf(radius), mp.mpf(k_norm), mp.mpf(photon_energy)
+        e_sq = mp.mpf(NATURAL.e) ** 2
+        e_p = mp.sqrt(r * r + 1)
+
+        def density(c):
+            p_par, p_perp2 = r * c, r * r * (1 - c * c)
+            e_pk = mp.sqrt(p_perp2 + (p_par + k) ** 2 + 1)
+            combined = e_p + e_pk
+            trace = (p_perp2 + e_p * e_pk - (r * r + k * p_par) - 1) / (e_p * e_pk)
+            bracket = 1 / (w - combined) - 1 / (w + combined)
+            return e_sq / (e_pk * e_pk * combined) * trace * bracket
+
+        return float(2 * mp.pi * mp.quad(density, [-1, 0, 1]))
+
+
+class TestRadialProfile:
+    # Radii stay a decade away from |k|: for |k| > m the branch point of E' at
+    # cos(theta) = -1 - ((r - |k|)^2 + m^2) / (2 r |k|) comes close to the
+    # interval there, and the 16-node rule is off by 5e-12 at r = 1 and 5e-6
+    # at r = 3 for |k| = 2.29.
+    RADII = np.array([1e-4, 1e-2, 0.3, 10.0, 1e2, 1e4, 1e6, 1e8])
+
+    @pytest.mark.parametrize("k_norm", [0.5, 2.29])
+    @pytest.mark.parametrize("energy", [None, 1.3, -1.0])
+    def test_matches_mpmath_oracle(self, k_norm, energy):
+        omega = k_norm if energy is None else energy
+        profile = vacuum._radial_profile(
+            self.RADII, np.array([0.0, 0.0, k_norm]), GridSpec(), NATURAL, omega
+        )
+        for radius, value in zip(self.RADII, profile):
+            reference = oracle_profile(radius, k_norm, omega)
+            assert value == pytest.approx(reference, rel=1e-13, abs=0.0), radius
+
+    @pytest.mark.parametrize("block_points", [10**9, 1])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block_points):
+        # one block for the whole default grid, then one radius per block
+        cases = [(K3, None), (np.array([1.0, 2.0, -0.5]), None), (K3, 1.3)]
+        blocked = [total_shift(k3, 1e4, photon_energy=w) for k3, w in cases]
+        monkeypatch.setattr(vacuum, "_BLOCK_POINTS", block_points)
+        for (k3, w), (shift, report) in zip(cases, blocked):
+            other, other_report = total_shift(k3, 1e4, photon_energy=w)
+            assert other == pytest.approx(shift, rel=1e-15, abs=0.0)
+            for field in ("partial_sums", "tail_estimates"):
+                got, want = getattr(other_report, field), getattr(report, field)
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-15
+            assert other_report.fitted_slope == pytest.approx(report.fitted_slope, rel=1e-15)
+
+
 class TestTotalShiftBounds:
     @pytest.fixture
     def no_quadrature(self, monkeypatch):
