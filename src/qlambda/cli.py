@@ -116,7 +116,10 @@ def cmd_lambda_sim(args) -> int:
 
     populations = trajectory.populations()[:, target]
     fitted = _fit_rabi_rate(trajectory.times, populations, constants.hbar)
-    deviation = None if analytic == 0.0 else abs(fitted - abs(analytic)) / abs(analytic)
+    if analytic == 0.0 or fitted is None:
+        deviation = None
+    else:
+        deviation = abs(fitted - abs(analytic)) / abs(analytic)
     summary = {
         "analytic_coupling": [analytic.real, analytic.imag],
         "fitted_rate": fitted,
@@ -125,25 +128,30 @@ def cmd_lambda_sim(args) -> int:
         "t_final": float(t_final),
         "dt": float(dt),
         "target_level": target + 1,
+        "max_norm_drift": trajectory.max_norm_drift,
+        "drift_tol": dynamics.DRIFT_TOL,
     }
     _write_text(args.summary, dump_json(summary))
     return 0
 
 
-def _fit_rabi_rate(times: np.ndarray, populations: np.ndarray, hbar: float) -> float:
-    """Rate from the first transfer maximum, with parabolic peak refinement."""
+def _fit_rabi_rate(times: np.ndarray, populations: np.ndarray, hbar: float) -> float | None:
+    """Rate from the first transfer maximum, with parabolic peak refinement.
+
+    None when the largest population is the last sample: the transfer is
+    still rising at t_final, so no maximum was sampled.
+    """
     import numpy as np
 
     idx = int(np.argmax(populations))
     if idx == 0:
         return 0.0
-    if 0 < idx < len(times) - 1:
-        y0, y1, y2 = populations[idx - 1 : idx + 2]
-        denom = y0 - 2.0 * y1 + y2
-        offset = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-        t_peak = times[idx] + offset * (times[1] - times[0])
-    else:
-        t_peak = times[idx]
+    if idx == len(times) - 1:
+        return None
+    y0, y1, y2 = populations[idx - 1 : idx + 2]
+    denom = y0 - 2.0 * y1 + y2
+    offset = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
+    t_peak = times[idx] + offset * (times[1] - times[0])
     return math.pi * hbar / (2.0 * t_peak)
 
 

@@ -9,6 +9,7 @@ rotating coupling phases, where the second-order argument is exact.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -24,6 +25,8 @@ _HERMITICITY_TOL = 1e-14
 _ENERGY_MATCH_RTOL = 1e-9
 # largest t_final / dt that evolve accepts; the state table grows with it
 _MAX_STEPS = 2**20
+# evolve's default bound on | |psi(t_n)| - 1 |; lambda-sim records it
+DRIFT_TOL = 1e-6
 # Gauss nodes of the outer double-commutator integral in magnus_second_order
 _MAGNUS_NODES = 96
 
@@ -45,12 +48,16 @@ class LevelSystem:
             raise ConfigError(f"supported level counts are 2, 3, 4; got {n}")
         if couplings.shape != (n, n):
             raise ConfigError(f"couplings must be {n}x{n}, got {couplings.shape}")
-        if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(couplings))):
+        # at most 4 x 4: the checks run on Python values
+        rows = couplings.tolist()
+        entries = [c for row in rows for c in row]
+        if not (all(map(math.isfinite, energies.tolist())) and all(map(cmath.isfinite, entries))):
             raise ConfigError("energies and couplings must be finite")
-        scale = max(1.0, float(np.max(np.abs(couplings))))
-        if np.max(np.abs(couplings - couplings.conj().T)) > _HERMITICITY_TOL * scale:
+        scale = max(1.0, *map(abs, entries))
+        asymmetry = max(abs(rows[j][k] - rows[k][j].conjugate()) for j in range(n) for k in range(n))
+        if asymmetry > _HERMITICITY_TOL * scale:
             raise ConfigError("couplings must be Hermitian")
-        if np.max(np.abs(np.diag(couplings))) > 0.0:
+        if any(rows[j][j] != 0.0 for j in range(n)):
             raise ConfigError("couplings must have zero diagonal")
         energies.setflags(write=False)
         couplings.setflags(write=False)
@@ -109,13 +116,18 @@ class LevelSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states of a single evolution run."""
+    """Sampled states of a single evolution run.
+
+    `max_norm_drift` is the largest | |psi(t_n)| - 1 | over the evolved
+    samples, the figure evolve's drift guard compares against drift_tol.
+    """
 
     times: np.ndarray
     states: np.ndarray
+    max_norm_drift: float = 0.0
 
     def populations(self) -> np.ndarray:
-        return np.abs(self.states) ** 2
+        return self.states.real**2 + self.states.imag**2
 
     def write_csv(self, fh) -> None:
         """One row per sample: t, then re/im of each amplitude (jsonio.write_table)."""
@@ -147,18 +159,22 @@ def evolve(
     t_final: float,
     dt: float,
     hbar: float = 1.0,
-    drift_tol: float = 1e-6,
+    drift_tol: float = DRIFT_TOL,
 ) -> Trajectory:
     """Propagate psi0 under the full Hamiltonian, sampling every dt.
 
     The Hamiltonian is constant, so every sample comes from one
     eigendecomposition H = V diag(lambda) V^dagger as
-    psi(t_n) = V exp(-i lambda t_n / hbar) V^dagger psi0, for all n in one
-    broadcast; the result is unitary for any dt. Raises StepTooLarge if the
-    norm of any sample drifts beyond drift_tol or the largest phase
-    |lambda| t / hbar overflows, and ConfigError for non-finite input, a
-    non-positive dt, t_final or hbar, more than _MAX_STEPS steps, or a last
-    sample time that overflows.
+    psi(t_n) = V exp(-i lambda t_n / hbar) V^dagger psi0. With n = q B + r and
+    B = isqrt(n_steps + 1), the phase factors into a coarse and a fine part, so
+    all samples come from one matrix product of the ceil((n_steps + 1) / B)
+    coarse phases with the B fine phases folded into the columns of V, about
+    2 sqrt(n_steps) phases per level instead of one per sample; the result is
+    unitary for any dt. The largest norm drift is returned as
+    Trajectory.max_norm_drift. Raises StepTooLarge if the norm of any sample
+    drifts beyond drift_tol or the largest phase |lambda| t / hbar overflows,
+    and ConfigError for non-finite input, a non-positive dt, t_final or hbar,
+    more than _MAX_STEPS steps, or a last sample time that overflows.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (system.n_levels,):
@@ -179,24 +195,35 @@ def evolve(
     t_last = n_steps * dt
     if not math.isfinite(t_last):
         raise ConfigError(f"the last sample time {n_steps} x dt overflows")
-    times = np.arange(n_steps + 1) * dt
     evals, evecs = np.linalg.eigh(system.hamiltonian())
-    # the largest phase |lambda| t / hbar, formed as the broadcast below forms
-    # it; eigh returns the eigenvalues in ascending order
+    # the largest phase |lambda| t / hbar, formed as the phases below form it;
+    # no coarse or fine time exceeds t_last, and eigh returns the eigenvalues
+    # in ascending order
     peak = max(-float(evals[0]), float(evals[-1]))
     if not math.isfinite((1.0 / hbar) * (peak * t_last)):
         raise StepTooLarge(f"the phase lambda t / hbar overflows by t = {t_last!r}")
-    phases = np.exp(-1j / hbar * np.outer(times, evals))
-    states = (phases * (evecs.conj().T @ psi)) @ evecs.T
+    # sample m = q B + r has phase exp(-i lambda q B dt / hbar) exp(-i lambda r dt / hbar):
+    # the B fine phases fold into c_j V[:, j], and one product with the coarse
+    # phases gives every state
+    rows = n_steps + 1
+    block = math.isqrt(rows)
+    fine = np.exp(-1j / hbar * np.outer(np.arange(block) * dt, evals))
+    coarse = np.exp(-1j / hbar * np.outer(np.arange(0, rows, block) * dt, evals))
+    weighted = evecs * (evecs.conj().T @ psi)
+    folded = fine.T[:, :, None] * weighted.T[:, None, :]
+    states = (coarse @ folded.reshape(system.n_levels, -1)).reshape(-1, system.n_levels)[:rows]
     states[0] = psi
-    drift = np.abs(np.linalg.norm(states[1:], axis=1) - 1.0)
-    bad = np.flatnonzero(~(drift <= drift_tol))
-    if bad.size:
-        i = int(bad[0])
+    flat = states[1:].view(float)
+    norm_sq = np.einsum("ij,ij->i", flat, flat)
+    drift = np.abs(np.sqrt(norm_sq) - 1.0)
+    max_drift = float(drift.max())
+    # a NaN drift fails the comparison too
+    if not max_drift <= drift_tol:
+        i = int(np.flatnonzero(~(drift <= drift_tol))[0])
         raise StepTooLarge(
             f"norm drift {drift[i]:.3e} at step {i + 1} exceeds {drift_tol:.1e}"
         )
-    return Trajectory(times, states)
+    return Trajectory(np.arange(rows) * dt, states, max_drift)
 
 
 def interaction_frame(system: LevelSystem, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -211,13 +238,15 @@ def interaction_frame(system: LevelSystem, t: float, hbar: float = 1.0) -> np.nd
 
 
 def _coupled_gaps(system: LevelSystem) -> list[float]:
+    energies = system.energies.tolist()
+    couplings = system.couplings.tolist()
+    n = len(energies)
+    scale = max(1.0, *map(abs, energies))
     gaps = []
-    n = system.n_levels
-    scale = max(1.0, float(np.max(np.abs(system.energies))))
     for j in range(n):
         for k in range(j + 1, n):
-            if system.couplings[j, k] != 0.0:
-                gap = abs(float(system.energies[j] - system.energies[k]))
+            if couplings[j][k] != 0.0:
+                gap = abs(energies[j] - energies[k])
                 if gap <= _ENERGY_MATCH_RTOL * scale:
                     raise DegenerateLevels(
                         f"coupled levels {j} and {k} are degenerate (gap {gap!r})"
@@ -237,7 +266,8 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
         return math.inf
     ref = max(gaps)
     multipliers = []
-    for gap in gaps:
+    # equal gaps share one ratio
+    for gap in dict.fromkeys(gaps):
         ratio = gap / ref
         frac = Fraction(ratio).limit_denominator(1000)
         if abs(ratio - float(frac)) > _ENERGY_MATCH_RTOL * max(ratio, 1.0):
@@ -256,10 +286,10 @@ def _secular_matrix(system: LevelSystem) -> np.ndarray:
     coincide; entries between levels of different energy average away at full
     periods. The diagonal reproduces the usual second-order level shifts.
     """
-    n = system.n_levels
-    energies = system.energies
-    couplings = system.couplings
-    scale = max(1.0, float(np.max(np.abs(energies))))
+    energies = system.energies.tolist()
+    couplings = system.couplings.tolist()
+    n = len(energies)
+    scale = max(1.0, *map(abs, energies))
     out = np.zeros((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
@@ -267,9 +297,9 @@ def _secular_matrix(system: LevelSystem) -> np.ndarray:
                 continue
             acc = 0.0 + 0.0j
             for l in range(n):
-                if couplings[j, l] == 0.0 or couplings[l, k] == 0.0:
+                if couplings[j][l] == 0.0 or couplings[l][k] == 0.0:
                     continue
-                acc += couplings[j, l] * couplings[l, k] / (energies[k] - energies[l])
+                acc += couplings[j][l] * couplings[l][k] / (energies[k] - energies[l])
             out[j, k] = acc
     return out
 
@@ -284,6 +314,15 @@ def _unit_gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@functools.cache
+def _level_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the level pairs j < k, built once per level count."""
+    pairs = np.triu_indices(n, 1)
+    for array in pairs:
+        array.setflags(write=False)
+    return pairs
+
+
 def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHamiltonian:
     """Second-order averaged Hamiltonian over one common period.
 
@@ -291,9 +330,11 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     double-commutator (1/2) int_0^T [K(s), int_0^s K] ds of the rotating
     coupling matrix K. The inner integral is exact,
     int_0^s exp(i g t) dt = s exp(i g s / 2) sinc(g s / 2 pi), and the outer
-    one a _MAGNUS_NODES-point Gauss rule over the period; the two results agree
-    to quadrature accuracy. Raises ConfigError when a level gap over hbar,
-    or 1 / hbar, overflows.
+    one a _MAGNUS_NODES-point Gauss rule over the period, whose node sum
+    sum_o w_o [K_o, I_o] is two (n x On) (On x n) matrix products. Phases are
+    evaluated once per level pair as exp(i g s / 2), squared for K. The two
+    results agree to quadrature accuracy. Raises ConfigError when a level gap
+    over hbar, or 1 / hbar, overflows.
     """
     period = base_period(system, hbar)
     analytic = _secular_matrix(system)
@@ -305,17 +346,34 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     levels = system.energies.tolist()
     if not (math.isfinite((max(levels) - min(levels)) / hbar) and math.isfinite(0.5 / hbar)):
         raise ConfigError(f"level gaps / hbar overflow for hbar = {hbar!r}")
-    gaps = (system.energies[:, None] - system.energies[None, :]) / hbar
+    n = system.n_levels
     couplings = system.couplings
     nodes, weights = _unit_gauss_rule()
-    sigma = (period * nodes)[:, None, None]
-    k_outer = couplings * np.exp(1j * gaps * sigma)
-    inner_int = couplings * sigma * np.exp(0.5j * gaps * sigma) * np.sinc(
-        gaps * sigma / (2.0 * math.pi)
-    )
-    comm = k_outer @ inner_int - inner_int @ k_outer
-    # weights on [0, 1] already divide the integral over the period by its length
-    numeric = -0.5j / hbar * np.einsum("o,ojk->jk", weights, comm)
+    sigma = period * nodes
+    # each level pair j < k once: the (k, j) entries are the complex
+    # conjugate phases, and exp(-ix) = conj(exp(ix)), sinc is even
+    upper, lower = _level_pairs(n)
+    gaps = (system.energies[upper] - system.energies[lower]) / hbar
+    angle = np.outer(gaps, sigma)
+    half = np.exp(0.5j * angle)
+    phase = half * half
+    sinc = np.sinc(angle / (2.0 * math.pi))
+    # node axis in the middle: (n, O, n) reshapes to the row block
+    # [K_1 ... K_O] without a copy
+    k_outer = np.zeros((n, sigma.size, n), dtype=complex)
+    inner_int = np.zeros_like(k_outer)
+    above = couplings[upper, lower][:, None]
+    below = couplings[lower, upper][:, None]
+    k_outer[upper, :, lower] = above * phase
+    k_outer[lower, :, upper] = below * phase.conj()
+    inner_int[upper, :, lower] = (above * sigma) * half * sinc
+    inner_int[lower, :, upper] = (below * sigma) * half.conj() * sinc
+    # sum_o w_o [K_o, I_o] as two (n x On) (On x n) products; weights on [0, 1]
+    # already divide the integral over the period by its length
+    weighted = k_outer * weights[:, None]
+    comm = weighted.reshape(n, -1) @ inner_int.transpose(1, 0, 2).reshape(-1, n)
+    comm -= inner_int.reshape(n, -1) @ weighted.transpose(1, 0, 2).reshape(-1, n)
+    numeric = -0.5j / hbar * comm
     return EffectiveHamiltonian(analytic, period, numeric)
 
 

@@ -44,6 +44,30 @@ class TestLambdaSim:
         doc = json.loads(summary.read_text())
         assert doc["relative_deviation"] < 1e-2
 
+    def test_rising_transfer_has_no_fitted_rate(self, tmp_path, lambda_file):
+        # the transfer maximum is near t = 1571; at t = 300 the target level is
+        # still filling, so the last sample is no maximum to fit
+        out, summary = tmp_path / "traj.csv", tmp_path / "summary.json"
+        rc = main(["lambda-sim", "--system", str(lambda_file), "--t-final", "300",
+                   "--out", str(out), "--summary", str(summary)])
+        assert rc == 0
+        doc = json.loads(summary.read_text())
+        assert doc["fitted_rate"] is None
+        assert doc["relative_deviation"] is None
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        target = rows[:, 5] ** 2 + rows[:, 6] ** 2
+        assert int(np.argmax(target)) == len(target) - 1
+
+    def test_summary_records_norm_drift(self, tmp_path, lambda_file):
+        summary = tmp_path / "summary.json"
+        rc = main(["lambda-sim", "--system", str(lambda_file), "--out", str(tmp_path / "t.csv"),
+                   "--summary", str(summary)])
+        assert rc == 0
+        doc = json.loads(summary.read_text())
+        assert list(doc)[-2:] == ["max_norm_drift", "drift_tol"]
+        assert doc["drift_tol"] == 1e-6
+        assert 0.0 <= doc["max_norm_drift"] < 1e-12
+
     def test_zero_couplings_flat_file(self, tmp_path):
         system = LevelSystem([0.0, 10.0, 0.0], np.zeros((3, 3)))
         path = tmp_path / "flat.json"

@@ -91,6 +91,41 @@ def gauss_double_commutator(system, hbar=1.0, n_nodes=96):
     return -1j * double / (hbar * period)
 
 
+def direct_phase_states(system, psi0, times, hbar):
+    """Oracle: psi(t) = V exp(-i lambda t / hbar) V^dagger psi0, one sample at a time."""
+    evals, evecs = np.linalg.eigh(system.hamiltonian())
+    coeffs = evecs.conj().T @ np.asarray(psi0, dtype=complex)
+    return np.array([evecs @ (np.exp(-1j / hbar * (t * evals)) * coeffs) for t in times])
+
+
+def node_loop_commutator(system, hbar=1.0):
+    """Oracle: the averaged half double-commutator node by node, each entry summed exactly.
+
+    Same exact inner integral and Gauss outer rule as magnus_second_order, but
+    every term w_o (K_o I_o - I_o K_o)[j, k] goes into one math.fsum per entry.
+    """
+    period = base_period(system, hbar)
+    nodes, weights = dynamics._unit_gauss_rule()
+    gaps = (system.energies[:, None] - system.energies[None, :]) / hbar
+    couplings = system.couplings
+    sigma = (period * nodes)[:, None, None]
+    k_outer = couplings * np.exp(1j * gaps * sigma)
+    inner_int = couplings * sigma * np.exp(0.5j * gaps * sigma) * np.sinc(
+        gaps * sigma / (2.0 * math.pi)
+    )
+    w = weights[:, None]
+    n = system.n_levels
+    total = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            terms = np.concatenate([
+                (w * k_outer[:, j, :] * inner_int[:, :, k]).ravel(),
+                (-w * inner_int[:, j, :] * k_outer[:, :, k]).ravel(),
+            ])
+            total[j, k] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return -0.5j / hbar * total
+
+
 def cellwise_csv(trajectory):
     """Oracle: format the trajectory one cell at a time."""
     fh = io.StringIO()
@@ -217,6 +252,34 @@ class TestEvolve:
         assert traj.states.shape == (10001, n)
         assert np.array_equal(traj.states[0], psi0)
         assert np.max(np.abs(traj.states - expected)) < 1e-11
+
+    # B = isqrt(n_steps + 1) = 31: one block, two, a whole square of
+    # samples, one and two past it, and a prime
+    @pytest.mark.parametrize("n_steps", [1, 2, 31**2 - 1, 31**2, 31**2 + 1, 2003])
+    def test_factored_phases_match_direct_exponentials(self, n_steps):
+        system = random_system(4, 7)
+        rng = np.random.default_rng(n_steps)
+        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi0 /= np.linalg.norm(psi0)
+        hbar, t_final = 0.7, 900.0
+        traj = evolve(system, psi0, t_final, t_final / n_steps, hbar=hbar)
+        expected = direct_phase_states(system, psi0, traj.times, hbar)
+        evals = np.linalg.eigvalsh(system.hamiltonian())
+        peak = float(np.max(np.abs(evals))) * traj.times[-1] / hbar
+        assert traj.states.shape == (n_steps + 1, 4)
+        assert np.array_equal(traj.times, np.arange(n_steps + 1) * (t_final / n_steps))
+        assert np.array_equal(traj.states[0], psi0)
+        # each phase is good to about one ulp of the largest |lambda| t / hbar
+        assert np.max(np.abs(traj.states - expected)) <= 4 * math.ulp(peak)
+
+    def test_max_norm_drift_is_the_guarded_figure(self):
+        system = random_system(3, 11)
+        traj = evolve(system, [0.0, 1.0, 0.0], 50.0, 0.01)
+        drift = np.abs(np.linalg.norm(traj.states[1:], axis=1) - 1.0)
+        # the guard sums squares in another order than np.linalg.norm
+        assert traj.max_norm_drift == pytest.approx(float(np.max(drift)), abs=2 * math.ulp(1.0))
+        assert 0.0 < traj.max_norm_drift < 1e-13
+        assert Trajectory(traj.times, traj.states).max_norm_drift == 0.0
 
     def test_drift_guard_names_first_step(self):
         sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
@@ -345,6 +408,24 @@ class TestMagnus:
         expected = gauss_double_commutator(system, hbar=hbar)
         scale = np.max(np.abs(eff.matrix))
         assert np.max(np.abs(eff.numeric_matrix - expected)) < 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "system, hbar",
+        [
+            (lambda_system(), 1.0),
+            (lambda_system(omega1=0.2 + 0.1j, omega2=0.05 - 0.15j), 0.7),
+            (LevelSystem([0.0, 10.0], [[0, 0.1 - 0.3j], [0.1 + 0.3j, 0]]), 1.0),
+            (four_level(), 1.0),
+            (complex_four_level(), 1.3),
+        ],
+    )
+    def test_commutator_products_match_node_loop(self, system, hbar):
+        # the two (n x On) (On x n) products and the squared half-angle
+        # phases change rounding only
+        eff = magnus_second_order(system, hbar=hbar)
+        expected = node_loop_commutator(system, hbar=hbar)
+        scale = np.max(np.abs(eff.matrix))
+        assert np.max(np.abs(eff.numeric_matrix - expected)) <= 1e-15 * scale
 
     def test_hermitian(self):
         eff = magnus_second_order(lambda_system(omega1=0.2 + 0.1j))
