@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ConfigError, ForwardSingularity, OffShellInput, PoleEncountered, ZeroReference
 from .jsonio import write_table
@@ -63,8 +63,7 @@ _POLE_RTOL = 1e-9
 _MARGIN_KEYS = ("min_denominator", "on_shell_residual", "conservation_residual")
 
 
-@dataclass(frozen=True)
-class CouplingFactor:
+class CouplingFactor(namedtuple("CouplingFactor", "value eta energy volume")):
     """Scalar prefactor e c hbar eta sqrt(1/(V eps0 E)) with its provenance.
 
     E is the energy of the photon attached to the vertex: the field amplitude
@@ -73,16 +72,14 @@ class CouplingFactor:
     the emitted photon each set the prefactor of their own vertex.
     """
 
-    value: float
-    eta: float
-    energy: float
-    volume: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.eta <= 1.0 + 1e-12):
-            raise OffShellInput(f"eta must lie in (0, 1], got {self.eta!r}")
-        if not self.value > 0.0:
-            raise OffShellInput(f"coupling factor must be positive, got {self.value!r}")
+    def __new__(cls, value, eta, energy, volume):
+        if not (0.0 < eta <= 1.0 + 1e-12):
+            raise OffShellInput(f"eta must lie in (0, 1], got {eta!r}")
+        if not value > 0.0:
+            raise OffShellInput(f"coupling factor must be positive, got {value!r}")
+        return tuple.__new__(cls, (value, eta, energy, volume))
 
 
 def coupling_prefactor(eta_value, energy, constants: Constants):
@@ -117,34 +114,34 @@ def coupling_factor(eta_value: float, energy: float, constants: Constants) -> Co
     return CouplingFactor(value, eta_value, energy, constants.V)
 
 
-@dataclass(frozen=True)
-class DiagramAmplitude:
+class DiagramAmplitude(namedtuple("DiagramAmplitude", "name omega1 omega2 denom weight",
+                                   defaults=(1.0,))):
     """One three-level ordering: value = weight * omega1 * omega2 / denom."""
 
-    name: str
-    omega1: complex
-    omega2: complex
-    denom: float
-    weight: float = 1.0
+    __slots__ = ()
 
     @property
     def value(self) -> complex:
         return self.weight * self.omega1 * self.omega2 / self.denom
 
 
-@dataclass(frozen=True)
-class AmplitudeResult:
-    """Total amplitude with per-ordering parts and the closed-form cross check."""
+class AmplitudeResult(namedtuple("AmplitudeResult", (
+    "process", "total", "parts", "eta", "closed_form", "frame", "textbook_total",
+    "textbook_ratio", "provenance",
+))):
+    """Total amplitude with per-ordering parts and the closed-form cross check.
 
-    process: str
-    total: complex
-    parts: tuple[DiagramAmplitude, ...]
-    eta: float
-    closed_form: complex
-    frame: Boost | None = None
-    textbook_total: complex | None = None
-    textbook_ratio: complex | None = None
-    provenance: dict = field(default_factory=dict)
+    `parts` is a tuple of DiagramAmplitude, `frame` a Boost or None, and
+    `provenance` a dict, a new empty one when not given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, process, total, parts, eta, closed_form, frame=None,
+                textbook_total=None, textbook_ratio=None, provenance=None):
+        return tuple.__new__(cls, (process, total, parts, eta, closed_form, frame,
+                                   textbook_total, textbook_ratio,
+                                   {} if provenance is None else provenance))
 
     def to_json_dict(self) -> dict:
         def cplx(z):
@@ -435,29 +432,24 @@ def moller_total(
                    transfer_squared=float(transfer2), photon_energy=e_k)
 
 
-@dataclass(frozen=True)
-class BoostScanRow:
-    beta: float
-    eta: float
-    amplitude_abs: float
-    ratio_to_cm: float
-    inverse_gamma: float
+class BoostScanRow(namedtuple("BoostScanRow",
+                               "beta eta amplitude_abs ratio_to_cm inverse_gamma")):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.beta, self.eta, self.amplitude_abs, self.ratio_to_cm, self.inverse_gamma)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class BoostScanTable:
-    process: str
-    normalization: str
-    rows: tuple[BoostScanRow, ...]
+class BoostScanTable(namedtuple("BoostScanTable", "process normalization rows")):
+    """`rows` is a tuple of BoostScanRow, written under COLUMNS."""
+
+    __slots__ = ()
 
     COLUMNS = ("beta", "eta", "amp_abs", "ratio_to_cm", "inverse_gamma")
 
     def write_csv(self, fh) -> None:
         fh.write(f"# process={self.process} normalization={self.normalization}\n")
-        write_table(fh, self.COLUMNS, (row.as_tuple() for row in self.rows))
+        write_table(fh, self.COLUMNS, self.rows)
 
 
 def boost_scan(

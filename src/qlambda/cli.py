@@ -7,7 +7,12 @@ byte-identical artifacts. Exit codes: 0 success, 2 configuration error,
 
 compton, moller and boost-scan run on the numpy-free scalar layer; only
 lambda-sim and vacpol import numpy, dynamics and vacuum, inside their
-commands, so the amplitude commands start without them.
+commands, so the amplitude commands start without them. Every value type of
+the package is a namedtuple record, so no command imports `dataclasses` (or
+the `inspect` it pulls in) either.
+
+lambda-sim fits the transfer from --initial-level to --target-level (default:
+the last level); the two must differ.
 """
 from __future__ import annotations
 
@@ -98,6 +103,9 @@ def cmd_lambda_sim(args) -> int:
     target = (args.target_level if args.target_level is not None else n) - 1
     if not (0 <= start < n and 0 <= target < n):
         raise ConfigError("initial/target level out of range")
+    if start == target:
+        raise ConfigError(f"target level {target + 1} is the initial level: "
+                          "there is no transfer to fit")
     psi0 = np.zeros(n, dtype=complex)
     psi0[start] = 1.0
 

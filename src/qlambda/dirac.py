@@ -19,7 +19,7 @@ builders. The 4x4 gamma-matrix API (`gamma_set`, `slash`, `ubar`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -81,8 +81,8 @@ def slash(v) -> np.ndarray:
     return (a @ _GAMMA_LOWER).reshape(4, 4)
 
 
-@dataclass(frozen=True)
-class BiSpinor:
+class BiSpinor(namedtuple("BiSpinor", "components momentum spin mass normalization",
+                           defaults=("box",))):
     """Positive-energy solution of the free Dirac equation.
 
     components: 4 complex amplitudes
@@ -91,11 +91,7 @@ class BiSpinor:
     mass:       particle mass
     """
 
-    components: np.ndarray
-    momentum: np.ndarray
-    spin: int
-    mass: float
-    normalization: str = "box"
+    __slots__ = ()
 
     @property
     def energy(self) -> float:
@@ -149,13 +145,10 @@ def spin_sum(p3, m: float) -> np.ndarray:
     return block @ ubar(block)
 
 
-@dataclass(frozen=True)
-class PolarizationVector:
+class PolarizationVector(namedtuple("PolarizationVector", "components wavevector alpha")):
     """Transverse photon polarization four-vector (Coulomb gauge, eps0 = 0)."""
 
-    components: np.ndarray
-    wavevector: np.ndarray
-    alpha: int
+    __slots__ = ()
 
     def as_array(self) -> np.ndarray:
         return self.components

@@ -13,7 +13,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -31,16 +31,19 @@ DRIFT_TOL = 1e-6
 _MAGNUS_NODES = 96
 
 
-@dataclass(frozen=True)
-class LevelSystem:
-    """Level energies plus a Hermitian zero-diagonal coupling matrix."""
+class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
+    """Level energies plus a Hermitian zero-diagonal coupling matrix.
 
-    energies: np.ndarray
-    couplings: np.ndarray
+    The constructor keeps read-only float and complex copies of its inputs,
+    so the caller's own arrays stay writable and later writes to them do not
+    reach the system.
+    """
 
-    def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
-        couplings = np.asarray(self.couplings, dtype=complex)
+    __slots__ = ()
+
+    def __new__(cls, energies, couplings):
+        energies = np.array(energies, dtype=float)
+        couplings = np.array(couplings, dtype=complex)
         if energies.ndim != 1:
             raise ConfigError(f"energies must be a list of numbers, got shape {energies.shape}")
         n = energies.shape[0]
@@ -61,8 +64,7 @@ class LevelSystem:
             raise ConfigError("couplings must have zero diagonal")
         energies.setflags(write=False)
         couplings.setflags(write=False)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "couplings", couplings)
+        return tuple.__new__(cls, (energies, couplings))
 
     @property
     def n_levels(self) -> int:
@@ -114,17 +116,14 @@ class LevelSystem:
         return cls.from_json_dict(data)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "times states max_norm_drift", defaults=(0.0,))):
     """Sampled states of a single evolution run.
 
     `max_norm_drift` is the largest | |psi(t_n)| - 1 | over the evolved
     samples, the figure evolve's drift guard compares against drift_tol.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    max_norm_drift: float = 0.0
+    __slots__ = ()
 
     def populations(self) -> np.ndarray:
         return self.states.real**2 + self.states.imag**2
@@ -140,17 +139,14 @@ class Trajectory:
         write_table(fh, header, table.tolist())
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
+class EffectiveHamiltonian(namedtuple("EffectiveHamiltonian", "matrix period numeric_matrix")):
     """Second-order averaged Hamiltonian over one coupling period.
 
     `matrix` is the analytic secular matrix; `numeric_matrix` is the
     independently integrated double-commutator result for cross-checking.
     """
 
-    matrix: np.ndarray
-    period: float
-    numeric_matrix: np.ndarray
+    __slots__ = ()
 
 
 def evolve(
@@ -397,7 +393,7 @@ def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
     row = system.couplings[3, :3]
     nonzero = np.flatnonzero(row)
     energies = system.energies[:3].copy()
-    couplings = system.couplings[:3, :3].copy()
+    couplings = system.couplings[:3, :3]  # LevelSystem copies it
     if nonzero.size == 0:
         return LevelSystem(energies, couplings)
     if nonzero.size > 1:

@@ -24,7 +24,7 @@ def _format(obj, level: int) -> str:
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):  # a namedtuple record too, as json.dumps writes it
         if not obj:
             return "[]"
         items = [f"{inner}{_format(value, level + 1)}" for value in obj]

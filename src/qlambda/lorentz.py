@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from collections.abc import Iterable
 
 from .errors import (
@@ -30,6 +30,8 @@ ALPHA_FS = 1.0 / 137.035999
 _NULL_TOL = 1e-10
 
 CONSTANT_KEYS = ("hbar", "c", "eps0", "e", "m_e", "V", "alpha")
+# the default electron charge, from the fine-structure constant
+_E_NATURAL = math.sqrt(4.0 * math.pi * ALPHA_FS)
 
 
 def _require_positive(key: str, value: float) -> None:
@@ -37,28 +39,29 @@ def _require_positive(key: str, value: float) -> None:
         raise ConfigError(f"constant {key!r} must be strictly positive, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants and the mode volume entering coupling prefactors."""
+class Constants(namedtuple("Constants", CONSTANT_KEYS)):
+    """Physical constants and the mode volume entering coupling prefactors.
 
-    hbar: float = 1.0
-    c: float = 1.0
-    eps0: float = 1.0
-    e: float = math.sqrt(4.0 * math.pi * ALPHA_FS)
-    m_e: float = 1.0
-    V: float = 1.0
-    alpha: float = ALPHA_FS
+    Every constant must be finite and strictly positive, and m_e^2 a normal
+    float; the constructor raises ConfigError otherwise.
+    """
 
-    def __post_init__(self):
-        for key in CONSTANT_KEYS:
-            _require_positive(key, getattr(self, key))
+    __slots__ = ()
+
+    def __new__(cls, hbar=1.0, c=1.0, eps0=1.0, e=_E_NATURAL, m_e=1.0, V=1.0, alpha=ALPHA_FS):
+        values = (hbar, c, eps0, e, m_e, V, alpha)
+        for key, value in zip(CONSTANT_KEYS, values):
+            _require_positive(key, value)
         # every energy is sqrt(|p|^2 + m^2); an m^2 that underflows leaves
         # zero energies for particles at rest
-        if self.m_e * self.m_e < sys.float_info.min:
-            raise ConfigError(f"constant 'm_e' = {self.m_e!r} is too small: m_e^2 underflows")
+        if m_e * m_e < sys.float_info.min:
+            raise ConfigError(f"constant 'm_e' = {m_e!r} is too small: m_e^2 underflows")
+        return tuple.__new__(cls, values)
 
     def with_volume(self, volume: float) -> "Constants":
-        return replace(self, V=volume)
+        """The same constants with V = volume, checked as by the constructor."""
+        hbar, c, eps0, e, m_e, _, alpha = self
+        return type(self)(hbar, c, eps0, e, m_e, volume, alpha)
 
 
 NATURAL = Constants()
@@ -97,14 +100,10 @@ def constants_from_mapping(data: dict) -> Constants:
     return Constants(**values)
 
 
-@dataclass(frozen=True)
-class FourVector:
+class FourVector(namedtuple("FourVector", "t x y z", defaults=(0.0, 0.0, 0.0))):
     """Contravariant four-vector (t, x, y, z) with metric (+,-,-,-)."""
 
-    t: float
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def from_spatial(cls, t: float, p3: Iterable[float]) -> "FourVector":
@@ -157,16 +156,16 @@ def eta(p: FourVector) -> float:
     return invariant_mass(p) / p.t
 
 
-@dataclass(frozen=True)
-class Boost:
+class Boost(namedtuple("Boost", "beta")):
     """Pure boost with velocity beta (units of c); |beta| < 1."""
 
-    beta: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        bx, by, bz = self.beta
+    def __new__(cls, beta=(0.0, 0.0, 0.0)):
+        bx, by, bz = beta
         if bx * bx + by * by + bz * bz >= 1.0:
-            raise SuperluminalBoost(f"|beta| >= 1 for beta={self.beta}")
+            raise SuperluminalBoost(f"|beta| >= 1 for beta={beta}")
+        return tuple.__new__(cls, (beta,))
 
     @classmethod
     def along_z(cls, b: float) -> "Boost":

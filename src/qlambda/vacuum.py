@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -164,8 +164,8 @@ def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon
     return _cylindrical_terms(p_sq, p_perp2, p_par, k_norm, constants, photon_energy)
 
 
-@dataclass(frozen=True)
-class PairShiftSample:
+class PairShiftSample(namedtuple("PairShiftSample",
+                                  "p3 k3 eta1 spinor_factor shift_density")):
     """One pair-momentum sample with its factors split out.
 
     spinor_factor is the spin-summed, polarization-averaged squared vertex
@@ -174,11 +174,7 @@ class PairShiftSample:
     negative whenever the photon energy lies below the pair threshold.
     """
 
-    p3: np.ndarray
-    k3: np.ndarray
-    eta1: float
-    spinor_factor: float
-    shift_density: float
+    __slots__ = ()
 
 
 def pair_shift_sample(
@@ -222,8 +218,7 @@ def shift_density(
     return pair_shift_sample(p3, k3, constants, photon_energy).shift_density
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "n_radial n_theta n_phi")):
     """Log-radial grid x Gauss rule in the angle to k for the momentum sum.
 
     `n_phi` is accepted and has no effect: the summed density does not depend
@@ -231,33 +226,29 @@ class GridSpec:
     `n_radial * n_theta` above _MAX_GRID_NODES is a ConfigError.
     """
 
-    n_radial: int = 96
-    n_theta: int = 16
-    n_phi: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_radial < 4 or self.n_theta < 2 or self.n_phi < 1:
+    def __new__(cls, n_radial=96, n_theta=16, n_phi=8):
+        if n_radial < 4 or n_theta < 2 or n_phi < 1:
             raise ConfigError("grid too small: need n_radial >= 4, n_theta >= 2, n_phi >= 1")
-        if self.n_theta > _MAX_N_THETA or self.n_radial * self.n_theta > _MAX_GRID_NODES:
+        if n_theta > _MAX_N_THETA or n_radial * n_theta > _MAX_GRID_NODES:
             raise ConfigError(
                 f"grid too large: need n_theta <= {_MAX_N_THETA} and "
                 f"n_radial * n_theta <= {_MAX_GRID_NODES}"
             )
+        return tuple.__new__(cls, (n_radial, n_theta, n_phi))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(namedtuple("ConvergenceReport", (
+    "cutoffs", "partial_sums", "tail_estimates", "fitted_slope", "refine_delta",
+))):
     """Cutoff scan of the momentum integral with tail and slope diagnostics.
 
     refine_delta is the relative move of the total when the radial panel
     count doubles, the figure compared against `refine_tol`.
     """
 
-    cutoffs: np.ndarray
-    partial_sums: np.ndarray
-    tail_estimates: np.ndarray
-    fitted_slope: float
-    refine_delta: float
+    __slots__ = ()
 
     def write_csv(self, fh) -> None:
         write_table(fh, ("cutoff", "partial_sum", "tail_estimate"),
@@ -412,15 +403,11 @@ def correction_factor(delta_e: float, photon_energy: float, pair_shift: float) -
     return (pair_shift / photon_energy) * (delta_e * delta_e + photon_energy**2) / denom
 
 
-@dataclass(frozen=True)
-class CorrectedAmplitude:
+class CorrectedAmplitude(namedtuple("CorrectedAmplitude",
+                                     "base first_order factor exact pair_shift")):
     """Exchange amplitude with the first-order pair-shift correction."""
 
-    base: AmplitudeResult
-    first_order: complex
-    factor: float
-    exact: complex
-    pair_shift: float
+    __slots__ = ()
 
 
 def corrected_amplitude(

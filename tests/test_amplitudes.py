@@ -780,6 +780,32 @@ def test_amplitude_calls_use_no_numpy_arrays(tmp_path):
         assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
+STARTUP_SCRIPT = """
+import json, sys
+bare = set(sys.modules)  # the interpreter's own start-up modules, and json
+from qlambda.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_scalar_commands_load_no_dataclasses_or_inspect(tmp_path):
+    # the value types are namedtuple records: a fresh interpreter runs every
+    # scalar subcommand without adding dataclasses or inspect to the modules
+    # a bare interpreter starts with
+    import qlambda
+
+    argvs = [[*argv, "--out", str(tmp_path / name)] for name, argv in SCALAR_COMMANDS.items()]
+    env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert {"qlambda.amplitudes", "argparse"} <= added
+    assert not added & {"dataclasses", "inspect", "numpy"}, sorted(added)
+
+
 class TestIntegerIndices:
     CM = compton_cm_kinematics(1.0, 1.0)
     MOLLER = moller_kinematics(4.0, 1.0)

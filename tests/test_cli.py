@@ -116,6 +116,16 @@ class TestLambdaSim:
         assert rc == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", [["--initial-level", "1", "--target-level", "1"],
+                                        ["--initial-level", "3"]])  # the default target is 3
+    def test_target_equal_to_initial_exit_2(self, tmp_path, lambda_file, capsys, levels):
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        rc = main(["lambda-sim", "--system", str(lambda_file), *levels,
+                   "--out", str(out), "--summary", str(summary)])
+        assert rc == 2
+        assert "is the initial level" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     def test_determinism_byte_identical(self, tmp_path, lambda_file):
         runs = []
         for name in ("a", "b"):

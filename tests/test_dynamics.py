@@ -159,6 +159,19 @@ class TestLevelSystem:
         with pytest.raises(ConfigError, match="finite"):
             LevelSystem([0.0, 1.0], [[0, math.nan], [math.nan, 0]])  # NaN passes the Hermitian test
 
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        # float64 and complex128 inputs are the dtypes np.asarray would alias
+        e = np.array([0.0, 10.0, 0.0])
+        c = np.zeros((3, 3), dtype=complex)
+        c[0, 1] = c[1, 0] = 0.1
+        system = LevelSystem(e, c)
+        e[0] = 5.0
+        c[1, 2] = 7.0
+        assert system.energies.tolist() == [0.0, 10.0, 0.0]
+        assert system.couplings[1, 2] == 0.0
+        assert not system.energies.flags.writeable
+        assert not system.couplings.flags.writeable
+
     def test_json_round_trip(self):
         sys3 = lambda_system(omega1=0.1 + 0.05j)
         clone = LevelSystem.from_json(sys3.to_json())
