@@ -23,10 +23,28 @@ scalar helpers of `pauli`, and the module imports no numpy:
 when it is handed arrays. Each result records in
 `provenance["guard_margins"]` how close it came to the pole, on-shell and
 conservation guards.
+
+Callers ask for several views of one momentum set: compton_pair_A,
+compton_pair_B and compton_total for the two-diagram cross-check, and
+moller_total again inside vacuum.corrected_amplitude. So each process family
+keeps a last-call memo of one entry. Its key is the four FourVector objects
+and the Constants object of the last successful call, compared by identity
+(`is`, with strong references held, so no id is recycled), and the checked
+spin and polarization indices and the normalization, compared by equality.
+A hit reuses the guards, eta, external spinors, polarizations, coupling
+factors and every channel row already computed; a Compton row is computed on
+first request. Identity, not value, is the key because equal values need not
+give equal results: -0.0 == 0.0, yet the sign of a momentum's zero component
+reaches the signs of spinor zeros. Every call still checks its indices and
+builds a fresh result, with its own frame, process label and provenance and
+guard_margins dicts, summed in the same order, so a hit is bit for bit a
+fresh evaluation. Errors are never stored: a call that raises leaves the memo
+as it was, and raises again when repeated.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -225,6 +243,80 @@ def _result(process, parts, eta_value, closed, textbook, frame, margins, **prove
                            textbook_total=textbook, textbook_ratio=ratio, provenance=provenance)
 
 
+# the last-call memos of the module docstring: each is one tuple
+# (objects, values, evaluation), replaced in a single assignment
+_compton_memo = None
+_moller_memo = None
+
+
+def _indices(process: str, kind: str, indices, count: int) -> tuple:
+    """indices as a tuple of `count` checked spin or polarization indices; else ValueError."""
+    indices = tuple(indices)
+    if len(indices) != count:
+        raise ValueError(f"{process} takes {count} {kind} indices, got {indices!r}")
+    for index in indices:
+        _require_index(kind, index)
+    return indices
+
+
+def _recall(memo, objects, values):
+    """The memo's evaluation when it holds these very objects and equal values, else None."""
+    if memo is not None and all(map(operator.is_, memo[0], objects)) and memo[1] == values:
+        return memo[2]
+    return None
+
+
+def _compton_setup(p, k, p_out, k_out, spins, pols, constants, normalization):
+    """Guards, eta, external spinors and polarizations, and the two-row channel table.
+
+    Each row holds the intermediate momentum, the vertex on the incoming
+    electron and the one on the outgoing electron, each as (e, prefactor).
+    """
+    m = constants.m_e
+    scale, on_shell, conservation = _require_process(
+        (p, k),
+        (p_out, k_out),
+        (m, 0.0, m, 0.0),
+        ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
+    )
+    q_absorb = p + k
+    eta_value = eta(q_absorb)
+    # the polarization vectors are real, so eps'* = eps'
+    e_in = transverse_basis(k.x, k.y, k.z)[pols[0] - 1]
+    e_out = transverse_basis(k_out.x, k_out.y, k_out.z)[pols[1] - 1]
+    u_in = spin_pair(p.x, p.y, p.z, m, normalization)[spins[0] - 1]
+    u_out = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)[spins[1] - 1]
+    # each vertex carries the prefactor of the photon attached to it
+    absorb = (e_in, coupling_factor(eta_value, k.t, constants).value)
+    emit = (e_out, coupling_factor(eta_value, k_out.t, constants).value)
+    table = ((q_absorb, absorb, emit), (p - k_out, emit, absorb))
+    return scale, on_shell, conservation, eta_value, u_in, u_out, table
+
+
+def _compton_channel(tag, setup, m, normalization):
+    """Row `tag` of the channel table: its parts, closed form, textbook value and pole margins."""
+    scale, _, _, _, u_in, u_out, table = setup
+    q, (e_first, f_first), (e_second, f_second) = table[tag - 1]
+    u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
+    d_fwd = q.t - e_q
+    d_bwd = -(q.t + e_q)
+    margins = (_guard_pole(d_fwd, scale, f"channel {tag} forward ordering"),
+               _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering"))
+    row = slash_row(u_out, e_second)
+    col = slash_column(e_first, u_in)
+    parts = []
+    for s, u_mid in ((1, u_1), (2, u_2)):
+        v_mid = pair_spinor(u_mid)
+        parts.append(DiagramAmplitude(f"{tag}a:s={s}", f_first * bar_dot(u_mid, col),
+                                      f_second * row_dot(row, u_mid), d_fwd))
+        parts.append(DiagramAmplitude(f"{tag}b:s={s}", -f_second * row_dot(row, v_mid),
+                                      f_first * bar_dot(v_mid, col), d_bwd))
+    bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
+    # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
+    norm = e_q / m if normalization == "covariant" else 1.0
+    return tuple(parts), f_first * f_second * norm * bare, bare, margins
+
+
 def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
     """Photon-electron amplitude summed over the requested rows of the channel table.
 
@@ -246,55 +338,37 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
     the incoming electron is the column slash(eps) u, the one on the outgoing
     electron the row ubar' slash(eps'), and each intermediate spinor and its
     pair state is contracted against them.
+
+    The set-up and each channel row are taken from the last-call memo when
+    the momenta and constants are the very objects of the previous call and
+    the indices and normalization equal; rows are computed on first request.
     """
-    m = constants.m_e
-    scale, on_shell, conservation = _require_process(
-        (p, k),
-        (p_out, k_out),
-        (m, 0.0, m, 0.0),
-        ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
-    )
-    q_absorb = p + k
-    eta_value = eta(q_absorb)
-    # the polarization vectors are real, so eps'* = eps'
-    _require_index("polarization", pols[0])
-    e_in = transverse_basis(k.x, k.y, k.z)[pols[0] - 1]
-    _require_index("polarization", pols[1])
-    e_out = transverse_basis(k_out.x, k_out.y, k_out.z)[pols[1] - 1]
-    _require_index("spin", spins[0])
-    u_in = spin_pair(p.x, p.y, p.z, m, normalization)[spins[0] - 1]
-    _require_index("spin", spins[1])
-    u_out = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)[spins[1] - 1]
-    # each vertex carries the prefactor of the photon attached to it
-    absorb = (e_in, coupling_factor(eta_value, k.t, constants).value)
-    emit = (e_out, coupling_factor(eta_value, k_out.t, constants).value)
-    # intermediate momentum, vertex on the incoming electron, vertex on the outgoing one
-    table = {"1": (q_absorb, absorb, emit), "2": (p - k_out, emit, absorb)}
-    parts, closed, textbook = [], [], []
+    global _compton_memo
+    pols = _indices("compton", "polarization", pols, 2)
+    spins = _indices("compton", "spin", spins, 2)
+    objects = (p, k, p_out, k_out, constants)
+    values = (spins, pols, normalization)
+    known = _recall(_compton_memo, objects, values)
+    if known is None:
+        setup, rows = _compton_setup(p, k, p_out, k_out, spins, pols, constants,
+                                     normalization), (None, None)
+    else:
+        setup, rows = known
+    parts, closed, textbook = (), [], []
     min_denominator = math.inf
     for tag in channels:
-        q, (e_first, f_first), (e_second, f_second) = table[tag]
-        u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
-        d_fwd = q.t - e_q
-        d_bwd = -(q.t + e_q)
-        min_denominator = min(
-            min_denominator,
-            _guard_pole(d_fwd, scale, f"channel {tag} forward ordering"),
-            _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering"),
-        )
-        row = slash_row(u_out, e_second)
-        col = slash_column(e_first, u_in)
-        for s, u_mid in ((1, u_1), (2, u_2)):
-            v_mid = pair_spinor(u_mid)
-            parts.append(DiagramAmplitude(f"{tag}a:s={s}", f_first * bar_dot(u_mid, col),
-                                          f_second * row_dot(row, u_mid), d_fwd))
-            parts.append(DiagramAmplitude(f"{tag}b:s={s}", -f_second * row_dot(row, v_mid),
-                                          f_first * bar_dot(v_mid, col), d_bwd))
-        bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
-        # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
-        norm = e_q / m if normalization == "covariant" else 1.0
-        closed.append(f_first * f_second * norm * bare)
-        textbook.append(bare)
+        row = rows[tag - 1]
+        if row is None:
+            row = _compton_channel(tag, setup, constants.m_e, normalization)
+            rows = (row, rows[1]) if tag == 1 else (rows[0], row)
+        row_parts, row_closed, row_textbook, (fwd, bwd) = row
+        parts += row_parts
+        closed.append(row_closed)
+        textbook.append(row_textbook)
+        min_denominator = min(min_denominator, fwd, bwd)
+    if known is None or rows is not known[1]:
+        _compton_memo = (objects, values, (setup, rows))
+    _, on_shell, conservation, eta_value = setup[:4]
     return _result(process, parts, eta_value, sum(closed[1:], closed[0]),
                    sum(textbook[1:], textbook[0]), frame,
                    (min_denominator, on_shell, conservation))
@@ -316,7 +390,7 @@ def compton_pair_A(
     Sums the two three-level orderings over the intermediate spin and returns
     the independently evaluated closed form for the same diagram.
     """
-    return _compton("compton_pair_A", ("1",), p, k, p_out, k_out,
+    return _compton("compton_pair_A", (1,), p, k, p_out, k_out,
                     spins, pols, constants, normalization, frame)
 
 
@@ -332,7 +406,7 @@ def compton_pair_B(
     frame: Boost | None = None,
 ) -> AmplitudeResult:
     """Photon-emitted-first diagram: intermediate momentum p - k'."""
-    return _compton("compton_pair_B", ("2",), p, k, p_out, k_out,
+    return _compton("compton_pair_B", (2,), p, k, p_out, k_out,
                     spins, pols, constants, normalization, frame)
 
 
@@ -356,7 +430,7 @@ def compton_total(
     frame; in the zero-momentum frame omega = omega', so it does not depend
     on the scattering angle.
     """
-    return _compton("compton", ("1", "2"), p, k, p_out, k_out,
+    return _compton("compton", (1, 2), p, k, p_out, k_out,
                     spins, pols, constants, normalization, frame)
 
 
@@ -379,7 +453,26 @@ def moller_total(
     carries that check value summed over the transverse pair. The textbook
     comparison contracts the two currents with the metric,
     J_beam . g . J_target / (p1-p2)^2.
+
+    The evaluation is taken from the last-call memo when the momenta and
+    constants are the very objects of the previous call and the spins and
+    normalization equal.
     """
+    global _moller_memo
+    spins = _indices("moller", "spin", spins, 4)
+    objects = (p1, q1, p2, q2, constants)
+    values = (spins, normalization)
+    evaluation = _recall(_moller_memo, objects, values)
+    if evaluation is None:
+        evaluation = _moller(p1, q1, p2, q2, spins, constants, normalization)
+        _moller_memo = (objects, values, evaluation)
+    parts, eta_value, closed, tb, margins, transfer2, e_k = evaluation
+    return _result("moller", parts, eta_value, closed, tb, frame, margins,
+                   transfer_squared=float(transfer2), photon_energy=e_k)
+
+
+def _moller(p1, q1, p2, q2, spins, constants, normalization):
+    """Parts, eta, closed form, textbook value, guard margins, (p1-p2)^2 and E_k of moller_total."""
     m = constants.m_e
     scale, on_shell, conservation = _require_process(
         (p1, q1),
@@ -403,12 +496,8 @@ def moller_total(
     d_bwd = -(k0 + e_k)
     min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
                           _guard_pole(d_bwd, scale, "exchange crossed ordering"))
-    s1, s2, s3, s4 = spins
-    spinors = []
-    for v, s in ((p1, s1), (q1, s2), (p2, s3), (q2, s4)):
-        _require_index("spin", s)
-        spinors.append(spin_pair(v.x, v.y, v.z, m, normalization)[s - 1])
-    u_p1, u_q1, u_p2, u_q2 = spinors
+    u_p1, u_q1, u_p2, u_q2 = (spin_pair(v.x, v.y, v.z, m, normalization)[s - 1]
+                              for v, s in zip((p1, q1, p2, q2), spins))
     j_beam = vector_current(u_p2, u_p1)
     j_target = vector_current(u_q2, u_q1)
     parts = []
@@ -427,9 +516,8 @@ def moller_total(
         closed += e_k * beam_current * target_current / (k0 * k0 - e_k * e_k)
     tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
           - j_beam[3] * j_target[3]) / transfer2
-    return _result("moller", parts, eta_value, closed, tb, frame,
-                   (min_denominator, on_shell, conservation),
-                   transfer_squared=float(transfer2), photon_energy=e_k)
+    return (tuple(parts), eta_value, closed, tb, (min_denominator, on_shell, conservation),
+            transfer2, e_k)
 
 
 class BoostScanRow(namedtuple("BoostScanRow",

@@ -34,6 +34,10 @@ _MAGNUS_NODES = 96
 class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
     """Level energies plus a Hermitian zero-diagonal coupling matrix.
 
+    Energies and couplings must be finite, and so must the energy spread
+    max - min, which bounds every gap; the constructor raises ConfigError
+    otherwise.
+
     The constructor keeps read-only float and complex copies of its inputs,
     so the caller's own arrays stay writable and later writes to them do not
     reach the system.
@@ -54,8 +58,13 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
         # at most 4 x 4: the checks run on Python values
         rows = couplings.tolist()
         entries = [c for row in rows for c in row]
-        if not (all(map(math.isfinite, energies.tolist())) and all(map(cmath.isfinite, entries))):
+        levels = energies.tolist()
+        if not (all(map(math.isfinite, levels)) and all(map(cmath.isfinite, entries))):
             raise ConfigError("energies and couplings must be finite")
+        # every gap is at most the spread, so a finite spread keeps them all finite
+        spread = max(levels) - min(levels)
+        if not math.isfinite(spread):
+            raise ConfigError(f"energy spread max - min = {spread!r} is not a finite float")
         scale = max(1.0, *map(abs, entries))
         asymmetry = max(abs(rows[j][k] - rows[k][j].conjugate()) for j in range(n) for k in range(n))
         if asymmetry > _HERMITICITY_TOL * scale:
@@ -96,14 +105,14 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
                 raise ConfigError(f"missing level-system key {key!r}")
         try:
             energies = np.array(data["energies"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed key 'energies': {exc}") from exc
         try:
             couplings = np.array(
                 [[complex(c[0], c[1]) for c in row] for row in data["couplings"]],
                 dtype=complex,
             )
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise ConfigError(f"malformed key 'couplings': {exc}") from exc
         return cls(energies, couplings)
 
@@ -330,7 +339,7 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     sum_o w_o [K_o, I_o] is two (n x On) (On x n) matrix products. Phases are
     evaluated once per level pair as exp(i g s / 2), squared for K. The two
     results agree to quadrature accuracy. Raises ConfigError when a level gap
-    over hbar, or 1 / hbar, overflows.
+    over hbar, or 1 / hbar, overflows, and when either result does.
     """
     period = base_period(system, hbar)
     analytic = _secular_matrix(system)
@@ -360,16 +369,22 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     inner_int = np.zeros_like(k_outer)
     above = couplings[upper, lower][:, None]
     below = couplings[lower, upper][:, None]
-    k_outer[upper, :, lower] = above * phase
-    k_outer[lower, :, upper] = below * phase.conj()
-    inner_int[upper, :, lower] = (above * sigma) * half * sinc
-    inner_int[lower, :, upper] = (below * sigma) * half.conj() * sinc
-    # sum_o w_o [K_o, I_o] as two (n x On) (On x n) products; weights on [0, 1]
-    # already divide the integral over the period by its length
-    weighted = k_outer * weights[:, None]
-    comm = weighted.reshape(n, -1) @ inner_int.transpose(1, 0, 2).reshape(-1, n)
-    comm -= inner_int.reshape(n, -1) @ weighted.transpose(1, 0, 2).reshape(-1, n)
-    numeric = -0.5j / hbar * comm
+    # couplings too large for their squares over a period overflow in these
+    # products; the finiteness check below turns that into a ConfigError
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_outer[upper, :, lower] = above * phase
+        k_outer[lower, :, upper] = below * phase.conj()
+        inner_int[upper, :, lower] = (above * sigma) * half * sinc
+        inner_int[lower, :, upper] = (below * sigma) * half.conj() * sinc
+        # sum_o w_o [K_o, I_o] as two (n x On) (On x n) products; weights on [0, 1]
+        # already divide the integral over the period by its length
+        weighted = k_outer * weights[:, None]
+        comm = weighted.reshape(n, -1) @ inner_int.transpose(1, 0, 2).reshape(-1, n)
+        comm -= inner_int.reshape(n, -1) @ weighted.transpose(1, 0, 2).reshape(-1, n)
+        numeric = -0.5j / hbar * comm
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        raise ConfigError("second-order couplings overflow: coupling^2 / gap or its "
+                          "integral over the period is not a finite float")
     return EffectiveHamiltonian(analytic, period, numeric)
 
 

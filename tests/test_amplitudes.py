@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qlambda import amplitudes
 from qlambda.amplitudes import (
     _CONSERVATION_RTOL,
     _ONSHELL_RTOL,
@@ -40,6 +42,7 @@ from qlambda.lorentz import (
     moller_kinematics,
     on_shell_energy,
 )
+from qlambda.vacuum import corrected_amplitude
 
 
 def random_boost(rng, bmax=0.8):
@@ -846,8 +849,10 @@ class TestIntegerIndices:
         assert scan.rows == boost_scan("compton", [0.0, 0.5], spins=(2, 1), pols=(2, 1)).rows
 
     def test_wrong_number_of_moller_spins(self):
-        with pytest.raises(ValueError):
-            moller_total(*self.MOLLER, spins=(1, 1, 1, 1, 1))
+        for spins in ((1, 1, 1, 1, 1), (1, 2), (1, 1, 1), ()):
+            with pytest.raises(ValueError) as caught:
+                moller_total(*self.MOLLER, spins=spins)
+            assert str(caught.value) == f"moller takes 4 spin indices, got {spins!r}"
 
 
 MARGIN_KEYS = ["min_denominator", "on_shell_residual", "conservation_residual"]
@@ -940,3 +945,249 @@ class TestCouplingPrefactorRange:
         medium = NATURAL.V * NATURAL.eps0
         expected = charge * eta_values * np.sqrt(1.0 / (medium * energies))
         assert np.array_equal(coupling_prefactor(eta_values, energies, NATURAL), expected)
+
+
+def flipped_zeros(vectors):
+    """The same momenta with every zero component negated: equal values, other zero signs."""
+    return tuple(FourVector(*(-c if c == 0.0 else c for c in v)) for v in vectors)
+
+
+def copies(vectors):
+    return tuple(FourVector(*v) for v in vectors)
+
+
+def fields(result):
+    """Every field of a result as text: repr tells -0.0 from 0.0, in complex parts too."""
+    return repr(tuple(result))
+
+
+COMPTON_VIEWS = (compton_pair_A, compton_pair_B, compton_total)
+INDEX_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+MEMO_FRAMES = (None, Boost.along_z(0.6), Boost((0.3, -0.4, 0.5)))
+
+
+class TestLastCallMemo:
+    """Repeated calls on the very same momentum objects reuse one evaluation."""
+
+    @pytest.mark.parametrize("normalization", ["box", "covariant"])
+    @pytest.mark.parametrize("frame", MEMO_FRAMES)
+    def test_hits_equal_fresh_evaluations(self, normalization, frame):
+        # zero-momentum and boosted frames, and the rest frame with its exact zeros
+        sets = [compton_cm_kinematics(1.3, 1.1, frame), compton_kinematics(0.7, 2.0, frame)]
+        for vectors in sets:
+            for spins in INDEX_PAIRS:
+                for pols in INDEX_PAIRS:
+                    kw = dict(spins=spins, pols=pols, normalization=normalization, frame=frame)
+                    # A misses, B adds channel 2, the total and the repeats hit
+                    for fn in COMPTON_VIEWS + COMPTON_VIEWS:
+                        assert fields(fn(*vectors, **kw)) == fields(fn(*copies(vectors), **kw))
+        mvectors = moller_kinematics(4.0, 1.1, frame)
+        for spins in itertools.product((1, 2), repeat=4):
+            kw = dict(spins=spins, normalization=normalization)
+            first = moller_total(*mvectors, frame=frame, **kw)
+            again = moller_total(*mvectors, frame=frame, **kw)
+            fresh = moller_total(*copies(mvectors), frame=frame, **kw)
+            assert fields(first) == fields(again) == fields(fresh)
+            shift = -1e-4 * min(abs(part.denom) for part in fresh.parts)
+            hit = corrected_amplitude(*mvectors, pair_shift=shift, **kw)
+            miss = corrected_amplitude(*copies(mvectors), pair_shift=shift, **kw)
+            assert fields(hit.base) == fields(miss.base)
+            assert repr(tuple(hit)[1:]) == repr(tuple(miss)[1:])
+
+    def test_zero_signs_of_a_hit(self):
+        # rest-frame spinors carry signed zeros; a hit keeps every one of them
+        vectors = compton_kinematics(1.0, 0.0)
+        for fn in COMPTON_VIEWS:
+            hit, fresh = fn(*vectors), fn(*copies(vectors))
+            for part, expected in zip(hit.parts, fresh.parts):
+                for z, w in zip((part.omega1, part.omega2), (expected.omega1, expected.omega2)):
+                    assert math.copysign(1.0, z.real) == math.copysign(1.0, w.real)
+                    assert math.copysign(1.0, z.imag) == math.copysign(1.0, w.imag)
+            assert fields(hit) == fields(fresh)
+
+    def test_value_equal_vectors_are_a_miss(self):
+        # the memo keys on identity: momenta equal in value but with other
+        # zero signs are evaluated afresh, never served the stored spinors
+        differs = []
+        for vectors in (compton_kinematics(1.0, 0.0), compton_kinematics(0.8, 1.2)):
+            flipped = flipped_zeros(vectors)
+            assert flipped == vectors
+            for fn in COMPTON_VIEWS:
+                before = fields(fn(*vectors))
+                after = fields(fn(*flipped))
+                assert after == fields(fn(*copies(flipped)))
+                differs.append(after != before)
+        # a value-keyed memo would have served the wrong zero signs here
+        assert any(differs)
+
+    def test_interleaved_calls_never_stale(self):
+        rng = np.random.default_rng(71)
+        vector_sets = [compton_cm_kinematics(1.0, 1.0),
+                       compton_cm_kinematics(0.5, 2.0, Boost.along_z(0.4))]
+        moller_sets = [moller_kinematics(4.0, 1.0), moller_kinematics(3.0, 2.0, Boost.along_z(0.4))]
+        constants = [NATURAL, Constants(V=2.0)]
+        norms = ["box", "covariant"]
+        expected = {}
+        for (i, vectors), fn, spins, pols, c, norm in itertools.product(
+                enumerate(vector_sets), COMPTON_VIEWS, INDEX_PAIRS, INDEX_PAIRS, (0, 1), norms):
+            expected[i, fn, spins, pols, c, norm] = fields(fn(
+                *copies(vectors), spins=spins, pols=pols, constants=constants[c],
+                normalization=norm))
+        for (i, vectors), spins, c, norm in itertools.product(
+                enumerate(moller_sets), itertools.product((1, 2), repeat=4), (0, 1), norms):
+            expected[i, moller_total, spins, c, norm] = fields(moller_total(
+                *copies(vectors), spins=spins, constants=constants[c], normalization=norm))
+        for _ in range(600):
+            i, c, norm = int(rng.integers(2)), int(rng.integers(2)), norms[rng.integers(2)]
+            if rng.uniform() < 0.7:
+                fn = COMPTON_VIEWS[rng.integers(3)]
+                spins, pols = INDEX_PAIRS[rng.integers(4)], INDEX_PAIRS[rng.integers(4)]
+                result = fn(*vector_sets[i], spins=spins, pols=pols, constants=constants[c],
+                            normalization=norm)
+                assert fields(result) == expected[i, fn, spins, pols, c, norm]
+            else:
+                spins = tuple(int(s) for s in rng.integers(1, 3, size=4))
+                result = moller_total(*moller_sets[i], spins=spins, constants=constants[c],
+                                      normalization=norm)
+                assert fields(result) == expected[i, moller_total, spins, c, norm]
+
+    def test_setup_and_channels_computed_once(self, monkeypatch):
+        counts = {"setup": 0, "channel": 0, "moller": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(amplitudes, "_compton_setup",
+                            counted("setup", amplitudes._compton_setup))
+        monkeypatch.setattr(amplitudes, "_compton_channel",
+                            counted("channel", amplitudes._compton_channel))
+        monkeypatch.setattr(amplitudes, "_moller", counted("moller", amplitudes._moller))
+        vectors = compton_cm_kinematics(1.0, 0.9, Boost.along_z(0.3))
+        for fn in COMPTON_VIEWS:
+            fn(*vectors, spins=(2, 1), pols=(1, 2))
+        assert counts == {"setup": 1, "channel": 2, "moller": 0}
+        compton_total(*copies(vectors), spins=(2, 1), pols=(1, 2))
+        assert counts == {"setup": 2, "channel": 4, "moller": 0}
+        mvectors = moller_kinematics(4.0, 0.9)
+        base = moller_total(*mvectors)
+        corrected_amplitude(*mvectors, pair_shift=-1e-4 * min(abs(p.denom) for p in base.parts))
+        assert counts["moller"] == 1
+
+    @pytest.mark.parametrize("fn", COMPTON_VIEWS)
+    def test_setup_error_raised_again(self, fn):
+        p, k, p_out, k_out = compton_cm_kinematics(1.0, 1.0)
+        off_shell = (FourVector(p.t + 1e-3, p.x, p.y, p.z), k, p_out, k_out)
+        for _ in range(2):
+            with pytest.raises(OffShellInput):
+                fn(*off_shell)
+        vectors = compton_cm_kinematics(1.0, 1.0)
+        bad = Constants(V=1e-320)  # the coupling scale overflows
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="coupling scale"):
+                fn(*vectors, constants=bad)
+        assert fields(fn(*vectors)) == fields(fn(*copies(vectors)))
+
+    def test_channel_pole_raised_again_and_memo_kept(self):
+        vectors = compton_cm_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.9999999999999999))
+        outcomes = {}
+        for fn in COMPTON_VIEWS + COMPTON_VIEWS:
+            try:
+                outcomes.setdefault(fn, []).append(fields(fn(*vectors)))
+            except PoleEncountered as exc:
+                outcomes.setdefault(fn, []).append(str(exc))
+        assert all(first == second for first, second in outcomes.values())
+        assert any("vanishes" in first for first, _ in outcomes.values())
+        # a call that raises leaves the stored evaluation as it was
+        good = compton_cm_kinematics(1.0, 1.0)
+        compton_pair_A(*good)
+        kept = amplitudes._compton_memo
+        with pytest.raises(PoleEncountered):
+            compton_total(*vectors)
+        assert amplitudes._compton_memo is kept
+
+    def test_moller_errors_raised_again_and_memo_kept(self):
+        good = moller_kinematics(4.0, 1.0)
+        moller_total(*good)
+        kept = amplitudes._moller_memo
+        forward = moller_kinematics(4.0, 0.0)
+        for _ in range(2):
+            with pytest.raises(ForwardSingularity):
+                moller_total(*forward)
+        assert amplitudes._moller_memo is kept
+        with pytest.raises(ValueError, match="spin index must be 1 or 2, got True"):
+            moller_total(*good, spins=(1, 1, 1, True))
+        assert amplitudes._moller_memo is kept
+
+    def test_index_checks_run_on_a_hit(self):
+        # (1, True) == (1, 1), so only a check before the lookup rejects it
+        vectors = compton_cm_kinematics(1.0, 1.0)
+        for fn in COMPTON_VIEWS:
+            fn(*vectors)
+            with pytest.raises(ValueError, match="polarization index must be 1 or 2, got True"):
+                fn(*vectors, pols=(1, True))
+            with pytest.raises(ValueError, match="spin index must be 1 or 2, got 1.0"):
+                fn(*vectors, spins=(1.0, 1))
+        mvectors = moller_kinematics(4.0, 1.0)
+        moller_total(*mvectors)
+        with pytest.raises(ValueError, match="spin index must be 1 or 2, got True"):
+            moller_total(*mvectors, spins=(True, 1, 1, 1))
+
+    def test_results_never_share_dicts(self):
+        vectors = compton_cm_kinematics(1.0, 1.0)
+        results = [fn(*vectors) for fn in COMPTON_VIEWS + COMPTON_VIEWS]
+        mvectors = moller_kinematics(4.0, 1.0)
+        results += [moller_total(*mvectors), moller_total(*mvectors)]
+        provenances = [r.provenance for r in results]
+        margins = [r.provenance["guard_margins"] for r in results]
+        assert len({id(d) for d in provenances}) == len(results)
+        assert len({id(d) for d in margins}) == len(results)
+        expected = fields(compton_total(*copies(vectors)))
+        for r in results:
+            r.provenance["guard_margins"]["min_denominator"] = -1.0
+            r.provenance["extra"] = 1
+        assert fields(compton_total(*vectors)) == expected
+        assert moller_total(*mvectors).provenance == moller_total(*copies(mvectors)).provenance
+
+    def test_frame_recorded_per_call(self):
+        vectors = compton_cm_kinematics(1.0, 1.0)
+        b = Boost.along_z(0.25)
+        assert compton_pair_A(*vectors, frame=None).frame is None
+        total = compton_total(*vectors, frame=b)
+        assert total.frame is b
+        assert total.to_json_dict()["frame"] == {"beta": [0.0, 0.0, 0.25]}
+        assert compton_pair_B(*vectors).frame is None
+        mvectors = moller_kinematics(4.0, 1.0)
+        assert moller_total(*mvectors, frame=b).frame is b
+        assert moller_total(*mvectors).frame is None
+
+    def test_the_process_label_is_per_view(self):
+        vectors = compton_cm_kinematics(1.0, 1.0)
+        labels = [fn(*vectors).process for fn in COMPTON_VIEWS]
+        assert labels == ["compton_pair_A", "compton_pair_B", "compton"]
+
+
+class TestIndexCounts:
+    @pytest.mark.parametrize("fn", COMPTON_VIEWS)
+    @pytest.mark.parametrize("kw, message", [
+        ({"spins": (1, 2, 1)}, "compton takes 2 spin indices, got (1, 2, 1)"),
+        ({"spins": (1,)}, "compton takes 2 spin indices, got (1,)"),
+        ({"pols": (1,)}, "compton takes 2 polarization indices, got (1,)"),
+        ({"pols": [1, 2, 2]}, "compton takes 2 polarization indices, got (1, 2, 2)"),
+    ])
+    def test_compton_index_counts(self, fn, kw, message):
+        with pytest.raises(ValueError) as caught:
+            fn(*compton_cm_kinematics(1.0, 1.0), **kw)
+        assert str(caught.value) == message
+
+    def test_lists_are_accepted_and_copied(self):
+        # a list key would let a later mutation of the caller's list go unseen
+        vectors = compton_cm_kinematics(1.0, 1.0)
+        spins = [1, 2]
+        first = compton_total(*vectors, spins=spins)
+        spins[1] = 1
+        assert fields(compton_total(*vectors, spins=spins)) == fields(
+            compton_total(*copies(vectors), spins=(1, 1)))
+        assert fields(first) == fields(compton_total(*copies(vectors), spins=(1, 2)))

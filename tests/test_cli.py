@@ -100,6 +100,25 @@ class TestLambdaSim:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("energies", [[0.0, 1e308, -1e308], [-1e308, 0.0, 1.7e308]])
+    def test_overflowing_energy_spread_exit_2(self, tmp_path, capsys, energies):
+        # finite levels whose gap overflows to inf used to end in a traceback
+        # from base_period (Fraction of inf / inf)
+        couplings = np.zeros((3, 3), dtype=complex)
+        couplings[1, 0] = couplings[0, 1] = couplings[1, 2] = couplings[2, 1] = 0.1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"energies": energies,
+                                    "couplings": LevelSystem([0.0, 10.0, 0.0], couplings)
+                                    .to_json_dict()["couplings"]}))
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        rc = main(["lambda-sim", "--system", str(path), "--out", str(out),
+                   "--summary", str(summary)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "energy spread max - min = inf is not a finite float" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not summary.exists()
+
     def test_step_guard_maps_to_exit_3(self, tmp_path, lambda_file, monkeypatch):
         def explode(*args, **kwargs):
             raise StepTooLarge("synthetic drift")

@@ -5,12 +5,16 @@ subnormals, negatives) run through `qlambda.cli.main` in process. Every run
 must end in one of the documented exit codes with no traceback: argparse
 rejections exit 2, everything else returns from `main`.
 
+A second test writes random level-system documents, well-formed and
+malformed, and runs lambda-sim on them.
+
 The value pools keep every accepted run small (at most about 1500 grid nodes
 for vacpol and a few thousand steps for lambda-sim), so the whole test stays
 within a few seconds.
 """
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -95,7 +99,7 @@ def workdir(tmp_path_factory):
 def run_cli(argv, workdir):
     """Exit code and stderr of one in-process run; artifacts land in workdir."""
     if argv[0] == "lambda-sim":
-        names = {"system.json", "missing.json", "broken.json"}
+        names = {"system.json", "missing.json", "broken.json", "fuzzed.json"}
         argv = [str(workdir / a) if a in names else a for a in argv]
         if "--system" not in argv:
             argv += ["--system", str(workdir / "system.json")]
@@ -117,3 +121,55 @@ def test_cli_exit_codes_without_traceback(argv, workdir):
     code, err = run_cli(argv, workdir)
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# level-system documents. Well-formed ones have 2-4 finite levels, extremes
+# included, and Hermitian zero-diagonal couplings, so they reach evolve: the
+# levels mostly have commensurate gaps, so that a common period exists, and
+# the couplings are mostly zero, since coupled degenerate levels are rejected.
+# Malformed ones add numbers that overflow or are not finite, wrong types and
+# wrong shapes.
+FINITE_LEVELS = st.sampled_from((0.0, 10.0, 5.0, -10.0, 20.0, -0.0, 3.7, 1e308, -1e308, 1e-300,
+                                 5e-324))
+FINITE_COUPLINGS = st.sampled_from((0.0, 0.0, 0.0, 0.1, -0.3, 0.05, 1e-300, 1e154, 1e308))
+ANY_NUMBER = st.one_of(
+    FINITE_LEVELS,
+    st.sampled_from((0, 1, 10**400, float("nan"), float("inf"), float("-inf"), True, None, "x")),
+)
+ENTRIES = st.one_of(st.lists(ANY_NUMBER, min_size=2, max_size=2),
+                    st.sampled_from(([], [1], {}, {"0": 1}, "ab", 5, None, [0.1, 0.0, 2.0])))
+
+
+@st.composite
+def hermitian_documents(draw):
+    n = draw(st.sampled_from((3, 2, 4)))
+    couplings = [[[0.0, 0.0] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            re, im = draw(FINITE_COUPLINGS), draw(st.sampled_from((0.0, 0.0, 0.1, -1e-300)))
+            couplings[j][k], couplings[k][j] = [re, im], [re, -im]
+    energies = draw(st.lists(FINITE_LEVELS, min_size=n, max_size=n))
+    return {"energies": energies, "couplings": couplings}
+
+
+@st.composite
+def malformed_documents(draw):
+    n = draw(st.integers(0, 5))
+    energies = draw(st.one_of(st.lists(ANY_NUMBER, min_size=n, max_size=n),
+                              st.sampled_from(("abc", {}, None, [[0.0]], 7))))
+    width = draw(st.sampled_from((n, n + 1, max(n - 1, 0))))
+    couplings = draw(st.one_of(
+        st.lists(st.lists(ENTRIES, min_size=width, max_size=width), min_size=n, max_size=n),
+        st.sampled_from((7, "x", None, [1, 2], [[]], {"a": 1}))))
+    doc = {"energies": energies, "couplings": couplings}
+    return draw(st.sampled_from((doc, {**doc, "extra": 1}, {"energies": energies}, [doc])))
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(document=st.one_of(hermitian_documents(), malformed_documents()), argv=st.tuples(
+    flag("--t-final", T_FINAL), flag("--dt", DT)))
+def test_lambda_sim_system_documents_without_traceback(document, argv, workdir):
+    (workdir / "fuzzed.json").write_text(json.dumps(document))
+    code, err = run_cli(["lambda-sim", "--system", "fuzzed.json", *sum(argv, [])], workdir)
+    assert code in EXIT_CODES, (document, argv, code, err)
+    assert "Traceback" not in err, (document, argv, err)

@@ -159,6 +159,25 @@ class TestLevelSystem:
         with pytest.raises(ConfigError, match="finite"):
             LevelSystem([0.0, 1.0], [[0, math.nan], [math.nan, 0]])  # NaN passes the Hermitian test
 
+    def test_energy_spread_must_be_finite(self):
+        with pytest.raises(ConfigError, match=r"energy spread max - min = inf is not a finite"):
+            LevelSystem([0.0, 1e308, -1e308], np.zeros((3, 3)))
+        # the largest finite spread is accepted
+        wide = LevelSystem([-1e308, 0.0, 7e307], np.zeros((3, 3)))
+        assert wide.energies.max() - wide.energies.min() == 1.7e308
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"energies": [0, 10**400], "couplings": [[[0, 0]] * 2] * 2}, "energies"),
+        ({"energies": [0, 1], "couplings": [[[0, 0], [10**400, 0]], [[0, 0], [0, 0]]]},
+         "couplings"),
+        ({"energies": [0, 1], "couplings": [[{}, [0, 0]], [[0, 0], [0, 0]]]}, "couplings"),
+        ({"energies": [0, 1], "couplings": [[{"re": 0}, [0, 0]], [[0, 0], [0, 0]]]}, "couplings"),
+    ])
+    def test_malformed_json_values_are_config_errors(self, doc, key):
+        # integers too large for a float and mappings in place of [re, im] pairs
+        with pytest.raises(ConfigError, match=f"malformed key '{key}'"):
+            LevelSystem.from_json_dict(doc)
+
     def test_caller_arrays_stay_writable_and_unshared(self):
         # float64 and complex128 inputs are the dtypes np.asarray would alias
         e = np.array([0.0, 10.0, 0.0])
