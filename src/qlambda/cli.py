@@ -117,6 +117,9 @@ def cmd_lambda_sim(args) -> int:
         if analytic == 0.0:
             raise ConfigError("no effective coupling; give --t-final explicitly")
         t_final = 1.05 * math.pi * constants.hbar / (2.0 * abs(analytic))
+    elif not t_final > 0.0:
+        # checked before the default dt is derived from it, so the message names this flag
+        raise ConfigError(f"--t-final must be positive, got {t_final!r}")
     dt = args.dt if args.dt is not None else t_final / 4096.0
 
     trajectory = dynamics.evolve(system, psi0, t_final, dt, hbar=constants.hbar)

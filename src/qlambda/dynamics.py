@@ -31,6 +31,17 @@ DRIFT_TOL = 1e-6
 _MAGNUS_NODES = 96
 
 
+def _coupling_entry(entry) -> complex:
+    """One coupling of a level-system document: exactly an [re, im] pair of numbers."""
+    try:
+        re, im = entry
+        if type(re) is not bool and type(im) is not bool:
+            return complex(re, im)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"entry {entry!r} is not an [re, im] pair of numbers")
+
+
 class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
     """Level energies plus a Hermitian zero-diagonal coupling matrix.
 
@@ -109,7 +120,7 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
             raise ConfigError(f"malformed key 'energies': {exc}") from exc
         try:
             couplings = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in data["couplings"]],
+                [[_coupling_entry(c) for c in row] for row in data["couplings"]],
                 dtype=complex,
             )
         except (TypeError, ValueError, LookupError, OverflowError) as exc:

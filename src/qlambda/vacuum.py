@@ -105,47 +105,62 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cylindrical_terms(
     p_sq, p_perp2, p_par, k_norm: float, constants: Constants, photon_energy: float
 ):
-    """eta1, spinor factor and shift density in cylindrical coordinates about k.
+    """E', spinor factor and shift density in cylindrical coordinates about k.
 
-    `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` broadcast as
-    arrays or floats; E = sqrt(|p|^2 + m^2) is evaluated on the shape of
-    `p_sq`, so a grid passes it once per radius. The spinor factor is the
-    closed Dirac trace of the spin-summed, polarization-averaged squared
-    bilinear (Peskin & Schroeder 5.1), [p.p'_perp + E E' - p.p' - m^2] / (E E')
-    with p' = p + k and 3-vector products. Both differences cancel as p nears
-    the k axis (1e-3 relative at 1e-7 rad and |p| = 1e3), so they are
-    evaluated as p.p'_perp = p_perp2 and
+    `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` are arrays
+    or numpy scalars, `p_perp2` and `p_par` of one shape; E = sqrt(|p|^2 + m^2)
+    is evaluated on the shape of `p_sq`, so a grid passes it once per radius.
+    The spinor factor is the closed Dirac trace of the spin-summed,
+    polarization-averaged squared bilinear (Peskin & Schroeder 5.1),
+    [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k and 3-vector
+    products. Both differences cancel as p nears the k axis (1e-3 relative at
+    1e-7 rad and |p| = 1e3), so they are evaluated as p.p'_perp = p_perp2 and
     E E' - p.p' - m^2 = |k|^2 (p_perp2 + m^2) / (E E' + p.p' + m^2), with
     p.p' + m^2 = E^2 + |k| p.khat. That ratio is at most 1/2, so the product
     cannot overflow, and a |k|^2 that underflows drops out instead of
     dividing. The squared prefactor P0 eta1^2 / C (C = E + E') times the
-    bracket 1/(w - C) - 1/(w + C) is P0 eta1^2 2 / (w^2 - C^2), with
+    bracket 1/(w - C) - 1/(w + C) is -2 P0 (m^2 / E'^2) / (C^2 - w^2), with
     P0 = coupling_prefactor(1, 1)^2. The bracket has poles at w = +-C, so
     RealPairThreshold is raised once |w| reaches C at any momentum; scaling
     the smallest C by 1 - 1e-12 rounds exactly as scaling each C would.
+
+    The inputs are only read. Every augmented assignment below acts on a
+    temporary of this call: on arrays it writes in place, so a grid block
+    allocates one array per new name and none per operation, and on the
+    numpy scalars of a single sample it rebinds. The density is grouped as
+    ((m^2 / E'^2) / (C^2 - w^2)) spinor P0: each step stays in range wherever
+    the density itself is, from |p| ~ 1e150 (where E'^2 (C^2 - w^2) would
+    overflow) down to m ~ 1e-150 (where (spinor / E'^2) / (C^2 - w^2),
+    with m^2 folded into P0, would overflow as 1 / m^4).
     """
-    m = constants.m_e
-    m_sq = m * m
+    m_sq = constants.m_e * constants.m_e
     e_p_sq = p_sq + m_sq
     e_p = np.sqrt(e_p_sq)
-    perp_m = p_perp2 + m_sq
-    p_pk = p_par + k_norm
-    e_pk = np.sqrt(perp_m + p_pk * p_pk)
-    combined = e_p + e_pk
-    if abs(photon_energy) >= combined.min() * (1.0 - 1e-12):
+    spinor = p_perp2 + m_sq
+    e_pk_sq = p_par + k_norm
+    e_pk_sq *= e_pk_sq
+    e_pk_sq += spinor
+    e_pk = np.sqrt(e_pk_sq)
+    combined = e_pk + e_p
+    if abs(photon_energy) >= np.minimum.reduce(combined, axis=None) * (1.0 - 1e-12):
         raise RealPairThreshold(
             f"photon energy {photon_energy!r} reaches the pair threshold"
         )
-    eta1 = m / e_pk
-    e_prod = e_p * e_pk
-    spinor_factor = (
-        p_perp2 + k_norm * k_norm * (perp_m / (e_prod + (e_p_sq + k_norm * p_par)))
-    ) / e_prod
-    # grouped so each product stays in range up to |p| ~ 1e150; forming
-    # E E'^2 (w^2 - C^2) first would overflow there
-    scale = 2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
-    bracket = eta1 * eta1 / (photon_energy * photon_energy - combined * combined)
-    return eta1, spinor_factor, (scale * spinor_factor) * bracket
+    e_prod = e_pk * e_p
+    denom = k_norm * p_par
+    denom += e_p_sq
+    denom += e_prod
+    spinor /= denom
+    spinor *= k_norm * k_norm
+    spinor += p_perp2
+    spinor /= e_prod
+    density = m_sq / e_pk_sq
+    combined *= combined
+    combined -= photon_energy * photon_energy
+    density /= combined
+    density *= spinor
+    density *= -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
+    return e_pk, spinor, density
 
 
 def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
@@ -153,15 +168,19 @@ def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon
 
     The Cartesian entry to `_cylindrical_terms`: |p|^2, p.khat and
     |p x khat|^2 are read by components, so only the unit vector khat enters
-    them.
+    them; eta1 = m / E' comes from the kernel's E'.
     """
-    k_norm = math.hypot(*k3)
-    hx, hy, hz = (component / k_norm for component in k3.tolist())
+    k_list = k3.tolist()
+    k_norm = math.hypot(*k_list)
+    hx, hy, hz = (component / k_norm for component in k_list)
     px, py, pz = p3s.transpose(-1, *range(p3s.ndim - 1))
     p_sq = px * px + py * py + pz * pz
     p_par = px * hx + py * hy + pz * hz
     p_perp2 = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
-    return _cylindrical_terms(p_sq, p_perp2, p_par, k_norm, constants, photon_energy)
+    e_pk, spinor_factor, density = _cylindrical_terms(
+        p_sq, p_perp2, p_par, k_norm, constants, photon_energy
+    )
+    return constants.m_e / e_pk, spinor_factor, density
 
 
 class PairShiftSample(namedtuple("PairShiftSample",
@@ -275,23 +294,25 @@ def _radial_profile(
 
     The summed density depends only on |p| and the angle to k, so the polar
     axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
-    covers the whole sphere. The kernel takes the (radius, node) grid of
-    r^2 sin^2(theta) and r cos(theta) directly, _BLOCK_POINTS points at a time.
+    covers the whole sphere. The kernel takes the (node, radius) grid of
+    r^2 sin^2(theta) and r cos(theta) directly, at most _BLOCK_POINTS points
+    at a time (one radius per block if n_theta exceeds it). Radii run along
+    the last axis, so the per-radius E, E^2 broadcast over contiguous rows.
     """
     cos_t, weights = _gauss_rule(grid.n_theta)
     sin_sq = 1.0 - cos_t * cos_t
     angular = 2.0 * math.pi * weights
     k_norm = math.hypot(*k3)
-    r_sq = (radii * radii)[:, None]
-    rows = max(1, _BLOCK_POINTS // grid.n_theta)
+    r_sq = radii * radii
+    cols = max(1, _BLOCK_POINTS // grid.n_theta)
     profile = np.empty(radii.size)
-    for start in range(0, radii.size, rows):
-        block = slice(start, start + rows)
+    for start in range(0, radii.size, cols):
+        block = slice(start, start + cols)
         _, _, dens = _cylindrical_terms(
-            r_sq[block], r_sq[block] * sin_sq, np.multiply.outer(radii[block], cos_t),
-            k_norm, constants, photon_energy,
+            r_sq[block], np.multiply.outer(sin_sq, r_sq[block]),
+            np.multiply.outer(cos_t, radii[block]), k_norm, constants, photon_energy,
         )
-        profile[block] = dens @ angular
+        np.dot(angular, dens, out=profile[block])
     return profile
 
 
@@ -309,13 +330,14 @@ def _integrate(
     hi = log_edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    us = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    ws = half[:, None] * gl_weights[None, :]
-    radii = np.exp(us).ravel()
-    profile = _radial_profile(radii, k3, grid, constants, photon_energy).reshape(us.shape)
+    radii = np.exp(mid[:, None] + half[:, None] * gl_nodes)
+    profile = _radial_profile(radii.ravel(), k3, grid, constants, photon_energy)
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
-    integrand = _MEASURE * np.exp(us) ** 3 * profile
-    panel_sums = np.einsum("pi,pi->p", ws, integrand)
+    integrand = radii * radii
+    integrand *= radii
+    integrand *= _MEASURE
+    integrand *= profile.reshape(radii.shape)
+    panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
     return float(panel_sums.sum()), panel_sums
 
 
@@ -334,34 +356,47 @@ def total_shift(
     rules, the angular integral one Gauss rule in the angle to k (`grid.n_phi`
     is accepted and has no effect); the mode volume V cancels exactly, so the
     result does not depend on it. The report carries the cumulative integral
-    versus cutoff, a 1/cutoff tail estimate from the last sampled density, a
-    power-law fit of the radial profile over the top two decades and the
-    grid-refinement delta. Raises GridTooCoarse when doubling the radial
-    panel count moves the result by more than refine_tol, and ConfigError
-    for a non-finite k3, cutoff, photon_energy or refine_tol, a negative
-    refine_tol (0 demands an exact match), or a cutoff above _MAX_CUTOFF. `n_threads` is accepted and has no effect: the
+    versus cutoff, a 1/cutoff tail estimate from the last sampled density,
+    the power-law slope of the radial profile over the top two decades and
+    the grid-refinement delta. The slope is the closed-form least-squares
+    slope sum(x y) / sum(x x) of x = log p and y = log |F|, each centred on
+    its mean (NaN when the window holds one radius); it needs no linear
+    solve and keeps full precision at large log p, where a fit on the
+    uncentred values loses digits (1e-14 relative at a cutoff of 1e60).
+
+    The profile runs in three passes, in this order: the coarse panels, the
+    panels of the doubled grid, then the cutoff edges. RealPairThreshold is
+    raised by the first pass that reaches the threshold, and GridTooCoarse,
+    when doubling the radial panel count moves the result by more than
+    refine_tol, before the edge pass. The scalar arguments are checked with
+    math.isfinite: ConfigError for a non-finite k3, cutoff, photon_energy or
+    refine_tol, a negative refine_tol (0 demands an exact match), or a cutoff
+    above _MAX_CUTOFF. `n_threads` is accepted and has no effect: the
     momentum sum runs as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
+    k_list = k3.tolist()
+    if not all(map(math.isfinite, k_list)):
+        raise ConfigError(f"k must be finite, got {k3}")
     for name, value in (
-        ("k", k3),
         ("cutoff", cutoff),
         ("photon_energy", photon_energy),
         ("refine_tol", refine_tol),
     ):
-        if value is not None and not np.all(np.isfinite(value)):
+        if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
     if refine_tol < 0.0:
         raise ConfigError(f"refine_tol must be >= 0, got {refine_tol!r}")
-    if not k3.any():
+    k_norm = math.hypot(*k_list)
+    if k_norm == 0.0:
         raise ZeroWavevector("momentum integral undefined for k = 0")
     m = constants.m_e
-    if cutoff <= 10.0 * max(m, math.hypot(*k3)):
+    if cutoff <= 10.0 * max(m, k_norm):
         raise ConfigError(f"cutoff {cutoff!r} must exceed 10 max(m, |k|)")
     if cutoff > _MAX_CUTOFF:
         raise ConfigError(f"cutoff {cutoff!r} exceeds {_MAX_CUTOFF:g}")
     if photon_energy is None:
-        photon_energy = math.hypot(*k3)
+        photon_energy = k_norm
     constants = constants.with_volume(1.0)  # see _MEASURE
     log_range = (math.log(1e-4 * m), math.log(cutoff))
 
@@ -384,10 +419,14 @@ def total_shift(
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
     tail_estimates = _MEASURE * cutoffs**3 * edge_profile
 
+    # closed-form least squares about the means; a one-radius window has no slope
     window = cutoffs >= cutoff / 100.0
     log_p = np.log(cutoffs[window])
     log_f = np.log(np.abs(edge_profile[window]))
-    fitted_slope = float(np.polyfit(log_p, log_f, 1)[0])
+    log_p -= log_p.sum() / log_p.size
+    log_f -= log_f.sum() / log_f.size
+    spread = float(log_p @ log_p)
+    fitted_slope = float(log_p @ log_f) / spread if spread else math.nan
 
     report = ConvergenceReport(
         cutoffs, partial_sums, tail_estimates, fitted_slope, refine_delta

@@ -90,6 +90,32 @@ class TestLambdaSim:
         assert rc == 2
         assert "couplings" in capsys.readouterr().err
 
+    def test_coupling_entry_with_a_third_number_exit_2(self, tmp_path, lambda_file, capsys):
+        doc = json.loads(lambda_file.read_text())
+        doc["couplings"][0][1] = [0.1, 0, 7]
+        bad = tmp_path / "three.json"
+        bad.write_text(json.dumps(doc))
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        rc = main(["lambda-sim", "--system", str(bad), "--out", str(out),
+                   "--summary", str(summary)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "entry [0.1, 0, 7] is not an [re, im] pair of numbers" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("t_final", ["-1", "0"])
+    def test_non_positive_t_final_names_the_flag(self, tmp_path, lambda_file, capsys, t_final):
+        # the default dt is t_final / 4096, so the check must come before it
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        rc = main(["lambda-sim", "--system", str(lambda_file), "--t-final", t_final,
+                   "--out", str(out), "--summary", str(summary)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"--t-final must be positive, got {float(t_final)!r}" in err
+        assert "dt" not in err.replace("--t-final", "")
+        assert not out.exists() and not summary.exists()
+
     def test_non_finite_energy_exit_2(self, tmp_path, capsys):
         # json.loads accepts NaN, so the level system itself must reject it
         bad = tmp_path / "nan.json"
@@ -409,6 +435,15 @@ class TestVacpol:
         doc = json.loads(first[1])
         assert list(doc)[:3] == ["pair_shift", "fitted_slope", "refine_delta"]
         assert 0.0 <= doc["refine_delta"] < 0.01
+
+    def test_default_run_pinned(self, tmp_path):
+        # values of the default run before the allocation-light kernel and the
+        # closed-form slope; refine_delta is rounding noise on this grid and is not pinned
+        summary = tmp_path / "s.json"
+        assert main(["vacpol", "--out", str(tmp_path / "c.csv"), "--summary", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        assert doc["pair_shift"] == pytest.approx(-0.00094731211024436806, rel=1e-14, abs=0.0)
+        assert doc["fitted_slope"] == pytest.approx(-3.999966192609604, rel=1e-14, abs=0.0)
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLAMBDA_THREADS", "not-a-number")

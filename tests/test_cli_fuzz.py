@@ -6,7 +6,9 @@ must end in one of the documented exit codes with no traceback: argparse
 rejections exit 2, everything else returns from `main`.
 
 A second test writes random level-system documents, well-formed and
-malformed, and runs lambda-sim on them.
+malformed, and runs lambda-sim on them; a third puts one coupling entry that
+is not an [re, im] pair of numbers into a well-formed document and expects
+exit 2.
 
 The value pools keep every accepted run small (at most about 1500 grid nodes
 for vacpol and a few thousand steps for lambda-sim), so the whole test stays
@@ -163,6 +165,34 @@ def malformed_documents(draw):
         st.sampled_from((7, "x", None, [1, 2], [[]], {"a": 1}))))
     doc = {"energies": energies, "couplings": couplings}
     return draw(st.sampled_from((doc, {**doc, "extra": 1}, {"energies": energies}, [doc])))
+
+
+# coupling entries that are not exactly an [re, im] pair of numbers
+BAD_ENTRIES = st.one_of(
+    st.lists(FINITE_COUPLINGS, min_size=3, max_size=4),
+    st.lists(FINITE_COUPLINGS, max_size=1),
+    st.lists(st.sampled_from((True, False, None, "x", "0.1", [0.1], {})), min_size=1,
+             max_size=2).flatmap(lambda bad: st.permutations(bad + [0.1] * (2 - len(bad)))),
+    st.sampled_from(({}, {"0": 1}, "ab", 5, 0.1, None)),
+)
+
+
+@st.composite
+def documents_with_one_bad_entry(draw):
+    doc = draw(hermitian_documents())
+    n = len(doc["energies"])
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    doc["couplings"][j][k] = draw(BAD_ENTRIES)
+    return doc
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(document=documents_with_one_bad_entry())
+def test_malformed_coupling_entry_exit_2(document, workdir):
+    (workdir / "fuzzed.json").write_text(json.dumps(document))
+    code, err = run_cli(["lambda-sim", "--system", "fuzzed.json"], workdir)
+    assert code == 2, (document, code, err)
+    assert "malformed key 'couplings'" in err and "Traceback" not in err, (document, err)
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)

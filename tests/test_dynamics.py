@@ -178,6 +178,23 @@ class TestLevelSystem:
         with pytest.raises(ConfigError, match=f"malformed key '{key}'"):
             LevelSystem.from_json_dict(doc)
 
+    @pytest.mark.parametrize("entry", [
+        [0.1, 0, 7], [0.1], [], [[0.1], [0]], [True, 0], [0.1, False], [None, 0],
+        ["0.1", "0"], "ab", 0.1, None,
+    ])
+    def test_coupling_entry_must_be_a_number_pair(self, entry):
+        # complex(c[0], c[1]) used to drop a third number and accept booleans
+        couplings = [[[0, 0], [0.1, 0]], [[0.1, 0], [0, 0]]]
+        couplings[0][1] = entry
+        with pytest.raises(ConfigError, match="malformed key 'couplings': entry .* is not an "
+                                              r"\[re, im\] pair of numbers"):
+            LevelSystem.from_json_dict({"energies": [0, 1], "couplings": couplings})
+
+    def test_coupling_pairs_of_ints_and_floats_accepted(self):
+        system = LevelSystem.from_json_dict(
+            {"energies": [0, 1], "couplings": [[[0, 0], [1, -0.5]], [(1, 0.5), [0.0, 0]]]})
+        assert system.couplings[0, 1] == 1 - 0.5j and system.couplings[1, 0] == 1 + 0.5j
+
     def test_caller_arrays_stay_writable_and_unshared(self):
         # float64 and complex128 inputs are the dtypes np.asarray would alias
         e = np.array([0.0, 10.0, 0.0])

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ class TestNonFiniteSampleInput:
                        ((1e150, 1e150, 0.0), (-1e150, 0.0, 1e-300))):
             sample = vacuum.pair_shift_sample(p3, k3)
             assert math.isfinite(sample.spinor_factor) and sample.shift_density <= 0.0
+
+
+class TestMassScaling:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1e-80, 1e50])
+    def test_shift_is_linear_in_the_mass(self, m):
+        # the density is f(p/m, k/m, w/m) / m^2 and d^3p brings m^3; a kernel that
+        # folds m^2 into the squared prefactor overflows at m = 1e-80 as 1 / m^4
+        reference, _ = total_shift(K3, 1e4, photon_energy=1.3)
+        shift, _ = total_shift(m * K3, 1e4 * m, constants=Constants(m_e=m),
+                               photon_energy=1.3 * m)
+        assert shift == pytest.approx(m * reference, rel=1e-12, abs=0.0)
 
 
 class TestCrossProductByComponents:
@@ -369,6 +382,34 @@ class TestCylindricalKernel:
                 for row, column in zip(rows, batch):
                     assert row == pytest.approx(column[i], rel=1e-15, abs=0.0)
 
+    def test_inputs_read_only_and_unchanged(self):
+        # the augmented assignments may write only to the kernel's own temporaries
+        rng = np.random.default_rng(37)
+        cos_t, _ = np.polynomial.legendre.leggauss(16)
+        radii = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 40))
+        p3s = rng.normal(size=(64, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(64, 1))
+        k3 = np.array([0.3, -0.4, 0.2])
+        k_norm = float(np.linalg.norm(k3))
+        grid = (radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
+                np.multiply.outer(cos_t, radii))
+        calls = [
+            (vacuum._cylindrical_terms, grid, (k_norm, NATURAL, 1.3)),
+            (vacuum._density_terms, (p3s, k3), (NATURAL, 1.3)),
+            (vacuum._radial_profile, (radii, k3), (GridSpec(), NATURAL, 1.3)),
+        ]
+        for fn, arrays, rest in calls:
+            copies = [array.copy() for array in arrays]
+            expected = fn(*copies, *rest)
+            for array in arrays:
+                array.setflags(write=False)
+            got = fn(*arrays, *rest)
+            for array, copy in zip(arrays, copies):
+                assert np.array_equal(array, copy)
+            for out, want in zip(got if isinstance(got, tuple) else (got,),
+                                 expected if isinstance(expected, tuple) else (expected,)):
+                assert np.array_equal(out, want)
+                assert not any(np.shares_memory(out, array) for array in arrays)
+
     def test_rules_read_only(self):
         for n in (4, 16):
             for array in vacuum._gauss_rule(n):
@@ -446,6 +487,49 @@ class TestRadialProfile:
                 got, want = getattr(other_report, field), getattr(report, field)
                 assert np.max(np.abs(got / want - 1.0)) <= 1e-15
             assert other_report.fitted_slope == pytest.approx(report.fitted_slope, rel=1e-15)
+
+
+def exact_slope(x, y):
+    """Least-squares slope of y on x in rational arithmetic on the float inputs."""
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+                 / sum((a - mx) ** 2 for a in xs))
+
+
+class TestFittedSlope:
+    @pytest.mark.parametrize("k3, energy", [
+        ((0.0, 0.0, 0.5), None),
+        ((0.3, -0.4, 0.2), None),
+        ((0.0, 0.0, 0.5), 1.3),
+    ])
+    @pytest.mark.parametrize("cutoff", [1e3, 1e4, 1e10, 1e30, 1e60])
+    def test_closed_form_matches_polyfit(self, monkeypatch, k3, energy, cutoff):
+        # the same points as total_shift's fit: the edge pass is its last profile
+        profiles = []
+        radial_profile = vacuum._radial_profile
+
+        def recorded(*args):
+            profiles.append(radial_profile(*args))
+            return profiles[-1]
+
+        monkeypatch.setattr(vacuum, "_radial_profile", recorded)
+        _, report = total_shift(np.array(k3), cutoff, photon_energy=energy)
+        window = report.cutoffs >= cutoff / 100.0
+        log_p, log_f = np.log(report.cutoffs[window]), np.log(np.abs(profiles[-1][window]))
+        assert window.sum() >= 3  # 96 panels: 28 radii at 1e3, 4 at 1e60
+        reference = np.polyfit(log_p, log_f, 1)[0]
+        assert report.fitted_slope == pytest.approx(reference, rel=1e-13, abs=0.0)
+        # the centred closed form keeps the digits that the uncentred fit loses
+        # at large log p (polyfit: 1e-14 relative at 1e60)
+        assert report.fitted_slope == pytest.approx(exact_slope(log_p, log_f), rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_point_window_has_no_slope(self):
+        # 4 panels over 10 decades: only the cutoff itself lies in the top two
+        _, report = total_shift(K3, 1e6, GridSpec(n_radial=4, n_theta=8), refine_tol=100.0)
+        assert np.sum(report.cutoffs >= 1e4) == 1
+        assert math.isnan(report.fitted_slope)
 
 
 class TestTotalShiftBounds:
