@@ -33,13 +33,19 @@ and the Constants object of the last successful call, compared by identity
 spin and polarization indices and the normalization, compared by equality.
 A hit reuses the guards, eta, external spinors, polarizations, coupling
 factors and every channel row already computed; a Compton row is computed on
-first request. Identity, not value, is the key because equal values need not
-give equal results: -0.0 == 0.0, yet the sign of a momentum's zero component
-reaches the signs of spinor zeros. Every call still checks its indices and
-builds a fresh result, with its own frame, process label and provenance and
-guard_margins dicts, summed in the same order, so a hit is bit for bit a
-fresh evaluation. Errors are never stored: a call that raises leaves the memo
-as it was, and raises again when repeated.
+first request. Each row, and the Moller evaluation, carries its parts'
+values next to the parts, computed once as `DiagramAmplitude.value`, and
+every view's total is the in-order sum of those values. Identity, not value,
+is the key because equal values need not give equal results: -0.0 == 0.0,
+yet the sign of a momentum's zero component reaches the signs of spinor
+zeros. Every call still checks its indices and builds a fresh result, with
+its own frame, process label and provenance and guard_margins dicts, summed
+in the same order, so a hit is bit for bit a fresh evaluation. Errors are
+never stored: a call that raises leaves the memo as it was, and raises again
+when repeated.
+
+Guard labels and part names are module constants; a guard formats its
+message only when it raises.
 """
 from __future__ import annotations
 
@@ -76,9 +82,16 @@ from .pauli import (
 _ONSHELL_RTOL = 1e-9
 _CONSERVATION_RTOL = 1e-10
 _POLE_RTOL = 1e-9
-# guard_margins keys: compare with _POLE_RTOL (from above), _ONSHELL_RTOL and
-# _CONSERVATION_RTOL (from below)
-_MARGIN_KEYS = ("min_denominator", "on_shell_residual", "conservation_residual")
+# guard labels and part names, in the order the momenta, rows and parts come
+_COMPTON_LABELS = ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon")
+_MOLLER_LABELS = ("beam electron", "target electron",
+                  "scattered beam electron", "scattered target electron")
+_CHANNEL_POLES = (("channel 1 forward ordering", "channel 1 crossed ordering"),
+                  ("channel 2 forward ordering", "channel 2 crossed ordering"))
+_CHANNEL_PARTS = ((("1a:s=1", "1b:s=1"), ("1a:s=2", "1b:s=2")),
+                  (("2a:s=1", "2b:s=1"), ("2a:s=2", "2b:s=2")))
+_MOLLER_PARTS = (("emit-beam:pol=1", "emit-target:pol=1"),
+                 ("emit-beam:pol=2", "emit-target:pol=2"))
 
 
 class CouplingFactor(namedtuple("CouplingFactor", "value eta energy volume")):
@@ -93,11 +106,16 @@ class CouplingFactor(namedtuple("CouplingFactor", "value eta energy volume")):
     __slots__ = ()
 
     def __new__(cls, value, eta, energy, volume):
-        if not (0.0 < eta <= 1.0 + 1e-12):
-            raise OffShellInput(f"eta must lie in (0, 1], got {eta!r}")
-        if not value > 0.0:
-            raise OffShellInput(f"coupling factor must be positive, got {value!r}")
-        return tuple.__new__(cls, (value, eta, energy, volume))
+        return tuple.__new__(cls, (_checked_factor(value, eta), eta, energy, volume))
+
+
+def _checked_factor(value, eta_value):
+    """value, once eta lies in (0, 1] and value is positive; else OffShellInput."""
+    if not (0.0 < eta_value <= 1.0 + 1e-12):
+        raise OffShellInput(f"eta must lie in (0, 1], got {eta_value!r}")
+    if not value > 0.0:
+        raise OffShellInput(f"coupling factor must be positive, got {value!r}")
+    return value
 
 
 def coupling_prefactor(eta_value, energy, constants: Constants):
@@ -130,6 +148,11 @@ def coupling_factor(eta_value: float, energy: float, constants: Constants) -> Co
     """coupling_prefactor at one vertex, with the CouplingFactor checks."""
     value = float(coupling_prefactor(eta_value, energy, constants))
     return CouplingFactor(value, eta_value, energy, constants.V)
+
+
+def _vertex_prefactor(eta_value: float, energy: float, constants: Constants) -> float:
+    """coupling_factor(...).value, checked in the same order, without building the record."""
+    return _checked_factor(float(coupling_prefactor(eta_value, energy, constants)), eta_value)
 
 
 class DiagramAmplitude(namedtuple("DiagramAmplitude", "name omega1 omega2 denom weight",
@@ -199,48 +222,60 @@ def _require_process(incoming, outgoing, masses, labels) -> tuple[float, float, 
     finite, or whose squares are not, fail first: neither residual below can
     be trusted then.
     """
-    a, b = incoming
-    c, d = outgoing
-    components = (a.t, a.x, a.y, a.z, b.t, b.x, b.y, b.z,
-                  c.t, c.x, c.y, c.z, d.t, d.x, d.y, d.z)
+    (at, ax, ay, az), (bt, bx, by, bz) = incoming
+    (ct, cx, cy, cz), (dt, dx, dy, dz) = outgoing
+    components = (at, ax, ay, az, bt, bx, by, bz, ct, cx, cy, cz, dt, dx, dy, dz)
     scale = max(1.0, max(components), -min(components))
     # a finite sum of finite components: any inf or NaN makes it non-finite,
     # and a sum that overflows needs a component whose square overflows too
     if not (math.isfinite(sum(components)) and math.isfinite(scale * scale)):
         raise OffShellInput("kinematics overflowed: a momentum component or its square "
                             "is not a finite float")
+    ma, mb, mc, md = masses
+    # each residual is finite or +inf here, so their largest is a plain max
+    residuals = (abs(at * at - ax * ax - ay * ay - az * az - ma * ma),
+                 abs(bt * bt - bx * bx - by * by - bz * bz - mb * mb),
+                 abs(ct * ct - cx * cx - cy * cy - cz * cz - mc * mc),
+                 abs(dt * dt - dx * dx - dy * dy - dz * dz - md * md))
     on_shell_bound = _ONSHELL_RTOL * scale * scale
-    on_shell = 0.0
-    for v, m, label in zip((a, b, c, d), masses, labels):
-        residual = abs(v.t * v.t - v.x * v.x - v.y * v.y - v.z * v.z - m * m)
-        if residual > on_shell_bound:
-            raise OffShellInput(f"{label} off shell: |p.p - m^2| = {residual:.3e}")
-        on_shell = max(on_shell, residual)
-    residual = max(abs(a.t + b.t - (c.t + d.t)), abs(a.x + b.x - (c.x + d.x)),
-                   abs(a.y + b.y - (c.y + d.y)), abs(a.z + b.z - (c.z + d.z)))
+    on_shell = max(residuals)
+    if on_shell > on_shell_bound:
+        for residual, label in zip(residuals, labels):  # the first off shell, in label order
+            if residual > on_shell_bound:
+                raise OffShellInput(f"{label} off shell: |p.p - m^2| = {residual:.3e}")
+    residual = max(abs(at + bt - (ct + dt)), abs(ax + bx - (cx + dx)),
+                   abs(ay + by - (cy + dy)), abs(az + bz - (cz + dz)))
     if residual > _CONSERVATION_RTOL * scale:
         raise OffShellInput(f"four-momentum not conserved: residual {residual:.3e}")
     return scale, on_shell / (scale * scale), residual / scale
 
 
-def _guard_pole(denom: float, scale: float, where: str) -> float:
-    """Raise PoleEncountered when |denom| < _POLE_RTOL * scale; else return |denom| / scale."""
+def _guard_pole(denom: float, scale: float, where: str, what: str = "") -> float:
+    """Raise PoleEncountered when |denom| < _POLE_RTOL * scale; else return |denom| / scale.
+
+    The message names `where` followed by `what`, joined only when it is raised.
+    """
     if abs(denom) < _POLE_RTOL * scale:
-        raise PoleEncountered(f"{where}: energy denominator {denom!r} vanishes")
+        raise PoleEncountered(f"{where}{what}: energy denominator {denom!r} vanishes")
     return abs(denom) / scale
 
 
-def _result(process, parts, eta_value, closed, textbook, frame, margins, **provenance):
-    """Total as the in-order sum of the parts; ratio None when the textbook total is 0.
+def _result(process, parts, values, eta_value, closed, textbook, frame, margins, **provenance):
+    """Total as the in-order sum of the part values; ratio None when the textbook total is 0.
 
-    margins is (smallest |denominator| / scale, on-shell residual, conservation
+    values holds each part's `value`, in the order of the tuple parts. margins
+    is (smallest |denominator| / scale, on-shell residual, conservation
     residual); it is recorded last in the provenance as `guard_margins`.
     """
-    total = sum(part.value for part in parts)
+    total = sum(values)
     ratio = None if textbook == 0.0 else total / textbook
-    provenance["guard_margins"] = dict(zip(_MARGIN_KEYS, margins))
-    return AmplitudeResult(process, total, tuple(parts), eta_value, closed, frame=frame,
-                           textbook_total=textbook, textbook_ratio=ratio, provenance=provenance)
+    min_denominator, on_shell, conservation = margins
+    # compare with _POLE_RTOL (from above), _ONSHELL_RTOL and _CONSERVATION_RTOL (from below)
+    provenance["guard_margins"] = {"min_denominator": min_denominator,
+                                   "on_shell_residual": on_shell,
+                                   "conservation_residual": conservation}
+    return AmplitudeResult._make((process, total, parts, eta_value, closed, frame,
+                                  textbook, ratio, provenance))
 
 
 # the last-call memos of the module docstring: each is one tuple
@@ -250,12 +285,16 @@ _moller_memo = None
 
 
 def _indices(process: str, kind: str, indices, count: int) -> tuple:
-    """indices as a tuple of `count` checked spin or polarization indices; else ValueError."""
+    """indices as a tuple of `count` checked spin or polarization indices; else ValueError.
+
+    A plain int 1 or 2 passes at once; anything else goes to _require_index.
+    """
     indices = tuple(indices)
     if len(indices) != count:
         raise ValueError(f"{process} takes {count} {kind} indices, got {indices!r}")
     for index in indices:
-        _require_index(kind, index)
+        if type(index) is not int or not 0 < index < 3:
+            _require_index(kind, index)
     return indices
 
 
@@ -273,12 +312,8 @@ def _compton_setup(p, k, p_out, k_out, spins, pols, constants, normalization):
     electron and the one on the outgoing electron, each as (e, prefactor).
     """
     m = constants.m_e
-    scale, on_shell, conservation = _require_process(
-        (p, k),
-        (p_out, k_out),
-        (m, 0.0, m, 0.0),
-        ("incoming electron", "incoming photon", "outgoing electron", "outgoing photon"),
-    )
+    scale, on_shell, conservation = _require_process((p, k), (p_out, k_out), (m, 0.0, m, 0.0),
+                                                     _COMPTON_LABELS)
     q_absorb = p + k
     eta_value = eta(q_absorb)
     # the polarization vectors are real, so eps'* = eps'
@@ -287,34 +322,35 @@ def _compton_setup(p, k, p_out, k_out, spins, pols, constants, normalization):
     u_in = spin_pair(p.x, p.y, p.z, m, normalization)[spins[0] - 1]
     u_out = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)[spins[1] - 1]
     # each vertex carries the prefactor of the photon attached to it
-    absorb = (e_in, coupling_factor(eta_value, k.t, constants).value)
-    emit = (e_out, coupling_factor(eta_value, k_out.t, constants).value)
+    absorb = (e_in, _vertex_prefactor(eta_value, k.t, constants))
+    emit = (e_out, _vertex_prefactor(eta_value, k_out.t, constants))
     table = ((q_absorb, absorb, emit), (p - k_out, emit, absorb))
     return scale, on_shell, conservation, eta_value, u_in, u_out, table
 
 
 def _compton_channel(tag, setup, m, normalization):
-    """Row `tag` of the channel table: its parts, closed form, textbook value and pole margins."""
+    """Row `tag` of the channel table: parts, their values, closed form, textbook, pole margins."""
     scale, _, _, _, u_in, u_out, table = setup
     q, (e_first, f_first), (e_second, f_second) = table[tag - 1]
     u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
     d_fwd = q.t - e_q
     d_bwd = -(q.t + e_q)
-    margins = (_guard_pole(d_fwd, scale, f"channel {tag} forward ordering"),
-               _guard_pole(d_bwd, scale, f"channel {tag} crossed ordering"))
+    where_fwd, where_bwd = _CHANNEL_POLES[tag - 1]
+    margins = (_guard_pole(d_fwd, scale, where_fwd), _guard_pole(d_bwd, scale, where_bwd))
     row = slash_row(u_out, e_second)
     col = slash_column(e_first, u_in)
     parts = []
-    for s, u_mid in ((1, u_1), (2, u_2)):
+    for (name_fwd, name_bwd), u_mid in zip(_CHANNEL_PARTS[tag - 1], (u_1, u_2)):
         v_mid = pair_spinor(u_mid)
-        parts.append(DiagramAmplitude(f"{tag}a:s={s}", f_first * bar_dot(u_mid, col),
+        parts.append(DiagramAmplitude(name_fwd, f_first * bar_dot(u_mid, col),
                                       f_second * row_dot(row, u_mid), d_fwd))
-        parts.append(DiagramAmplitude(f"{tag}b:s={s}", -f_second * row_dot(row, v_mid),
+        parts.append(DiagramAmplitude(name_bwd, -f_second * row_dot(row, v_mid),
                                       f_first * bar_dot(v_mid, col), d_bwd))
     bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
     # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
     norm = e_q / m if normalization == "covariant" else 1.0
-    return tuple(parts), f_first * f_second * norm * bare, bare, margins
+    return (tuple(parts), tuple(part.value for part in parts), f_first * f_second * norm * bare,
+            bare, margins)
 
 
 def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
@@ -354,23 +390,24 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
                                      normalization), (None, None)
     else:
         setup, rows = known
-    parts, closed, textbook = (), [], []
+    parts = part_values = ()
+    closed = textbook = None
     min_denominator = math.inf
     for tag in channels:
         row = rows[tag - 1]
         if row is None:
             row = _compton_channel(tag, setup, constants.m_e, normalization)
             rows = (row, rows[1]) if tag == 1 else (rows[0], row)
-        row_parts, row_closed, row_textbook, (fwd, bwd) = row
+        row_parts, row_values, row_closed, row_textbook, (fwd, bwd) = row
         parts += row_parts
-        closed.append(row_closed)
-        textbook.append(row_textbook)
+        part_values += row_values
+        closed = row_closed if closed is None else closed + row_closed
+        textbook = row_textbook if textbook is None else textbook + row_textbook
         min_denominator = min(min_denominator, fwd, bwd)
     if known is None or rows is not known[1]:
         _compton_memo = (objects, values, (setup, rows))
     _, on_shell, conservation, eta_value = setup[:4]
-    return _result(process, parts, eta_value, sum(closed[1:], closed[0]),
-                   sum(textbook[1:], textbook[0]), frame,
+    return _result(process, parts, part_values, eta_value, closed, textbook, frame,
                    (min_denominator, on_shell, conservation))
 
 
@@ -466,21 +503,16 @@ def moller_total(
     if evaluation is None:
         evaluation = _moller(p1, q1, p2, q2, spins, constants, normalization)
         _moller_memo = (objects, values, evaluation)
-    parts, eta_value, closed, tb, margins, transfer2, e_k = evaluation
-    return _result("moller", parts, eta_value, closed, tb, frame, margins,
+    parts, part_values, eta_value, closed, tb, margins, transfer2, e_k = evaluation
+    return _result("moller", parts, part_values, eta_value, closed, tb, frame, margins,
                    transfer_squared=float(transfer2), photon_energy=e_k)
 
 
 def _moller(p1, q1, p2, q2, spins, constants, normalization):
-    """Parts, eta, closed form, textbook value, guard margins, (p1-p2)^2 and E_k of moller_total."""
+    """Parts, their values, eta, closed form, textbook, margins, (p1-p2)^2, E_k of moller_total."""
     m = constants.m_e
-    scale, on_shell, conservation = _require_process(
-        (p1, q1),
-        (p2, q2),
-        (m, m, m, m),
-        ("beam electron", "target electron",
-         "scattered beam electron", "scattered target electron"),
-    )
+    scale, on_shell, conservation = _require_process((p1, q1), (p2, q2), (m, m, m, m),
+                                                     _MOLLER_LABELS)
     k = p1 - p2
     transfer2 = minkowski_dot(k, k)
     if abs(transfer2) < 1e-12 * scale * scale:
@@ -491,7 +523,7 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization):
     e_k = math.hypot(*k3)
     k0 = k.t
     eta_value = eta(p1 + q1)
-    f = coupling_factor(eta_value, e_k, constants).value
+    f = _vertex_prefactor(eta_value, e_k, constants)
     d_fwd = k0 - e_k
     d_bwd = -(k0 + e_k)
     min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
@@ -504,20 +536,16 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization):
     closed = 0.0 + 0.0j
     # real transverse basis shared by both orderings (same transverse plane
     # for -k); with eps = (0, e) the vertex is f eps . g . J = -f e . J
-    for alpha, (ex, ey, ez) in zip((1, 2), transverse_basis(*k3)):
+    for (name_beam, name_target), (ex, ey, ez) in zip(_MOLLER_PARTS, transverse_basis(*k3)):
         beam_current = f * -(ex * j_beam[1] + ey * j_beam[2] + ez * j_beam[3])
         target_current = f * -(ex * j_target[1] + ey * j_target[2] + ez * j_target[3])
-        parts.append(
-            DiagramAmplitude(f"emit-beam:pol={alpha}", beam_current, target_current, d_fwd, 0.5)
-        )
-        parts.append(
-            DiagramAmplitude(f"emit-target:pol={alpha}", target_current, beam_current, d_bwd, 0.5)
-        )
+        parts.append(DiagramAmplitude(name_beam, beam_current, target_current, d_fwd, 0.5))
+        parts.append(DiagramAmplitude(name_target, target_current, beam_current, d_bwd, 0.5))
         closed += e_k * beam_current * target_current / (k0 * k0 - e_k * e_k)
     tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
           - j_beam[3] * j_target[3]) / transfer2
-    return (tuple(parts), eta_value, closed, tb, (min_denominator, on_shell, conservation),
-            transfer2, e_k)
+    return (tuple(parts), tuple(part.value for part in parts), eta_value, closed, tb,
+            (min_denominator, on_shell, conservation), transfer2, e_k)
 
 
 class BoostScanRow(namedtuple("BoostScanRow",

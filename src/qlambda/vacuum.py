@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .amplitudes import AmplitudeResult, _guard_pole, coupling_factor, coupling_prefactor
+from .amplitudes import AmplitudeResult, _guard_pole, _vertex_prefactor, coupling_prefactor
 from .amplitudes import moller_total
 from .dirac import polarization_column, u_spinor, vertex_bilinear
 from .errors import (
@@ -82,7 +82,7 @@ def pair_coupling(
     e_p = math.sqrt(float(p3 @ p3) + m * m)
     e_pk = math.sqrt(float(pk @ pk) + m * m)
     eta1 = m / e_pk
-    prefactor = coupling_factor(eta1, e_pk + e_p, constants).value
+    prefactor = _vertex_prefactor(eta1, e_pk + e_p, constants)
     eps = polarization_column(k3, alpha)
     u_in = u_spinor(p3, s, m)
     u_out = u_spinor(pk, s_out, m)
@@ -107,9 +107,14 @@ def _cylindrical_terms(
 ):
     """E', spinor factor and shift density in cylindrical coordinates about k.
 
-    `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` are arrays
-    or numpy scalars, `p_perp2` and `p_par` of one shape; E = sqrt(|p|^2 + m^2)
-    is evaluated on the shape of `p_sq`, so a grid passes it once per radius.
+    `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` are arrays,
+    `p_perp2` and `p_par` of one shape, or the Python floats of one sample;
+    E = sqrt(|p|^2 + m^2) is evaluated on the shape of `p_sq`, so a grid
+    passes it once per radius. A sample takes math.sqrt and compares its one
+    C with the threshold directly, so it creates no numpy scalar; both
+    square roots are correctly rounded, and every other step is the same
+    operation on either kind, so a sample is bit for bit the grid's value at
+    the same coordinates.
     The spinor factor is the closed Dirac trace of the spin-summed,
     polarization-averaged squared bilinear (Peskin & Schroeder 5.1),
     [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k and 3-vector
@@ -127,22 +132,24 @@ def _cylindrical_terms(
     The inputs are only read. Every augmented assignment below acts on a
     temporary of this call: on arrays it writes in place, so a grid block
     allocates one array per new name and none per operation, and on the
-    numpy scalars of a single sample it rebinds. The density is grouped as
+    floats of a single sample it rebinds. The density is grouped as
     ((m^2 / E'^2) / (C^2 - w^2)) spinor P0: each step stays in range wherever
     the density itself is, from |p| ~ 1e150 (where E'^2 (C^2 - w^2) would
     overflow) down to m ~ 1e-150 (where (spinor / E'^2) / (C^2 - w^2),
     with m^2 folded into P0, would overflow as 1 / m^4).
     """
+    sqrt = math.sqrt if type(p_par) is float else np.sqrt
     m_sq = constants.m_e * constants.m_e
     e_p_sq = p_sq + m_sq
-    e_p = np.sqrt(e_p_sq)
+    e_p = sqrt(e_p_sq)
     spinor = p_perp2 + m_sq
     e_pk_sq = p_par + k_norm
     e_pk_sq *= e_pk_sq
     e_pk_sq += spinor
-    e_pk = np.sqrt(e_pk_sq)
+    e_pk = sqrt(e_pk_sq)
     combined = e_pk + e_p
-    if abs(photon_energy) >= np.minimum.reduce(combined, axis=None) * (1.0 - 1e-12):
+    smallest = combined if type(combined) is float else np.minimum.reduce(combined, axis=None)
+    if abs(photon_energy) >= smallest * (1.0 - 1e-12):
         raise RealPairThreshold(
             f"photon energy {photon_energy!r} reaches the pair threshold"
         )
@@ -163,22 +170,31 @@ def _cylindrical_terms(
     return e_pk, spinor, density
 
 
-def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
-    """eta1, spinor factor and shift density for momenta of shape (..., 3).
+def _cylindrical_coordinates(px, py, pz, k_list, k_norm: float):
+    """|p|^2, |p x khat|^2 and p.khat of momentum components, arrays or floats alike.
 
-    The Cartesian entry to `_cylindrical_terms`: |p|^2, p.khat and
-    |p x khat|^2 are read by components, so only the unit vector khat enters
-    them; eta1 = m / E' comes from the kernel's E'.
+    They are read by components, so only the unit vector khat = k / |k|
+    enters them.
     """
-    k_list = k3.tolist()
-    k_norm = math.hypot(*k_list)
-    hx, hy, hz = (component / k_norm for component in k_list)
-    px, py, pz = p3s.transpose(-1, *range(p3s.ndim - 1))
+    kx, ky, kz = k_list
+    hx, hy, hz = kx / k_norm, ky / k_norm, kz / k_norm
     p_sq = px * px + py * py + pz * pz
     p_par = px * hx + py * hy + pz * hz
     p_perp2 = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
+    return p_sq, p_perp2, p_par
+
+
+def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
+    """eta1, spinor factor and shift density for momenta of shape (..., 3).
+
+    The Cartesian entry to `_cylindrical_terms` for arrays of momenta;
+    eta1 = m / E' comes from the kernel's E'.
+    """
+    k_list = k3.tolist()
+    k_norm = math.hypot(*k_list)
     e_pk, spinor_factor, density = _cylindrical_terms(
-        p_sq, p_perp2, p_par, k_norm, constants, photon_energy
+        *_cylindrical_coordinates(*p3s.transpose(-1, *range(p3s.ndim - 1)), k_list, k_norm),
+        k_norm, constants, photon_energy,
     )
     return constants.m_e / e_pk, spinor_factor, density
 
@@ -201,12 +217,14 @@ def pair_shift_sample(
 ) -> PairShiftSample:
     """Shift density at one pair momentum, with its provenance fields.
 
-    Raises ConfigError for a non-finite p3, k3 or photon_energy, or for
-    momenta whose squared energies overflow.
+    The kernel runs on the Python floats of the components. Raises
+    ConfigError for a non-finite p3, k3 or photon_energy, or for momenta
+    whose squared energies overflow.
     """
     p3 = np.array(p3, dtype=float)
     k3 = np.array(k3, dtype=float)
-    p_norm, k_norm = math.hypot(*p3.tolist()), math.hypot(*k3.tolist())
+    p_list, k_list = p3.tolist(), k3.tolist()
+    p_norm, k_norm = math.hypot(*p_list), math.hypot(*k_list)
     for name, value, norm in (("p", p3, p_norm), ("k", k3, k_norm),
                               ("photon_energy", photon_energy, photon_energy)):
         if norm is not None and not math.isfinite(norm):
@@ -219,10 +237,13 @@ def pair_shift_sample(
         raise ConfigError(f"|p| + |k| + m = {reach:.3g} must have a finite square")
     if photon_energy is None:
         photon_energy = k_norm
-    terms = _density_terms(p3, k3, constants, photon_energy)
+    e_pk, spinor_factor, density = _cylindrical_terms(
+        *_cylindrical_coordinates(*p_list, k_list, k_norm), k_norm, constants, photon_energy
+    )
     p3.setflags(write=False)
     k3.setflags(write=False)
-    return PairShiftSample(p3, k3, *(float(term) for term in terms))
+    return PairShiftSample(p3, k3, float(constants.m_e / e_pk), float(spinor_factor),
+                           float(density))
 
 
 def shift_density(
@@ -333,12 +354,23 @@ def _integrate(
     radii = np.exp(mid[:, None] + half[:, None] * gl_nodes)
     profile = _radial_profile(radii.ravel(), k3, grid, constants, photon_energy)
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
-    integrand = radii * radii
-    integrand *= radii
-    integrand *= _MEASURE
-    integrand *= profile.reshape(radii.shape)
+    integrand = _cubed_measure(profile.reshape(radii.shape), radii)
     panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
     return float(panel_sums.sum()), panel_sums
+
+
+def _cubed_measure(profile: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """_MEASURE r^3 F(r), formed as ((F r) r) r so it stays in range wherever r^3 F does.
+
+    r^3 alone underflows below r ~ 1e-103, and the grid starts at 1e-4 m, so
+    a mass below about 1e-99 puts radii there; r^3 F, with F ~ 1 / m^2 at
+    small r, stays in range down to m = 1e-150.
+    """
+    weighted = profile * radii
+    weighted *= radii
+    weighted *= radii
+    weighted *= _MEASURE
+    return weighted
 
 
 def total_shift(
@@ -363,6 +395,10 @@ def total_shift(
     its mean (NaN when the window holds one radius); it needs no linear
     solve and keeps full precision at large log p, where a fit on the
     uncentred values loses digits (1e-14 relative at a cutoff of 1e60).
+    F is the profile at unit coupling, P0 = (e c hbar)^2 / (V eps0) = 1:
+    the centring removes log P0 anyway, and the coupling-free profile stays
+    in range where P0 F underflows (e = 1e-150 at a cutoff of 1e60). The
+    tail estimates are that profile's _MEASURE r^3 F times P0.
 
     The profile runs in three passes, in this order: the coarse panels, the
     panels of the doubled grid, then the cutoff edges. RealPairThreshold is
@@ -415,14 +451,19 @@ def total_shift(
 
     cutoffs = edges[1:]
     partial_sums = np.cumsum(panel_sums)
-    edge_profile = _radial_profile(cutoffs, k3, grid, constants, photon_energy)
+    # the edge pass runs at unit coupling: the density is P0 times a
+    # coupling-free shape, and the slope fit reads the shape alone, which
+    # stays in range where P0 times it (about e^2 p^-4) underflows
+    unit_coupling = Constants(e=1.0, m_e=m)
+    shape = _radial_profile(cutoffs, k3, grid, unit_coupling, photon_energy)
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
-    tail_estimates = _MEASURE * cutoffs**3 * edge_profile
+    tail_estimates = _cubed_measure(shape, cutoffs)
+    tail_estimates *= coupling_prefactor(1.0, 1.0, constants) ** 2
 
     # closed-form least squares about the means; a one-radius window has no slope
     window = cutoffs >= cutoff / 100.0
     log_p = np.log(cutoffs[window])
-    log_f = np.log(np.abs(edge_profile[window]))
+    log_f = np.log(np.abs(shape[window]))
     log_p -= log_p.sum() / log_p.size
     log_f -= log_f.sum() / log_f.size
     spread = float(log_p @ log_p)
@@ -469,8 +510,8 @@ def corrected_amplitude(
     """
     base = moller_total(p1, q1, p2, q2, spins=spins, constants=constants,
                         normalization=normalization)
-    min_denom = min(abs(part.denom) for part in base.parts)
-    if abs(pair_shift) > guard * min_denom:
+    denoms = [abs(part.denom) for part in base.parts]
+    if abs(pair_shift) > guard * min(denoms):
         raise CorrectionTooLarge(
             f"|pair shift| = {abs(pair_shift):.3e} exceeds {guard:g} x min denominator"
         )
@@ -478,11 +519,11 @@ def corrected_amplitude(
     factor = correction_factor(delta_e, base.provenance["photon_energy"], pair_shift)
     first_order = base.total * factor
     exact = 0.0 + 0.0j
-    scale = max(abs(part.denom) for part in base.parts)
-    for part in base.parts:
-        shifted = part.denom - pair_shift
-        _guard_pole(shifted, scale, f"{part.name} shifted by the pair shift")
-        exact += part.weight * part.omega1 * part.omega2 / shifted
+    scale = max(denoms)
+    for name, omega1, omega2, denom, weight in base.parts:
+        shifted = denom - pair_shift
+        _guard_pole(shifted, scale, name, " shifted by the pair shift")
+        exact += weight * omega1 * omega2 / shifted
     return CorrectedAmplitude(base, first_order, factor, exact, pair_shift)
 
 

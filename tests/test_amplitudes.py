@@ -657,6 +657,38 @@ class TestProcessGuards:
         with pytest.raises(ValueError, match="polarization index must be 1 or 2"):
             boost_scan("compton", [0.0, 0.5], pols=pols)
 
+    @pytest.mark.parametrize("index", range(8))
+    def test_first_of_two_faults(self, index):
+        # with two faults the guard order decides: non-finite or overflowing
+        # components, then on-shell in label order, then conservation
+        c = compton_cm_kinematics(1.3, 1.1)
+        c_energy = compton_cm_kinematics(1.3 + 1e-6, 1.1)
+        m = moller_kinematics(4.0, 1.1)
+        m_energy = moller_kinematics(4.0 + 1e-5, 1.1)
+        overflowed = ("kinematics overflowed: a momentum component or its square "
+                      "is not a finite float")
+        fn, vectors, message = [
+            (compton_total, (_shifted(c[0], dt=1e-3), *c[1:3],
+                             FourVector(math.nan, 0.0, 0.0, 1.0)), overflowed),
+            (compton_total, (_shifted(c[0], dt=1e-3), FourVector(c[1].t, math.inf, 0.0, 0.0),
+                             *c[2:]), overflowed),
+            (compton_total, (c[0], _shifted(c[1], dx=1e-4), *c_energy[2:]),
+             "incoming photon off shell: |p.p - m^2| = 1.000e-08"),
+            (compton_total, (*c[:2], _shifted(c[2], dz=0.2), _shifted(c[3], dt=-5e-3)),
+             "outgoing electron off shell: |p.p - m^2| = 1.959e-01"),
+            (compton_total, (c[0], _shifted(c[1], dx=1e-4), _shifted(c[2], dz=0.2), c[3]),
+             "incoming photon off shell: |p.p - m^2| = 1.000e-08"),
+            (moller_total, (*m[:2], m_energy[2], _shifted(m_energy[3], dt=1e-4)),
+             "scattered target electron off shell: |p.p - m^2| = 4.000e-04"),
+            (moller_total, (m[0], _shifted(m[1], dz=-1e-2), _shifted(m[2], dx=3e-5), m[3]),
+             "target electron off shell: |p.p - m^2| = 3.474e-02"),
+            (moller_total, (FourVector(1e200, 0.0, 0.0, 1e200), _shifted(m[1], dz=-1e-2), *m[2:]),
+             overflowed),
+        ][index]
+        with pytest.raises(OffShellInput) as caught:
+            fn(*vectors)
+        assert str(caught.value) == message
+
     def test_pole_message_shows_plain_float(self):
         vectors = compton_cm_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.9999999999999999))
         with pytest.raises(PoleEncountered) as caught:
@@ -1167,6 +1199,32 @@ class TestLastCallMemo:
         vectors = compton_cm_kinematics(1.0, 1.0)
         labels = [fn(*vectors).process for fn in COMPTON_VIEWS]
         assert labels == ["compton_pair_A", "compton_pair_B", "compton"]
+
+    @pytest.mark.parametrize("frame", MEMO_FRAMES)
+    def test_hit_totals_are_in_order_part_sums(self, frame):
+        # the memo stores each part's value; every view, hit or miss, sums them
+        # in part order, so its total is bit for bit the sum of its parts' values
+        def in_order_sum(result):
+            return repr(sum(part.value for part in result.parts))
+
+        sets = [compton_cm_kinematics(1.3, 1.1, frame), compton_kinematics(0.7, 2.0, frame)]
+        sets += [flipped_zeros(vectors) for vectors in sets]
+        for vectors in sets:
+            for spins in INDEX_PAIRS:
+                for pols in INDEX_PAIRS:
+                    for fn in COMPTON_VIEWS + COMPTON_VIEWS:
+                        result = fn(*vectors, spins=spins, pols=pols, frame=frame)
+                        assert repr(result.total) == in_order_sum(result)
+        msets = [moller_kinematics(4.0, 1.1, frame), moller_kinematics(3.0, 0.4, frame)]
+        msets += [flipped_zeros(vectors) for vectors in msets]
+        for mvectors in msets:
+            for spins in itertools.product((1, 2), repeat=4):
+                for _ in range(2):
+                    result = moller_total(*mvectors, spins=spins, frame=frame)
+                    assert repr(result.total) == in_order_sum(result)
+                shift = -1e-4 * min(abs(part.denom) for part in result.parts)
+                base = corrected_amplitude(*mvectors, pair_shift=shift, spins=spins).base
+                assert repr(base.total) == in_order_sum(base)
 
 
 class TestIndexCounts:

@@ -581,6 +581,42 @@ class TestTinyWavevectorVacpol:
         assert max(shifts) - min(shifts) <= 1e-12 * abs(shifts[-1])
 
 
+class TestUnderflowingVacpol:
+    """Runs whose tiny mass or coupling once underflowed to 0 or NaN, in a fresh
+    interpreter so that any warning on stderr shows."""
+
+    def run(self, tmp_path, argv):
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlambda.cli", "vacpol", *argv, "--out", str(out),
+             "--summary", str(summary)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        return json.loads(summary.read_text(), parse_constant=reject)
+
+    def test_tiny_mass_scales_the_natural_run(self, tmp_path):
+        from qlambda.vacuum import total_shift
+
+        doc = self.run(tmp_path, ["--constant", "m_e", "1e-150", "--k", "0", "0", "1e-150",
+                                  "--photon-energy", "1e-150", "--cutoff", "1e-140"])
+        reference, report = total_shift([0.0, 0.0, 1.0], 1e10, photon_energy=1.0)
+        assert doc["pair_shift"] == pytest.approx(1e-150 * reference, rel=1e-13, abs=0.0)
+        assert doc["refine_delta"] == pytest.approx(report.refine_delta, rel=1e-2)
+        assert -4.2 < doc["fitted_slope"] < -3.8
+
+    def test_tiny_coupling_has_a_slope(self, tmp_path):
+        doc = self.run(tmp_path, ["--constant", "e", "1e-150", "--cutoff", "1e60"])
+        assert doc["pair_shift"] < 0.0
+        assert -4.2 < doc["fitted_slope"] < -3.8
+
+
 class TestFormatFlag:
     @pytest.mark.parametrize("command", [
         ["boost-scan", "--process", "compton"],

@@ -167,10 +167,11 @@ class TestNonFiniteSampleInput:
 
 class TestMassScaling:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("m", [1e-80, 1e50])
+    @pytest.mark.parametrize("m", [1e-150, 1e-80, 1e50])
     def test_shift_is_linear_in_the_mass(self, m):
         # the density is f(p/m, k/m, w/m) / m^2 and d^3p brings m^3; a kernel that
-        # folds m^2 into the squared prefactor overflows at m = 1e-80 as 1 / m^4
+        # folds m^2 into the squared prefactor overflows at m = 1e-80 as 1 / m^4,
+        # and a measure that forms r^3 before the profile underflows at m = 1e-150
         reference, _ = total_shift(K3, 1e4, photon_energy=1.3)
         shift, _ = total_shift(m * K3, 1e4 * m, constants=Constants(m_e=m),
                                photon_energy=1.3 * m)
@@ -382,6 +383,60 @@ class TestCylindricalKernel:
                 for row, column in zip(rows, batch):
                     assert row == pytest.approx(column[i], rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("m", [1e-150, 1.0, 1e50])
+    def test_float_sample_bit_identical_to_arrays(self, m):
+        # one kernel: Python floats of one sample and the array path agree bit for
+        # bit, element by element, from |p| = 1e150 down to m = 1e-150, signed zeros included
+        rng = np.random.default_rng(38)
+        constants = Constants(m_e=m)
+        p3s = rng.normal(size=(300, 3)) * m * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1))
+        p3s[:6] = [[1e150, 0.0, 0.0], [0.0, -1e150, 1e149], [-0.0, 0.3 * m, -0.0],
+                   [0.0, -0.0, m], [-0.0, -0.0, -2.0 * m], [0.2 * m, -0.0, 0.0]]
+        p3s[6:40, rng.integers(0, 3, size=34)] *= -0.0
+        for k3 in (m * np.array([0.3, -0.4, 0.2]), m * np.array([-0.0, 0.0, 0.5]),
+                   np.array([1e-100 * m, -0.0, 0.0])):
+            k_list = k3.tolist()
+            k_norm = math.hypot(*k_list)
+            coordinates = vacuum._cylindrical_coordinates(*p3s.T, k_list, k_norm)
+            for energy in (k_norm, 0.0, -0.5 * k_norm, 1.5 * m):
+                arrays = vacuum._cylindrical_terms(*coordinates, k_norm, constants, energy)
+                for i in range(len(p3s)):
+                    floats = vacuum._cylindrical_terms(
+                        *(float(c[i]) for c in coordinates), k_norm, constants, energy)
+                    assert all(type(term) is float for term in floats)
+                    assert [term.hex() for term in floats] == [
+                        float(array[i]).hex() for array in arrays]
+
+    def test_sample_equals_grid_node(self):
+        # along, against and across k = (0, 0, |k|) the Cartesian reduction is exact
+        # for radii with exact squares, so a sample is the grid kernel's density
+        # at the (r, cos theta) node, bit for bit
+        radii = np.array([2.0**-30 * 1.125, 0.375, 1.25, 3.0, 2.0**40 * 1.5])
+        cos_t = np.array([-1.0, 0.0, 1.0])
+        for k_norm in (0.5, 2.75):
+            for energy in (None, 0.0, 1.3):
+                w = k_norm if energy is None else energy
+                _, _, grid = vacuum._cylindrical_terms(
+                    radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
+                    np.multiply.outer(cos_t, radii), k_norm, NATURAL, w)
+                for j, r in enumerate(radii.tolist()):
+                    for node, p3 in ((0, (0.0, 0.0, -r)), (1, (r, 0.0, 0.0)),
+                                     (1, (0.0, r, 0.0)), (2, (0.0, 0.0, r))):
+                        sample = vacuum.pair_shift_sample(p3, (0.0, 0.0, k_norm),
+                                                          photon_energy=energy)
+                        assert sample.shift_density.hex() == float(grid[node, j]).hex()
+
+    def test_sample_runs_without_numpy_math(self, monkeypatch):
+        # a sample builds its two read-only arrays and nothing else from numpy
+        import types
+
+        expected = vacuum.pair_shift_sample([0.3, -0.2, 0.7], K3, photon_energy=0.4)
+        monkeypatch.setattr(vacuum, "np", types.SimpleNamespace(array=np.array))
+        sample = vacuum.pair_shift_sample([0.3, -0.2, 0.7], K3, photon_energy=0.4)
+        assert all(type(field) is float for field in sample[2:])
+        assert not sample.p3.flags.writeable and not sample.k3.flags.writeable
+        assert repr(tuple(sample)) == repr(tuple(expected))
+
     def test_inputs_read_only_and_unchanged(self):
         # the augmented assignments may write only to the kernel's own temporaries
         rng = np.random.default_rng(37)
@@ -523,6 +578,17 @@ class TestFittedSlope:
         # the centred closed form keeps the digits that the uncentred fit loses
         # at large log p (polyfit: 1e-14 relative at 1e60)
         assert report.fitted_slope == pytest.approx(exact_slope(log_p, log_f), rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_slope_of_an_underflowing_profile(self):
+        # at e = 1e-150 the edge profile, about e^2 p^-4, underflows at a cutoff of
+        # 1e60; the fit reads the coupling-free profile, so the slope does not
+        # depend on the coupling at all
+        _, report = total_shift(K3, 1e60, constants=Constants(e=1e-150))
+        _, reference = total_shift(K3, 1e60)
+        assert report.fitted_slope == reference.fitted_slope
+        assert -4.2 < report.fitted_slope < -3.8
+        assert np.all(report.tail_estimates <= 0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_one_point_window_has_no_slope(self):
