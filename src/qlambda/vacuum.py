@@ -36,8 +36,11 @@ from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost
 # Beyond ~1e95 the p^-4 edge profile underflows and the report turns NaN.
 _MAX_CUTOFF = 1e60
 # The kernel runs in blocks of _BLOCK_POINTS, so its memory does not grow with
-# the grid: the largest accepted grid (256 x 1024) peaks at 47 MB RSS, of which
-# 17 MB is leggauss's 1024 x 1024 companion matrix and 29 MB the interpreter.
+# the grid. Peak RSS of a fresh process making one call at each cap (CPython
+# 3.11, numpy 2.4): 47 MB at 256 x 1024, of which 17 MB is leggauss's
+# 1024 x 1024 companion matrix, 29 MB the interpreter and under 0.5 MB the
+# call's own arrays; 64 MB at 131072 x 2, where at most two arrays of one
+# value per Gauss node of both radial grids (12.6 MB each) are alive at once.
 _MAX_N_THETA = 1024
 _MAX_GRID_NODES = 2**18
 # Grid points per kernel call in _radial_profile. Each temporary of a block is
@@ -103,7 +106,7 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cylindrical_terms(
-    p_sq, p_perp2, p_par, k_norm: float, constants: Constants, photon_energy: float
+    p_sq, p_perp2, p_par, k_norm: float, m: float, photon_energy: float, scale: float
 ):
     """E', spinor factor and shift density in cylindrical coordinates about k.
 
@@ -125,7 +128,9 @@ def _cylindrical_terms(
     cannot overflow, and a |k|^2 that underflows drops out instead of
     dividing. The squared prefactor P0 eta1^2 / C (C = E + E') times the
     bracket 1/(w - C) - 1/(w + C) is -2 P0 (m^2 / E'^2) / (C^2 - w^2), with
-    P0 = coupling_prefactor(1, 1)^2. The bracket has poles at w = +-C, so
+    P0 = coupling_prefactor(1, 1)^2; `scale` is the caller's -2 P0
+    (`_density_scale`), so a pass at unit coupling passes -2.0 and needs no
+    Constants of its own. The bracket has poles at w = +-C, so
     RealPairThreshold is raised once |w| reaches C at any momentum; scaling
     the smallest C by 1 - 1e-12 rounds exactly as scaling each C would.
 
@@ -133,13 +138,13 @@ def _cylindrical_terms(
     temporary of this call: on arrays it writes in place, so a grid block
     allocates one array per new name and none per operation, and on the
     floats of a single sample it rebinds. The density is grouped as
-    ((m^2 / E'^2) / (C^2 - w^2)) spinor P0: each step stays in range wherever
+    ((m^2 / E'^2) / (C^2 - w^2)) spinor (-2 P0): each step stays in range wherever
     the density itself is, from |p| ~ 1e150 (where E'^2 (C^2 - w^2) would
     overflow) down to m ~ 1e-150 (where (spinor / E'^2) / (C^2 - w^2),
     with m^2 folded into P0, would overflow as 1 / m^4).
     """
     sqrt = math.sqrt if type(p_par) is float else np.sqrt
-    m_sq = constants.m_e * constants.m_e
+    m_sq = m * m
     e_p_sq = p_sq + m_sq
     e_p = sqrt(e_p_sq)
     spinor = p_perp2 + m_sq
@@ -166,7 +171,7 @@ def _cylindrical_terms(
     combined -= photon_energy * photon_energy
     density /= combined
     density *= spinor
-    density *= -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
+    density *= scale
     return e_pk, spinor, density
 
 
@@ -174,14 +179,25 @@ def _cylindrical_coordinates(px, py, pz, k_list, k_norm: float):
     """|p|^2, |p x khat|^2 and p.khat of momentum components, arrays or floats alike.
 
     They are read by components, so only the unit vector khat = k / |k|
-    enters them.
+    enters them. Every square is a product: numpy squares an array as
+    x * x, while `**` on a Python float calls C pow, which rounds some
+    squares differently, so the floats of a sample would drift from the
+    array path by an ulp.
     """
     kx, ky, kz = k_list
     hx, hy, hz = kx / k_norm, ky / k_norm, kz / k_norm
     p_sq = px * px + py * py + pz * pz
     p_par = px * hx + py * hy + pz * hz
-    p_perp2 = (py * hz - pz * hy) ** 2 + (pz * hx - px * hz) ** 2 + (px * hy - py * hx) ** 2
+    cross_x = py * hz - pz * hy
+    cross_y = pz * hx - px * hz
+    cross_z = px * hy - py * hx
+    p_perp2 = cross_x * cross_x + cross_y * cross_y + cross_z * cross_z
     return p_sq, p_perp2, p_par
+
+
+def _density_scale(constants: Constants) -> float:
+    """-2 P0, the kernel's density scale, with P0 = coupling_prefactor(1, 1)^2."""
+    return -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
 
 
 def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
@@ -192,11 +208,12 @@ def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon
     """
     k_list = k3.tolist()
     k_norm = math.hypot(*k_list)
+    m = constants.m_e
     e_pk, spinor_factor, density = _cylindrical_terms(
         *_cylindrical_coordinates(*p3s.transpose(-1, *range(p3s.ndim - 1)), k_list, k_norm),
-        k_norm, constants, photon_energy,
+        k_norm, m, photon_energy, _density_scale(constants),
     )
-    return constants.m_e / e_pk, spinor_factor, density
+    return m / e_pk, spinor_factor, density
 
 
 class PairShiftSample(namedtuple("PairShiftSample",
@@ -238,7 +255,8 @@ def pair_shift_sample(
     if photon_energy is None:
         photon_energy = k_norm
     e_pk, spinor_factor, density = _cylindrical_terms(
-        *_cylindrical_coordinates(*p_list, k_list, k_norm), k_norm, constants, photon_energy
+        *_cylindrical_coordinates(*p_list, k_list, k_norm), k_norm, constants.m_e,
+        photon_energy, _density_scale(constants),
     )
     p3.setflags(write=False)
     k3.setflags(write=False)
@@ -305,72 +323,113 @@ class ConvergenceReport(namedtuple("ConvergenceReport", (
 
 
 def _radial_profile(
-    radii: np.ndarray,
-    k3: np.ndarray,
+    radius_sets: tuple[np.ndarray, ...],
+    k_norm: float,
     grid: GridSpec,
-    constants: Constants,
+    m: float,
     photon_energy: float,
+    scale: float,
 ) -> np.ndarray:
-    """Angular integral of the density at each radius, in blocks of radii.
+    """Angular integral of the density at each radius, in one sweep of blocks.
 
     The summed density depends only on |p| and the angle to k, so the polar
     axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
     covers the whole sphere. The kernel takes the (node, radius) grid of
     r^2 sin^2(theta) and r cos(theta) directly, at most _BLOCK_POINTS points
-    at a time (one radius per block if n_theta exceeds it). Radii run along
-    the last axis, so the per-radius E, E^2 broadcast over contiguous rows.
+    at a time (one radius per block if n_theta exceeds it). The sin^2 and
+    cos columns are formed once per sweep, and each block's grids are their
+    rank-1 products with the block's row of radii, one `np.dot` of inner
+    dimension 1 each: every element is one correctly rounded product, the
+    same value the broadcast product gives, but numpy's broadcast multiply
+    runs its inner loop once per angle row and takes about twice as long
+    (6-8 against 2-3 us per 4096-point grid). Radii run along the last
+    axis, so the per-radius E, E^2 broadcast over contiguous rows. `scale`
+    is the kernel's density scale -2 P0.
+
+    `radius_sets` is a sequence of radius arrays; the profile holds all
+    their radii in order, flattened. Each set is blocked from its own first
+    radius, as if it ran alone: BLAS sums the rows of a block's last
+    partial SIMD group in another order, so a block that straddled two sets
+    would move values of either by an ulp.
     """
     cos_t, weights = _gauss_rule(grid.n_theta)
-    sin_sq = 1.0 - cos_t * cos_t
+    cos_column = cos_t[:, None]
+    sin_sq_column = (1.0 - cos_t * cos_t)[:, None]
     angular = 2.0 * math.pi * weights
-    k_norm = math.hypot(*k3)
-    r_sq = radii * radii
     cols = max(1, _BLOCK_POINTS // grid.n_theta)
-    profile = np.empty(radii.size)
-    for start in range(0, radii.size, cols):
-        block = slice(start, start + cols)
-        _, _, dens = _cylindrical_terms(
-            r_sq[block], np.multiply.outer(sin_sq, r_sq[block]),
-            np.multiply.outer(cos_t, radii[block]), k_norm, constants, photon_energy,
-        )
-        np.dot(angular, dens, out=profile[block])
+    profile = np.empty(sum(radii.size for radii in radius_sets))
+    offset = 0
+    for radii in radius_sets:
+        radii = radii.ravel()
+        for start in range(0, radii.size, cols):
+            block = radii[start:start + cols]
+            r_sq = block * block
+            _, _, dens = _cylindrical_terms(
+                r_sq, np.dot(sin_sq_column, r_sq[None]), np.dot(cos_column, block[None]),
+                k_norm, m, photon_energy, scale,
+            )
+            np.dot(angular, dens, out=profile[offset + start:offset + start + block.size])
+        offset += radii.size
     return profile
 
 
-def _integrate(
-    edges: np.ndarray,
-    k3: np.ndarray,
-    grid: GridSpec,
-    constants: Constants,
-    photon_energy: float,
-) -> tuple[float, np.ndarray]:
-    """Panel-wise Gauss quadrature in log radius; returns total and per-panel sums."""
-    gl_nodes, gl_weights = _gauss_rule(4)
-    log_edges = np.log(edges)
-    lo = log_edges[:-1]
-    hi = log_edges[1:]
+def _panel_nodes(edges: np.ndarray, fine_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths and 4-point Gauss radii of the log-radius panels of two grids.
+
+    The panels of `edges` come first, then those of `fine_edges`; the radii
+    have shape (panels, 4). The exponential runs in place, and the log
+    edges die with this call, so the grid caps' peak holds one radius array.
+    """
+    log_edges, log_fine = np.log(edges), np.log(fine_edges)
+    lo = np.concatenate((log_edges[:-1], log_fine[:-1]))
+    hi = np.concatenate((log_edges[1:], log_fine[1:]))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    radii = np.exp(mid[:, None] + half[:, None] * gl_nodes)
-    profile = _radial_profile(radii.ravel(), k3, grid, constants, photon_energy)
+    radii = half[:, None] * _gauss_rule(4)[0]
+    radii += mid[:, None]
+    np.exp(radii, out=radii)
+    return half, radii
+
+
+def _panel_sums(
+    edges: np.ndarray,
+    fine_edges: np.ndarray,
+    k_norm: float,
+    grid: GridSpec,
+    m: float,
+    photon_energy: float,
+    scale: float,
+) -> np.ndarray:
+    """Panel-wise Gauss quadrature in log radius on two radial grids at once.
+
+    Returns the panel sums of the `edges` grid followed by those of the
+    `fine_edges` grid. The Gauss nodes of both grids run through the kernel
+    in one `_radial_profile` sweep, each grid blocked from its own first node.
+    """
+    half, radii = _panel_nodes(edges, fine_edges)
+    n_coarse = edges.size - 1
+    profile = _radial_profile(
+        (radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m, photon_energy, scale
+    )
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
     integrand = _cubed_measure(profile.reshape(radii.shape), radii)
-    panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
-    return float(panel_sums.sum()), panel_sums
+    del radii  # the weights below take its place at the grid caps' peak
+    return np.einsum("pi,pi->p", half[:, None] * _gauss_rule(4)[1], integrand)
 
 
 def _cubed_measure(profile: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """_MEASURE r^3 F(r), formed as ((F r) r) r so it stays in range wherever r^3 F does.
+    """Scale `profile` in place to _MEASURE r^3 F(r) and return it.
 
-    r^3 alone underflows below r ~ 1e-103, and the grid starts at 1e-4 m, so
+    Formed as ((F r) r) r so it stays in range wherever r^3 F does: r^3
+    alone underflows below r ~ 1e-103, and the grid starts at 1e-4 m, so
     a mass below about 1e-99 puts radii there; r^3 F, with F ~ 1 / m^2 at
     small r, stays in range down to m = 1e-150.
     """
-    weighted = profile * radii
-    weighted *= radii
-    weighted *= radii
-    weighted *= _MEASURE
-    return weighted
+    profile *= radii
+    profile *= radii
+    profile *= radii
+    profile *= _MEASURE
+    return profile
 
 
 def total_shift(
@@ -395,20 +454,27 @@ def total_shift(
     its mean (NaN when the window holds one radius); it needs no linear
     solve and keeps full precision at large log p, where a fit on the
     uncentred values loses digits (1e-14 relative at a cutoff of 1e60).
+    The window holds every cutoff edge from cutoff / 100 up, and an edge
+    that lies there to within rounding: the edges are exponentials of a
+    linspace, off by about 1e-13 relative, and at least 8.8e-5 relative
+    apart, so the window is cut at 1 - 1e-9 of cutoff / 100 and does not
+    depend on which way that edge rounds.
     F is the profile at unit coupling, P0 = (e c hbar)^2 / (V eps0) = 1:
     the centring removes log P0 anyway, and the coupling-free profile stays
     in range where P0 F underflows (e = 1e-150 at a cutoff of 1e60). The
     tail estimates are that profile's _MEASURE r^3 F times P0.
 
-    The profile runs in three passes, in this order: the coarse panels, the
-    panels of the doubled grid, then the cutoff edges. RealPairThreshold is
-    raised by the first pass that reaches the threshold, and GridTooCoarse,
-    when doubling the radial panel count moves the result by more than
-    refine_tol, before the edge pass. The scalar arguments are checked with
-    math.isfinite: ConfigError for a non-finite k3, cutoff, photon_energy or
-    refine_tol, a negative refine_tol (0 demands an exact match), or a cutoff
-    above _MAX_CUTOFF. `n_threads` is accepted and has no effect: the
-    momentum sum runs as one vectorized pass.
+    The profile runs in two sweeps, in this order: the Gauss nodes of the
+    coarse panels and of the doubled grid together, then the cutoff edges.
+    RealPairThreshold is raised by the first sweep that reaches the
+    threshold, and GridTooCoarse, when doubling the radial panel count
+    moves the result by more than refine_tol, before the edge sweep. The
+    scalar arguments are checked with math.isfinite: ConfigError for a
+    non-finite k3, cutoff, photon_energy or refine_tol, a negative
+    refine_tol (0 demands an exact match), a cutoff above _MAX_CUTOFF, or
+    a coupling scale that is not a finite normal float, all before the
+    first sweep. `n_threads` is accepted and has no effect: the momentum
+    sum runs as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
     k_list = k3.tolist()
@@ -433,14 +499,18 @@ def total_shift(
         raise ConfigError(f"cutoff {cutoff!r} exceeds {_MAX_CUTOFF:g}")
     if photon_energy is None:
         photon_energy = k_norm
-    constants = constants.with_volume(1.0)  # see _MEASURE
+    # P0 at V = 1, see _MEASURE
+    p0 = coupling_prefactor(1.0, 1.0, constants.with_volume(1.0)) ** 2
     log_range = (math.log(1e-4 * m), math.log(cutoff))
+    n_radial = grid.n_radial
 
-    edges = np.exp(np.linspace(*log_range, grid.n_radial + 1))
-    total, panel_sums = _integrate(edges, k3, grid, constants, photon_energy)
-
-    fine_edges = np.exp(np.linspace(*log_range, 2 * grid.n_radial + 1))
-    refined, _ = _integrate(fine_edges, k3, grid, constants, photon_energy)
+    edges = np.exp(np.linspace(*log_range, n_radial + 1))
+    panel_sums = _panel_sums(
+        edges, np.exp(np.linspace(*log_range, 2 * n_radial + 1)),
+        k_norm, grid, m, photon_energy, -2.0 * p0,
+    )
+    total = float(panel_sums[:n_radial].sum())
+    refined = float(panel_sums[n_radial:].sum())
     # an all-underflowed integral has no relative move; NaN does not trip the guard
     refine_delta = abs(total - refined) / abs(refined) if refined else math.nan
     if refine_delta > refine_tol:
@@ -450,24 +520,24 @@ def total_shift(
         )
 
     cutoffs = edges[1:]
-    partial_sums = np.cumsum(panel_sums)
-    # the edge pass runs at unit coupling: the density is P0 times a
-    # coupling-free shape, and the slope fit reads the shape alone, which
-    # stays in range where P0 times it (about e^2 p^-4) underflows
-    unit_coupling = Constants(e=1.0, m_e=m)
-    shape = _radial_profile(cutoffs, k3, grid, unit_coupling, photon_energy)
-    # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
-    tail_estimates = _cubed_measure(shape, cutoffs)
-    tail_estimates *= coupling_prefactor(1.0, 1.0, constants) ** 2
+    partial_sums = np.cumsum(panel_sums[:n_radial])
+    # the edge sweep runs at unit coupling, scale -2 P0 = -2: the density is
+    # P0 times a coupling-free shape, and the slope fit reads the shape
+    # alone, which stays in range where P0 times it (about e^2 p^-4) underflows
+    shape = _radial_profile((cutoffs,), k_norm, grid, m, photon_energy, -2.0)
 
     # closed-form least squares about the means; a one-radius window has no slope
-    window = cutoffs >= cutoff / 100.0
+    window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
     log_p = np.log(cutoffs[window])
     log_f = np.log(np.abs(shape[window]))
     log_p -= log_p.sum() / log_p.size
     log_f -= log_f.sum() / log_f.size
     spread = float(log_p @ log_p)
     fitted_slope = float(log_p @ log_f) / spread if spread else math.nan
+
+    # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
+    tail_estimates = _cubed_measure(shape, cutoffs)
+    tail_estimates *= p0
 
     report = ConvergenceReport(
         cutoffs, partial_sums, tail_estimates, fitted_slope, refine_delta

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qlambda import vacuum
+from qlambda.amplitudes import coupling_prefactor
 from qlambda.errors import (
     ConfigError,
     CorrectionTooLarge,
@@ -375,13 +376,18 @@ class TestCylindricalKernel:
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(36)
         p3s = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(200, 1))
+        # odd 27-bit integers times powers of two square to exact ties, which C pow
+        # (a float's `**`) rounds differently from x * x in about a quarter of cases
+        ties = (2 * rng.integers(2**25, 2**26, size=(40, 3)) + 1) * 2.0 ** rng.integers(
+            -40, 0, size=(40, 1))
+        p3s = np.concatenate((p3s, ties))
         for k3 in (K3, np.array([0.3, -0.4, 0.2]), np.array([1.0, 2.0, -0.5])):
             batch = vacuum._density_terms(p3s, k3, NATURAL, float(np.linalg.norm(k3)))
             for i, p3 in enumerate(p3s):
                 sample = vacuum.pair_shift_sample(p3, k3)
                 rows = (sample.eta1, sample.spinor_factor, sample.shift_density)
-                for row, column in zip(rows, batch):
-                    assert row == pytest.approx(column[i], rel=1e-15, abs=0.0)
+                # squares are products on floats and arrays alike, so bit for bit
+                assert [row.hex() for row in rows] == [float(column[i]).hex() for column in batch]
 
     @pytest.mark.parametrize("m", [1e-150, 1.0, 1e50])
     def test_float_sample_bit_identical_to_arrays(self, m):
@@ -398,11 +404,12 @@ class TestCylindricalKernel:
             k_list = k3.tolist()
             k_norm = math.hypot(*k_list)
             coordinates = vacuum._cylindrical_coordinates(*p3s.T, k_list, k_norm)
+            scale = vacuum._density_scale(constants)
             for energy in (k_norm, 0.0, -0.5 * k_norm, 1.5 * m):
-                arrays = vacuum._cylindrical_terms(*coordinates, k_norm, constants, energy)
+                arrays = vacuum._cylindrical_terms(*coordinates, k_norm, m, energy, scale)
                 for i in range(len(p3s)):
                     floats = vacuum._cylindrical_terms(
-                        *(float(c[i]) for c in coordinates), k_norm, constants, energy)
+                        *(float(c[i]) for c in coordinates), k_norm, m, energy, scale)
                     assert all(type(term) is float for term in floats)
                     assert [term.hex() for term in floats] == [
                         float(array[i]).hex() for array in arrays]
@@ -418,7 +425,8 @@ class TestCylindricalKernel:
                 w = k_norm if energy is None else energy
                 _, _, grid = vacuum._cylindrical_terms(
                     radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
-                    np.multiply.outer(cos_t, radii), k_norm, NATURAL, w)
+                    np.multiply.outer(cos_t, radii), k_norm, 1.0, w,
+                    vacuum._density_scale(NATURAL))
                 for j, r in enumerate(radii.tolist()):
                     for node, p3 in ((0, (0.0, 0.0, -r)), (1, (r, 0.0, 0.0)),
                                      (1, (0.0, r, 0.0)), (2, (0.0, 0.0, r))):
@@ -447,10 +455,18 @@ class TestCylindricalKernel:
         k_norm = float(np.linalg.norm(k3))
         grid = (radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
                 np.multiply.outer(cos_t, radii))
+        scale = vacuum._density_scale(NATURAL)
+
+        def two_sets(radii, other, *rest):
+            return vacuum._radial_profile((radii, other), *rest)
+
+        edges = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 9))
+        fine_edges = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 17))
         calls = [
-            (vacuum._cylindrical_terms, grid, (k_norm, NATURAL, 1.3)),
+            (vacuum._cylindrical_terms, grid, (k_norm, 1.0, 1.3, scale)),
             (vacuum._density_terms, (p3s, k3), (NATURAL, 1.3)),
-            (vacuum._radial_profile, (radii, k3), (GridSpec(), NATURAL, 1.3)),
+            (two_sets, (radii, 2.0 * radii), (k_norm, GridSpec(), 1.0, 1.3, scale)),
+            (vacuum._panel_sums, (edges, fine_edges), (k_norm, GridSpec(), 1.0, 1.3, scale)),
         ]
         for fn, arrays, rest in calls:
             copies = [array.copy() for array in arrays]
@@ -523,7 +539,7 @@ class TestRadialProfile:
     def test_matches_mpmath_oracle(self, k_norm, energy):
         omega = k_norm if energy is None else energy
         profile = vacuum._radial_profile(
-            self.RADII, np.array([0.0, 0.0, k_norm]), GridSpec(), NATURAL, omega
+            (self.RADII,), k_norm, GridSpec(), 1.0, omega, vacuum._density_scale(NATURAL)
         )
         for radius, value in zip(self.RADII, profile):
             reference = oracle_profile(radius, k_norm, omega)
@@ -544,6 +560,87 @@ class TestRadialProfile:
             assert other_report.fitted_slope == pytest.approx(report.fitted_slope, rel=1e-15)
 
 
+def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
+    """total_shift composed of three separate passes, each its own _radial_profile call.
+
+    The coarse panels, the panels of the doubled grid and the cutoff edges run
+    one after another, each grid blocked alone; the report is assembled as
+    total_shift documents it. Returns (total, report fields by name).
+    """
+    k_norm = math.hypot(*k3)
+    m = constants.m_e
+    w = k_norm if photon_energy is None else photon_energy
+    p0 = coupling_prefactor(1.0, 1.0, constants.with_volume(1.0)) ** 2
+    log_range = (math.log(1e-4 * m), math.log(cutoff))
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
+
+    def integrate(n_radial):
+        edges = np.exp(np.linspace(*log_range, n_radial + 1))
+        log_edges = np.log(edges)
+        lo, hi = log_edges[:-1], log_edges[1:]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        radii = np.exp(mid[:, None] + half[:, None] * gl_nodes)
+        profile = vacuum._radial_profile((radii,), k_norm, grid, m, w, -2.0 * p0)
+        integrand = vacuum._cubed_measure(profile.reshape(radii.shape), radii)
+        panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
+        return edges, float(panel_sums.sum()), panel_sums
+
+    edges, total, panel_sums = integrate(grid.n_radial)
+    _, refined, _ = integrate(2 * grid.n_radial)
+    cutoffs = edges[1:]
+    shape = vacuum._radial_profile((cutoffs,), k_norm, grid, m, w, -2.0)
+    window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
+    log_p, log_f = np.log(cutoffs[window]), np.log(np.abs(shape[window]))
+    log_p -= log_p.sum() / log_p.size
+    log_f -= log_f.sum() / log_f.size
+    return total, {
+        "cutoffs": cutoffs,
+        "partial_sums": np.cumsum(panel_sums),
+        "tail_estimates": vacuum._cubed_measure(shape, cutoffs) * p0,
+        "fitted_slope": float(log_p @ log_f) / float(log_p @ log_p),
+        "refine_delta": abs(total - refined) / abs(refined),
+    }
+
+
+def hex_values(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestOneSweep:
+    # total_shift runs the Gauss nodes of both radial grids through one
+    # _radial_profile sweep; every report field must be bit for bit the three
+    # separate passes it replaces, whatever the block size. n_theta = 96 and 24
+    # give 42 and 170 radii per block, not multiples of the BLAS row group: a
+    # block that straddled the two grids moves refine_delta in the last bits
+    # in both of those cases.
+    CASES = [
+        ((0.0, 0.0, 0.5), 1e4, GridSpec(), 1.0, None),
+        ((0.3, -0.4, 0.2), 1e4, GridSpec(), 1.0, None),
+        ((1.0, 2.0, -0.5), 1e4, GridSpec(), 1.0, None),
+        ((0.0, 0.0, 0.5), 1e4, GridSpec(), 1.0, 1.3),
+        ((0.3, -0.4, 0.2), 1e3, GridSpec(), 1.0, -1.0),
+        ((0.0, 0.0, 0.5), 1e4, GridSpec(), 1e-150, 1.3),
+        ((0.3, -0.4, 0.2), 1e4, GridSpec(), 1e50, None),
+        ((0.0, 0.0, 0.5), 1e4, GridSpec(n_radial=5, n_theta=96), 1.0, None),
+        ((0.3, -0.4, 0.2), 1e4, GridSpec(n_radial=97, n_theta=24), 1.0, None),
+        ((0.0, 0.0, 0.5), 1e4, GridSpec(n_radial=48, n_theta=1024), 1.0, 1.3),
+    ]
+
+    @pytest.mark.parametrize("block_points", [vacuum._BLOCK_POINTS, 1, 10**9])
+    @pytest.mark.parametrize("k3, cutoff, grid, m, energy", CASES)
+    def test_matches_three_passes(self, monkeypatch, block_points, k3, cutoff, grid, m, energy):
+        monkeypatch.setattr(vacuum, "_BLOCK_POINTS", block_points)
+        constants = Constants(m_e=m)
+        k3 = tuple(m * c for c in k3)
+        energy = None if energy is None else m * energy
+        shift, report = total_shift(k3, m * cutoff, grid, constants, photon_energy=energy,
+                                    refine_tol=100.0)
+        reference, fields = three_pass_reference(k3, m * cutoff, grid, constants, energy)
+        assert shift.hex() == reference.hex()
+        for name, want in fields.items():
+            assert hex_values(getattr(report, name)) == hex_values(want), name
+
+
 def exact_slope(x, y):
     """Least-squares slope of y on x in rational arithmetic on the float inputs."""
     xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
@@ -560,13 +657,15 @@ class TestFittedSlope:
     ])
     @pytest.mark.parametrize("cutoff", [1e3, 1e4, 1e10, 1e30, 1e60])
     def test_closed_form_matches_polyfit(self, monkeypatch, k3, energy, cutoff):
-        # the same points as total_shift's fit: the edge pass is its last profile
+        # the same points as total_shift's fit: the edge sweep is its last profile,
+        # copied as returned (the tail estimates then scale that array in place)
         profiles = []
         radial_profile = vacuum._radial_profile
 
         def recorded(*args):
-            profiles.append(radial_profile(*args))
-            return profiles[-1]
+            profile = radial_profile(*args)
+            profiles.append(profile.copy())
+            return profile
 
         monkeypatch.setattr(vacuum, "_radial_profile", recorded)
         _, report = total_shift(np.array(k3), cutoff, photon_energy=energy)
@@ -596,6 +695,22 @@ class TestFittedSlope:
         _, report = total_shift(K3, 1e6, GridSpec(n_radial=4, n_theta=8), refine_tol=100.0)
         assert np.sum(report.cutoffs >= 1e4) == 1
         assert math.isnan(report.fitted_slope)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_window_does_not_depend_on_the_mass(self):
+        # 96 panels over 8 decades put an edge on cutoff / 100, a few ulps either
+        # side of it depending on the mass; it enters the window at every mass
+        slopes = {}
+        for m in (1e-150, 1e-80, 1.0, 1e50):
+            _, report = total_shift(m * K3, 1e4 * m, constants=Constants(m_e=m),
+                                    photon_energy=1.3 * m)
+            scaled = report.cutoffs / m
+            assert np.sum(scaled >= 1e2 * (1.0 - 1e-9)) == 25
+            assert np.min(np.abs(scaled / 1e2 - 1.0)) < 1e-12
+            slopes[m] = report.fitted_slope
+        for m, slope in slopes.items():
+            assert slope == pytest.approx(slopes[1.0], rel=1e-13, abs=0.0), m
 
 
 class TestTotalShiftBounds:
@@ -637,7 +752,7 @@ class TestTotalShiftBounds:
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated with a negative refine_tol")
 
-        monkeypatch.setattr(vacuum, "_integrate", no_integral)
+        monkeypatch.setattr(vacuum, "_radial_profile", no_integral)
         with pytest.raises(ConfigError, match="refine_tol"):
             total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8), refine_tol=refine_tol)
 
@@ -657,6 +772,31 @@ class TestTotalShiftBounds:
         with pytest.raises(GridTooCoarse):
             total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8),
                         refine_tol=0.5 * report.refine_delta)
+
+
+    @pytest.mark.parametrize("refine_tol, error", [
+        (0.0, GridTooCoarse), (100.0, RealPairThreshold),
+    ])
+    def test_edge_threshold_after_grid_guard(self, refine_tol, error):
+        # only the cutoff edges reach the threshold here: the node sweep runs clean,
+        # so GridTooCoarse comes first and the edge sweep raises only past it
+        with pytest.raises(error):
+            total_shift((0.0, 0.0, 0.5), 549.9583650285313, GridSpec(n_radial=4),
+                        photon_energy=2.0631, refine_tol=refine_tol)
+
+    def test_node_threshold_before_grid_guard(self):
+        with pytest.raises(RealPairThreshold, match="reaches the pair threshold"):
+            total_shift(K3, 1e3, GridSpec(n_radial=4, n_theta=8), photon_energy=2.5,
+                        refine_tol=0.0)
+
+    def test_coupling_scale_checked_before_the_threshold(self):
+        # e^2 = 1e-320 is subnormal: a ConfigError before any density is evaluated,
+        # also where the photon energy reaches the threshold
+        constants = Constants(e=1e-160)
+        with pytest.raises(ConfigError, match="coupling scale"):
+            total_shift(K3, 1e4, constants=constants, photon_energy=5.0)
+        with pytest.raises(ConfigError, match="coupling scale"):
+            vacuum.pair_shift_sample((0.1, 0.0, 0.0), K3, constants, photon_energy=5.0)
 
 
 class TestCorrectedAmplitude:
