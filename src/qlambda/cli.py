@@ -12,7 +12,9 @@ the package is a namedtuple record, so no command imports `dataclasses` (or
 the `inspect` it pulls in) either.
 
 lambda-sim fits the transfer from --initial-level to --target-level (default:
-the last level); the two must differ.
+the last level); the two must differ. The fit is compared with the detuned
+rate hypot(|M|, (S_f - S_i) / 2) of the averaged Hamiltonian H_eff, whose
+entry M couples the two levels and whose diagonal S holds their shifts.
 """
 from __future__ import annotations
 
@@ -127,18 +129,29 @@ def cmd_lambda_sim(args) -> int:
 
     populations = trajectory.populations()[:, target]
     fitted = _fit_rabi_rate(trajectory.times, populations, constants.hbar)
-    if analytic == 0.0 or fitted is None:
-        deviation = None
+    if analytic == 0.0:
+        predicted = deviation = None
     else:
-        deviation = abs(fitted - abs(analytic)) / abs(analytic)
+        # unequal level shifts S = diag(H_eff) detune the transfer, which then
+        # oscillates at hypot(|M|, (S_f - S_i) / 2)
+        shift_gap = float((effective.matrix[target, target] - effective.matrix[start, start]).real)
+        predicted = math.hypot(abs(analytic), 0.5 * shift_gap)
+        deviation = None if fitted is None else abs(fitted - predicted) / predicted
+    scale = float(np.max(np.abs(effective.matrix)))
+    if scale == 0.0 or math.isinf(effective.period):
+        residual = None
+    else:
+        residual = float(np.max(np.abs(effective.matrix - effective.numeric_matrix))) / scale
     summary = {
         "analytic_coupling": [analytic.real, analytic.imag],
+        "predicted_rate": predicted,
         "fitted_rate": fitted,
         "relative_deviation": deviation,
         "period": effective.period,
         "t_final": float(t_final),
         "dt": float(dt),
         "target_level": target + 1,
+        "magnus_residual": residual,
         "max_norm_drift": trajectory.max_norm_drift,
         "drift_tol": dynamics.DRIFT_TOL,
     }

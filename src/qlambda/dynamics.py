@@ -195,9 +195,12 @@ def evolve(
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (system.n_levels,):
         raise ConfigError(f"psi0 must have {system.n_levels} components")
-    if not np.all(np.isfinite(psi)):
+    # at most 4 components: the checks run on Python values
+    amplitudes = psi.tolist()
+    if not all(map(cmath.isfinite, amplitudes)):
         raise ConfigError("psi0 must be finite")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    # hypot of the parts: abs of a complex raises where its modulus overflows
+    if abs(math.hypot(*[x for z in amplitudes for x in (z.real, z.imag)]) - 1.0) > 1e-9:
         raise ConfigError("psi0 must be normalized")
     for name, value in (("dt", dt), ("t_final", t_final), ("hbar", hbar)):
         if not (value > 0.0 and math.isfinite(value)):
@@ -223,18 +226,22 @@ def evolve(
     # phases gives every state
     rows = n_steps + 1
     block = math.isqrt(rows)
-    fine = np.exp(-1j / hbar * np.outer(np.arange(block) * dt, evals))
-    coarse = np.exp(-1j / hbar * np.outer(np.arange(0, rows, block) * dt, evals))
+    # the B fine and then the coarse phases, from one exp
+    steps = np.concatenate((np.arange(block), np.arange(0, rows, block)))
+    phases = np.exp(-1j / hbar * np.outer(steps * dt, evals))
+    fine, coarse = phases[:block], phases[block:]
     weighted = evecs * (evecs.conj().T @ psi)
     folded = fine.T[:, :, None] * weighted.T[:, None, :]
     states = (coarse @ folded.reshape(system.n_levels, -1)).reshape(-1, system.n_levels)[:rows]
     states[0] = psi
     flat = states[1:].view(float)
     norm_sq = np.einsum("ij,ij->i", flat, flat)
-    drift = np.abs(np.sqrt(norm_sq) - 1.0)
-    max_drift = float(drift.max())
-    # a NaN drift fails the comparison too
+    # | sqrt(x) - 1 | peaks at the smallest or the largest x, sqrt being monotone;
+    # a NaN norm makes both NaN and fails the comparison too
+    max_drift = max(abs(math.sqrt(float(norm_sq.max())) - 1.0),
+                    abs(math.sqrt(float(norm_sq.min())) - 1.0))
     if not max_drift <= drift_tol:
+        drift = np.abs(np.sqrt(norm_sq) - 1.0)
         i = int(np.flatnonzero(~(drift <= drift_tol))[0])
         raise StepTooLarge(
             f"norm drift {drift[i]:.3e} at step {i + 1} exceeds {drift_tol:.1e}"
@@ -282,8 +289,10 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
         return math.inf
     ref = max(gaps)
     multipliers = []
-    # equal gaps share one ratio
+    # equal gaps share one ratio; the reference gap's is exactly 1
     for gap in dict.fromkeys(gaps):
+        if gap == ref:
+            continue
         ratio = gap / ref
         frac = Fraction(ratio).limit_denominator(1000)
         if abs(ratio - float(frac)) > _ENERGY_MATCH_RTOL * max(ratio, 1.0):
@@ -330,15 +339,6 @@ def _unit_gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-@functools.cache
-def _level_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the level pairs j < k, built once per level count."""
-    pairs = np.triu_indices(n, 1)
-    for array in pairs:
-        array.setflags(write=False)
-    return pairs
-
-
 def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHamiltonian:
     """Second-order averaged Hamiltonian over one common period.
 
@@ -346,11 +346,14 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     double-commutator (1/2) int_0^T [K(s), int_0^s K] ds of the rotating
     coupling matrix K. The inner integral is exact,
     int_0^s exp(i g t) dt = s exp(i g s / 2) sinc(g s / 2 pi), and the outer
-    one a _MAGNUS_NODES-point Gauss rule over the period, whose node sum
-    sum_o w_o [K_o, I_o] is two (n x On) (On x n) matrix products. Phases are
-    evaluated once per level pair as exp(i g s / 2), squared for K. The two
-    results agree to quadrature accuracy. Raises ConfigError when a level gap
-    over hbar, or 1 / hbar, overflows, and when either result does.
+    one a _MAGNUS_NODES-point Gauss rule over the period. Only the directed
+    coupled edges e = (j -> l) carry K and I, so the node sum
+    sum_o w_o [K_o, I_o] is one Gram product G[e, f] = sum_o w_o K_e(o) I_f(o),
+    and entry (j, k) sums G[e, f] - G[f, e] over the paths e = (j -> l),
+    f = (l -> k). Phases are evaluated once per edge as exp(i g s / 2),
+    squared for K; its imaginary part gives the sinc. The two results agree
+    to quadrature accuracy. Raises ConfigError when a level gap over hbar,
+    or 1 / hbar, overflows, and when either result does.
     """
     period = base_period(system, hbar)
     analytic = _secular_matrix(system)
@@ -362,36 +365,26 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     levels = system.energies.tolist()
     if not (math.isfinite((max(levels) - min(levels)) / hbar) and math.isfinite(0.5 / hbar)):
         raise ConfigError(f"level gaps / hbar overflow for hbar = {hbar!r}")
-    n = system.n_levels
-    couplings = system.couplings
     nodes, weights = _unit_gauss_rule()
     sigma = period * nodes
-    # each level pair j < k once: the (k, j) entries are the complex
-    # conjugate phases, and exp(-ix) = conj(exp(ix)), sinc is even
-    upper, lower = _level_pairs(n)
-    gaps = (system.energies[upper] - system.energies[lower]) / hbar
-    angle = np.outer(gaps, sigma)
+    src, dst = np.nonzero(system.couplings)
+    coupling = system.couplings[src, dst][:, None]
+    angle = np.outer((system.energies[src] - system.energies[dst]) / hbar, sigma)
     half = np.exp(0.5j * angle)
-    phase = half * half
-    sinc = np.sinc(angle / (2.0 * math.pi))
-    # node axis in the middle: (n, O, n) reshapes to the row block
-    # [K_1 ... K_O] without a copy
-    k_outer = np.zeros((n, sigma.size, n), dtype=complex)
-    inner_int = np.zeros_like(k_outer)
-    above = couplings[upper, lower][:, None]
-    below = couplings[lower, upper][:, None]
+    # sinc(angle / 2 pi) = sin(angle / 2) / (angle / 2) with sin(angle / 2) = Im half;
+    # an entry whose transpose is zero escapes the degeneracy check and may have gap 0
+    sinc = np.divide(half.imag, 0.5 * angle, out=np.ones_like(angle), where=angle != 0.0)
+    # the paths j -> l -> k as edge pairs (e, f) with dst[e] == src[f]
+    first, second = np.nonzero(dst[:, None] == src[None, :])
+    comm = np.zeros(analytic.shape, dtype=complex)
     # couplings too large for their squares over a period overflow in these
     # products; the finiteness check below turns that into a ConfigError
     with np.errstate(over="ignore", invalid="ignore"):
-        k_outer[upper, :, lower] = above * phase
-        k_outer[lower, :, upper] = below * phase.conj()
-        inner_int[upper, :, lower] = (above * sigma) * half * sinc
-        inner_int[lower, :, upper] = (below * sigma) * half.conj() * sinc
-        # sum_o w_o [K_o, I_o] as two (n x On) (On x n) products; weights on [0, 1]
-        # already divide the integral over the period by its length
-        weighted = k_outer * weights[:, None]
-        comm = weighted.reshape(n, -1) @ inner_int.transpose(1, 0, 2).reshape(-1, n)
-        comm -= inner_int.reshape(n, -1) @ weighted.transpose(1, 0, 2).reshape(-1, n)
+        k_outer = coupling * (half * half)
+        inner_int = (coupling * sigma) * half * sinc
+        # weights on [0, 1] already divide the integral over the period by its length
+        gram = (k_outer * weights) @ inner_int.T
+        np.add.at(comm, (src[first], dst[second]), (gram - gram.T)[first, second])
         numeric = -0.5j / hbar * comm
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         raise ConfigError("second-order couplings overflow: coupling^2 / gap or its "

@@ -9,7 +9,7 @@ import pytest
 
 import qlambda
 from qlambda.cli import main
-from qlambda.dynamics import LevelSystem
+from qlambda.dynamics import LevelSystem, magnus_second_order
 from qlambda.errors import StepTooLarge
 
 
@@ -43,6 +43,39 @@ class TestLambdaSim:
         assert rc == 0
         doc = json.loads(summary.read_text())
         assert doc["relative_deviation"] < 1e-2
+
+    def test_readme_system_predicts_the_bare_coupling(self, tmp_path, lambda_file):
+        summary = tmp_path / "summary.json"
+        assert main(["lambda-sim", "--system", str(lambda_file), "--out", str(tmp_path / "t.csv"),
+                     "--summary", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        # equal level shifts: hypot(|M|, 0) is |M|
+        assert doc["predicted_rate"] == abs(complex(*doc["analytic_coupling"]))
+        assert list(doc)[:2] == ["analytic_coupling", "predicted_rate"]
+        eff = magnus_second_order(LevelSystem.from_json(lambda_file.read_text()))
+        scale = np.max(np.abs(eff.matrix))
+        assert doc["magnus_residual"] == np.max(np.abs(eff.matrix - eff.numeric_matrix)) / scale
+        assert 0.0 < doc["magnus_residual"] < 1e-10
+
+    def test_unequal_shifts_fit_the_detuned_rate(self, tmp_path):
+        # shifts S_1 = -0.1^2 / 10, S_3 = -0.3^2 / 10 and M = -0.1 * 0.3 / 10:
+        # the transfer oscillates at hypot(0.003, 0.004) = 0.005, not at |M|
+        couplings = np.zeros((3, 3), dtype=complex)
+        couplings[1, 0] = couplings[0, 1] = 0.1
+        couplings[1, 2] = couplings[2, 1] = 0.3
+        path = tmp_path / "detuned.json"
+        path.write_text(LevelSystem([0.0, 10.0, 0.0], couplings).to_json())
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        assert main(["lambda-sim", "--system", str(path), "--out", str(out),
+                     "--summary", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        assert doc["predicted_rate"] == pytest.approx(0.005, rel=1e-12)
+        assert doc["relative_deviation"] < 1e-2
+        assert abs(doc["fitted_rate"] - 0.003) / 0.003 > 0.5
+        assert doc["magnus_residual"] < 1e-10
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        # detuned: the transfer peaks at (|M| / rate)^2 = 0.36
+        assert np.max(rows[:, 5] ** 2 + rows[:, 6] ** 2) == pytest.approx(0.36, abs=1e-2)
 
     def test_rising_transfer_has_no_fitted_rate(self, tmp_path, lambda_file):
         # the transfer maximum is near t = 1571; at t = 300 the target level is
@@ -81,6 +114,11 @@ class TestLambdaSim:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         pops = rows[:, 1::2] ** 2 + rows[:, 2::2] ** 2
         assert np.max(np.abs(pops - pops[0])) < 1e-12
+        doc = json.loads((tmp_path / "s.json").read_text())
+        # no coupling: no period, no rate to predict and no Magnus cross-check
+        assert doc["period"] == float("inf")
+        assert doc["predicted_rate"] is None and doc["relative_deviation"] is None
+        assert doc["magnus_residual"] is None
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -50,6 +50,22 @@ def complex_four_level(omega=0.3 * np.exp(0.4j), pair=0.05 * np.exp(-1.1j)):
     return LevelSystem([0.0, 10.0, 0.0, 5.0], couplings + couplings.conj().T)
 
 
+def chain_four_level():
+    """Chain 0 - 1 - 2 - 3 with complex couplings: second-order paths run through 1 and 2."""
+    couplings = np.zeros((4, 4), dtype=complex)
+    couplings[1, 0] = 0.2 * np.exp(0.3j)
+    couplings[2, 1] = 0.15 * np.exp(-1.2j)
+    couplings[3, 2] = 0.1 * np.exp(2.1j)
+    return LevelSystem([0.0, 10.0, 2.0, 7.0], couplings + couplings.conj().T)
+
+
+def fully_coupled_four_level():
+    """Every pair coupled, complex couplings, commensurate gaps."""
+    rng = np.random.default_rng(17)
+    couplings = np.tril(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), -1)
+    return LevelSystem([0.0, 10.0, 3.0, 5.0], 0.1 * (couplings + couplings.conj().T))
+
+
 def random_system(n, seed):
     """Complex Hermitian zero-diagonal couplings on random level energies."""
     rng = np.random.default_rng(seed)
@@ -103,8 +119,11 @@ def node_loop_commutator(system, hbar=1.0):
 
     Same exact inner integral and Gauss outer rule as magnus_second_order, but
     every term w_o (K_o I_o - I_o K_o)[j, k] goes into one math.fsum per entry.
+    A system without couplings has no period and a zero commutator.
     """
     period = base_period(system, hbar)
+    if math.isinf(period):
+        return np.zeros((system.n_levels,) * 2, dtype=complex)
     nodes, weights = dynamics._unit_gauss_rule()
     gaps = (system.energies[:, None] - system.energies[None, :]) / hbar
     couplings = system.couplings
@@ -124,6 +143,50 @@ def node_loop_commutator(system, hbar=1.0):
             ])
             total[j, k] = complex(math.fsum(terms.real), math.fsum(terms.imag))
     return -0.5j / hbar * total
+
+
+def split_phase_evolve(system, psi0, t_final, dt, hbar=1.0):
+    """Reference: evolve's closed form with the fine and the coarse phases from two exp calls.
+
+    Returns the sample times, the states and the largest norm drift taken
+    over the whole drift array.
+    """
+    n = system.n_levels
+    rows = max(1, int(round(t_final / dt))) + 1
+    block = math.isqrt(rows)
+    evals, evecs = np.linalg.eigh(system.hamiltonian())
+    psi = np.asarray(psi0, dtype=complex)
+    fine = np.exp(-1j / hbar * np.outer(np.arange(block) * dt, evals))
+    coarse = np.exp(-1j / hbar * np.outer(np.arange(0, rows, block) * dt, evals))
+    weighted = evecs * (evecs.conj().T @ psi)
+    folded = fine.T[:, :, None] * weighted.T[:, None, :]
+    states = (coarse @ folded.reshape(n, -1)).reshape(-1, n)[:rows]
+    states[0] = psi
+    flat = states[1:].view(float)
+    drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)
+    return np.arange(rows) * dt, states, float(drift.max())
+
+
+def benchmark_systems():
+    """The six seed-1 systems of the lambda-dynamics benchmark and the README system, by name.
+
+    As perfbench/workloads.py lambda_documents builds them from its seed-1
+    draws: a Lambda and a 4-level pair family at coupling ratios 1e-1, 1e-2, 1e-3.
+    """
+    gap, scale = 12.5, 0.9155350650396977
+    phases = np.exp(1j * np.array([2.7073113732669194, 2.63893235882524]))
+    e1 = 10.0 * scale
+    systems = {}
+    for ratio in (1e-1, 1e-2, 1e-3):
+        c = np.zeros((3, 3), dtype=complex)
+        c[1, 0], c[1, 2] = ratio * gap * phases
+        systems[f"lambda-{ratio:g}"] = LevelSystem([0.0, gap, 0.0], c + c.conj().T)
+        c = np.zeros((4, 4), dtype=complex)
+        c[1, 0] = c[1, 2] = 0.3 * scale
+        c[1, 3] = ratio * 0.5 * e1
+        systems[f"pair-{ratio:g}"] = LevelSystem([0.0, e1, 0.0, 0.5 * e1], c + c.conj().T)
+    systems["readme"] = lambda_system()
+    return systems
 
 
 def cellwise_csv(trajectory):
@@ -282,6 +345,8 @@ class TestEvolve:
             ([1.0, 0.0], 1.0, 0.1, {"hbar": math.inf}),
             ([math.nan, 0.0], 1.0, 0.1, {}),
             ([1.0, complex(0.0, math.inf)], 1.0, 0.1, {}),
+            # finite parts whose modulus overflows
+            ([complex(1.7e308, 1.7e308), 0.0], 1.0, 0.1, {}),
             ([1.0, 0.0], 1.0, 0.1, {"drift_tol": math.nan}),
             ([1.0, 0.0], 1.0, 0.1, {"drift_tol": math.inf}),
         ]
@@ -324,11 +389,31 @@ class TestEvolve:
     def test_max_norm_drift_is_the_guarded_figure(self):
         system = random_system(3, 11)
         traj = evolve(system, [0.0, 1.0, 0.0], 50.0, 0.01)
-        drift = np.abs(np.linalg.norm(traj.states[1:], axis=1) - 1.0)
-        # the guard sums squares in another order than np.linalg.norm
-        assert traj.max_norm_drift == pytest.approx(float(np.max(drift)), abs=2 * math.ulp(1.0))
+        flat = traj.states[1:].view(float)
+        drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)
+        # | sqrt(x) - 1 | peaks at the smallest or the largest squared norm x,
+        # so the extreme-norm form is the largest drift exactly
+        assert traj.max_norm_drift == float(np.max(drift))
+        # np.linalg.norm sums the squares in another order
+        norm_drift = np.abs(np.linalg.norm(traj.states[1:], axis=1) - 1.0)
+        assert traj.max_norm_drift == pytest.approx(float(np.max(norm_drift)),
+                                                    abs=2 * math.ulp(1.0))
         assert 0.0 < traj.max_norm_drift < 1e-13
         assert Trajectory(traj.times, traj.states).max_norm_drift == 0.0
+
+    @pytest.mark.parametrize("name", sorted(benchmark_systems()))
+    def test_one_phase_table_is_bit_identical_to_split_phases(self, name):
+        system = benchmark_systems()[name]
+        n = system.n_levels
+        psi0 = np.eye(n)[0]
+        coupling = abs(magnus_second_order(system).matrix[2, 0])
+        t_final = 1.05 * math.pi / (2.0 * coupling)
+        for dt in (base_period(system), t_final / 4096, t_final / 977):
+            traj = evolve(system, psi0, t_final, dt)
+            times, states, max_drift = split_phase_evolve(system, psi0, t_final, dt)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+            assert traj.max_norm_drift == max_drift
 
     def test_drift_guard_names_first_step(self):
         sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
@@ -466,15 +551,36 @@ class TestMagnus:
             (LevelSystem([0.0, 10.0], [[0, 0.1 - 0.3j], [0.1 + 0.3j, 0]]), 1.0),
             (four_level(), 1.0),
             (complex_four_level(), 1.3),
+            (chain_four_level(), 1.0),
+            (fully_coupled_four_level(), 0.8),
+            (LevelSystem([0.0, 4.0, 1.0], [[0, 0.2j, 0], [-0.2j, 0, 0], [0, 0, 0]]), 1.0),
+            (LevelSystem([0.0, 10.0, 0.0], np.zeros((3, 3))), 1.0),
+            # Hermitian within tolerance: a one-sided entry between degenerate
+            # levels is an edge with gap 0, where sinc is 1
+            (LevelSystem([0.0, 0.0, 1.0], [[0, 0, 0.1], [1e-16, 0, 0], [0.1, 0, 0]]), 1.0),
         ],
     )
     def test_commutator_products_match_node_loop(self, system, hbar):
-        # the two (n x On) (On x n) products and the squared half-angle
-        # phases change rounding only
+        # the Gram product over the coupled edges, its scatter onto the paths
+        # j -> l -> k, the squared half-angle phases and the sinc from their
+        # imaginary part change rounding only
         eff = magnus_second_order(system, hbar=hbar)
         expected = node_loop_commutator(system, hbar=hbar)
         scale = np.max(np.abs(eff.matrix))
         assert np.max(np.abs(eff.numeric_matrix - expected)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize(
+        "system, analytic_finite",
+        [
+            # |G[e, f] - G[f, e]| reaches 2 coupling^2 / gap while coupling^2 / gap is finite
+            (LevelSystem([0.0, 1.0], [[0, 1e154], [1e154, 0]]), True),
+            (lambda_system(omega1=1e200, omega2=1e200), False),
+        ],
+    )
+    def test_overflow_is_a_config_error(self, system, analytic_finite):
+        assert np.isfinite(dynamics._secular_matrix(system)).all() == analytic_finite
+        with pytest.raises(ConfigError, match="second-order couplings overflow"):
+            magnus_second_order(system)
 
     def test_hermitian(self):
         eff = magnus_second_order(lambda_system(omega1=0.2 + 0.1j))
