@@ -19,8 +19,8 @@ of the exchanged photon in both prefactors.
 
 Every vertex is evaluated on the Pauli blocks of the spinors with the
 scalar helpers of `pauli`, and the module imports no numpy:
-`coupling_prefactor`, which vacuum shares, takes numpy's square root only
-when it is handed arrays. Each result records in
+`coupling_prefactor`, which vacuum shares, takes Python or numpy scalars
+only. Each result records in
 `provenance["guard_margins"]` how close it came to the pole, on-shell and
 conservation guards.
 
@@ -118,29 +118,22 @@ def _checked_factor(value, eta_value):
     return value
 
 
-def coupling_prefactor(eta_value, energy, constants: Constants):
-    """e c hbar eta sqrt(1/(V eps0 E)), elementwise over arrays of eta and E.
+def coupling_prefactor(eta_value: float, energy: float, constants: Constants) -> float:
+    """e c hbar eta sqrt(1/(V eps0 E)) for scalar eta and E.
 
     Raises ConfigError unless the squared coupling scale (e c hbar)^2 / (V eps0)
     is a finite normal float, so the prefactor and its square stay in range.
     It is evaluated as ((e c hbar / sqrt(V eps0)) eta) sqrt(1/E): the first
     factor is the square root of the checked scale, so V eps0 and E never
     meet in one product that could overflow or underflow, and at
-    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E). A scalar E
-    (int or float, numpy float64 included) takes math.sqrt, with NaN for an E
-    that is not positive; anything else, arrays of E above all, takes numpy's
-    square root.
+    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E). An E that
+    is not positive gives NaN.
     """
     charge = constants.e * constants.c * constants.hbar
     medium = constants.V * constants.eps0
     if not (medium > 0.0 and sys.float_info.min <= charge * charge / medium <= sys.float_info.max):
         raise ConfigError("coupling scale (e c hbar)^2 / (V eps0) is not a finite normal float")
-    if isinstance(energy, (int, float)):  # numpy float64 too
-        root = math.sqrt(1.0 / energy) if energy > 0.0 else math.nan
-    else:
-        import numpy as np
-
-        root = np.sqrt(1.0 / energy)
+    root = math.sqrt(1.0 / energy) if energy > 0.0 else math.nan
     return charge / math.sqrt(medium) * eta_value * root
 
 

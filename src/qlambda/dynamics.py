@@ -262,19 +262,16 @@ def interaction_frame(system: LevelSystem, t: float, hbar: float = 1.0) -> np.nd
 
 def _coupled_gaps(system: LevelSystem) -> list[float]:
     energies = system.energies.tolist()
-    couplings = system.couplings.tolist()
-    n = len(energies)
     scale = max(1.0, *map(abs, energies))
     gaps = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            if couplings[j][k] != 0.0:
-                gap = abs(energies[j] - energies[k])
-                if gap <= _ENERGY_MATCH_RTOL * scale:
-                    raise DegenerateLevels(
-                        f"coupled levels {j} and {k} are degenerate (gap {gap!r})"
-                    )
-                gaps.append(gap)
+    # every directed coupled edge j -> k, the edges magnus_second_order sums
+    # over: Hermiticity holds to a tolerance only, so a transpose may be zero
+    src, dst = np.nonzero(system.couplings)
+    for j, k in zip(src.tolist(), dst.tolist()):
+        gap = abs(energies[j] - energies[k])
+        if gap <= _ENERGY_MATCH_RTOL * scale:
+            raise DegenerateLevels(f"coupled levels {j} and {k} are degenerate (gap {gap!r})")
+        gaps.append(gap)
     return gaps
 
 
@@ -282,7 +279,8 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
     """Least common period of all rotating coupling phases.
 
     Requires every coupled pair to be nondegenerate and all gaps to be
-    commensurate (rational ratios with denominator <= 1000).
+    commensurate (rational ratios with denominator <= 1000). Only an uncoupled
+    system has period inf: one that over- or underflows raises ConfigError.
     """
     gaps = _coupled_gaps(system)
     if not gaps:
@@ -301,7 +299,17 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
     common = 1
     for q in multipliers:
         common = common * q // math.gcd(common, q)
-    return 2.0 * math.pi * hbar * common / ref
+    # 2 pi hbar common / ref on the mantissas of hbar and ref, then scaled by
+    # their exponents: bit for bit the direct product wherever that stays normal,
+    # and 2 pi hbar common cannot overflow ahead of the quotient
+    (hbar_m, hbar_e), (ref_m, ref_e) = math.frexp(hbar), math.frexp(ref)
+    try:
+        period = math.ldexp(2.0 * math.pi * hbar_m * common / ref_m, hbar_e - ref_e)
+    except OverflowError:
+        period = math.inf
+    if not (0.0 < period < math.inf):
+        raise ConfigError(f"the common period {period!r} is not a finite positive float")
+    return period
 
 
 def _secular_matrix(system: LevelSystem) -> np.ndarray:
@@ -372,8 +380,8 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     angle = np.outer((system.energies[src] - system.energies[dst]) / hbar, sigma)
     half = np.exp(0.5j * angle)
     # sinc(angle / 2 pi) = sin(angle / 2) / (angle / 2) with sin(angle / 2) = Im half;
-    # an entry whose transpose is zero escapes the degeneracy check and may have gap 0
-    sinc = np.divide(half.imag, 0.5 * angle, out=np.ones_like(angle), where=angle != 0.0)
+    # every edge has a nonzero gap, so angle != 0
+    sinc = half.imag / (0.5 * angle)
     # the paths j -> l -> k as edge pairs (e, f) with dst[e] == src[f]
     first, second = np.nonzero(dst[:, None] == src[None, :])
     comm = np.zeros(analytic.shape, dtype=complex)

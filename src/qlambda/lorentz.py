@@ -6,7 +6,9 @@ electron charge derived from the fine-structure constant. The metric is
 
 The module imports numpy only inside the accessors that return arrays
 (`FourVector.spatial`, `FourVector.as_array`, `Boost.beta_vector`,
-`boost_matrix`); kinematics and boosts run on Python floats.
+`boost_matrix`). `boost` and the kinematics generators apply the same float
+rows of one boost matrix, so a vector boosted alone is bit for bit the one
+in a boosted kinematics set.
 """
 from __future__ import annotations
 
@@ -220,8 +222,8 @@ def boost_matrix(v: Boost) -> np.ndarray:
 
 
 def boost(v: Boost, p: FourVector) -> FourVector:
-    """Apply the boost; preserves minkowski_dot."""
-    return FourVector(*(boost_matrix(v) @ p.as_array()).tolist())
+    """Apply the boost with the float rows of _maybe_boost; preserves minkowski_dot."""
+    return _maybe_boost((p,), v)[0]
 
 
 def cm_boost(total: FourVector) -> Boost:

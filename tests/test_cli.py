@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -718,3 +719,24 @@ class TestExtremeConstantsAndSteps:
         assert exit_code(argv) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gap, code", [(10.0, 0), (1.0, 2)])
+    def test_lambda_sim_common_period(self, tmp_path, capsys, gap, code):
+        # 2 pi hbar overflows at hbar = 1e308; the period 2 pi hbar / gap fits
+        # in a float for gap 10 and overflows for gap 1
+        couplings = [[0, 0.1, 0], [0.1, 0, 0.1], [0, 0.1, 0]]
+        system = tmp_path / "system.json"
+        system.write_text(LevelSystem([0.0, gap, 0.0], couplings).to_json())
+        summary = tmp_path / "s.json"
+        argv = ["lambda-sim", "--system", str(system), "--out", str(tmp_path / "t.csv"),
+                "--summary", str(summary), "--constant", "hbar", "1e308",
+                "--t-final", "1e306", "--dt", "1e303"]
+        assert exit_code(argv) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "common period inf" in err and "Traceback" not in err
+            assert not summary.exists()
+        else:
+            report = json.loads(summary.read_text())
+            assert report["period"] == pytest.approx(2.0 * math.pi * 1e307, rel=1e-15)
+            assert report["magnus_residual"] < 1e-12

@@ -505,6 +505,32 @@ class TestBasePeriod:
 
     def test_uncoupled_has_no_period(self):
         assert base_period(LevelSystem([0.0, 1.0], np.zeros((2, 2)))) == math.inf
+        assert base_period(LevelSystem([0.0, 1.0], np.zeros((2, 2))), hbar=1e308) == math.inf
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37, 3e5, 1e-200, 1e200])
+    def test_period_bits_are_the_direct_product(self, hbar):
+        assert base_period(lambda_system(), hbar=hbar) == 2.0 * math.pi * hbar / 10.0
+
+    @pytest.mark.parametrize("gap, hbar", [(10.0, 1e308), (1e-5, 1e-310)])
+    def test_period_in_range_though_2_pi_hbar_is_not(self, gap, hbar):
+        # 2 pi hbar overflows or is subnormal, 2 pi hbar / gap is a normal float
+        system = LevelSystem([0.0, gap, 0.0], [[0, 0.1, 0], [0.1, 0, 0.1], [0, 0.1, 0]])
+        assert base_period(system, hbar=hbar) == pytest.approx(2.0 * math.pi * (hbar / gap), rel=1e-15)
+
+    def test_magnus_at_a_period_past_2_pi_hbar(self):
+        system = LevelSystem([0.0, 10.0, 0.0], [[0, 0.1, 0], [0.1, 0, 0.1], [0, 0.1, 0]])
+        eff = magnus_second_order(system, hbar=1e308)
+        assert math.isfinite(eff.period)
+        assert np.allclose(eff.numeric_matrix, eff.matrix, rtol=0.0, atol=1e-12 * np.abs(eff.matrix).max())
+
+    @pytest.mark.parametrize("gap, hbar", [(1.0, 1e308), (1e10, 1e-320)])
+    def test_unrepresentable_period_rejected(self, gap, hbar):
+        # 2 pi hbar / gap overflows or underflows; neither may read as "uncoupled"
+        system = LevelSystem([0.0, gap, 0.0], [[0, 0.1, 0], [0.1, 0, 0.1], [0, 0.1, 0]])
+        with pytest.raises(ConfigError, match="common period"):
+            base_period(system, hbar=hbar)
+        with pytest.raises(ConfigError, match="common period"):
+            magnus_second_order(system, hbar=hbar)
 
 
 class TestMagnus:
@@ -555,9 +581,6 @@ class TestMagnus:
             (fully_coupled_four_level(), 0.8),
             (LevelSystem([0.0, 4.0, 1.0], [[0, 0.2j, 0], [-0.2j, 0, 0], [0, 0, 0]]), 1.0),
             (LevelSystem([0.0, 10.0, 0.0], np.zeros((3, 3))), 1.0),
-            # Hermitian within tolerance: a one-sided entry between degenerate
-            # levels is an edge with gap 0, where sinc is 1
-            (LevelSystem([0.0, 0.0, 1.0], [[0, 0, 0.1], [1e-16, 0, 0], [0.1, 0, 0]]), 1.0),
         ],
     )
     def test_commutator_products_match_node_loop(self, system, hbar):
@@ -602,11 +625,18 @@ class TestMagnus:
         assert eff.matrix[0, 0] == pytest.approx(0.01 / (0.0 - 10.0), rel=1e-14)
         assert eff.matrix[1, 1] == pytest.approx(0.01 / (10.0 - 0.0), rel=1e-14)
 
-    def test_degenerate_rejected(self):
-        couplings = np.zeros((2, 2), dtype=complex)
-        couplings[0, 1] = couplings[1, 0] = 0.1
+    @pytest.mark.parametrize(
+        "system",
+        [
+            LevelSystem([2.0, 2.0], [[0, 0.1], [0.1, 0]]),
+            # Hermitian within tolerance: the one-sided entry couples the
+            # degenerate levels 0 and 1 all the same
+            LevelSystem([0.0, 0.0, 1.0], [[0, 0, 0.1], [1e-16, 0, 0], [0.1, 0, 0]]),
+        ],
+    )
+    def test_degenerate_rejected(self, system):
         with pytest.raises(DegenerateLevels):
-            magnus_second_order(LevelSystem([2.0, 2.0], couplings))
+            magnus_second_order(system)
 
 
 class TestEffectiveCoupling:

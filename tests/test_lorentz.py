@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -200,9 +201,11 @@ class TestMollerKinematics:
 
 
 class TestBoostedKinematics:
-    """A boosted set applies one matrix to all four momenta; per-vector boost is the reference."""
+    """A boosted set applies one matrix to all four momenta; per-vector boost applies the same."""
 
     def test_matches_per_vector_boost(self):
+        # boost applies the float rows of the kinematics generators, so the
+        # two agree bit for bit, whatever the direction of the boost
         rng = np.random.default_rng(2024)
         eps = np.finfo(float).eps
         makers = (
@@ -215,22 +218,43 @@ class TestBoostedKinematics:
             beta = Boost(tuple(direction / np.linalg.norm(direction) * rng.uniform(0.0, 0.99)))
             energy = rng.uniform(0.2, 5.0)
             theta = rng.uniform(0.05, math.pi - 0.05)
-            abs_matrix = np.abs(boost_matrix(beta))
+            matrix = boost_matrix(beta)
             for maker, offset in makers:
                 boosted = maker(energy + offset, theta, beta)
-                for got, v in zip(boosted, maker(energy + offset, theta)):
-                    want = boost(beta, v)
-                    # two summation orders differ by a few ulp of the largest term
-                    # of each sum, max_i sum_j |L_ij v_j|, which can be many times
-                    # the result when the boost runs against the motion
-                    scale = float(np.max(abs_matrix @ np.abs(v.as_array())))
-                    gap = float(np.max(np.abs(got.as_array() - want.as_array())))
+                rest = maker(energy + offset, theta)
+                per_vector = [boost(beta, v) for v in rest]
+                assert [[c.hex() for c in v] for v in per_vector] == \
+                       [[c.hex() for c in v] for v in boosted], (maker.__name__, beta)
+                assert all(type(c) is float for v in boosted for c in v)
+                for got, v in zip(boosted, rest):
+                    # the matrix product is an independent reference; two
+                    # summation orders differ by a few ulp of the largest term
+                    # of each sum, max_i sum_j |L_ij v_j|, which can be many
+                    # times the result when the boost runs against the motion
+                    want = matrix @ v.as_array()
+                    scale = float(np.max(np.abs(matrix) @ np.abs(v.as_array())))
+                    gap = float(np.max(np.abs(got.as_array() - want)))
                     assert gap <= 4.0 * eps * scale, (maker.__name__, beta, gap / scale)
-                    assert all(type(c) is float for c in (got.t, got.x, got.y, got.z))
 
     def test_boost_returns_python_floats(self):
         v = boost(Boost((0.3, -0.2, 0.5)), FourVector(2.0, 0.1, 0.2, 0.3))
         assert all(type(c) is float for c in (v.t, v.x, v.y, v.z))
+
+    def test_identity_boost_returns_its_input(self):
+        # no rows to apply: the very vector comes back, ints and the sign of a
+        # zero included, as in an unboosted kinematics set
+        p = FourVector(2, -0.0, 0.0, 1)
+        assert boost(Boost(), p) is p
+        assert math.copysign(1.0, boost(Boost(), p).x) == -1.0
+
+    def test_boost_needs_no_numpy(self, monkeypatch):
+        beta, p = Boost((0.3, -0.2, 0.5)), FourVector(2.0, 0.1, 0.2, 0.3)
+        expected = boost(beta, p)
+        # a None entry in sys.modules makes `import numpy` raise ImportError
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ImportError):
+            boost_matrix(beta)
+        assert boost(beta, p) == expected
 
 
 class TestConstants:
