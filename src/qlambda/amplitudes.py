@@ -18,9 +18,9 @@ E_k * omega1 * omega2 / (k0^2 - E_k^2) per polarization, with E_k the energy
 of the exchanged photon in both prefactors.
 
 Every vertex is evaluated on the Pauli blocks of the spinors with the
-scalar helpers of `pauli`, and the module imports no numpy:
-`coupling_prefactor`, which vacuum shares, takes Python or numpy scalars
-only. Each result records in
+scalar helpers of `pauli`, and the module imports no numpy. Every vertex,
+and vacuum's pair coupling, takes its checked prefactor from
+`coupling_prefactor`, a Python float. Each result records in
 `provenance["guard_margins"]` how close it came to the pole, on-shell and
 conservation guards.
 
@@ -119,33 +119,29 @@ def _checked_factor(value, eta_value):
 
 
 def coupling_prefactor(eta_value: float, energy: float, constants: Constants) -> float:
-    """e c hbar eta sqrt(1/(V eps0 E)) for scalar eta and E.
+    """e c hbar eta sqrt(1/(V eps0 E)) for scalar eta and E, as a Python float.
 
     Raises ConfigError unless the squared coupling scale (e c hbar)^2 / (V eps0)
-    is a finite normal float, so the prefactor and its square stay in range.
+    is a finite normal float, so the prefactor and its square stay in range;
+    then, as CouplingFactor does, OffShellInput unless eta lies in (0, 1] and
+    the value is positive, so an E that is not positive is rejected.
     It is evaluated as ((e c hbar / sqrt(V eps0)) eta) sqrt(1/E): the first
     factor is the square root of the checked scale, so V eps0 and E never
     meet in one product that could overflow or underflow, and at
-    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E). An E that
-    is not positive gives NaN.
+    V eps0 = 1 the value is bit for bit (e c hbar eta) sqrt(1/E).
     """
     charge = constants.e * constants.c * constants.hbar
     medium = constants.V * constants.eps0
     if not (medium > 0.0 and sys.float_info.min <= charge * charge / medium <= sys.float_info.max):
         raise ConfigError("coupling scale (e c hbar)^2 / (V eps0) is not a finite normal float")
     root = math.sqrt(1.0 / energy) if energy > 0.0 else math.nan
-    return charge / math.sqrt(medium) * eta_value * root
+    return _checked_factor(float(charge / math.sqrt(medium) * eta_value * root), eta_value)
 
 
 def coupling_factor(eta_value: float, energy: float, constants: Constants) -> CouplingFactor:
-    """coupling_prefactor at one vertex, with the CouplingFactor checks."""
-    value = float(coupling_prefactor(eta_value, energy, constants))
-    return CouplingFactor(value, eta_value, energy, constants.V)
-
-
-def _vertex_prefactor(eta_value: float, energy: float, constants: Constants) -> float:
-    """coupling_factor(...).value, checked in the same order, without building the record."""
-    return _checked_factor(float(coupling_prefactor(eta_value, energy, constants)), eta_value)
+    """coupling_prefactor at one vertex, as a CouplingFactor record."""
+    return CouplingFactor(coupling_prefactor(eta_value, energy, constants), eta_value, energy,
+                          constants.V)
 
 
 class DiagramAmplitude(namedtuple("DiagramAmplitude", "name omega1 omega2 denom weight",
@@ -315,8 +311,8 @@ def _compton_setup(p, k, p_out, k_out, spins, pols, constants, normalization):
     u_in = spin_pair(p.x, p.y, p.z, m, normalization)[spins[0] - 1]
     u_out = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)[spins[1] - 1]
     # each vertex carries the prefactor of the photon attached to it
-    absorb = (e_in, _vertex_prefactor(eta_value, k.t, constants))
-    emit = (e_out, _vertex_prefactor(eta_value, k_out.t, constants))
+    absorb = (e_in, coupling_prefactor(eta_value, k.t, constants))
+    emit = (e_out, coupling_prefactor(eta_value, k_out.t, constants))
     table = ((q_absorb, absorb, emit), (p - k_out, emit, absorb))
     return scale, on_shell, conservation, eta_value, u_in, u_out, table
 
@@ -516,7 +512,7 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization):
     e_k = math.hypot(*k3)
     k0 = k.t
     eta_value = eta(p1 + q1)
-    f = _vertex_prefactor(eta_value, e_k, constants)
+    f = coupling_prefactor(eta_value, e_k, constants)
     d_fwd = k0 - e_k
     d_bwd = -(k0 + e_k)
     min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
@@ -582,10 +578,10 @@ def boost_scan(
     """
     if process not in ("compton", "moller"):
         raise ValueError(f"unknown process {process!r}")
-    n_spins = 2 if process == "compton" else 4
-    spins = (1,) * n_spins if spins is None else tuple(spins)
-    if len(spins) != n_spins:
-        raise ValueError(f"{process} takes {n_spins} spin indices, got {spins!r}")
+    # tuples once, so the reference frame does not use up a one-shot iterable;
+    # compton_total and moller_total check the counts
+    spins = (1,) * (2 if process == "compton" else 4) if spins is None else tuple(spins)
+    pols = tuple(pols)
     m = constants.m_e
 
     def evaluate(beta_value: float) -> AmplitudeResult:

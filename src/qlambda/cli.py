@@ -138,7 +138,7 @@ def cmd_lambda_sim(args) -> int:
         predicted = math.hypot(abs(analytic), 0.5 * shift_gap)
         deviation = None if fitted is None else abs(fitted - predicted) / predicted
     scale = float(np.max(np.abs(effective.matrix)))
-    if scale == 0.0 or math.isinf(effective.period):
+    if scale == 0.0:
         residual = None
     else:
         residual = float(np.max(np.abs(effective.matrix - effective.numeric_matrix))) / scale

@@ -279,8 +279,9 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
     """Least common period of all rotating coupling phases.
 
     Requires every coupled pair to be nondegenerate and all gaps to be
-    commensurate (rational ratios with denominator <= 1000). Only an uncoupled
-    system has period inf: one that over- or underflows raises ConfigError.
+    commensurate (nonzero rational ratios with denominator <= 1000), so each
+    gap completes a whole number of cycles. Only an uncoupled system has
+    period inf: one that over- or underflows raises ConfigError.
     """
     gaps = _coupled_gaps(system)
     if not gaps:
@@ -293,12 +294,10 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
             continue
         ratio = gap / ref
         frac = Fraction(ratio).limit_denominator(1000)
-        if abs(ratio - float(frac)) > _ENERGY_MATCH_RTOL * max(ratio, 1.0):
+        if not frac or abs(ratio - float(frac)) > _ENERGY_MATCH_RTOL:
             raise IncommensurateGaps(f"gap ratio {ratio!r} is not a small rational")
         multipliers.append(frac.denominator)
-    common = 1
-    for q in multipliers:
-        common = common * q // math.gcd(common, q)
+    common = math.lcm(*multipliers)
     # 2 pi hbar common / ref on the mantissas of hbar and ref, then scaled by
     # their exponents: bit for bit the direct product wherever that stays normal,
     # and 2 pi hbar common cannot overflow ahead of the quotient

@@ -235,9 +235,10 @@ def cm_boost(total: FourVector) -> Boost:
 
 
 def on_shell_energy(p3: Iterable[float], m: float) -> float:
-    """Energy sqrt(|p|^2 + m^2) of an on-shell particle, in natural units."""
-    px, py, pz = map(float, p3)
-    return math.sqrt(px * px + py * py + pz * pz + m**2)
+    """Energy sqrt(px px + py py + pz pz + m m) of an on-shell particle, in natural units."""
+    px, py, pz = p3
+    px, py, pz = float(px), float(py), float(pz)
+    return math.sqrt(px * px + py * py + pz * pz + m * m)
 
 
 def _maybe_boost(vectors, beta: Boost | None):
@@ -297,7 +298,7 @@ def compton_cm_kinematics(
     if not photon_energy > 0.0:
         raise NonpositiveEnergy(f"photon energy must be positive, got {photon_energy!r}")
     ek = float(photon_energy)
-    ep = math.sqrt(ek * ek + m * m)
+    ep = on_shell_energy((0.0, 0.0, ek), m)
     p = FourVector(ep, 0.0, 0.0, -ek)
     k = FourVector(ek, 0.0, 0.0, ek)
     k_out = FourVector(ek, ek * math.sin(theta), 0.0, ek * math.cos(theta))

@@ -18,6 +18,7 @@ import math
 import numbers
 
 from .errors import MasslessAtRest, ZeroWavevector
+from .lorentz import on_shell_energy
 
 
 def _require_index(kind: str, index: int) -> None:
@@ -39,7 +40,8 @@ def spin_pair(px: float, py: float, pz: float, m: float, normalization: str = "b
     (x, y, z) = p / (E + m): the upper block is chi_s, the lower block
     sigma.p chi_s / (E + m). The default box normalization N = sqrt((E + m) / 2E)
     gives u^dag u = 1 and ubar u = m/E; the covariant option multiplies by
-    sqrt(E/m), so ubar u = 1 (massive particles only). Returns (u_1, u_2, E).
+    sqrt(E/m), so ubar u = 1 (massive particles only). Returns (u_1, u_2, E),
+    with E from `on_shell_energy`.
     """
     if m == 0.0 and px == py == pz == 0.0:
         raise MasslessAtRest("massless spinor needs a nonzero momentum")
@@ -48,7 +50,7 @@ def spin_pair(px: float, py: float, pz: float, m: float, normalization: str = "b
             raise MasslessAtRest("covariant normalization undefined for massless spinors")
     elif normalization != "box":
         raise ValueError(f"unknown normalization {normalization!r}")
-    energy = math.sqrt(px * px + py * py + pz * pz + m * m)
+    energy = on_shell_energy((px, py, pz), m)
     d = energy + m
     x, y, z = px / d, py / d, pz / d
     n = math.sqrt(d / (2.0 * energy))

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .amplitudes import AmplitudeResult, _guard_pole, _vertex_prefactor, coupling_prefactor
+from .amplitudes import _guard_pole, coupling_prefactor
 from .amplitudes import moller_total
 from .dirac import polarization_column, u_spinor, vertex_bilinear
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     ZeroWavevector,
 )
 from .jsonio import write_table
-from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost
+from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost, on_shell_energy
 
 # Beyond ~1e95 the p^-4 edge profile underflows and the report turns NaN.
 _MAX_CUTOFF = 1e60
@@ -57,8 +57,7 @@ _MEASURE = 1.0 / (2.0 * math.pi) ** 3
 
 def outgoing_eta(p3, k3, m: float) -> float:
     """Rest-mass-over-energy factor of the electron at momentum p + k."""
-    pk = np.asarray(p3, float) + np.asarray(k3, float)
-    return m / math.sqrt(float(pk @ pk) + m * m)
+    return m / on_shell_energy(np.add(p3, k3, dtype=float), m)
 
 
 def pair_coupling(
@@ -82,10 +81,10 @@ def pair_coupling(
         raise ZeroWavevector("pair coupling undefined for k = 0")
     m = constants.m_e
     pk = p3 + k3
-    e_p = math.sqrt(float(p3 @ p3) + m * m)
-    e_pk = math.sqrt(float(pk @ pk) + m * m)
+    e_p = on_shell_energy(p3, m)
+    e_pk = on_shell_energy(pk, m)
     eta1 = m / e_pk
-    prefactor = _vertex_prefactor(eta1, e_pk + e_p, constants)
+    prefactor = coupling_prefactor(eta1, e_pk + e_p, constants)
     eps = polarization_column(k3, alpha)
     u_in = u_spinor(p3, s, m)
     u_out = u_spinor(pk, s_out, m)

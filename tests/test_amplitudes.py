@@ -127,6 +127,28 @@ class TestCouplingFactor:
         with pytest.raises(OffShellInput):
             coupling_factor(1.5, 1.0, NATURAL)
 
+    @pytest.mark.parametrize("eta_value, energy, message", [
+        (1.5, 1.0, "eta must lie in"),
+        (0.0, 1.0, "eta must lie in"),
+        (0.5, 0.0, "coupling factor must be positive, got nan"),
+        (0.5, -2.0, "coupling factor must be positive, got nan"),
+        (0.5, math.nan, "coupling factor must be positive, got nan"),
+    ])
+    def test_prefactor_checks_eta_and_value(self, eta_value, energy, message):
+        with pytest.raises(OffShellInput, match=message):
+            coupling_prefactor(eta_value, energy, NATURAL)
+
+    def test_prefactor_checks_the_coupling_scale_first(self):
+        with pytest.raises(ConfigError, match="coupling scale"):
+            coupling_prefactor(1.5, 0.0, Constants(e=1e200))
+        with pytest.raises(OffShellInput, match="eta must lie in"):
+            coupling_prefactor(1.5, 0.0, NATURAL)
+
+    def test_prefactor_is_a_python_float(self):
+        value = coupling_prefactor(np.float64(0.5), np.float64(2.0), NATURAL)
+        assert type(value) is float
+        assert value == coupling_prefactor(0.5, 2.0, NATURAL)
+
     def test_prefactor_matches_factor(self):
         etas, energies = [0.3, 0.8, 1.0], [0.5, 2.0, 7.0]
         values = [coupling_prefactor(a, b, NATURAL) for a, b in zip(etas, energies)]
@@ -513,6 +535,13 @@ class TestBoostScan:
         # backscattered Moller with every spin 1 has a zero amplitude
         with pytest.raises(ZeroReference, match="vanishes at beta=0"):
             boost_scan("moller", [0.0, 0.5], theta=math.pi)
+
+    def test_one_shot_index_iterables(self):
+        # the reference frame must not use up a generator of indices
+        expected = boost_scan("compton", [0.0, 0.5], spins=(2, 1), pols=(1, 2)).rows
+        scan = boost_scan("compton", [0.0, 0.5], spins=(s for s in (2, 1)),
+                          pols=(p for p in (1, 2)))
+        assert scan.rows == expected
 
     def test_wrong_spin_count(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,19 @@ class TestLambdaSim:
         assert "Traceback" not in err
         assert not out.exists() and not summary.exists()
 
+    def test_gap_ratio_below_the_fraction_grid_exit_4(self, tmp_path, capsys):
+        couplings = np.zeros((3, 3), dtype=complex)
+        couplings[0, 1] = couplings[1, 0] = 0.1
+        couplings[1, 2] = couplings[2, 1] = 0.1
+        path = tmp_path / "gaps.json"
+        path.write_text(LevelSystem([-1e6, 1e6, 1e6 + 0.0015], couplings).to_json())
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        rc = main(["lambda-sim", "--system", str(path), "--t-final", "1", "--dt", "0.001",
+                   "--out", str(out), "--summary", str(summary)])
+        assert rc == 4
+        assert "is not a small rational" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     def test_step_guard_maps_to_exit_3(self, tmp_path, lambda_file, monkeypatch):
         def explode(*args, **kwargs):
             raise StepTooLarge("synthetic drift")

@@ -313,6 +313,18 @@ class TestScalarBuilders:
                 assert np.array_equal(spin_column(p3, s, 1.0, normalization), expected)
                 assert np.array_equal(u_spinor(p3, s, 1.0, normalization).components, expected)
 
+    def test_spinor_energy_is_on_shell_energy(self):
+        # on_shell_energy owns E: spin_pair builds its components from that
+        # float, and BiSpinor.energy reports it, bit for bit
+        rng = np.random.default_rng(36)
+        cases = [((0.86, -0.11, -0.4), 4.536)] + [
+            (tuple(p.tolist()), m) for p, m in zip(rand_momenta(rng, 2000, scale=5.0),
+                                                    rng.uniform(0.01, 10.0, 2000).tolist())]
+        for p3, m in cases:
+            expected = on_shell_energy(p3, m).hex()
+            assert spin_pair(*p3, m)[2].hex() == expected, (p3, m)
+            assert u_spinor(p3, 1, m).energy.hex() == expected, (p3, m)
+
     def test_spin_pair_rejections_match_spin_block(self):
         with pytest.raises(MasslessAtRest):
             spin_pair(0.0, 0.0, 0.0, 0.0)

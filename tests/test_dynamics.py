@@ -497,6 +497,18 @@ class TestBasePeriod:
         with pytest.raises(IncommensurateGaps):
             base_period(bad)
 
+    def test_gap_ratio_below_the_fraction_grid_rejected(self):
+        # 0.0015 / 2e6 = 7.5e-10 rounds to the fraction 0/1 within the match
+        # tolerance, but a gap must complete a nonzero number of cycles
+        couplings = np.zeros((3, 3), dtype=complex)
+        couplings[0, 1] = couplings[1, 0] = 0.1
+        couplings[1, 2] = couplings[2, 1] = 0.1
+        system = LevelSystem([-1e6, 1e6, 1e6 + 0.0015], couplings)
+        with pytest.raises(IncommensurateGaps, match="is not a small rational"):
+            base_period(system)
+        with pytest.raises(IncommensurateGaps):
+            magnus_second_order(system)
+
     def test_degenerate_rejected(self):
         couplings = np.zeros((2, 2), dtype=complex)
         couplings[0, 1] = couplings[1, 0] = 0.1

@@ -15,7 +15,8 @@ from qlambda.errors import (
     SignMismatch,
     ZeroWavevector,
 )
-from qlambda.lorentz import NATURAL, Constants, FourVector, eta, moller_kinematics
+from qlambda.dirac import polarization_column, u_spinor, vertex_bilinear
+from qlambda.lorentz import NATURAL, Constants, FourVector, eta, moller_kinematics, on_shell_energy
 from qlambda.vacuum import (
     GridSpec,
     cm_correction_factor,
@@ -41,6 +42,29 @@ class TestPairCoupling:
             pk = p3 + K3
             four = FourVector.from_spatial(math.sqrt(pk @ pk + 1.0), pk)
             assert outgoing_eta(p3, K3, 1.0) == pytest.approx(eta(four), rel=1e-15)
+
+    def test_outgoing_eta_is_m_over_the_on_shell_energy(self):
+        # no BLAS dot: the same bits under every OpenBLAS kernel
+        rng = np.random.default_rng(37)
+        for _ in range(500):
+            p3 = tuple(rng.uniform(-3.0, 3.0, 3).tolist())
+            k3 = tuple(rng.uniform(-3.0, 3.0, 3).tolist())
+            m = float(rng.uniform(0.1, 5.0))
+            pk = tuple(a + b for a, b in zip(p3, k3))
+            assert outgoing_eta(p3, k3, m).hex() == (m / on_shell_energy(pk, m)).hex()
+
+    def test_prefactor_and_spinors_share_one_energy(self):
+        rng = np.random.default_rng(38)
+        constants = Constants(m_e=1.3)
+        for _ in range(100):
+            p3 = rng.uniform(-3.0, 3.0, 3)
+            k3 = rng.uniform(-3.0, 3.0, 3)
+            s, s_out, alpha = (int(i) for i in rng.integers(1, 3, 3))
+            u_in, u_out = u_spinor(p3, s, 1.3), u_spinor(p3 + k3, s_out, 1.3)
+            prefactor = coupling_prefactor(1.3 / u_out.energy, u_out.energy + u_in.energy,
+                                           constants)
+            expected = prefactor * vertex_bilinear(u_out, polarization_column(k3, alpha), u_in)
+            assert pair_coupling(p3, k3, s, s_out, alpha, constants) == expected
 
     def test_linear_in_charge(self):
         p3 = np.array([0.3, -0.2, 0.7])
