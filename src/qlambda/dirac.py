@@ -15,6 +15,9 @@ re-exported here: `spin_pair` (both spin states at one momentum as
 `polarization_pair` and `polarization_column` are array views of the two
 builders. The 4x4 gamma-matrix API (`gamma_set`, `slash`, `ubar`,
 `vertex_bilinear`, `spin_sum`) is kept as the independent reference form.
+The module is reference-only: every production vertex, in `amplitudes` and
+`vacuum`, runs on the Pauli blocks, and no CLI command or other library
+module loads this one.
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ _HERMITICITY_TOL = 1e-14
 _ENERGY_MATCH_RTOL = 1e-9
 # largest t_final / dt that evolve accepts; the state table grows with it
 _MAX_STEPS = 2**20
-# evolve's default bound on | |psi(t_n)| - 1 |; lambda-sim records it
+# evolve's bound on | |psi(t_n)| - 1 |, read at each call; lambda-sim records it
 DRIFT_TOL = 1e-6
 # Gauss nodes of the outer double-commutator integral in magnus_second_order
 _MAGNUS_NODES = 96
@@ -76,8 +76,11 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
         spread = max(levels) - min(levels)
         if not math.isfinite(spread):
             raise ConfigError(f"energy spread max - min = {spread!r} is not a finite float")
-        scale = max(1.0, *map(abs, entries))
-        asymmetry = max(abs(rows[j][k] - rows[k][j].conjugate()) for j in range(n) for k in range(n))
+        # hypot of the parts: abs of a complex raises where its modulus overflows
+        scale = max(1.0, *[math.hypot(z.real, z.imag) for z in entries])
+        # the residual at (k, j) is minus the conjugate of the one at (j, k)
+        residuals = [rows[j][k] - rows[k][j].conjugate() for j in range(n) for k in range(j, n)]
+        asymmetry = max([math.hypot(d.real, d.imag) for d in residuals])
         if asymmetry > _HERMITICITY_TOL * scale:
             raise ConfigError("couplings must be Hermitian")
         if any(rows[j][j] != 0.0 for j in range(n)):
@@ -140,7 +143,7 @@ class Trajectory(namedtuple("Trajectory", "times states max_norm_drift", default
     """Sampled states of a single evolution run.
 
     `max_norm_drift` is the largest | |psi(t_n)| - 1 | over the evolved
-    samples, the figure evolve's drift guard compares against drift_tol.
+    samples, the figure evolve's drift guard compares against DRIFT_TOL.
     """
 
     __slots__ = ()
@@ -175,7 +178,6 @@ def evolve(
     t_final: float,
     dt: float,
     hbar: float = 1.0,
-    drift_tol: float = DRIFT_TOL,
 ) -> Trajectory:
     """Propagate psi0 under the full Hamiltonian, sampling every dt.
 
@@ -188,7 +190,7 @@ def evolve(
     2 sqrt(n_steps) phases per level instead of one per sample; the result is
     unitary for any dt. The largest norm drift is returned as
     Trajectory.max_norm_drift. Raises StepTooLarge if the norm of any sample
-    drifts beyond drift_tol or the largest phase |lambda| t / hbar overflows,
+    drifts beyond DRIFT_TOL or the largest phase |lambda| t / hbar overflows,
     and ConfigError for non-finite input, a non-positive dt, t_final or hbar,
     more than _MAX_STEPS steps, or a last sample time that overflows.
     """
@@ -205,8 +207,6 @@ def evolve(
     for name, value in (("dt", dt), ("t_final", t_final), ("hbar", hbar)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    if not math.isfinite(drift_tol):
-        raise ConfigError(f"drift_tol must be finite, got {drift_tol!r}")
     ratio = t_final / dt
     if ratio > _MAX_STEPS:
         raise ConfigError(f"t_final / dt = {ratio:.3g} exceeds the cap of {_MAX_STEPS} steps")
@@ -240,12 +240,10 @@ def evolve(
     # a NaN norm makes both NaN and fails the comparison too
     max_drift = max(abs(math.sqrt(float(norm_sq.max())) - 1.0),
                     abs(math.sqrt(float(norm_sq.min())) - 1.0))
-    if not max_drift <= drift_tol:
+    if not max_drift <= DRIFT_TOL:
         drift = np.abs(np.sqrt(norm_sq) - 1.0)
-        i = int(np.flatnonzero(~(drift <= drift_tol))[0])
-        raise StepTooLarge(
-            f"norm drift {drift[i]:.3e} at step {i + 1} exceeds {drift_tol:.1e}"
-        )
+        i = int(np.flatnonzero(~(drift <= DRIFT_TOL))[0])
+        raise StepTooLarge(f"norm drift {drift[i]:.3e} at step {i + 1} exceeds {DRIFT_TOL:.1e}")
     return Trajectory(np.arange(rows) * dt, states, max_drift)
 
 
@@ -260,16 +258,21 @@ def interaction_frame(system: LevelSystem, t: float, hbar: float = 1.0) -> np.nd
     return system.couplings * np.exp(1j * gaps * t / hbar)
 
 
+def _match_tol(energies: list[float]) -> float:
+    """The level-match rule: levels whose gap is <= _ENERGY_MATCH_RTOL max(1, max |E|) match."""
+    return _ENERGY_MATCH_RTOL * max(1.0, *map(abs, energies))
+
+
 def _coupled_gaps(system: LevelSystem) -> list[float]:
     energies = system.energies.tolist()
-    scale = max(1.0, *map(abs, energies))
+    tol = _match_tol(energies)
     gaps = []
     # every directed coupled edge j -> k, the edges magnus_second_order sums
     # over: Hermiticity holds to a tolerance only, so a transpose may be zero
     src, dst = np.nonzero(system.couplings)
     for j, k in zip(src.tolist(), dst.tolist()):
         gap = abs(energies[j] - energies[k])
-        if gap <= _ENERGY_MATCH_RTOL * scale:
+        if gap <= tol:
             raise DegenerateLevels(f"coupled levels {j} and {k} are degenerate (gap {gap!r})")
         gaps.append(gap)
     return gaps
@@ -321,11 +324,11 @@ def _secular_matrix(system: LevelSystem) -> np.ndarray:
     energies = system.energies.tolist()
     couplings = system.couplings.tolist()
     n = len(energies)
-    scale = max(1.0, *map(abs, energies))
+    tol = _match_tol(energies)
     out = np.zeros((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            if abs(energies[j] - energies[k]) > _ENERGY_MATCH_RTOL * scale:
+            if not abs(energies[j] - energies[k]) <= tol:
                 continue
             acc = 0.0 + 0.0j
             for l in range(n):
@@ -426,9 +429,8 @@ def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
         raise ConfigError("eliminated level must couple to exactly one other level")
     j = int(nonzero[0])
     omega = complex(row[j])
-    scale = max(1.0, float(np.max(np.abs(system.energies))))
     gap = float(system.energies[j] - system.energies[3])
-    if abs(gap) <= _ENERGY_MATCH_RTOL * scale:
+    if abs(gap) <= _match_tol(system.energies.tolist()):
         raise PoleEncountered("eliminated level is degenerate with its partner")
     energies[j] += (omega * omega.conjugate()).real / gap
     return LevelSystem(energies, couplings)

@@ -9,8 +9,9 @@ vertex the amplitudes need on the 2-component blocks u = (a ; b), with
 slash(eps) = [[0, -sigma.e], [sigma.e, 0]] for eps = (0, e); they use only
 +, * and .conjugate(), so scalars and same-shape arrays pass through alike.
 
-The module imports no numpy: the amplitudes run on it alone, and `dirac`
-builds its array views and the 4x4 gamma-matrix reference on top of it.
+The module imports no numpy: the amplitudes and `vacuum.pair_coupling` build
+every vertex from it, and `dirac` builds its array views and the 4x4
+gamma-matrix reference on top of it.
 """
 from __future__ import annotations
 

@@ -4,11 +4,12 @@ The shift density is the spin-summed, polarization-averaged |coupling|^2
 weighted by the two-level energy brackets. With box-normalized spinors the
 spin and polarization sum is a closed Dirac trace,
 [p.p'_perp + E E' - p.p' - m^2] / (E E') with p' = p + k, so no spinor is
-built for it; `pair_coupling` keeps the explicit spinor bilinear as the
-reference. Integrating the density over all momenta with a momentum cutoff
-gives the level shift whose cutoff convergence is diagnosed here. The
-first-order corrected exchange amplitude and the frame-compensating coupling
-rescale close the loop back to the scattering module.
+built for it; `pair_coupling` writes the one vertex on the Pauli blocks of
+`pauli`, and the module never loads the 4x4 `dirac` layer. Integrating the
+density over all momenta with a momentum cutoff gives the level shift whose
+cutoff convergence is diagnosed here. The first-order corrected exchange
+amplitude and the frame-compensating coupling rescale close the loop back to
+the scattering module.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .amplitudes import _guard_pole, coupling_prefactor
 from .amplitudes import moller_total
-from .dirac import polarization_column, u_spinor, vertex_bilinear
 from .errors import (
     ConfigError,
     CorrectionTooLarge,
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .jsonio import write_table
 from .lorentz import NATURAL, Constants, FourVector, boost, cm_boost, on_shell_energy
+from .pauli import _require_index, bar_dot, slash_column, spin_pair, transverse_basis
 
 # Beyond ~1e95 the p^-4 edge profile underflows and the report turns NaN.
 _MAX_CUTOFF = 1e60
@@ -67,32 +68,26 @@ def pair_coupling(
     s_out: int = 1,
     alpha: int = 1,
     constants: Constants = NATURAL,
-    conjugate: bool = False,
 ) -> complex:
     """Transition rate of the photon -> pair two-level system.
 
-    The prefactor carries the outgoing electron's eta and the combined energy
-    E_p + E_{p+k}; `conjugate` selects the reversed process with the complex
-    conjugate polarization.
+    f ubar(p + k, s_out) slash(eps_alpha) u(p, s) on the Pauli blocks, with f
+    from the outgoing eta and E_p + E_{p+k}, the energies of the spinors. The
+    polarization is real, so the reversed process is the complex conjugate.
     """
-    p3 = np.asarray(p3, dtype=float)
-    k3 = np.asarray(k3, dtype=float)
-    if not k3.any():
+    kx, ky, kz = map(float, k3)
+    if kx == ky == kz == 0.0:
         raise ZeroWavevector("pair coupling undefined for k = 0")
+    _require_index("polarization", alpha)
+    _require_index("spin", s)
+    _require_index("spin", s_out)
+    px, py, pz = map(float, p3)
     m = constants.m_e
-    pk = p3 + k3
-    e_p = on_shell_energy(p3, m)
-    e_pk = on_shell_energy(pk, m)
-    eta1 = m / e_pk
-    prefactor = coupling_prefactor(eta1, e_pk + e_p, constants)
-    eps = polarization_column(k3, alpha)
-    u_in = u_spinor(p3, s, m)
-    u_out = u_spinor(pk, s_out, m)
-    if conjugate:
-        bilinear = vertex_bilinear(u_in, eps.conj(), u_out)
-    else:
-        bilinear = vertex_bilinear(u_out, eps, u_in)
-    return prefactor * bilinear
+    *u_p, e_p = spin_pair(px, py, pz, m)
+    *u_pk, e_pk = spin_pair(px + kx, py + ky, pz + kz, m)
+    prefactor = coupling_prefactor(m / e_pk, e_pk + e_p, constants)
+    e = transverse_basis(kx, ky, kz)[alpha - 1]
+    return prefactor * bar_dot(u_pk[s_out - 1], slash_column(e, u_p[s - 1]))
 
 
 @functools.cache

@@ -184,6 +184,25 @@ class TestLambdaSim:
         assert "Traceback" not in err
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("couplings, message", [
+        ([[[0, 0], [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], [0, 0]]],
+         "second-order couplings overflow"),
+        ([[[0, 0], [6.5e307, 6.5e307]], [[-6.5e307, 6.5e307], [0, 0]]],
+         "couplings must be Hermitian"),
+    ])
+    def test_overflowing_coupling_modulus_exit_2(self, tmp_path, capsys, couplings, message):
+        # finite parts whose modulus overflows used to end in a traceback
+        # from Python abs (OverflowError: absolute value too large)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"energies": [0.0, 1.0], "couplings": couplings}))
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        rc = main(["lambda-sim", "--system", str(path), "--out", str(out),
+                   "--summary", str(summary)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists() and not summary.exists()
+
     def test_gap_ratio_below_the_fraction_grid_exit_4(self, tmp_path, capsys):
         couplings = np.zeros((3, 3), dtype=complex)
         couplings[0, 1] = couplings[1, 0] = 0.1

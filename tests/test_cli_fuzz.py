@@ -148,7 +148,7 @@ def hermitian_documents(draw):
     couplings = [[[0.0, 0.0] for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            re, im = draw(FINITE_COUPLINGS), draw(st.sampled_from((0.0, 0.0, 0.1, -1e-300)))
+            re, im = draw(FINITE_COUPLINGS), draw(st.sampled_from((0.0, 0.0, 0.1, -1e-300, 1.7e308)))
             couplings[j][k], couplings[k][j] = [re, im], [re, -im]
     energies = draw(st.lists(FINITE_LEVELS, min_size=n, max_size=n))
     return {"energies": energies, "couplings": couplings}

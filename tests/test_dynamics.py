@@ -222,6 +222,20 @@ class TestLevelSystem:
         with pytest.raises(ConfigError, match="finite"):
             LevelSystem([0.0, 1.0], [[0, math.nan], [math.nan, 0]])  # NaN passes the Hermitian test
 
+    @pytest.mark.parametrize("z, z_t, message", [
+        # finite parts whose moduli overflow: Python abs of such a complex raises
+        (complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308), None),
+        # Hermitian part in range, residual z - conj(z_t) = 1.3e308 (1 + i) overflows
+        (complex(6.5e307, 6.5e307), complex(-6.5e307, 6.5e307), "couplings must be Hermitian"),
+    ])
+    def test_overflowing_coupling_modulus(self, z, z_t, message):
+        couplings = [[0.0, z], [z_t, 0.0]]
+        if message is None:
+            assert LevelSystem([0.0, 1.0], couplings).couplings[0, 1] == z
+        else:
+            with pytest.raises(ConfigError, match=message):
+                LevelSystem([0.0, 1.0], couplings)
+
     def test_energy_spread_must_be_finite(self):
         with pytest.raises(ConfigError, match=r"energy spread max - min = inf is not a finite"):
             LevelSystem([0.0, 1e308, -1e308], np.zeros((3, 3)))
@@ -347,8 +361,6 @@ class TestEvolve:
             ([1.0, complex(0.0, math.inf)], 1.0, 0.1, {}),
             # finite parts whose modulus overflows
             ([complex(1.7e308, 1.7e308), 0.0], 1.0, 0.1, {}),
-            ([1.0, 0.0], 1.0, 0.1, {"drift_tol": math.nan}),
-            ([1.0, 0.0], 1.0, 0.1, {"drift_tol": math.inf}),
         ]
         for psi0, t_final, dt, kwargs in bad_calls:
             with pytest.raises(ConfigError):
@@ -415,10 +427,11 @@ class TestEvolve:
             assert np.array_equal(traj.states, states)
             assert traj.max_norm_drift == max_drift
 
-    def test_drift_guard_names_first_step(self):
+    def test_drift_guard_names_first_step(self, monkeypatch):
         sys2 = LevelSystem([0.0, 1.0], [[0, 0.1], [0.1, 0]])
+        monkeypatch.setattr(dynamics, "DRIFT_TOL", -1.0)
         with pytest.raises(StepTooLarge, match="at step 1 "):
-            evolve(sys2, [1.0, 0.0], 1.0, 0.1, drift_tol=-1.0)
+            evolve(sys2, [1.0, 0.0], 1.0, 0.1)
 
     @pytest.mark.parametrize(
         "t_final, dt",

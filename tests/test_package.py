@@ -72,3 +72,14 @@ def test_import_loads_no_submodule_and_no_numpy():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["qlambda"]
+
+
+def test_no_library_module_loads_the_dirac_reference():
+    # the 4x4 gamma-matrix layer is reference-only: every vertex runs on `pauli`
+    code = ("import sys, qlambda.amplitudes, qlambda.cli, qlambda.dynamics, qlambda.vacuum; "
+            "print(sorted(m for m in sys.modules if m.startswith('qlambda')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "qlambda.dirac" not in proc.stdout and "qlambda.vacuum" in proc.stdout
