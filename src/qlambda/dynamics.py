@@ -76,10 +76,13 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
         spread = max(levels) - min(levels)
         if not math.isfinite(spread):
             raise ConfigError(f"energy spread max - min = {spread!r} is not a finite float")
-        # hypot of the parts: abs of a complex raises where its modulus overflows
-        scale = max(1.0, *[math.hypot(z.real, z.imag) for z in entries])
+        # hypot of the parts: abs of a complex raises where its modulus overflows.
+        # Both sides are halved so the scale stays finite and the test meaningful;
+        # only a residual far beyond any finite scale can still reach inf.
+        scale = max(0.5, *[math.hypot(0.5 * z.real, 0.5 * z.imag) for z in entries])
         # the residual at (k, j) is minus the conjugate of the one at (j, k)
-        residuals = [rows[j][k] - rows[k][j].conjugate() for j in range(n) for k in range(j, n)]
+        residuals = [0.5 * rows[j][k] - 0.5 * rows[k][j].conjugate()
+                     for j in range(n) for k in range(j, n)]
         asymmetry = max([math.hypot(d.real, d.imag) for d in residuals])
         if asymmetry > _HERMITICITY_TOL * scale:
             raise ConfigError("couplings must be Hermitian")

@@ -189,6 +189,8 @@ class TestLambdaSim:
          "second-order couplings overflow"),
         ([[[0, 0], [6.5e307, 6.5e307]], [[-6.5e307, 6.5e307], [0, 0]]],
          "couplings must be Hermitian"),
+        ([[[0, 0], [1.5e308, 1.5e308]], [[0.1, 0], [0, 0]]],
+         "couplings must be Hermitian"),
     ])
     def test_overflowing_coupling_modulus_exit_2(self, tmp_path, capsys, couplings, message):
         # finite parts whose modulus overflows used to end in a traceback

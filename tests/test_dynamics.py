@@ -227,6 +227,8 @@ class TestLevelSystem:
         (complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308), None),
         # Hermitian part in range, residual z - conj(z_t) = 1.3e308 (1 + i) overflows
         (complex(6.5e307, 6.5e307), complex(-6.5e307, 6.5e307), "couplings must be Hermitian"),
+        # one side overflows, the other is small: far from Hermitian
+        (complex(1.5e308, 1.5e308), 0.1, "couplings must be Hermitian"),
     ])
     def test_overflowing_coupling_modulus(self, z, z_t, message):
         couplings = [[0.0, z], [z_t, 0.0]]
