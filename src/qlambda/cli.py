@@ -26,7 +26,7 @@ import sys
 
 from . import amplitudes, lorentz
 from .errors import ConfigError, GridTooCoarse, PhysicsDomainError, StepTooLarge
-from .jsonio import dump_json, dump_key_value_csv
+from .jsonio import dump_json, dump_key_value_csv, read_json
 from .lorentz import Boost, Constants, constants_from_mapping, read_constants_file
 
 
@@ -94,12 +94,7 @@ def cmd_lambda_sim(args) -> int:
 
     _require_csv(args)
     constants = _resolve_constants(args)
-    try:
-        with open(args.system, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read system file {args.system!r}: {exc}") from exc
-    system = dynamics.LevelSystem.from_json(text)
+    system = dynamics.LevelSystem.from_json_dict(read_json(args.system, "system file"))
     n = system.n_levels
     start = args.initial_level - 1
     target = (args.target_level if args.target_level is not None else n) - 1

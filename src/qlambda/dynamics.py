@@ -15,11 +15,12 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateLevels, IncommensurateGaps, PoleEncountered, StepTooLarge
-from .jsonio import write_table
+from .jsonio import json_floats, parse_json, write_table
 
 _HERMITICITY_TOL = 1e-14
 _ENERGY_MATCH_RTOL = 1e-9
@@ -31,15 +32,17 @@ DRIFT_TOL = 1e-6
 _MAGNUS_NODES = 96
 
 
-def _coupling_entry(entry) -> complex:
-    """One coupling of a level-system document: exactly an [re, im] pair of numbers."""
-    try:
-        re, im = entry
-        if type(re) is not bool and type(im) is not bool:
-            return complex(re, im)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"entry {entry!r} is not an [re, im] pair of numbers")
+def _coupling_matrix(rows) -> np.ndarray:
+    """The complex matrix of document rows of [re, im] pairs of numbers; the number
+    rule runs once over all parts."""
+    entries = list(chain.from_iterable(rows))
+    for entry in entries:
+        if type(entry) not in (list, tuple) or len(entry) != 2:
+            raise ValueError(f"entry {entry!r} is not an [re, im] pair of numbers")
+    parts = json_floats(list(chain.from_iterable(entries)), "malformed key 'couplings': each part")
+    # ragged rows cannot fill len(rows) rows of the longest length: reshape raises
+    width = max(map(len, rows), default=0)
+    return np.fromiter(parts, float).view(complex).reshape(len(rows), width)
 
 
 class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
@@ -121,25 +124,18 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
             if key not in data:
                 raise ConfigError(f"missing level-system key {key!r}")
         try:
-            energies = np.array(data["energies"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+            energies = json_floats(data["energies"], "malformed key 'energies': each energy")
+        except TypeError as exc:
             raise ConfigError(f"malformed key 'energies': {exc}") from exc
         try:
-            couplings = np.array(
-                [[_coupling_entry(c) for c in row] for row in data["couplings"]],
-                dtype=complex,
-            )
-        except (TypeError, ValueError, LookupError, OverflowError) as exc:
+            couplings = _coupling_matrix(data["couplings"])
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed key 'couplings': {exc}") from exc
         return cls(energies, couplings)
 
     @classmethod
     def from_json(cls, text: str) -> "LevelSystem":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(parse_json(text))
 
 
 class Trajectory(namedtuple("Trajectory", "times states max_norm_drift", defaults=(0.0,))):

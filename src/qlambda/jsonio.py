@@ -1,8 +1,10 @@
-"""Deterministic artifact emission with fixed-precision floats.
+"""The JSON boundary in both directions: input documents and artifacts.
 
-Every float of every artifact, JSON or CSV, is printed with FLOAT_FORMAT:
-17 significant digits and '.' decimal separator, so repeated runs produce
-byte-identical artifacts regardless of locale.
+In: `read_json` reads and `parse_json` parses every input document, each
+failure a ConfigError, and `json_floats` is the one number rule of input.
+Out: every float of every artifact, JSON or CSV, is printed with
+FLOAT_FORMAT: 17 significant digits and '.' decimal separator, so repeated
+runs produce byte-identical artifacts regardless of locale.
 """
 from __future__ import annotations
 
@@ -10,7 +12,47 @@ import json
 import math
 import numbers
 
+from .errors import ConfigError
+
 FLOAT_FORMAT = "%.17g"
+# the types json.loads gives numbers; `json_floats` tests for these in one pass
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def read_json(path: str, what: str):
+    """The document in the UTF-8 JSON file at `path`; any failure is a ConfigError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_json(fh.read())
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def parse_json(text: str):
+    """The document in JSON `text`; malformed, over-long or over-deep JSON is a ConfigError."""
+    try:
+        return json.loads(text)
+    # ValueError: malformed JSON and an integer literal past the interpreter's digit
+    # limit; RecursionError: nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+
+
+def json_floats(values: list, what: str) -> list[float]:
+    """The numbers of a JSON list as floats, under the one number rule of input.
+
+    A number is an int or a float, not a bool. Any other value, or an int
+    too large for a float, is a ConfigError naming `what`.
+    """
+    # float subclasses such as numpy.float64 pass the per-value test
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, values)):
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer too large for a float") from None
 
 
 def _format(obj, level: int) -> str:

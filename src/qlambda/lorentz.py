@@ -12,7 +12,6 @@ in a boosted kinematics set.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import namedtuple
@@ -25,6 +24,7 @@ from .errors import (
     SpacelikeVector,
     SuperluminalBoost,
 )
+from .jsonio import json_floats, read_json
 
 ALPHA_FS = 1.0 / 137.035999
 
@@ -71,11 +71,7 @@ NATURAL = Constants()
 
 def read_constants_file(path: str) -> dict:
     """The flat key-value mapping of a constants JSON file, unconverted."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read constants file {path!r}: {exc}") from exc
+    data = read_json(path, "constants file")
     if not isinstance(data, dict):
         raise ConfigError("constants document must be a JSON object")
     return data
@@ -91,11 +87,7 @@ def constants_from_mapping(data: dict) -> Constants:
     unknown = sorted(set(data) - set(CONSTANT_KEYS))
     if unknown:
         raise ConfigError(f"unknown constants key {unknown[0]!r}")
-    values = {}
-    for key, raw in data.items():
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise ConfigError(f"constants key {key!r} must be a number, got {raw!r}")
-        values[key] = float(raw)
+    values = {key: json_floats([raw], f"constants key {key!r}")[0] for key, raw in data.items()}
     if "alpha" in values and "e" not in values:
         _require_positive("alpha", values["alpha"])  # before the square root
         values["e"] = math.sqrt(4.0 * math.pi * values["alpha"])

@@ -396,6 +396,66 @@ def test_non_finite_float_flag_exit_2(tmp_path, lambda_file, argv):
     assert not (tmp_path / "x.out").exists()
 
 
+# documents that once ended in a traceback, as (flag, body, message): an integer
+# literal past the float range (constants only: a level document already exited
+# 2), one past the digit limit (past the float range where there is no limit, so
+# either message), arrays nested past the recursion limit and a file that starts
+# with the UTF-16 byte-order mark ff fe; the string and boolean energies once ran
+# and exited 0
+LAMBDA_COUPLINGS = (b"[[[0, 0], [0.1, 0], [0, 0]], [[0.1, 0], [0, 0], [0.1, 0]], "
+                    b"[[0, 0], [0.1, 0], [0, 0]]]")
+UNREADABLE_DOCUMENTS = [
+    ("--config", b'{"m_e": 1' + b"0" * 399 + b"}",
+     "constants key 'm_e' is an integer too large for a float"),
+    ("--config", b'{"m_e": 1' + b"0" * 4999 + b"}", ""),
+    ("--config", b"[" * 100000, "cannot read constants file"),
+    ("--config", b'\xff\xfe{"m_e": 2.0}', "cannot read constants file"),
+    ("--system",
+     b'{"energies": [0, 1' + b"0" * 4999 + b', 0], "couplings": ' + LAMBDA_COUPLINGS + b"}", ""),
+    ("--system", b"[" * 100000, "cannot read system file"),
+    ("--system", b'\xff\xfe{"energies": [0, 1, 0]}', "cannot read system file"),
+    ("--system", b'{"energies": ["0", "10", "0"], "couplings": ' + LAMBDA_COUPLINGS + b"}",
+     "malformed key 'energies': each energy must be a number, got '0'"),
+    ("--system", b'{"energies": [false, 10, 0], "couplings": ' + LAMBDA_COUPLINGS + b"}",
+     "malformed key 'energies': each energy must be a number, got False"),
+]
+
+
+@pytest.mark.parametrize("flag, body, message", UNREADABLE_DOCUMENTS, ids=[
+    "config-400-digits", "config-5000-digits", "config-deep", "config-utf16",
+    "system-5000-digits", "system-deep", "system-utf16", "system-string-energies",
+    "system-bool-energies"])
+def test_unreadable_document_exit_2_without_traceback(tmp_path, capsys, flag, body, message):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(body)
+    out, summary = tmp_path / "out", tmp_path / "summary.json"
+    if flag == "--config":
+        argv = ["compton", "--config", str(doc), "--out", str(out)]
+    else:
+        argv = ["lambda-sim", "--system", str(doc), "--out", str(out), "--summary", str(summary)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert "Traceback" not in err
+    assert "0" * 300 not in err  # an over-long integer is not echoed
+    assert not out.exists() and not summary.exists()
+
+
+def test_unreadable_document_subprocess_stderr(tmp_path):
+    """The console entry point prints one message line and no traceback."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"\xff\xfe{}")
+    env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlambda.cli", "lambda-sim", "--system", str(doc),
+         "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"configuration error: cannot read system file {str(doc)!r}: ")
+    assert "Traceback" not in proc.stderr
+
+
 class TestVacpol:
     def test_summary_slope_window(self, tmp_path):
         out = tmp_path / "conv.csv"

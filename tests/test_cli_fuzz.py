@@ -8,7 +8,10 @@ rejections exit 2, everything else returns from `main`.
 A second test writes random level-system documents, well-formed and
 malformed, and runs lambda-sim on them; a third puts one coupling entry that
 is not an [re, im] pair of numbers into a well-formed document and expects
-exit 2.
+exit 2. A fourth writes raw document bodies as bytes for --config (through
+compton) and --system (through lambda-sim), among them bytes that are not
+UTF-8, integer literals past the float range and nesting past the recursion
+limit, which json.dumps cannot write.
 
 The value pools keep every accepted run small (at most about 1500 grid nodes
 for vacpol and a few thousand steps for lambda-sim), so the whole test stays
@@ -203,3 +206,79 @@ def test_lambda_sim_system_documents_without_traceback(document, argv, workdir):
     code, err = run_cli(["lambda-sim", "--system", "fuzzed.json", *sum(argv, [])], workdir)
     assert code in EXIT_CODES, (document, argv, code, err)
     assert "Traceback" not in err, (document, argv, err)
+
+
+# raw document bodies, written as bytes: well-formed documents, the malformed
+# pools, and documents that must exit 2: one number replaced by a numeric string
+# or a boolean, bytes that are not UTF-8 spliced in, one number replaced by an
+# integer literal past the float range (past the digit limit from 4301 digits),
+# and arrays nested past the recursion limit
+CONSTANT_NUMBERS = st.sampled_from((1, 2.0, 0.5, 3, 1e-150, 1e10, 1e308, 0, -1.0, float("nan")))
+CONSTANT_VALUES = st.one_of(CONSTANT_NUMBERS, st.sampled_from((None, [1.0], {}, 10**400)))
+NOT_NUMBERS = st.sampled_from(("0", "10", "0.1", "1e308", "nan", "", True, False))
+# 0xff and 0xfe never occur in UTF-8, 0x80 cannot start a character, and 0xc3
+# needs a continuation byte, which ASCII JSON text never supplies
+NOT_UTF8 = st.sampled_from((b"\xff\xfe", b"\xfe\xff", b"\xff", b"\x80", b"\xc3"))
+BIG_INTEGER = st.integers(310, 6000).map(lambda digits: "1" + "0" * (digits - 1))
+PLACEHOLDER = "__placeholder__"
+
+
+@st.composite
+def raw_documents(draw):
+    """A flag, a document body as bytes, and whether the run must exit 2."""
+    flag = draw(st.sampled_from(("--config", "--system")))
+    if flag == "--config":
+        document = draw(st.dictionaries(st.sampled_from(CONSTANT_KEYS), CONSTANT_NUMBERS,
+                                        min_size=1, max_size=3))
+        malformed = st.one_of(
+            st.dictionaries(st.sampled_from(CONSTANT_KEYS + ("bogus",)), CONSTANT_VALUES,
+                            max_size=3),
+            st.sampled_from(([], "x", 7, None, [{"m_e": 1.0}])))
+    else:
+        document = draw(hermitian_documents())
+        malformed = malformed_documents()
+
+    def with_value(value):
+        """The document with one number replaced by `value`."""
+        if flag == "--config":
+            document[draw(st.sampled_from(sorted(document)))] = value
+        elif draw(st.booleans()):
+            energies = document["energies"]
+            energies[draw(st.integers(0, len(energies) - 1))] = value
+        else:
+            n = len(document["energies"])
+            entry = document["couplings"][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))]
+            entry[draw(st.integers(0, 1))] = value
+        return json.dumps(document)
+
+    kind = draw(st.sampled_from(("well-formed", "malformed", "not a number", "not UTF-8",
+                                 "big integer", "deep")))
+    if kind == "well-formed":
+        return flag, json.dumps(document).encode(), False
+    if kind == "malformed":
+        return flag, json.dumps(draw(malformed)).encode(), False
+    if kind == "not a number":
+        return flag, with_value(draw(NOT_NUMBERS)).encode(), True
+    if kind == "big integer":
+        text = with_value(PLACEHOLDER).replace(f'"{PLACEHOLDER}"', draw(BIG_INTEGER))
+        return flag, text.encode(), True
+    if kind == "not UTF-8":
+        body = json.dumps(document).encode()
+        cut = draw(st.integers(0, len(body)))
+        return flag, body[:cut] + draw(NOT_UTF8) + body[cut:], True
+    depth = draw(st.integers(1000, 100000))
+    prefix = draw(st.sampled_from((b"", b'{"energies": ', b'{"m_e": ')))
+    return flag, prefix + b"[" * depth + b"]" * draw(st.sampled_from((0, depth))), True
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@hypothesis.given(raw=raw_documents())
+def test_raw_document_bodies_without_traceback(raw, workdir):
+    flag, body, must_reject = raw
+    (workdir / "raw.json").write_bytes(body)
+    command = "compton" if flag == "--config" else "lambda-sim"
+    code, err = run_cli([command, flag, str(workdir / "raw.json")], workdir)
+    assert code in EXIT_CODES, (flag, body[:200], code, err)
+    assert "Traceback" not in err, (flag, body[:200], err)
+    if must_reject:
+        assert code == 2 and err.startswith("configuration error:"), (flag, body[:200], err)

@@ -251,22 +251,38 @@ class TestLevelSystem:
          "couplings"),
         ({"energies": [0, 1], "couplings": [[{}, [0, 0]], [[0, 0], [0, 0]]]}, "couplings"),
         ({"energies": [0, 1], "couplings": [[{"re": 0}, [0, 0]], [[0, 0], [0, 0]]]}, "couplings"),
+        # energies under the number rule: strings, booleans and nulls are not numbers
+        ({"energies": ["0", "10", "0"], "couplings": [[[0, 0]] * 3] * 3}, "energies"),
+        ({"energies": [False, 10, 0], "couplings": [[[0, 0]] * 3] * 3}, "energies"),
+        ({"energies": [None, 10, 0], "couplings": [[[0, 0]] * 3] * 3}, "energies"),
+        ({"energies": None, "couplings": [[[0, 0]] * 3] * 3}, "energies"),
+        ({"energies": [0, 1], "couplings": [[[0, 0]], [[0, 0], [0, 0], [0, 0]]]}, "couplings"),
     ])
     def test_malformed_json_values_are_config_errors(self, doc, key):
-        # integers too large for a float and mappings in place of [re, im] pairs
+        # integers too large for a float, values that are not numbers, mappings in
+        # place of [re, im] pairs and rows of unequal lengths
         with pytest.raises(ConfigError, match=f"malformed key '{key}'"):
             LevelSystem.from_json_dict(doc)
 
-    @pytest.mark.parametrize("entry", [
-        [0.1, 0, 7], [0.1], [], [[0.1], [0]], [True, 0], [0.1, False], [None, 0],
-        ["0.1", "0"], "ab", 0.1, None,
-    ])
+    @pytest.mark.parametrize("entry", [[0.1, 0, 7], [0.1], [], "ab", 0.1, None])
     def test_coupling_entry_must_be_a_number_pair(self, entry):
-        # complex(c[0], c[1]) used to drop a third number and accept booleans
+        # complex(c[0], c[1]) used to drop a third number
         couplings = [[[0, 0], [0.1, 0]], [[0.1, 0], [0, 0]]]
         couplings[0][1] = entry
         with pytest.raises(ConfigError, match="malformed key 'couplings': entry .* is not an "
                                               r"\[re, im\] pair of numbers"):
+            LevelSystem.from_json_dict({"energies": [0, 1], "couplings": couplings})
+
+    @pytest.mark.parametrize("entry, part", [
+        ([True, 0], "True"), ([0.1, False], "False"), ([None, 0], "None"),
+        (["0.1", "0"], "'0.1'"), ([[0.1], [0]], r"\[0.1\]"),
+    ])
+    def test_coupling_part_must_be_a_number(self, entry, part):
+        # the number rule of every JSON input: complex(c[0], c[1]) accepted booleans
+        couplings = [[[0, 0], [0.1, 0]], [[0.1, 0], [0, 0]]]
+        couplings[0][1] = entry
+        with pytest.raises(ConfigError, match="malformed key 'couplings': each part must be "
+                                              f"a number, got {part}$"):
             LevelSystem.from_json_dict({"energies": [0, 1], "couplings": couplings})
 
     def test_coupling_pairs_of_ints_and_floats_accepted(self):
@@ -300,6 +316,16 @@ class TestLevelSystem:
     def test_malformed_key_named(self):
         with pytest.raises(ConfigError, match="couplings"):
             LevelSystem.from_json('{"energies": [0, 1], "couplings": "oops"}')
+
+    @pytest.mark.parametrize("text", [
+        # an integer literal past the digit limit, or, without a limit, past the float range
+        '{"energies": [0, 1%s], "couplings": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}' % ("0" * 4999),
+        "[" * 100000,
+    ], ids=["5000-digits", "deep"])
+    def test_unparseable_text_is_a_config_error(self, text):
+        with pytest.raises(ConfigError) as caught:
+            LevelSystem.from_json(text)
+        assert "0" * 400 not in str(caught.value)
 
 
 class TestEvolve:

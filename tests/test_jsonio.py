@@ -1,13 +1,17 @@
-"""The shared artifact writers against the per-row f-string formatters they replace."""
+"""The JSON boundary: the input reader and number rule, and the artifact writers
+against the per-row f-string formatters they replace."""
 import io
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 
 from qlambda.amplitudes import BoostScanRow, BoostScanTable
 from qlambda.dynamics import Trajectory
-from qlambda.jsonio import dump_json, write_table
+from qlambda.errors import ConfigError
+from qlambda.jsonio import dump_json, json_floats, parse_json, read_json, write_table
 from qlambda.vacuum import ConvergenceReport
 
 # -0.0, the smallest subnormal, a huge value, non-finite values and whole numbers
@@ -69,3 +73,63 @@ def test_json_floats_keep_17_digits():
     text = dump_json({"values": values, "z": complex(-0.0, 5e-324)})
     assert json.loads(text)["values"] == values
     assert '\n  "z": [\n    -0,\n    4.9406564584124654e-324\n  ]' in text
+
+
+@pytest.mark.parametrize("body", [
+    b"",
+    b"{",
+    b"\xff\xfe{}",  # a UTF-16 byte-order mark: not UTF-8
+    b"\xef\xbb\xbf{}",  # a UTF-8 byte-order mark: not JSON
+    b"[1" + b"0" * 4999 + b"]",  # past the digit limit where there is one
+    b"[" * 100000,
+    b"{" * 100000,
+], ids=["empty", "unclosed", "utf16-bom", "utf8-bom", "5000-digits", "deep-array", "deep-object"])
+def test_read_json_failures_are_config_errors(tmp_path, body):
+    path = tmp_path / "doc.json"
+    path.write_bytes(body)
+    try:
+        doc = read_json(str(path), "test document")
+    except ConfigError as exc:
+        assert str(exc).startswith(f"cannot read test document {str(path)!r}: ")
+    else:  # a 5000-digit integer without a digit limit parses; the number rule rejects it
+        assert doc[0] > 10**4998
+        with pytest.raises(ConfigError, match="^x is an integer too large for a float$"):
+            json_floats(doc, "x")
+
+
+@pytest.mark.parametrize("name", ["absent.json", "."])
+def test_read_json_unopenable_path(tmp_path, name):
+    path = str(tmp_path / name)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"cannot read test document {path!r}: ")):
+        read_json(path, "test document")
+
+
+def test_read_json_reads_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"caf\u00e9": [1, 2.5, true, null]}', encoding="utf-8")
+    assert read_json(str(path), "test document") == {"caf\u00e9": [1, 2.5, True, None]}
+
+
+@pytest.mark.parametrize("text", ["", "[1,", "[" * 100000], ids=["empty", "unclosed", "deep"])
+def test_parse_json_failures_are_config_errors(text):
+    with pytest.raises(ConfigError, match="^invalid JSON: "):
+        parse_json(text)
+
+
+def test_json_floats_number_rule():
+    floats = json_floats([0, -3, 2.5, 10**300, np.float64(0.25), -0.0], "x")
+    assert floats == [0.0, -3.0, 2.5, 1e300, 0.25, -0.0]
+    assert all(type(v) is float for v in floats) and math.copysign(1.0, floats[-1]) == -1.0
+
+
+@pytest.mark.parametrize("value", [True, False, None, "1", "nan", [1.0], {}, np.int64(1), 1j])
+def test_json_floats_rejects_what_is_not_a_number(value):
+    with pytest.raises(ConfigError) as caught:
+        json_floats([1.0, value], "each x")
+    assert str(caught.value) == f"each x must be a number, got {value!r}"
+
+
+def test_json_floats_too_large_integer_message_omits_digits():
+    with pytest.raises(ConfigError) as caught:
+        json_floats([1.0, -(10**400)], "each x")
+    assert str(caught.value) == "each x is an integer too large for a float"

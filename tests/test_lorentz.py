@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -272,6 +273,33 @@ class TestConstants:
         path.write_text('{"m_e": 2.0, "V": 8.0}')
         c = load_constants(str(path))
         assert c.m_e == 2.0 and c.V == 8.0 and c.hbar == 1.0
+
+    # bodies that once ended in OverflowError, ValueError, RecursionError and
+    # UnicodeDecodeError: an integer past the float range, one past the digit
+    # limit (past the float range where there is no limit), deep nesting and
+    # a UTF-16 byte-order mark
+    @pytest.mark.parametrize("body", [
+        b'{"m_e": 1' + b"0" * 399 + b"}",
+        b'{"m_e": 1' + b"0" * 4999 + b"}",
+        b"[" * 100000,
+        b'\xff\xfe{"m_e": 2.0}',
+    ], ids=["400-digits", "5000-digits", "deep", "utf16"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, body):
+        path = tmp_path / "constants.json"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError) as caught:
+            load_constants(str(path))
+        assert "0" * 300 not in str(caught.value)
+
+    def test_missing_file_named(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read constants file {path!r}: ")):
+            load_constants(path)
+
+    @pytest.mark.parametrize("value", [True, "1.0", None, [1.0], 10**400])
+    def test_value_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match="constants key 'm_e' (must be a number|is an int)"):
+            constants_from_mapping({"m_e": value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
