@@ -584,8 +584,7 @@ def boost_scan(
     pols = tuple(pols)
     m = constants.m_e
 
-    def evaluate(beta_value: float) -> AmplitudeResult:
-        contraction = math.sqrt(1.0 - beta_value * beta_value)
+    def evaluate(beta_value: float, contraction: float) -> AmplitudeResult:
         consts = constants.with_volume(constants.V * contraction)
         frame = Boost.along_z(beta_value)
         if process == "compton":
@@ -600,19 +599,15 @@ def boost_scan(
             normalization=normalization, frame=frame,
         )
 
-    reference = abs(evaluate(0.0).total)
+    reference = abs(evaluate(0.0, 1.0).total)
     if reference == 0.0:
         raise ZeroReference("reference amplitude vanishes at beta=0; choose other spins/pols")
     rows = []
-    for beta_value in beta_grid:
-        result = evaluate(float(beta_value))
-        rows.append(
-            BoostScanRow(
-                float(beta_value),
-                result.eta,
-                abs(result.total),
-                abs(result.total) / reference,
-                math.sqrt(1.0 - float(beta_value) ** 2),
-            )
-        )
+    for beta_value in map(float, beta_grid):
+        # the one contraction per row: it scales V and is the inverse_gamma column
+        contraction = math.sqrt(1.0 - beta_value * beta_value)
+        result = evaluate(beta_value, contraction)
+        amplitude = abs(result.total)
+        rows.append(BoostScanRow(beta_value, result.eta, amplitude, amplitude / reference,
+                                 contraction))
     return BoostScanTable(process, normalization, tuple(rows))

@@ -262,19 +262,22 @@ def _match_tol(energies: list[float]) -> float:
     return _ENERGY_MATCH_RTOL * max(1.0, *map(abs, energies))
 
 
-def _coupled_gaps(system: LevelSystem) -> list[float]:
+def _coupled_edges(system: LevelSystem) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """src, dst and gap |E_j - E_k| of every directed coupled edge j -> k, in np.nonzero order.
+
+    Raises DegenerateLevels for a gap that matches under the level-match rule.
+    """
     energies = system.energies.tolist()
     tol = _match_tol(energies)
     gaps = []
-    # every directed coupled edge j -> k, the edges magnus_second_order sums
-    # over: Hermiticity holds to a tolerance only, so a transpose may be zero
+    # Hermiticity holds to a tolerance only, so a transpose may be zero
     src, dst = np.nonzero(system.couplings)
     for j, k in zip(src.tolist(), dst.tolist()):
         gap = abs(energies[j] - energies[k])
         if gap <= tol:
             raise DegenerateLevels(f"coupled levels {j} and {k} are degenerate (gap {gap!r})")
         gaps.append(gap)
-    return gaps
+    return src, dst, gaps
 
 
 def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
@@ -285,7 +288,10 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
     gap completes a whole number of cycles. Only an uncoupled system has
     period inf: one that over- or underflows raises ConfigError.
     """
-    gaps = _coupled_gaps(system)
+    return _common_period(_coupled_edges(system)[2], hbar)
+
+
+def _common_period(gaps: list[float], hbar: float) -> float:
     if not gaps:
         return math.inf
     ref = max(gaps)
@@ -313,28 +319,21 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
     return period
 
 
-def _secular_matrix(system: LevelSystem) -> np.ndarray:
-    """Analytic second-order averaged Hamiltonian.
+def _secular_matrix(system: LevelSystem, path_j, path_l, path_k) -> np.ndarray:
+    """Analytic second-order averaged Hamiltonian from the paths j -> l -> k.
 
-    Entry (j, k) collects sum_l O_jl O_lk / (E_k - E_l) whenever E_j and E_k
-    coincide; entries between levels of different energy average away at full
-    periods. The diagonal reproduces the usual second-order level shifts.
+    Entry (j, k) sums O_jl O_lk / (E_k - E_l) over its paths in ascending l
+    whenever E_j and E_k coincide; entries between levels of different energy
+    average away at full periods. The diagonal reproduces the usual
+    second-order level shifts.
     """
     energies = system.energies.tolist()
     couplings = system.couplings.tolist()
-    n = len(energies)
     tol = _match_tol(energies)
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if not abs(energies[j] - energies[k]) <= tol:
-                continue
-            acc = 0.0 + 0.0j
-            for l in range(n):
-                if couplings[j][l] == 0.0 or couplings[l][k] == 0.0:
-                    continue
-                acc += couplings[j][l] * couplings[l][k] / (energies[k] - energies[l])
-            out[j, k] = acc
+    out = np.zeros_like(system.couplings)
+    for j, l, k in zip(path_j, path_l, path_k):
+        if abs(energies[j] - energies[k]) <= tol:
+            out[j, k] += couplings[j][l] * couplings[l][k] / (energies[k] - energies[l])
     return out
 
 
@@ -364,11 +363,14 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     to quadrature accuracy. Raises ConfigError when a level gap over hbar,
     or 1 / hbar, overflows, and when either result does.
     """
-    period = base_period(system, hbar)
-    analytic = _secular_matrix(system)
+    src, dst, gaps = _coupled_edges(system)
+    period = _common_period(gaps, hbar)
+    # the paths j -> l -> k as edge pairs (e, f) with dst[e] == src[f], in row-major order
+    first, second = np.nonzero(dst[:, None] == src[None, :])
+    path_j, path_k = src[first], dst[second]
+    analytic = _secular_matrix(system, path_j.tolist(), dst[first].tolist(), path_k.tolist())
     if math.isinf(period):
-        zeros = np.zeros_like(analytic)
-        return EffectiveHamiltonian(analytic, period, zeros)
+        return EffectiveHamiltonian(analytic, period, np.zeros_like(analytic))
 
     # every gap is at most the spread of the levels, so this bounds all of them
     levels = system.energies.tolist()
@@ -376,15 +378,12 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
         raise ConfigError(f"level gaps / hbar overflow for hbar = {hbar!r}")
     nodes, weights = _unit_gauss_rule()
     sigma = period * nodes
-    src, dst = np.nonzero(system.couplings)
     coupling = system.couplings[src, dst][:, None]
     angle = np.outer((system.energies[src] - system.energies[dst]) / hbar, sigma)
     half = np.exp(0.5j * angle)
     # sinc(angle / 2 pi) = sin(angle / 2) / (angle / 2) with sin(angle / 2) = Im half;
     # every edge has a nonzero gap, so angle != 0
     sinc = half.imag / (0.5 * angle)
-    # the paths j -> l -> k as edge pairs (e, f) with dst[e] == src[f]
-    first, second = np.nonzero(dst[:, None] == src[None, :])
     comm = np.zeros(analytic.shape, dtype=complex)
     # couplings too large for their squares over a period overflow in these
     # products; the finiteness check below turns that into a ConfigError
@@ -393,7 +392,7 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
         inner_int = (coupling * sigma) * half * sinc
         # weights on [0, 1] already divide the integral over the period by its length
         gram = (k_outer * weights) @ inner_int.T
-        np.add.at(comm, (src[first], dst[second]), (gram - gram.T)[first, second])
+        np.add.at(comm, (path_j, path_k), (gram - gram.T)[first, second])
         numeric = -0.5j / hbar * comm
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         raise ConfigError("second-order couplings overflow: coupling^2 / gap or its "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 
 from .errors import ConfigError
 
@@ -29,13 +30,22 @@ def read_json(path: str, what: str):
 
 
 def parse_json(text: str):
-    """The document in JSON `text`; malformed, over-long or over-deep JSON is a ConfigError."""
+    """The document in JSON `text`; anything but a str, and malformed, over-long or
+    over-deep JSON, is a ConfigError."""
+    # json.loads would also take bytes, guessing UTF-16 or UTF-32 from them,
+    # where read_json accepts UTF-8 only
+    if not isinstance(text, str):
+        raise ConfigError(f"a JSON document must be text, got {type(text).__name__}")
     try:
         return json.loads(text)
-    # ValueError: malformed JSON and an integer literal past the interpreter's digit
-    # limit; RecursionError: nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
+    # RecursionError: nesting past the recursion limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    # the one other ValueError: an integer literal past the interpreter's digit limit,
+    # whose own message tells the reader to call a Python function
+    except ValueError as exc:
+        raise ConfigError(f"invalid JSON: an integer literal exceeds the limit of "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def json_floats(values: list, what: str) -> list[float]:

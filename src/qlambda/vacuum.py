@@ -51,6 +51,9 @@ _MAX_GRID_NODES = 2**18
 # to the OS, and the default grid faults 80-200 pages back in per call. Fewer
 # points per block pay more per-call Python overhead (2048: about 12 % slower).
 _BLOCK_POINTS = 4096
+# corrected_amplitude's bound on |pair shift| over the smallest energy denominator,
+# read at each call: the first-order correction holds for small shifts only
+CORRECTION_GUARD = 0.1
 # d^3p / (2 pi)^3: the V of the box-sum measure V d^3p / (2 pi)^3 cancels the
 # 1/V of the squared prefactor exactly, so the momentum sum runs at V = 1
 _MEASURE = 1.0 / (2.0 * math.pi) ** 3
@@ -367,16 +370,17 @@ def _radial_profile(
     return profile
 
 
-def _panel_nodes(edges: np.ndarray, fine_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(fine_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths and 4-point Gauss radii of the log-radius panels of two grids.
 
-    The panels of `edges` come first, then those of `fine_edges`; the radii
-    have shape (panels, 4). The exponential runs in place, and the log
-    edges die with this call, so the grid caps' peak holds one radius array.
+    The coarse grid is every other edge of the doubled grid `fine_edges`;
+    its panels come first, then those of `fine_edges`. The radii have shape
+    (panels, 4). The exponential runs in place, and the log edges die with
+    this call, so the grid caps' peak holds one radius array.
     """
-    log_edges, log_fine = np.log(edges), np.log(fine_edges)
-    lo = np.concatenate((log_edges[:-1], log_fine[:-1]))
-    hi = np.concatenate((log_edges[1:], log_fine[1:]))
+    log_fine = np.log(fine_edges)
+    lo = np.concatenate((log_fine[:-1:2], log_fine[:-1]))
+    hi = np.concatenate((log_fine[2::2], log_fine[1:]))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     radii = half[:, None] * _gauss_rule(4)[0]
@@ -386,7 +390,6 @@ def _panel_nodes(edges: np.ndarray, fine_edges: np.ndarray) -> tuple[np.ndarray,
 
 
 def _panel_sums(
-    edges: np.ndarray,
     fine_edges: np.ndarray,
     k_norm: float,
     grid: GridSpec,
@@ -396,12 +399,13 @@ def _panel_sums(
 ) -> np.ndarray:
     """Panel-wise Gauss quadrature in log radius on two radial grids at once.
 
-    Returns the panel sums of the `edges` grid followed by those of the
-    `fine_edges` grid. The Gauss nodes of both grids run through the kernel
-    in one `_radial_profile` sweep, each grid blocked from its own first node.
+    Returns the panel sums of the coarse grid, every other edge of the
+    doubled grid `fine_edges`, followed by those of `fine_edges`. The Gauss
+    nodes of both grids run through the kernel in one `_radial_profile`
+    sweep, each grid blocked from its own first node.
     """
-    half, radii = _panel_nodes(edges, fine_edges)
-    n_coarse = edges.size - 1
+    half, radii = _panel_nodes(fine_edges)
+    n_coarse = fine_edges.size // 2
     profile = _radial_profile(
         (radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m, photon_energy, scale
     )
@@ -498,11 +502,11 @@ def total_shift(
     log_range = (math.log(1e-4 * m), math.log(cutoff))
     n_radial = grid.n_radial
 
-    edges = np.exp(np.linspace(*log_range, n_radial + 1))
-    panel_sums = _panel_sums(
-        edges, np.exp(np.linspace(*log_range, 2 * n_radial + 1)),
-        k_norm, grid, m, photon_energy, -2.0 * p0,
-    )
+    fine_edges = np.exp(np.linspace(*log_range, 2 * n_radial + 1))
+    # the coarse linspace step is exactly twice the doubled grid's, so its edges
+    # are bit for bit the even ones; a copy, so the report does not hold fine_edges
+    edges = fine_edges[::2].copy()
+    panel_sums = _panel_sums(fine_edges, k_norm, grid, m, photon_energy, -2.0 * p0)
     total = float(panel_sums[:n_radial].sum())
     refined = float(panel_sums[n_radial:].sum())
     # an all-underflowed integral has no relative move; NaN does not trip the guard
@@ -563,21 +567,20 @@ def corrected_amplitude(
     spins: tuple[int, int, int, int] = (1, 1, 1, 1),
     constants: Constants = NATURAL,
     normalization: str = "box",
-    guard: float = 0.1,
 ) -> CorrectedAmplitude:
     """First-order correction of the exchange amplitude for a shifted level.
 
     Returns the uncorrected amplitude, the first-order correction
     base * factor, and the exact shifted-denominator resummation for
-    comparison. Raises CorrectionTooLarge when |pair_shift| exceeds `guard`
-    times the smallest energy denominator.
+    comparison. Raises CorrectionTooLarge when |pair_shift| exceeds
+    CORRECTION_GUARD times the smallest energy denominator.
     """
     base = moller_total(p1, q1, p2, q2, spins=spins, constants=constants,
                         normalization=normalization)
     denoms = [abs(part.denom) for part in base.parts]
-    if abs(pair_shift) > guard * min(denoms):
+    if abs(pair_shift) > CORRECTION_GUARD * min(denoms):
         raise CorrectionTooLarge(
-            f"|pair shift| = {abs(pair_shift):.3e} exceeds {guard:g} x min denominator"
+            f"|pair shift| = {abs(pair_shift):.3e} exceeds {CORRECTION_GUARD:g} x min denominator"
         )
     delta_e = p1.t - p2.t
     factor = correction_factor(delta_e, base.provenance["photon_energy"], pair_shift)

@@ -501,6 +501,23 @@ class TestBoostScan:
             for row in table.rows:
                 assert abs(row.eta - row.inverse_gamma) < 1e-12
 
+    def test_inverse_gamma_is_the_volume_contraction(self, monkeypatch):
+        # b ** 2 calls C pow, which for some b rounds otherwise than b * b
+        beta = next((b for b in np.linspace(0.1, 0.9, 100001).tolist()
+                     if math.sqrt(1.0 - b ** 2) != math.sqrt(1.0 - b * b)), None)
+        if beta is None:
+            pytest.skip("pow rounds b ** 2 as b * b on this platform")
+        volumes = []
+        with_volume = Constants.with_volume
+        monkeypatch.setattr(
+            Constants, "with_volume",
+            lambda self, volume: volumes.append(volume) or with_volume(self, volume),
+        )
+        for process, spins in (("compton", None), ("moller", (1, 2, 1, 2))):
+            row = boost_scan(process, [beta], spins=spins).rows[0]
+            assert row.inverse_gamma == math.sqrt(1.0 - beta * beta)
+            assert volumes[-1] == NATURAL.V * row.inverse_gamma
+
     def test_five_columns_in_order(self):
         table = boost_scan("moller", [0.0, 0.5], spins=(1, 2, 1, 2))
         assert table.COLUMNS == ("beta", "eta", "amp_abs", "ratio_to_cm", "inverse_gamma")
@@ -579,14 +596,15 @@ class TestKleinNishinaOracle:
 
 
 class TestPoleGuard:
-    def test_corrected_amplitude_pole_reachable(self):
-        from qlambda.vacuum import corrected_amplitude
+    def test_corrected_amplitude_pole_reachable(self, monkeypatch):
+        from qlambda import vacuum
 
+        monkeypatch.setattr(vacuum, "CORRECTION_GUARD", 10.0)
         vectors = moller_kinematics(4.0, 1.0)
         base = moller_total(*vectors, spins=(1, 2, 1, 2))
         denom = min(abs(p.denom) for p in base.parts)
         with pytest.raises(PoleEncountered):
-            corrected_amplitude(*vectors, pair_shift=-denom, spins=(1, 2, 1, 2), guard=10.0)
+            vacuum.corrected_amplitude(*vectors, pair_shift=-denom, spins=(1, 2, 1, 2))
 
 
 def _shifted(v, dt=0.0, dx=0.0, dy=0.0, dz=0.0):

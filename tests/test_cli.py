@@ -441,6 +441,28 @@ def test_unreadable_document_exit_2_without_traceback(tmp_path, capsys, flag, bo
     assert not out.exists() and not summary.exists()
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no digit limit")
+@pytest.mark.parametrize("flag", ["--config", "--system"])
+def test_digit_limit_named_in_qlambda_terms(tmp_path, capsys, flag):
+    # the interpreter's own message tells the user to call sys.set_int_max_str_digits()
+    big = b"1" + b"0" * 4999
+    doc, out = tmp_path / "doc.json", tmp_path / "out"
+    if flag == "--config":
+        doc.write_bytes(b'{"m_e": ' + big + b"}")
+        argv, what = ["compton", "--config", str(doc), "--out", str(out)], "constants file"
+    else:
+        doc.write_bytes(
+            b'{"energies": [0, ' + big + b', 0], "couplings": ' + LAMBDA_COUPLINGS + b"}")
+        argv = ["lambda-sim", "--system", str(doc), "--out", str(out), "--summary", str(out)]
+        what = "system file"
+    assert main(argv) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot read {what} {str(doc)!r}: invalid JSON: "
+        f"an integer literal exceeds the limit of {limit} digits\n")
+    assert not out.exists()
+
+
 def test_unreadable_document_subprocess_stderr(tmp_path):
     """The console entry point prints one message line and no traceback."""
     doc = tmp_path / "doc.json"

@@ -75,6 +75,32 @@ def random_system(n, seed):
     return LevelSystem(rng.normal(size=n), couplings)
 
 
+def loop_paths(system):
+    """j, l and k of every path j -> l -> k of two nonzero couplings, ascending in (j, l, k)."""
+    coupled = system.couplings != 0
+    return [axis.tolist() for axis in np.nonzero(coupled[:, :, None] & coupled[None, :, :])]
+
+
+def loop_secular(system):
+    """The secular matrix as a loop over all (j, l, k), skipping zero couplings."""
+    energies = system.energies.tolist()
+    couplings = system.couplings.tolist()
+    n = len(energies)
+    tol = dynamics._match_tol(energies)
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if not abs(energies[j] - energies[k]) <= tol:
+                continue
+            acc = 0.0 + 0.0j
+            for l in range(n):
+                if couplings[j][l] == 0.0 or couplings[l][k] == 0.0:
+                    continue
+                acc += couplings[j][l] * couplings[l][k] / (energies[k] - energies[l])
+            out[j, k] = acc
+    return out
+
+
 def loop_evolve(system, psi0, t_final, dt, hbar=1.0):
     """Oracle: apply the one-step propagator expm(-i H dt / hbar) step by step."""
     n_steps = max(1, int(round(t_final / dt)))
@@ -326,6 +352,12 @@ class TestLevelSystem:
         with pytest.raises(ConfigError) as caught:
             LevelSystem.from_json(text)
         assert "0" * 400 not in str(caught.value)
+
+    def test_bytes_are_a_config_error(self):
+        # json.loads would read UTF-16 bytes that the CLI rejects from a file
+        doc = lambda_system().to_json()
+        with pytest.raises(ConfigError, match="^a JSON document must be text, got bytes$"):
+            LevelSystem.from_json(doc.encode("utf-16"))
 
 
 class TestEvolve:
@@ -654,9 +686,40 @@ class TestMagnus:
         ],
     )
     def test_overflow_is_a_config_error(self, system, analytic_finite):
-        assert np.isfinite(dynamics._secular_matrix(system)).all() == analytic_finite
+        analytic = dynamics._secular_matrix(system, *loop_paths(system))
+        assert np.isfinite(analytic).all() == analytic_finite
         with pytest.raises(ConfigError, match="second-order couplings overflow"):
             magnus_second_order(system)
+
+    def test_edges_built_once_per_call(self, monkeypatch):
+        built = []
+        coupled_edges = dynamics._coupled_edges
+
+        def counted(system):
+            built.append(system)
+            return coupled_edges(system)
+
+        monkeypatch.setattr(dynamics, "_coupled_edges", counted)
+        for system in (lambda_system(), complex_four_level(), chain_four_level(),
+                       LevelSystem([0.0, 10.0, 0.0], np.zeros((3, 3)))):
+            built.clear()
+            magnus_second_order(system, hbar=0.7)
+            assert built == [system]
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_secular_paths_match_loop_over_all_triples(self, seed, hbar):
+        # integer levels with repeats and no coupling between equal levels: every
+        # gap is commensurate and nonzero, and the resonant entries off the
+        # diagonal collect paths through more than one level
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        energies = rng.integers(-3, 4, size=n).astype(float)
+        couplings = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1)
+        couplings *= (rng.random((n, n)) < 0.7) & (energies[:, None] != energies[None, :])
+        system = LevelSystem(energies, couplings + couplings.conj().T)
+        analytic = magnus_second_order(system, hbar=hbar).matrix
+        assert analytic.tobytes() == loop_secular(system).tobytes()
 
     def test_hermitian(self):
         eff = magnus_second_order(lambda_system(omega1=0.2 + 0.1j))

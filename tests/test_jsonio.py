@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,23 @@ def test_read_json_reads_utf8(tmp_path):
 def test_parse_json_failures_are_config_errors(text):
     with pytest.raises(ConfigError, match="^invalid JSON: "):
         parse_json(text)
+
+
+@pytest.mark.parametrize("body", [b"{}", '{"e": [1]}'.encode("utf-16"), bytearray(b"[1]")],
+                         ids=["utf8-bytes", "utf16-bytes", "bytearray"])
+def test_parse_json_takes_text_only(body):
+    message = f"^a JSON document must be text, got {type(body).__name__}$"
+    with pytest.raises(ConfigError, match=message):
+        parse_json(body)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no digit limit")
+def test_parse_json_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ConfigError) as caught:
+        parse_json("[1" + "0" * limit + "]")
+    assert str(caught.value) == (
+        f"invalid JSON: an integer literal exceeds the limit of {limit} digits")
 
 
 def test_json_floats_number_rule():
