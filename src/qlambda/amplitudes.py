@@ -33,16 +33,16 @@ and the Constants object of the last successful call, compared by identity
 spin and polarization indices and the normalization, compared by equality.
 A hit reuses the guards, eta, external spinors, polarizations, coupling
 factors and every channel row already computed; a Compton row is computed on
-first request. Each row, and the Moller evaluation, carries its parts'
-values next to the parts, computed once as `DiagramAmplitude.value`, and
-every view's total is the in-order sum of those values. Identity, not value,
-is the key because equal values need not give equal results: -0.0 == 0.0,
-yet the sign of a momentum's zero component reaches the signs of spinor
-zeros. Every call still checks its indices and builds a fresh result, with
-its own frame, process label and provenance and guard_margins dicts, summed
-in the same order, so a hit is bit for bit a fresh evaluation. Errors are
-never stored: a call that raises leaves the memo as it was, and raises again
-when repeated.
+first request. Each row, and the Moller evaluation, carries its parts (built
+with `tuple.__new__`) and their values, each computed once with the expression
+of `DiagramAmplitude.value`, a weight of 1.0 included, and every view's total
+is the in-order sum of those values. Identity, not value, is the key because
+equal values need not give equal results: -0.0 == 0.0, yet the sign of a
+momentum's zero component reaches the signs of spinor zeros. Every call still
+checks its indices and builds a fresh result, with its own frame, process
+label and provenance and guard_margins dicts, summed in the same order, so a
+hit is bit for bit a fresh evaluation. Errors are never stored: a call that
+raises leaves the memo as it was, and raises again when repeated.
 
 Guard labels and part names are module constants; a guard formats its
 message only when it raises.
@@ -263,8 +263,8 @@ def _result(process, parts, values, eta_value, closed, textbook, frame, margins,
     provenance["guard_margins"] = {"min_denominator": min_denominator,
                                    "on_shell_residual": on_shell,
                                    "conservation_residual": conservation}
-    return AmplitudeResult._make((process, total, parts, eta_value, closed, frame,
-                                  textbook, ratio, provenance))
+    return tuple.__new__(AmplitudeResult, (process, total, parts, eta_value, closed, frame,
+                                           textbook, ratio, provenance))
 
 
 # the last-call memos of the module docstring: each is one tuple
@@ -328,18 +328,18 @@ def _compton_channel(tag, setup, m, normalization):
     margins = (_guard_pole(d_fwd, scale, where_fwd), _guard_pole(d_bwd, scale, where_bwd))
     row = slash_row(u_out, e_second)
     col = slash_column(e_first, u_in)
-    parts = []
+    parts, values = [], []
     for (name_fwd, name_bwd), u_mid in zip(_CHANNEL_PARTS[tag - 1], (u_1, u_2)):
         v_mid = pair_spinor(u_mid)
-        parts.append(DiagramAmplitude(name_fwd, f_first * bar_dot(u_mid, col),
-                                      f_second * row_dot(row, u_mid), d_fwd))
-        parts.append(DiagramAmplitude(name_bwd, -f_second * row_dot(row, v_mid),
-                                      f_first * bar_dot(v_mid, col), d_bwd))
+        fwd_1, fwd_2 = f_first * bar_dot(u_mid, col), f_second * row_dot(row, u_mid)
+        bwd_1, bwd_2 = -f_second * row_dot(row, v_mid), f_first * bar_dot(v_mid, col)
+        parts += (tuple.__new__(DiagramAmplitude, (name_fwd, fwd_1, fwd_2, d_fwd, 1.0)),
+                  tuple.__new__(DiagramAmplitude, (name_bwd, bwd_1, bwd_2, d_bwd, 1.0)))
+        values += (1.0 * fwd_1 * fwd_2 / d_fwd, 1.0 * bwd_1 * bwd_2 / d_bwd)
     bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
     # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
     norm = e_q / m if normalization == "covariant" else 1.0
-    return (tuple(parts), tuple(part.value for part in parts), f_first * f_second * norm * bare,
-            bare, margins)
+    return tuple(parts), tuple(values), f_first * f_second * norm * bare, bare, margins
 
 
 def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
@@ -517,23 +517,27 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization):
     d_bwd = -(k0 + e_k)
     min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
                           _guard_pole(d_bwd, scale, "exchange crossed ordering"))
-    u_p1, u_q1, u_p2, u_q2 = (spin_pair(v.x, v.y, v.z, m, normalization)[s - 1]
-                              for v, s in zip((p1, q1, p2, q2), spins))
+    s_p1, s_q1, s_p2, s_q2 = spins
+    u_p1 = spin_pair(p1.x, p1.y, p1.z, m, normalization)[s_p1 - 1]
+    u_q1 = spin_pair(q1.x, q1.y, q1.z, m, normalization)[s_q1 - 1]
+    u_p2 = spin_pair(p2.x, p2.y, p2.z, m, normalization)[s_p2 - 1]
+    u_q2 = spin_pair(q2.x, q2.y, q2.z, m, normalization)[s_q2 - 1]
     j_beam = vector_current(u_p2, u_p1)
     j_target = vector_current(u_q2, u_q1)
-    parts = []
+    parts, values = [], []
     closed = 0.0 + 0.0j
     # real transverse basis shared by both orderings (same transverse plane
     # for -k); with eps = (0, e) the vertex is f eps . g . J = -f e . J
     for (name_beam, name_target), (ex, ey, ez) in zip(_MOLLER_PARTS, transverse_basis(*k3)):
-        beam_current = f * -(ex * j_beam[1] + ey * j_beam[2] + ez * j_beam[3])
-        target_current = f * -(ex * j_target[1] + ey * j_target[2] + ez * j_target[3])
-        parts.append(DiagramAmplitude(name_beam, beam_current, target_current, d_fwd, 0.5))
-        parts.append(DiagramAmplitude(name_target, target_current, beam_current, d_bwd, 0.5))
-        closed += e_k * beam_current * target_current / (k0 * k0 - e_k * e_k)
+        beam = f * -(ex * j_beam[1] + ey * j_beam[2] + ez * j_beam[3])
+        target = f * -(ex * j_target[1] + ey * j_target[2] + ez * j_target[3])
+        parts += (tuple.__new__(DiagramAmplitude, (name_beam, beam, target, d_fwd, 0.5)),
+                  tuple.__new__(DiagramAmplitude, (name_target, target, beam, d_bwd, 0.5)))
+        values += (0.5 * beam * target / d_fwd, 0.5 * target * beam / d_bwd)
+        closed += e_k * beam * target / (k0 * k0 - e_k * e_k)
     tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
           - j_beam[3] * j_target[3]) / transfer2
-    return (tuple(parts), tuple(part.value for part in parts), eta_value, closed, tb,
+    return (tuple(parts), tuple(values), eta_value, closed, tb,
             (min_denominator, on_shell, conservation), transfer2, e_k)
 
 

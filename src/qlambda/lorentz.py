@@ -115,29 +115,37 @@ class FourVector(namedtuple("FourVector", "t x y z", defaults=(0.0, 0.0, 0.0))):
 
         return np.array([self.t, self.x, self.y, self.z])
 
+    # the arithmetic unpacks each vector once and builds its result with
+    # tuple.__new__, which is what the namedtuple constructor does
     def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z)
+        (t, x, y, z), (ot, ox, oy, oz) = self, other
+        return tuple.__new__(FourVector, (t + ot, x + ox, y + oy, z + oz))
 
     def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t - other.t, self.x - other.x, self.y - other.y, self.z - other.z)
+        (t, x, y, z), (ot, ox, oy, oz) = self, other
+        return tuple.__new__(FourVector, (t - ot, x - ox, y - oy, z - oz))
 
     def __neg__(self) -> "FourVector":
-        return FourVector(-self.t, -self.x, -self.y, -self.z)
+        t, x, y, z = self
+        return tuple.__new__(FourVector, (-t, -x, -y, -z))
 
     def __mul__(self, factor: float) -> "FourVector":
-        return FourVector(self.t * factor, self.x * factor, self.y * factor, self.z * factor)
+        t, x, y, z = self
+        return tuple.__new__(FourVector, (t * factor, x * factor, y * factor, z * factor))
 
     __rmul__ = __mul__
 
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
+    (at, ax, ay, az), (bt, bx, by, bz) = a, b
+    return at * bt - ax * bx - ay * by - az * bz
 
 
 def invariant_mass(p: FourVector) -> float:
     """sqrt(p.p); raises SpacelikeVector for a negative squared norm."""
-    s = minkowski_dot(p, p)
-    scale = p.t * p.t + p.x * p.x + p.y * p.y + p.z * p.z
+    t, x, y, z = p
+    s = t * t - x * x - y * y - z * z
+    scale = t * t + x * x + y * y + z * z
     if s < -_NULL_TOL * max(scale, 1.0):
         raise SpacelikeVector(f"p.p = {s!r} < 0 for {p}")
     return math.sqrt(max(s, 0.0))
@@ -151,14 +159,17 @@ def eta(p: FourVector) -> float:
 
 
 class Boost(namedtuple("Boost", "beta")):
-    """Pure boost with velocity beta (units of c); |beta| < 1."""
+    """Pure boost with velocity beta (units of c); |beta| < 1, and no component NaN."""
 
     __slots__ = ()
 
     def __new__(cls, beta=(0.0, 0.0, 0.0)):
         bx, by, bz = beta
-        if bx * bx + by * by + bz * bz >= 1.0:
+        b2 = bx * bx + by * by + bz * bz
+        if b2 >= 1.0:
             raise SuperluminalBoost(f"|beta| >= 1 for beta={beta}")
+        if b2 != b2:
+            raise ConfigError(f"beta must not hold NaN, got beta={beta}")
         return tuple.__new__(cls, (beta,))
 
     @classmethod
@@ -191,11 +202,12 @@ def _boost_rows(v: Boost):
     beta is cast to float first, so numpy scalars in it do not carry over
     into the boosted momenta.
     """
-    bx, by, bz = (float(b) for b in v.beta)
+    bx, by, bz = v.beta
+    bx, by, bz = float(bx), float(by), float(bz)
     b2 = bx * bx + by * by + bz * bz
     if b2 == 0.0:
         return None
-    g = v.gamma
+    g = 1.0 / math.sqrt(1.0 - b2)  # the `gamma` property's expression on these components
     c = (g - 1.0) / b2
     return (
         (g, g * bx, g * by, g * bz),
@@ -243,13 +255,13 @@ def _maybe_boost(vectors, beta: Boost | None):
     if rows is None:
         return vectors
     (t0, t1, t2, t3), (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = rows
-    return tuple(
-        FourVector(t0 * v.t + t1 * v.x + t2 * v.y + t3 * v.z,
-                   x0 * v.t + x1 * v.x + x2 * v.y + x3 * v.z,
-                   y0 * v.t + y1 * v.x + y2 * v.y + y3 * v.z,
-                   z0 * v.t + z1 * v.x + z2 * v.y + z3 * v.z)
-        for v in vectors
-    )
+    boosted = []
+    for t, x, y, z in vectors:
+        boosted.append(tuple.__new__(FourVector, (t0 * t + t1 * x + t2 * y + t3 * z,
+                                                  x0 * t + x1 * x + x2 * y + x3 * z,
+                                                  y0 * t + y1 * x + y2 * y + y3 * z,
+                                                  z0 * t + z1 * x + z2 * y + z3 * z)))
+    return tuple(boosted)
 
 
 def compton_kinematics(
@@ -267,11 +279,12 @@ def compton_kinematics(
     if not photon_energy > 0.0:
         raise NonpositiveEnergy(f"photon energy must be positive, got {photon_energy!r}")
     ek = float(photon_energy)
-    p = FourVector(m, 0.0, 0.0, 0.0)
-    k = FourVector(ek, 0.0, 0.0, ek)
+    p = tuple.__new__(FourVector, (m, 0.0, 0.0, 0.0))
+    k = tuple.__new__(FourVector, (ek, 0.0, 0.0, ek))
     # scattered photon energy from the on-shell condition on p'
     ek_out = ek / (1.0 + (ek / m) * (1.0 - math.cos(theta)))
-    k_out = FourVector(ek_out, ek_out * math.sin(theta), 0.0, ek_out * math.cos(theta))
+    k_out = tuple.__new__(FourVector, (ek_out, ek_out * math.sin(theta), 0.0,
+                                       ek_out * math.cos(theta)))
     p_out = p + k - k_out
     return _maybe_boost((p, k, p_out, k_out), beta)
 
@@ -291,10 +304,10 @@ def compton_cm_kinematics(
         raise NonpositiveEnergy(f"photon energy must be positive, got {photon_energy!r}")
     ek = float(photon_energy)
     ep = on_shell_energy((0.0, 0.0, ek), m)
-    p = FourVector(ep, 0.0, 0.0, -ek)
-    k = FourVector(ek, 0.0, 0.0, ek)
-    k_out = FourVector(ek, ek * math.sin(theta), 0.0, ek * math.cos(theta))
-    p_out = FourVector(ep, -k_out.x, -k_out.y, -k_out.z)
+    p = tuple.__new__(FourVector, (ep, 0.0, 0.0, -ek))
+    k = tuple.__new__(FourVector, (ek, 0.0, 0.0, ek))
+    k_out = tuple.__new__(FourVector, (ek, ek * math.sin(theta), 0.0, ek * math.cos(theta)))
+    p_out = tuple.__new__(FourVector, (ep, -k_out.x, -k_out.y, -k_out.z))
     return _maybe_boost((p, k, p_out, k_out), beta)
 
 
@@ -313,8 +326,8 @@ def moller_kinematics(
         raise BelowThreshold(f"e_cm = {e_cm!r} must exceed 2m = {2.0 * m!r}")
     e_half = 0.5 * e_cm
     mom = math.sqrt(e_half * e_half - m * m)
-    p1 = FourVector(e_half, 0.0, 0.0, mom)
-    q1 = FourVector(e_half, 0.0, 0.0, -mom)
-    p2 = FourVector(e_half, mom * math.sin(theta), 0.0, mom * math.cos(theta))
-    q2 = FourVector(e_half, -p2.x, -p2.y, -p2.z)
+    p1 = tuple.__new__(FourVector, (e_half, 0.0, 0.0, mom))
+    q1 = tuple.__new__(FourVector, (e_half, 0.0, 0.0, -mom))
+    p2 = tuple.__new__(FourVector, (e_half, mom * math.sin(theta), 0.0, mom * math.cos(theta)))
+    q2 = tuple.__new__(FourVector, (e_half, -p2.x, -p2.y, -p2.z))
     return _maybe_boost((p1, q1, p2, q2), beta)

@@ -257,8 +257,8 @@ def pair_shift_sample(
     )
     p3.setflags(write=False)
     k3.setflags(write=False)
-    return PairShiftSample(p3, k3, float(constants.m_e / e_pk), float(spinor_factor),
-                           float(density))
+    return tuple.__new__(PairShiftSample, (p3, k3, float(constants.m_e / e_pk),
+                                           float(spinor_factor), float(density)))
 
 
 def shift_density(

@@ -1296,3 +1296,89 @@ class TestIndexCounts:
         assert fields(compton_total(*vectors, spins=spins)) == fields(
             compton_total(*copies(vectors), spins=(1, 1)))
         assert fields(first) == fields(compton_total(*copies(vectors), spins=(1, 2)))
+
+
+SPIN_POL_SETS = tuple(itertools.product(INDEX_PAIRS, INDEX_PAIRS))
+MOLLER_SPIN_SETS = tuple(beam + target for beam in INDEX_PAIRS for target in INDEX_PAIRS)
+
+
+def compton_spin_sum(vectors):
+    """Sum of |total|^2 over the 16 spin and polarization sets."""
+    summed = 0.0
+    for spins, pols in SPIN_POL_SETS:
+        summed += abs(compton_total(*vectors, spins=spins, pols=pols).total) ** 2
+    return summed
+
+
+def moller_spin_sums(vectors):
+    """Sums of |total|^2 and of |textbook_total|^2 over the 16 spin sets."""
+    summed = textbook = 0.0
+    for spins in MOLLER_SPIN_SETS:
+        result = moller_total(*vectors, spins=spins)
+        summed += abs(result.total) ** 2
+        textbook += abs(result.textbook_total) ** 2
+    return summed, textbook
+
+
+def random_rotation(rng):
+    """A proper rotation, as rows of Python floats, from a random unit quaternion."""
+    q = rng.normal(size=4)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]).tolist()
+
+
+def rotated(vectors, rotation):
+    return tuple(FourVector(v.t, *(r0 * v.x + r1 * v.y + r2 * v.z for r0, r1, r2 in rotation))
+                 for v in vectors)
+
+
+class TestRotationInvariance:
+    """Spin-summed |M|^2 does not change when all four momenta are rotated together."""
+
+    @pytest.mark.parametrize("frame", [None, Boost((0.3, -0.4, 0.5))],
+                             ids=["zero-momentum", "oblique"])
+    def test_spin_sums(self, frame):
+        compton = compton_cm_kinematics(1.3, 1.1, frame)
+        moller = moller_kinematics(4.5, 0.9, frame)
+        compton_want = compton_spin_sum(compton)
+        moller_want = moller_spin_sums(moller)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            rotation = random_rotation(rng)
+            assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-14)
+            got = compton_spin_sum(rotated(compton, rotation))
+            assert abs(got - compton_want) <= 1e-13 * compton_want
+            for got, want in zip(moller_spin_sums(rotated(moller, rotation)), moller_want):
+                assert abs(got - want) <= 1e-13 * want
+
+
+class TestSoftPhotonAnchor:
+    """The Thomson limit through the pair state, in the electron rest frame.
+
+    As omega -> 0 the crossed orderings (the `b` parts, through v(-q, s))
+    carry the whole amplitude and the forward ones vanish as omega / m
+    (Sakurai, Advanced Quantum Mechanics, 1967). Over the 16 spin and
+    polarization sets at theta = 1 the forward share is about 1.160 omega / m.
+    """
+
+    @staticmethod
+    def forward_share(omega):
+        """sqrt(sum |forward parts|^2 / sum |total|^2) over the 16 sets."""
+        vectors = compton_kinematics(omega, 1.0)
+        forward = summed = 0.0
+        for spins, pols in SPIN_POL_SETS:
+            result = compton_total(*vectors, spins=spins, pols=pols)
+            forward += abs(sum(part.value for part in result.parts
+                               if part.name.startswith(("1a", "2a")))) ** 2
+            summed += abs(result.total) ** 2
+        return math.sqrt(forward / summed)
+
+    def test_forward_share_falls_tenfold_per_decade(self):
+        # omega >= 1e-6: below that the closed-form cross-check loses digits
+        shares = [self.forward_share(10.0 ** -n) for n in range(2, 7)]
+        for share, next_share in zip(shares, shares[1:]):
+            assert share / next_share == pytest.approx(10.0, rel=1e-2)

@@ -121,6 +121,23 @@ class TestBoost:
         with pytest.raises(SuperluminalBoost):
             Boost((1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("beta", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.5)])
+    def test_infinite_component_is_superluminal(self, beta):
+        with pytest.raises(SuperluminalBoost, match=re.escape("|beta| >= 1")):
+            Boost(beta)
+
+    @pytest.mark.parametrize("beta", [(math.nan, 0.0, 0.0), (0.1, math.nan, 0.2),
+                                      (math.inf, 0.0, math.nan), (np.float64("nan"), 0.0, 0.0)])
+    def test_nan_component_is_a_config_error(self, beta):
+        # nan >= 1 is false: a NaN velocity once gave a Boost with gamma NaN,
+        # whose kinematics then failed as "kinematics overflowed"
+        with pytest.raises(ConfigError, match=r"^beta must not hold NaN, got beta=\("):
+            Boost(beta)
+
+    def test_nan_along_z_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="beta"):
+            Boost.along_z(math.nan)
+
     def test_matrix_determinant(self):
         L = boost_matrix(Boost((0.3, -0.2, 0.5)))
         assert np.linalg.det(L) == pytest.approx(1.0, rel=1e-12)
