@@ -1,9 +1,8 @@
 """Scattering amplitudes assembled from few-level effective couplings.
 
-Each diagram is a pair of three-level orderings whose second-order rates
-omega1 * omega2 / (E1 - E2) are combined and compared against an
-independently evaluated closed propagator form. Every vertex carries the
-coupling prefactor of the photon attached to it.
+Each diagram is a pair of three-level orderings (`_second_order`) checked
+against an independently evaluated closed propagator form. Every vertex
+carries the coupling prefactor of the photon attached to it.
 
 Photon-electron scattering adds the two orderings of each channel directly.
 The forward ordering runs through the intermediate electron u(q, s); the
@@ -33,11 +32,10 @@ and the Constants object of the last successful call, compared by identity
 spin and polarization indices and the normalization, compared by equality.
 A hit reuses the guards, eta, external spinors, polarizations, coupling
 factors and every channel row already computed; a Compton row is computed on
-first request. Each row, and the Moller evaluation, carries its parts (built
-with `tuple.__new__`) and their values, each computed once with the expression
-of `DiagramAmplitude.value`, a weight of 1.0 included, and every view's total
-is the in-order sum of those values. Identity, not value, is the key because
-equal values need not give equal results: -0.0 == 0.0, yet the sign of a
+first request. Each row, and the Moller evaluation, holds its parts and their
+values as `DiagramAmplitude.value` gives them, and every view's total is the
+in-order sum of those values. Identity, not value, is the key because equal
+values need not give equal results: -0.0 == 0.0, yet the sign of a
 momentum's zero component reaches the signs of spinor zeros. Every call still
 checks its indices and builds a fresh result, with its own frame, process
 label and provenance and guard_margins dicts, summed in the same order, so a
@@ -146,13 +144,13 @@ def coupling_factor(eta_value: float, energy: float, constants: Constants) -> Co
 
 class DiagramAmplitude(namedtuple("DiagramAmplitude", "name omega1 omega2 denom weight",
                                    defaults=(1.0,))):
-    """One three-level ordering: value = weight * omega1 * omega2 / denom."""
+    """One three-level ordering: value = _second_order(weight * omega1, omega2, denom)."""
 
     __slots__ = ()
 
     @property
     def value(self) -> complex:
-        return self.weight * self.omega1 * self.omega2 / self.denom
+        return _second_order(self.weight * self.omega1, self.omega2, self.denom)
 
 
 class AmplitudeResult(namedtuple("AmplitudeResult", (
@@ -249,6 +247,16 @@ def _guard_pole(denom: float, scale: float, where: str, what: str = "") -> float
     return abs(denom) / scale
 
 
+def _second_order(omega1, omega2, denom):
+    """The paper's term omega1 omega2 / (E1 - E2) of one three-level (Lambda) ordering.
+
+    omega1 couples level 1 to the middle level 2, omega2 level 2 onward. A
+    weight enters first, as `weight * omega1`; unweighted callers pass omega1
+    itself, as w * z is complex(w, 0.0) * z and can flip the sign of a zero.
+    """
+    return omega1 * omega2 / denom
+
+
 def _result(process, parts, values, eta_value, closed, textbook, frame, margins, **provenance):
     """Total as the in-order sum of the part values; ratio None when the textbook total is 0.
 
@@ -335,7 +343,8 @@ def _compton_channel(tag, setup, m, normalization):
         bwd_1, bwd_2 = -f_second * row_dot(row, v_mid), f_first * bar_dot(v_mid, col)
         parts += (tuple.__new__(DiagramAmplitude, (name_fwd, fwd_1, fwd_2, d_fwd, 1.0)),
                   tuple.__new__(DiagramAmplitude, (name_bwd, bwd_1, bwd_2, d_bwd, 1.0)))
-        values += (1.0 * fwd_1 * fwd_2 / d_fwd, 1.0 * bwd_1 * bwd_2 / d_bwd)
+        values += (_second_order(1.0 * fwd_1, fwd_2, d_fwd),
+                   _second_order(1.0 * bwd_1, bwd_2, d_bwd))
     bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
     # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
     norm = e_q / m if normalization == "covariant" else 1.0
@@ -533,7 +542,8 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization):
         target = f * -(ex * j_target[1] + ey * j_target[2] + ez * j_target[3])
         parts += (tuple.__new__(DiagramAmplitude, (name_beam, beam, target, d_fwd, 0.5)),
                   tuple.__new__(DiagramAmplitude, (name_target, target, beam, d_bwd, 0.5)))
-        values += (0.5 * beam * target / d_fwd, 0.5 * target * beam / d_bwd)
+        values += (_second_order(0.5 * beam, target, d_fwd),
+                   _second_order(0.5 * target, beam, d_bwd))
         closed += e_k * beam * target / (k0 * k0 - e_k * e_k)
     tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
           - j_beam[3] * j_target[3]) / transfer2
@@ -578,7 +588,9 @@ def boost_scan(
     volume V -> V sqrt(1-beta^2) are all recomputed in the boosted frame.
     Columns: beta, eta, |amp|, |amp|/|amp at beta=0|, sqrt(1-beta^2).
     spins takes 2 indices for Compton and 4 for Moller; None means all 1.
-    Raises ZeroReference when the amplitude at beta=0 is zero.
+    Raises ZeroReference when the amplitude at beta=0 is zero; every boost
+    is built first, so a beta with |beta| >= 1 raises SuperluminalBoost, and
+    a NaN beta ConfigError, before any amplitude is evaluated.
     """
     if process not in ("compton", "moller"):
         raise ValueError(f"unknown process {process!r}")
@@ -588,9 +600,8 @@ def boost_scan(
     pols = tuple(pols)
     m = constants.m_e
 
-    def evaluate(beta_value: float, contraction: float) -> AmplitudeResult:
+    def evaluate(frame: Boost, contraction: float) -> AmplitudeResult:
         consts = constants.with_volume(constants.V * contraction)
-        frame = Boost.along_z(beta_value)
         if process == "compton":
             vectors = compton_cm_kinematics(photon_energy, theta, frame, m=m)
             return compton_total(
@@ -603,14 +614,17 @@ def boost_scan(
             normalization=normalization, frame=frame,
         )
 
-    reference = abs(evaluate(0.0, 1.0).total)
+    # every frame first: Boost rejects |beta| >= 1 and NaN before any contraction
+    betas = tuple(map(float, beta_grid))
+    boosts = tuple(map(Boost.along_z, betas))
+    reference = abs(evaluate(Boost.along_z(0.0), 1.0).total)
     if reference == 0.0:
         raise ZeroReference("reference amplitude vanishes at beta=0; choose other spins/pols")
     rows = []
-    for beta_value in map(float, beta_grid):
+    for beta_value, frame in zip(betas, boosts):
         # the one contraction per row: it scales V and is the inverse_gamma column
         contraction = math.sqrt(1.0 - beta_value * beta_value)
-        result = evaluate(beta_value, contraction)
+        result = evaluate(frame, contraction)
         amplitude = abs(result.total)
         rows.append(BoostScanRow(beta_value, result.eta, amplitude, amplitude / reference,
                                  contraction))

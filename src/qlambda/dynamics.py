@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 
+from .amplitudes import _second_order
 from .errors import ConfigError, DegenerateLevels, IncommensurateGaps, PoleEncountered, StepTooLarge
 from .jsonio import json_floats, parse_json, write_table
 
@@ -333,7 +334,7 @@ def _secular_matrix(system: LevelSystem, path_j, path_l, path_k) -> np.ndarray:
     out = np.zeros_like(system.couplings)
     for j, l, k in zip(path_j, path_l, path_k):
         if abs(energies[j] - energies[k]) <= tol:
-            out[j, k] += couplings[j][l] * couplings[l][k] / (energies[k] - energies[l])
+            out[j, k] += _second_order(couplings[j][l], couplings[l][k], energies[k] - energies[l])
     return out
 
 
@@ -401,11 +402,19 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
 
 
 def effective_coupling(omega1: complex, omega2: complex, e1: float, e2: float) -> complex:
-    """Second-order transfer rate omega1 * omega2 / (e1 - e2)."""
-    scale = max(abs(e1), abs(e2), 1.0)
-    if abs(e1 - e2) <= 1e-12 * scale:
-        raise PoleEncountered(f"degenerate energies e1 = e2 = {e1!r}")
-    return omega1 * omega2 / (e1 - e2)
+    """Second-order transfer rate omega1 * omega2 / (e1 - e2), from `_second_order`.
+
+    Raises ConfigError unless both energies, their gap and both couplings are
+    finite, and PoleEncountered when the two levels match under the
+    level-match rule.
+    """
+    gap = e1 - e2
+    if not (math.isfinite(gap) and cmath.isfinite(omega1) and cmath.isfinite(omega2)):
+        raise ConfigError(f"energies, their gap and couplings must be finite, got "
+                          f"e1 = {e1!r}, e2 = {e2!r}, omega1 = {omega1!r}, omega2 = {omega2!r}")
+    if abs(gap) <= _match_tol([e1, e2]):
+        raise PoleEncountered(f"degenerate energies e1 = {e1!r}, e2 = {e2!r}")
+    return _second_order(omega1, omega2, gap)
 
 
 def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
@@ -430,7 +439,7 @@ def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
     gap = float(system.energies[j] - system.energies[3])
     if abs(gap) <= _match_tol(system.energies.tolist()):
         raise PoleEncountered("eliminated level is degenerate with its partner")
-    energies[j] += (omega * omega.conjugate()).real / gap
+    energies[j] += _second_order(omega, omega.conjugate(), gap).real
     return LevelSystem(energies, couplings)
 
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .amplitudes import _guard_pole, coupling_prefactor
+from .amplitudes import _guard_pole, _second_order, coupling_prefactor
 from .amplitudes import moller_total
 from .errors import (
     ConfigError,
@@ -590,7 +590,7 @@ def corrected_amplitude(
     for name, omega1, omega2, denom, weight in base.parts:
         shifted = denom - pair_shift
         _guard_pole(shifted, scale, name, " shifted by the pair shift")
-        exact += weight * omega1 * omega2 / shifted
+        exact += _second_order(weight * omega1, omega2, shifted)
     return CorrectedAmplitude(base, first_order, factor, exact, pair_shift)
 
 

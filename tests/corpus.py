@@ -1,4 +1,4 @@
-"""Print the amplitude path's results over a seeded corpus, one line per case.
+"""Print the Python-float results of qlambda over a seeded corpus, one line per case.
 
     python tests/corpus.py [SRC_DIR] > corpus.txt
 
@@ -16,8 +16,15 @@ The cases cover the kinematics generators, `boost` and the four-vector
 algebra of `lorentz`; the Compton views on a memo miss and on a hit, and
 `moller_total`, over energies, angles, frames, spins, polarizations,
 constants and both normalizations; `corrected_amplitude`,
-`pair_shift_sample` and `boost_scan`; and the guards, each as the class and
-message of the exception it raises. Each line is a label and the case's
+`pair_shift_sample` and `boost_scan`; the analytic fields of `dynamics` on
+seeded 2-4-level systems at two values of hbar, some with signed-zero
+coupling parts: `magnus_second_order`'s `matrix` and `period`,
+`base_period`, `eliminate_pair_level` and `effective_coupling`; and the
+guards, each as the class and message of the exception it raises. Leaving
+out `numeric_matrix` and `evolve`, which run through BLAS, every case is
+computed on Python floats or elementwise numpy, so its bytes do not depend
+on the BLAS kernel (`tests/cross_host.py` checks the BLAS-bound fields at
+tolerance instead). Each line is a label and the case's
 fields: a float as `float.hex`, a complex number as its real and imaginary
 parts apart, so that -0.0 and NaN show, a record under its type name and a
 numpy scalar or array under its dtype. The case count goes to stderr.
@@ -40,6 +47,8 @@ from qlambda import (  # noqa: E402
     Boost,
     Constants,
     FourVector,
+    LevelSystem,
+    base_period,
     boost,
     boost_matrix,
     boost_scan,
@@ -50,8 +59,11 @@ from qlambda import (  # noqa: E402
     compton_pair_B,
     compton_total,
     corrected_amplitude,
+    effective_coupling,
+    eliminate_pair_level,
     eta,
     invariant_mass,
+    magnus_second_order,
     minkowski_dot,
     moller_kinematics,
     moller_total,
@@ -63,6 +75,7 @@ SEED = 20260
 INDEX_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 SPIN_QUADS = tuple((a, b, c, d) for a, b in INDEX_PAIRS for c, d in INDEX_PAIRS)
 NORMALIZATIONS = ("box", "covariant")
+HBARS = (1.0, 0.7)
 CONSTANTS = (Constants(), Constants(hbar=0.7, V=2.5, m_e=1.3))
 
 
@@ -264,6 +277,66 @@ def boost_scan_cases(out: Corpus, rng: random.Random) -> None:
              e_cm=rng.uniform(2.7, 6.0), theta=rng.uniform(0.3, 2.8), spins=(1, 2, 1, 2))
 
 
+def signed_zero(rng: random.Random) -> float:
+    return rng.choice((0.0, -0.0))
+
+
+def coupling(rng: random.Random) -> complex:
+    """A nonzero coupling; one in three has a signed-zero real or imaginary part."""
+    size, phase = rng.uniform(0.01, 0.5), rng.uniform(-math.pi, math.pi)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return complex(signed_zero(rng), size * math.copysign(1.0, phase))
+    if kind == 1:
+        return complex(size * math.copysign(1.0, phase), signed_zero(rng))
+    return complex(size * math.cos(phase), size * math.sin(phase))
+
+
+def level_system(rng: random.Random, n: int, single_partner: bool) -> LevelSystem:
+    """n levels at integer multiples of one unit, so the gaps are commensurate.
+
+    Each pair is coupled or not at random; an uncoupled entry is a zero with
+    signed-zero parts. With single_partner, the last level couples to exactly
+    one other level, as eliminate_pair_level asks.
+    """
+    unit = rng.uniform(0.5, 3.0)
+    energies = [unit * rng.randint(-4, 4) for _ in range(n)]
+    partner = rng.randrange(n - 1)
+    rows = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            if single_partner and k == n - 1:
+                coupled = j == partner
+            else:
+                coupled = rng.random() < 0.7
+            entry = coupling(rng) if coupled else complex(signed_zero(rng), signed_zero(rng))
+            rows[j][k], rows[k][j] = entry, entry.conjugate()
+    return LevelSystem(energies, rows)
+
+
+def analytic_fields(system: LevelSystem, hbar: float):
+    """magnus_second_order's fields that run on Python floats: matrix and period."""
+    effective = magnus_second_order(system, hbar)
+    return effective.matrix, effective.period
+
+
+def dynamics_cases(out: Corpus, rng: random.Random) -> None:
+    for i in range(300):
+        n = (2, 3, 4)[i % 3]
+        system = level_system(rng, n, single_partner=i % 2 == 0)
+        out.case(f"level_system[{i}]", system.to_json)
+        for hbar in HBARS:
+            out.case(f"magnus_second_order[{i}] hbar={hbar}", analytic_fields, system, hbar)
+            out.case(f"base_period[{i}] hbar={hbar}", base_period, system, hbar)
+        if n == 4:
+            out.case(f"eliminate_pair_level[{i}]", lambda: eliminate_pair_level(system).energies)
+        energies, rows = system.energies.tolist(), system.couplings.tolist()
+        for j, l, k in itertools.permutations(range(n), 3):
+            if rows[j][l] and rows[l][k]:
+                out.case(f"effective_coupling[{i}] path {j}-{l}-{k}", effective_coupling,
+                         rows[j][l], rows[l][k], energies[k], energies[l])
+
+
 def guard_cases(out: Corpus) -> None:
     c = compton_cm_kinematics(1.3, 1.1)
     m = moller_kinematics(4.0, 1.1)
@@ -297,6 +370,34 @@ def guard_cases(out: Corpus) -> None:
         ("boost_scan zero reference",
          lambda: boost_scan("compton", (0.0, 0.5), theta=0.0, spins=(1, 2), pols=(1, 1))),
         ("boost_scan superluminal", boost_scan, "compton", (0.5, 1.0)),
+        ("boost_scan beta -1", boost_scan, "moller", (0.5, -1.0)),
+        ("boost_scan beta 1.5", boost_scan, "compton", (0.5, 1.5)),
+        ("boost_scan beta inf", boost_scan, "compton", (0.5, math.inf)),
+        ("boost_scan beta -inf", boost_scan, "moller", (0.5, -math.inf)),
+        ("boost_scan beta nan", boost_scan, "compton", (0.5, math.nan)),
+        ("magnus_second_order degenerate",
+         lambda: magnus_second_order(LevelSystem([0.0, 1e-10], [[0, 0.1], [0.1, 0]]))),
+        ("magnus_second_order incommensurate",
+         lambda: magnus_second_order(LevelSystem([0.0, 1.0, 1.0 + math.sqrt(2.0)],
+                                                 [[0, 0.1, 0], [0.1, 0, 0.1], [0, 0.1, 0]]))),
+        ("base_period degenerate",
+         lambda: base_period(LevelSystem([2.0, 2.0, 5.0], [[0, 0.1, 0], [0.1, 0, 0], [0, 0, 0]]))),
+        ("eliminate_pair_level degenerate",
+         lambda: eliminate_pair_level(LevelSystem(
+             [0.0, 10.0, 0.0, 10.0],
+             [[0, 0.1, 0, 0], [0.1, 0, 0.1, 0.2], [0, 0.1, 0, 0], [0, 0.2, 0, 0]]))),
+        ("eliminate_pair_level two partners",
+         lambda: eliminate_pair_level(LevelSystem(
+             [0.0, 10.0, 0.0, 5.0],
+             [[0, 0.1, 0, 0.2], [0.1, 0, 0.1, 0.2], [0, 0.1, 0, 0], [0.2, 0.2, 0, 0]]))),
+        ("effective_coupling degenerate", effective_coupling, 0.1, 0.1, 2.0, 2.0),
+        ("effective_coupling near-degenerate", effective_coupling, 0.1, 0.1, 0.0, 1e-10),
+        ("effective_coupling e1 inf", effective_coupling, 0.1, 0.1, math.inf, 1.0),
+        ("effective_coupling e2 -inf", effective_coupling, 0.1, 0.1, 1.0, -math.inf),
+        ("effective_coupling e1 nan", effective_coupling, 0.1, 0.1, math.nan, 1.0),
+        ("effective_coupling gap overflow", effective_coupling, 0.1, 0.1, 1e308, -1e308),
+        ("effective_coupling omega nan", effective_coupling, complex(0.1, math.nan), 0.1, 0.0, 1.0),
+        ("effective_coupling omega inf", effective_coupling, 0.1, math.inf, 0.0, 1.0),
     ]
     for label, fn, *args in cases:
         out.case(label, fn, *args)
@@ -311,6 +412,7 @@ def main() -> int:
     amplitude_cases(out, rng, boosts)
     vacuum_cases(out, rng, boosts)
     boost_scan_cases(out, rng)
+    dynamics_cases(out, rng)
     guard_cases(out)
     print(f"{out.count} cases", file=sys.stderr)
     return 0

@@ -28,6 +28,7 @@ from qlambda.errors import (
     ForwardSingularity,
     OffShellInput,
     PoleEncountered,
+    SuperluminalBoost,
     ZeroReference,
 )
 from qlambda.lorentz import (
@@ -559,6 +560,26 @@ class TestBoostScan:
         scan = boost_scan("compton", [0.0, 0.5], spins=(s for s in (2, 1)),
                           pols=(p for p in (1, 2)))
         assert scan.rows == expected
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, math.inf, -math.inf],
+                             ids=["1", "-1", "1.5", "inf", "-inf"])
+    @pytest.mark.parametrize("process", ["compton", "moller"])
+    def test_superluminal_beta_named_before_any_evaluation(self, process, beta, monkeypatch):
+        # every boost is built before the reference, so no volume is contracted first
+        volumes = []
+        with_volume = Constants.with_volume
+        monkeypatch.setattr(
+            Constants, "with_volume",
+            lambda self, volume: volumes.append(volume) or with_volume(self, volume),
+        )
+        with pytest.raises(SuperluminalBoost, match=r"\|beta\| >= 1"):
+            boost_scan(process, [0.0, 0.5, beta])
+        assert volumes == []
+
+    @pytest.mark.parametrize("process", ["compton", "moller"])
+    def test_nan_beta_is_config_error_naming_beta(self, process):
+        with pytest.raises(ConfigError, match="beta must not hold NaN"):
+            boost_scan(process, [0.5, math.nan])
 
     def test_wrong_spin_count(self):
         with pytest.raises(ValueError):

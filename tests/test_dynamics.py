@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qlambda import dynamics
+from qlambda.amplitudes import DiagramAmplitude
 from qlambda.dynamics import (
     LevelSystem,
     Trajectory,
@@ -770,6 +771,114 @@ class TestEffectiveCoupling:
     def test_pole(self):
         with pytest.raises(PoleEncountered):
             effective_coupling(0.1, 0.1, 2.0, 2.0)
+
+    def test_near_degenerate_levels_follow_the_level_match_rule(self):
+        # a gap of 1e-10 matches under 1e-9 max(1, max |E|), as in magnus and elimination
+        with pytest.raises(PoleEncountered, match="e1 = 0.0, e2 = 1e-10"):
+            effective_coupling(0.1, 0.1, 0.0, 1e-10)
+        with pytest.raises(DegenerateLevels):
+            magnus_second_order(LevelSystem([0.0, 1e-10], [[0, 0.1], [0.1, 0]]))
+        with pytest.raises(PoleEncountered):
+            eliminate_pair_level(four_level(e_excited=0.0, e_pair=1e-10))
+        # just outside the rule the rate is returned
+        assert effective_coupling(0.1, 0.1, 0.0, 2e-9) == pytest.approx(-0.01 / 2e-9, rel=1e-14)
+
+    @pytest.mark.parametrize("e1, e2", [(math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf),
+                                        (math.nan, 1.0), (0.0, math.nan), (1e308, -1e308)],
+                             ids=["e1-inf", "e2-minus-inf", "both-inf", "e1-nan", "e2-nan",
+                                  "gap-overflows"])
+    def test_non_finite_energy_or_gap_is_config_error(self, e1, e2):
+        with pytest.raises(ConfigError, match="must be finite"):
+            effective_coupling(0.1, 0.1, e1, e2)
+
+    @pytest.mark.parametrize("omega1, omega2", [(math.inf, 0.1), (0.1, complex(0.0, -math.inf)),
+                                                (complex(math.nan, 0.1), 0.1), (0.1, math.nan)],
+                             ids=["omega1-inf", "omega2-inf-imag", "omega1-nan-real", "omega2-nan"])
+    def test_non_finite_coupling_is_config_error(self, omega1, omega2):
+        with pytest.raises(ConfigError, match="must be finite"):
+            effective_coupling(omega1, omega2, 0.0, 10.0)
+
+
+def lambda_with_arms(omega1, omega2, e_outer, e_middle):
+    """Levels (e_outer, e_middle, e_outer) with omega1 at (0, 1) and omega2 at (1, 2)."""
+    rows = [[0j, omega1, 0j], [omega1.conjugate(), 0j, omega2], [0j, omega2.conjugate(), 0j]]
+    return LevelSystem([e_outer, e_middle, e_outer], rows)
+
+
+class TestOneSecondOrderTerm:
+    """The paper's term omega1 omega2 / (E1 - E2): the same bits in its three views."""
+
+    @staticmethod
+    def bits(z):
+        z = complex(z)
+        return z.real.hex(), z.imag.hex()
+
+    def test_amplitude_rate_and_secular_entry_agree_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        checked = 0
+        while checked < 200:
+            # nonzero parts, so no signed zero rides on a 0 + z
+            omega1, omega2 = (complex(*(rng.choice([-1.0, 1.0], 2) * rng.uniform(0.01, 1.0, 2)))
+                              for _ in range(2))
+            e1, e2 = rng.uniform(-10.0, 10.0, 2).tolist()
+            if abs(e1 - e2) < 0.1:
+                continue
+            rate = effective_coupling(omega1, omega2, e1, e2)
+            ordering = DiagramAmplitude("x", omega1, omega2, e1 - e2).value
+            entry = magnus_second_order(lambda_with_arms(omega1, omega2, e1, e2)).matrix[0, 2]
+            assert self.bits(rate) == self.bits(ordering) == self.bits(entry)
+            checked += 1
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01, 1e-3])
+    def test_asymmetric_ci_document(self, scale):
+        omega1, omega2 = complex(0.1 * scale), complex(0.3 * scale)
+        rate = effective_coupling(omega1, omega2, 0.0, 10.0)
+        ordering = DiagramAmplitude("x", omega1, omega2, 0.0 - 10.0).value
+        entry = magnus_second_order(lambda_with_arms(omega1, omega2, 0.0, 10.0)).matrix[0, 2]
+        # real arms: the imaginary parts are zeros, and the secular entry, summed
+        # onto a zero matrix, has +0.0 where the term itself has -0.0
+        assert self.bits(rate)[0] == self.bits(ordering)[0] == self.bits(entry)[0]
+        assert rate.imag == ordering.imag == entry.imag == 0.0
+
+
+class TestExactLambdaRate:
+    """Energies (0, D, 0), arms 0.1 l and 0.3 l: the exact transfer rate and its second order.
+
+    The bright combination of levels 1 and 3 couples to level 2 by sqrt(s),
+    s = |O1|^2 + |O2|^2, and the dark one not at all, so the two eigenvalues
+    that lie mostly on levels 1 and 3 are 0 and (D - sqrt(D^2 + 4s)) / 2; half
+    their splitting is s / (|D| + sqrt(D^2 + 4s)). Second order predicts
+    hypot(|M|, (S3 - S1) / 2) = s / (2 |D|), short of it by the fourth-order
+    relative term x (1 - x), x = s / D^2, up to O(x^3).
+    """
+
+    GAP = 10.0
+
+    def exact_rate(self, scale):
+        s = (0.1 * scale) ** 2 + (0.3 * scale) ** 2
+        return s / (abs(self.GAP) + math.sqrt(self.GAP * self.GAP + 4.0 * s)), s
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_closed_form_matches_eigh(self, scale):
+        system = lambda_with_arms(complex(0.1 * scale), complex(0.3 * scale), 0.0, self.GAP)
+        evals = np.linalg.eigh(system.hamiltonian())[0]
+        # the dark state at 0 and the bright lower state below it; level 2 lies near GAP
+        numeric = 0.5 * float(evals[1] - evals[0])
+        exact, _ = self.exact_rate(scale)
+        # eigh's floor: a few eps of the largest eigenvalue, over the rate
+        assert abs(numeric - exact) / exact <= 4.0 * np.finfo(float).eps * self.GAP / exact
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01])
+    def test_second_order_is_the_leading_term(self, scale):
+        matrix = magnus_second_order(
+            lambda_with_arms(complex(0.1 * scale), complex(0.3 * scale), 0.0, self.GAP)).matrix
+        s1, s3 = matrix[0, 0].real, matrix[2, 2].real
+        predicted = math.hypot(abs(matrix[0, 2]), 0.5 * (s3 - s1))
+        exact, s = self.exact_rate(scale)
+        x = s / (self.GAP * self.GAP)
+        remainder = abs(exact - predicted) / exact
+        # the next term is 2 x^3; the remainder carries a few eps of rounding
+        assert abs(remainder - x * (1.0 - x)) <= 3.0 * x**3 + 64.0 * np.finfo(float).eps
 
 
 class TestEliminatePairLevel:
