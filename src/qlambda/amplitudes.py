@@ -24,23 +24,23 @@ and vacuum's pair coupling, takes its checked prefactor from
 conservation guards.
 
 Callers ask for several views of one momentum set: compton_pair_A,
-compton_pair_B and compton_total for the two-diagram cross-check, and
-moller_total again inside vacuum.corrected_amplitude. So each process family
-keeps a last-call memo of one entry. Its key is the four FourVector objects
-and the Constants object of the last successful call, compared by identity
-(`is`, with strong references held, so no id is recycled), and the checked
-spin and polarization indices and the normalization, compared by equality.
-A hit reuses the guards, eta, external spinors, polarizations, coupling
-factors and every channel row already computed; a Compton row is computed on
-first request. Each row, and the Moller evaluation, holds its parts and their
-values as `DiagramAmplitude.value` gives them, and every view's total is the
-in-order sum of those values. Identity, not value, is the key because equal
-values need not give equal results: -0.0 == 0.0, yet the sign of a
-momentum's zero component reaches the signs of spinor zeros. Every call still
+compton_pair_B and compton_total for the two-diagram cross-check,
+moller_total again inside vacuum.corrected_amplitude, and a spin sum all 16
+spin and polarization index sets. So each process family keeps a last-call
+memo of one entry: the index-free table of a momentum set (guards, eta, both
+spinors of each electron and polarizations of each photon, coupling factors,
+and per Compton channel the intermediate spinors and pair states,
+denominators and propagator factor) and the rows of the last index set. It
+serves a call with the same normalization on the very momenta and Constants
+(`is`), or on equal ones whose components are Python floats with equal bits;
+value alone is no key, as -0.0 == 0.0 yet the sign of a momentum's zero
+component reaches the signs of spinor zeros. Each row, and the Moller
+evaluation, holds its parts and their values as `DiagramAmplitude.value`
+gives them, and every view's total is their in-order sum. Every call still
 checks its indices and builds a fresh result, with its own frame, process
-label and provenance and guard_margins dicts, summed in the same order, so a
-hit is bit for bit a fresh evaluation. Errors are never stored: a call that
-raises leaves the memo as it was, and raises again when repeated.
+label and provenance and guard_margins dicts, so a hit is bit for bit a
+fresh evaluation. Errors are never stored: a call that raises leaves the
+memo as it was, and raises again when repeated.
 
 Guard labels and part names are module constants; a guard formats its
 message only when it raises.
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 from collections import namedtuple
 
@@ -275,10 +276,14 @@ def _result(process, parts, values, eta_value, closed, textbook, frame, margins,
                                            textbook, ratio, provenance))
 
 
-# the last-call memos of the module docstring: each is one tuple
-# (objects, values, evaluation), replaced in a single assignment
+# the last-call memos of the module docstring, each one tuple replaced in a
+# single assignment: Compton (objects, normalization, table, channel slots),
+# each slot None or (entry, indices, *row), and Moller (objects,
+# normalization, table, spins, evaluation)
 _compton_memo = None
 _moller_memo = None
+_FLOATS = {float}
+_bits = struct.Struct("23d").pack  # the 16 momentum components and 7 constants of a key
 
 
 def _indices(process: str, kind: str, indices, count: int) -> tuple:
@@ -295,18 +300,21 @@ def _indices(process: str, kind: str, indices, count: int) -> tuple:
     return indices
 
 
-def _recall(memo, objects, values):
-    """The memo's evaluation when it holds these very objects and equal values, else None."""
-    if memo is not None and all(map(operator.is_, memo[0], objects)) and memo[1] == values:
-        return memo[2]
-    return None
+def _same_inputs(known, objects) -> bool:
+    """Whether a memo keyed on `known` serves `objects`: the very objects, or equal floats' bits."""
+    if known != objects:
+        return False
+    if all(map(operator.is_, known, objects)):
+        return True
+    old, new = sum(known, ()), sum(objects, ())
+    return set(map(type, old + new)) == _FLOATS and _bits(*old) == _bits(*new)
 
 
-def _compton_setup(p, k, p_out, k_out, spins, pols, constants, normalization):
-    """Guards, eta, external spinors and polarizations, and the two-row channel table.
+def _compton_setup(p, k, p_out, k_out, constants, normalization):
+    """The index-free table: guards, eta, the spinor pairs of p and p_out, and per channel
+    q and its two vertices, each as polarization pair, slot and prefactor.
 
-    Each row holds the intermediate momentum, the vertex on the incoming
-    electron and the one on the outgoing electron, each as (e, prefactor).
+    A vertex's slot is the place of its photon's index in `pols`.
     """
     m = constants.m_e
     scale, on_shell, conservation = _require_process((p, k), (p_out, k_out), (m, 0.0, m, 0.0),
@@ -314,41 +322,50 @@ def _compton_setup(p, k, p_out, k_out, spins, pols, constants, normalization):
     q_absorb = p + k
     eta_value = eta(q_absorb)
     # the polarization vectors are real, so eps'* = eps'
-    e_in = transverse_basis(k.x, k.y, k.z)[pols[0] - 1]
-    e_out = transverse_basis(k_out.x, k_out.y, k_out.z)[pols[1] - 1]
-    u_in = spin_pair(p.x, p.y, p.z, m, normalization)[spins[0] - 1]
-    u_out = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)[spins[1] - 1]
+    basis_in = transverse_basis(k.x, k.y, k.z)
+    basis_out = transverse_basis(k_out.x, k_out.y, k_out.z)
+    u_pair = spin_pair(p.x, p.y, p.z, m, normalization)
+    u_out_pair = spin_pair(p_out.x, p_out.y, p_out.z, m, normalization)
     # each vertex carries the prefactor of the photon attached to it
-    absorb = (e_in, coupling_prefactor(eta_value, k.t, constants))
-    emit = (e_out, coupling_prefactor(eta_value, k_out.t, constants))
-    table = ((q_absorb, absorb, emit), (p - k_out, emit, absorb))
-    return scale, on_shell, conservation, eta_value, u_in, u_out, table
+    f_in = coupling_prefactor(eta_value, k.t, constants)
+    f_out = coupling_prefactor(eta_value, k_out.t, constants)
+    table = ((q_absorb, basis_in, 0, f_in, basis_out, 1, f_out),
+             (p - k_out, basis_out, 1, f_out, basis_in, 0, f_in))
+    return scale, on_shell, conservation, eta_value, u_pair, u_out_pair, table
 
 
-def _compton_channel(tag, setup, m, normalization):
-    """Row `tag` of the channel table: parts, their values, closed form, textbook, pole margins."""
-    scale, _, _, _, u_in, u_out, table = setup
-    q, (e_first, f_first), (e_second, f_second) = table[tag - 1]
-    u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
-    d_fwd = q.t - e_q
-    d_bwd = -(q.t + e_q)
-    where_fwd, where_bwd = _CHANNEL_POLES[tag - 1]
-    margins = (_guard_pole(d_fwd, scale, where_fwd), _guard_pole(d_bwd, scale, where_bwd))
-    row = slash_row(u_out, e_second)
-    col = slash_column(e_first, u_in)
+def _compton_channel(tag, setup, entry, indices, m, normalization):
+    """Channel `tag`'s slot: its index-free entry, built when None, the indices and their row.
+
+    The entry holds the intermediate spinors and pair states, denominators, pole
+    margins, q^2 - m^2 and prefactors; the row the parts, values and closed forms.
+    """
+    scale, _, _, _, u_pair, u_out_pair, table = setup
+    spins, pols = indices
+    q, basis_first, first, f_first, basis_second, second, f_second = table[tag - 1]
+    if entry is None:
+        u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
+        d_fwd = q.t - e_q
+        d_bwd = -(q.t + e_q)
+        where_fwd, where_bwd = _CHANNEL_POLES[tag - 1]
+        margins = (_guard_pole(d_fwd, scale, where_fwd), _guard_pole(d_bwd, scale, where_bwd))
+        # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
+        norm = e_q / m if normalization == "covariant" else 1.0
+        entry = (((u_1, pair_spinor(u_1)), (u_2, pair_spinor(u_2))), d_fwd, d_bwd, margins,
+                 minkowski_dot(q, q) - m * m, f_first * f_second * norm)
+    mids, d_fwd, d_bwd, margins, propagator, factor = entry
+    row = slash_row(u_out_pair[spins[1] - 1], basis_second[pols[second] - 1])
+    col = slash_column(basis_first[pols[first] - 1], u_pair[spins[0] - 1])
     parts, values = [], []
-    for (name_fwd, name_bwd), u_mid in zip(_CHANNEL_PARTS[tag - 1], (u_1, u_2)):
-        v_mid = pair_spinor(u_mid)
+    for (name_fwd, name_bwd), (u_mid, v_mid) in zip(_CHANNEL_PARTS[tag - 1], mids):
         fwd_1, fwd_2 = f_first * bar_dot(u_mid, col), f_second * row_dot(row, u_mid)
         bwd_1, bwd_2 = -f_second * row_dot(row, v_mid), f_first * bar_dot(v_mid, col)
         parts += (tuple.__new__(DiagramAmplitude, (name_fwd, fwd_1, fwd_2, d_fwd, 1.0)),
                   tuple.__new__(DiagramAmplitude, (name_bwd, bwd_1, bwd_2, d_bwd, 1.0)))
         values += (_second_order(1.0 * fwd_1, fwd_2, d_fwd),
                    _second_order(1.0 * bwd_1, bwd_2, d_bwd))
-    bare = slash_sandwich(row, (q.t, q.x, q.y, q.z), m, col) / (minkowski_dot(q, q) - m * m)
-    # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
-    norm = e_q / m if normalization == "covariant" else 1.0
-    return tuple(parts), tuple(values), f_first * f_second * norm * bare, bare, margins
+    bare = slash_sandwich(row, q, m, col) / propagator
+    return entry, indices, tuple(parts), tuple(values), factor * bare, bare, margins
 
 
 def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
@@ -373,37 +390,35 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
     electron the row ubar' slash(eps'), and each intermediate spinor and its
     pair state is contracted against them.
 
-    The set-up and each channel row are taken from the last-call memo when
-    the momenta and constants are the very objects of the previous call and
-    the indices and normalization equal; rows are computed on first request.
+    The table, and each channel's entry and row, come from the last-call memo
+    when it serves the call; a channel's entry and row are built on first request.
     """
     global _compton_memo
     pols = _indices("compton", "polarization", pols, 2)
     spins = _indices("compton", "spin", spins, 2)
     objects = (p, k, p_out, k_out, constants)
-    values = (spins, pols, normalization)
-    known = _recall(_compton_memo, objects, values)
-    if known is None:
-        setup, rows = _compton_setup(p, k, p_out, k_out, spins, pols, constants,
-                                     normalization), (None, None)
+    indices = (spins, pols)
+    memo = _compton_memo
+    if memo is not None and memo[1] == normalization and _same_inputs(memo[0], objects):
+        setup, slots = memo[2], memo[3]
     else:
-        setup, rows = known
+        setup, slots = _compton_setup(p, k, p_out, k_out, constants, normalization), (None, None)
     parts = part_values = ()
     closed = textbook = None
     min_denominator = math.inf
     for tag in channels:
-        row = rows[tag - 1]
-        if row is None:
-            row = _compton_channel(tag, setup, constants.m_e, normalization)
-            rows = (row, rows[1]) if tag == 1 else (rows[0], row)
-        row_parts, row_values, row_closed, row_textbook, (fwd, bwd) = row
+        slot = slots[tag - 1]
+        if slot is None or slot[1] != indices:
+            slot = _compton_channel(tag, setup, slot and slot[0], indices, constants.m_e,
+                                    normalization)
+            slots = (slot, slots[1]) if tag == 1 else (slots[0], slot)
+        _, _, row_parts, row_values, row_closed, row_textbook, (fwd, bwd) = slot
         parts += row_parts
         part_values += row_values
         closed = row_closed if closed is None else closed + row_closed
         textbook = row_textbook if textbook is None else textbook + row_textbook
         min_denominator = min(min_denominator, fwd, bwd)
-    if known is None or rows is not known[1]:
-        _compton_memo = (objects, values, (setup, rows))
+    _compton_memo = (objects, normalization, setup, slots)
     _, on_shell, conservation, eta_value = setup[:4]
     return _result(process, parts, part_values, eta_value, closed, textbook, frame,
                    (min_denominator, on_shell, conservation))
@@ -489,55 +504,64 @@ def moller_total(
     comparison contracts the two currents with the metric,
     J_beam . g . J_target / (p1-p2)^2.
 
-    The evaluation is taken from the last-call memo when the momenta and
-    constants are the very objects of the previous call and the spins and
-    normalization equal.
+    The table comes from the last-call memo when it serves the call, and the
+    evaluation too when the spins equal.
     """
     global _moller_memo
     spins = _indices("moller", "spin", spins, 4)
     objects = (p1, q1, p2, q2, constants)
-    values = (spins, normalization)
-    evaluation = _recall(_moller_memo, objects, values)
+    memo = _moller_memo
+    if memo is not None and memo[1] == normalization and _same_inputs(memo[0], objects):
+        table, evaluation = memo[2], memo[4] if memo[3] == spins else None
+    else:
+        table = evaluation = None
     if evaluation is None:
-        evaluation = _moller(p1, q1, p2, q2, spins, constants, normalization)
-        _moller_memo = (objects, values, evaluation)
+        table, evaluation = _moller(p1, q1, p2, q2, spins, constants, normalization, table)
+    _moller_memo = (objects, normalization, table, spins, evaluation)
     parts, part_values, eta_value, closed, tb, margins, transfer2, e_k = evaluation
     return _result("moller", parts, part_values, eta_value, closed, tb, frame, margins,
                    transfer_squared=float(transfer2), photon_energy=e_k)
 
 
-def _moller(p1, q1, p2, q2, spins, constants, normalization):
-    """Parts, their values, eta, closed form, textbook, margins, (p1-p2)^2, E_k of moller_total."""
-    m = constants.m_e
-    scale, on_shell, conservation = _require_process((p1, q1), (p2, q2), (m, m, m, m),
-                                                     _MOLLER_LABELS)
-    k = p1 - p2
-    transfer2 = minkowski_dot(k, k)
-    if abs(transfer2) < 1e-12 * scale * scale:
-        raise ForwardSingularity(f"(p1-p2)^2 = {transfer2!r} vanishes")
-    # kinematic energies are natural-units throughout; constants enter the
-    # coupling prefactors only
-    k3 = (k.x, k.y, k.z)
-    e_k = math.hypot(*k3)
-    k0 = k.t
-    eta_value = eta(p1 + q1)
-    f = coupling_prefactor(eta_value, e_k, constants)
-    d_fwd = k0 - e_k
-    d_bwd = -(k0 + e_k)
-    min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
-                          _guard_pole(d_bwd, scale, "exchange crossed ordering"))
+def _moller(p1, q1, p2, q2, spins, constants, normalization, table):
+    """The index-free table, built when it is None, and moller_total's evaluation for these spins.
+
+    The table holds the spinor pairs, polarizations, prefactor, energies, denominators and guards.
+    """
+    if table is None:
+        m = constants.m_e
+        scale, on_shell, conservation = _require_process((p1, q1), (p2, q2), (m, m, m, m),
+                                                         _MOLLER_LABELS)
+        k = p1 - p2
+        transfer2 = minkowski_dot(k, k)
+        if abs(transfer2) < 1e-12 * scale * scale:
+            raise ForwardSingularity(f"(p1-p2)^2 = {transfer2!r} vanishes")
+        # kinematic energies are natural-units throughout; constants enter the
+        # coupling prefactors only
+        k3 = (k.x, k.y, k.z)
+        e_k = math.hypot(*k3)
+        eta_value = eta(p1 + q1)
+        f = coupling_prefactor(eta_value, e_k, constants)
+        d_fwd = k.t - e_k
+        d_bwd = -(k.t + e_k)
+        min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
+                              _guard_pole(d_bwd, scale, "exchange crossed ordering"))
+        table = (spin_pair(p1.x, p1.y, p1.z, m, normalization),
+                 spin_pair(q1.x, q1.y, q1.z, m, normalization),
+                 spin_pair(p2.x, p2.y, p2.z, m, normalization),
+                 spin_pair(q2.x, q2.y, q2.z, m, normalization), transverse_basis(*k3),
+                 f, k.t, e_k, d_fwd, d_bwd, eta_value, (min_denominator, on_shell, conservation),
+                 transfer2)
+    (p1_pair, q1_pair, p2_pair, q2_pair, basis, f, k0, e_k, d_fwd, d_bwd, eta_value, margins,
+     transfer2) = table
     s_p1, s_q1, s_p2, s_q2 = spins
-    u_p1 = spin_pair(p1.x, p1.y, p1.z, m, normalization)[s_p1 - 1]
-    u_q1 = spin_pair(q1.x, q1.y, q1.z, m, normalization)[s_q1 - 1]
-    u_p2 = spin_pair(p2.x, p2.y, p2.z, m, normalization)[s_p2 - 1]
-    u_q2 = spin_pair(q2.x, q2.y, q2.z, m, normalization)[s_q2 - 1]
-    j_beam = vector_current(u_p2, u_p1)
-    j_target = vector_current(u_q2, u_q1)
+    j_beam = vector_current(p2_pair[s_p2 - 1], p1_pair[s_p1 - 1])
+    j_target = vector_current(q2_pair[s_q2 - 1], q1_pair[s_q1 - 1])
     parts, values = [], []
     closed = 0.0 + 0.0j
     # real transverse basis shared by both orderings (same transverse plane
     # for -k); with eps = (0, e) the vertex is f eps . g . J = -f e . J
-    for (name_beam, name_target), (ex, ey, ez) in zip(_MOLLER_PARTS, transverse_basis(*k3)):
+    for (name_beam, name_target), (ex, ey, ez) in zip(_MOLLER_PARTS, basis):
         beam = f * -(ex * j_beam[1] + ey * j_beam[2] + ez * j_beam[3])
         target = f * -(ex * j_target[1] + ey * j_target[2] + ez * j_target[3])
         parts += (tuple.__new__(DiagramAmplitude, (name_beam, beam, target, d_fwd, 0.5)),
@@ -547,8 +571,7 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization):
         closed += e_k * beam * target / (k0 * k0 - e_k * e_k)
     tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
           - j_beam[3] * j_target[3]) / transfer2
-    return (tuple(parts), tuple(values), eta_value, closed, tb,
-            (min_denominator, on_shell, conservation), transfer2, e_k)
+    return table, (tuple(parts), tuple(values), eta_value, closed, tb, margins, transfer2, e_k)
 
 
 class BoostScanRow(namedtuple("BoostScanRow",

@@ -405,8 +405,8 @@ def effective_coupling(omega1: complex, omega2: complex, e1: float, e2: float) -
     """Second-order transfer rate omega1 * omega2 / (e1 - e2), from `_second_order`.
 
     Raises ConfigError unless both energies, their gap and both couplings are
-    finite, and PoleEncountered when the two levels match under the
-    level-match rule.
+    finite, PoleEncountered when the two levels match under the level-match
+    rule, and ConfigError when the rate overflows, as magnus_second_order does.
     """
     gap = e1 - e2
     if not (math.isfinite(gap) and cmath.isfinite(omega1) and cmath.isfinite(omega2)):
@@ -414,7 +414,10 @@ def effective_coupling(omega1: complex, omega2: complex, e1: float, e2: float) -
                           f"e1 = {e1!r}, e2 = {e2!r}, omega1 = {omega1!r}, omega2 = {omega2!r}")
     if abs(gap) <= _match_tol([e1, e2]):
         raise PoleEncountered(f"degenerate energies e1 = {e1!r}, e2 = {e2!r}")
-    return _second_order(omega1, omega2, gap)
+    rate = _second_order(omega1, omega2, gap)
+    if not cmath.isfinite(rate):
+        raise ConfigError(f"second-order couplings overflow: omega1 omega2 / (e1 - e2) = {rate!r}")
+    return rate
 
 
 def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
@@ -422,7 +425,8 @@ def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
 
     The eliminated level must couple to exactly one other level j; the
     returned 3-level system has E_j -> E_j + |O|^2 / (E_j - E_4) with all
-    remaining couplings unchanged.
+    remaining couplings unchanged. Raises ConfigError when the shifted energy
+    overflows.
     """
     if system.n_levels != 4:
         raise ConfigError("pair-level elimination expects a 4-level system")
@@ -439,7 +443,11 @@ def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
     gap = float(system.energies[j] - system.energies[3])
     if abs(gap) <= _match_tol(system.energies.tolist()):
         raise PoleEncountered("eliminated level is degenerate with its partner")
-    energies[j] += _second_order(omega, omega.conjugate(), gap).real
+    shifted = float(energies[j]) + _second_order(omega, omega.conjugate(), gap).real
+    if not math.isfinite(shifted):
+        raise ConfigError(f"second-order couplings overflow: the shifted energy of level {j} is "
+                          f"{shifted!r}")
+    energies[j] = shifted
     return LevelSystem(energies, couplings)
 
 

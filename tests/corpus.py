@@ -13,9 +13,12 @@ the two outputs:
     diff parent.txt head.txt
 
 The cases cover the kinematics generators, `boost` and the four-vector
-algebra of `lorentz`; the Compton views on a memo miss and on a hit, and
-`moller_total`, over energies, angles, frames, spins, polarizations,
-constants and both normalizations; `corrected_amplitude`,
+algebra of `lorentz`; the Compton views and `moller_total` over energies,
+angles, frames, spins, polarizations, constants and both normalizations, on
+a last-call memo miss, on a hit with the very objects and on one with equal
+copies; a spin sweep, all 16 index sets of each process in a row on fresh
+equal copies of one momentum set and then of its flipped-zero copies;
+`corrected_amplitude`,
 `pair_shift_sample` and `boost_scan`; the analytic fields of `dynamics` on
 seeded 2-4-level systems at two values of hbar, some with signed-zero
 coupling parts: `magnus_second_order`'s `matrix` and `period`,
@@ -117,8 +120,17 @@ class Corpus:
 
 
 def copies(vectors):
-    """Fresh objects of equal values: a call on them misses the last-call memo."""
+    """Fresh objects of equal values and bits: a call on them hits the last-call memo."""
     return tuple(FourVector(*v) for v in vectors)
+
+
+UNRELATED = (compton_cm_kinematics(0.37, 0.53), moller_kinematics(3.7, 0.53))
+
+
+def miss() -> None:
+    """Evaluate an unrelated momentum set in both process families, so the next call misses."""
+    compton_total(*UNRELATED[0])
+    moller_total(*UNRELATED[1])
 
 
 def with_flipped_zeros(vectors):
@@ -189,12 +201,15 @@ def kinematics_cases(out: Corpus, rng: random.Random, boosts) -> None:
 
 
 def compton_views(out: Corpus, label: str, vectors, spins, pols, constants, normalization, frame):
-    """A miss on pair A, hits on pair B and the total, then a miss on the total."""
+    """A miss on pair A, hits on pair B and the total, a hit on equal copies, then a miss."""
     vectors = copies(vectors)
     kwargs = {"spins": spins, "pols": pols, "constants": constants,
               "normalization": normalization, "frame": frame}
+    miss()
     for view in (compton_pair_A, compton_pair_B, compton_total):
         out.case(f"{view.__name__} {label}", view, *vectors, **kwargs)
+    out.case(f"compton_total copy {label}", compton_total, *copies(vectors), **kwargs)
+    miss()
     out.case(f"compton_total fresh {label}", compton_total, *copies(vectors), **kwargs)
 
 
@@ -216,6 +231,7 @@ def amplitude_cases(out: Corpus, rng: random.Random, boosts) -> None:
                     for normalization in NORMALIZATIONS:
                         label = (f"({e_cm}, {theta}) frame[{j}] zeros[{z}] spins={spins} "
                                  f"{normalization}")
+                        miss()
                         out.case(f"moller_total {label}", moller_total, *copies(vectors),
                                  spins=spins, normalization=normalization, frame=frame)
     for i in range(120):
@@ -231,6 +247,37 @@ def amplitude_cases(out: Corpus, rng: random.Random, boosts) -> None:
                                     frame, m)
         out.case(f"moller_total seeded[{i}]", moller_total, *vectors, spins=rng.choice(SPIN_QUADS),
                  constants=constants, normalization=normalization, frame=frame)
+
+
+def spin_sweep_cases(out: Corpus, boosts) -> None:
+    """Every index set of each process in a row on fresh equal copies of one momentum set.
+
+    The first call on a momentum set misses and the other calls hit its
+    index-free table; the flipped-zero copies that follow miss once, then hit.
+    """
+    for j, frame in enumerate((None, boosts[1], boosts[4])):
+        for c, constants in enumerate(CONSTANTS):
+            m = constants.m_e
+            sets = ((compton_kinematics(0.9, 1.3, frame, m),
+                     moller_kinematics(2.0 * m + 1.7, 1.3, frame, m)),
+                    (compton_cm_kinematics(2.1, 0.6, frame, m),
+                     moller_kinematics(2.0 * m + 5.0, 2.4, frame, m)))
+            for n, (compton, moller) in enumerate(sets):
+                for normalization in NORMALIZATIONS:
+                    kwargs = {"normalization": normalization, "frame": frame}
+                    label = f"sweep[{n}] frame[{j}] constants[{c}] {normalization}"
+                    miss()
+                    for z, vectors in enumerate(with_flipped_zeros(compton)):
+                        for spins, pols in itertools.product(INDEX_PAIRS, INDEX_PAIRS):
+                            for view in (compton_pair_A, compton_pair_B, compton_total):
+                                out.case(f"{view.__name__} {label} zeros[{z}] spins={spins} "
+                                         f"pols={pols}", view, *copies(vectors), spins=spins,
+                                         pols=pols, constants=Constants(*constants), **kwargs)
+                    for z, vectors in enumerate(with_flipped_zeros(moller)):
+                        for spins in SPIN_QUADS:
+                            out.case(f"moller_total {label} zeros[{z}] spins={spins}",
+                                     moller_total, *copies(vectors), spins=spins,
+                                     constants=Constants(*constants), **kwargs)
 
 
 def vacuum_cases(out: Corpus, rng: random.Random, boosts) -> None:
@@ -410,6 +457,7 @@ def main() -> int:
     lorentz_cases(out, rng, boosts)
     kinematics_cases(out, rng, boosts)
     amplitude_cases(out, rng, boosts)
+    spin_sweep_cases(out, boosts)
     vacuum_cases(out, rng, boosts)
     boost_scan_cases(out, rng)
     dynamics_cases(out, rng)

@@ -1053,7 +1053,30 @@ def flipped_zeros(vectors):
 
 
 def copies(vectors):
+    """Fresh objects of equal values and bits: a call on them hits the last-call memo."""
     return tuple(FourVector(*v) for v in vectors)
+
+
+UNRELATED_COMPTON = compton_cm_kinematics(0.37, 0.53)
+UNRELATED_MOLLER = moller_kinematics(3.7, 0.53)
+
+
+def fresh(fn, vectors, **kwargs):
+    """fn on fresh copies of vectors right after an unrelated momentum set, so it misses."""
+    compton_total(*UNRELATED_COMPTON)
+    moller_total(*UNRELATED_MOLLER)
+    return fn(*copies(vectors), **kwargs)
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named amplitudes functions so that each call is counted; return the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(amplitudes, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(amplitudes, name, counted)
+    return counts
 
 
 def fields(result):
@@ -1067,7 +1090,7 @@ MEMO_FRAMES = (None, Boost.along_z(0.6), Boost((0.3, -0.4, 0.5)))
 
 
 class TestLastCallMemo:
-    """Repeated calls on the very same momentum objects reuse one evaluation."""
+    """Calls on the same momentum set, as the very objects or equal bits, reuse one table."""
 
     @pytest.mark.parametrize("normalization", ["box", "covariant"])
     @pytest.mark.parametrize("frame", MEMO_FRAMES)
@@ -1078,19 +1101,20 @@ class TestLastCallMemo:
             for spins in INDEX_PAIRS:
                 for pols in INDEX_PAIRS:
                     kw = dict(spins=spins, pols=pols, normalization=normalization, frame=frame)
-                    # A misses, B adds channel 2, the total and the repeats hit
+                    # each call on vectors finds the table of the fresh copies before
+                    # it, with a channel that is built, reused or missing
                     for fn in COMPTON_VIEWS + COMPTON_VIEWS:
-                        assert fields(fn(*vectors, **kw)) == fields(fn(*copies(vectors), **kw))
+                        assert fields(fn(*vectors, **kw)) == fields(fresh(fn, vectors, **kw))
         mvectors = moller_kinematics(4.0, 1.1, frame)
         for spins in itertools.product((1, 2), repeat=4):
             kw = dict(spins=spins, normalization=normalization)
             first = moller_total(*mvectors, frame=frame, **kw)
             again = moller_total(*mvectors, frame=frame, **kw)
-            fresh = moller_total(*copies(mvectors), frame=frame, **kw)
-            assert fields(first) == fields(again) == fields(fresh)
-            shift = -1e-4 * min(abs(part.denom) for part in fresh.parts)
+            missed = fresh(moller_total, mvectors, frame=frame, **kw)
+            assert fields(first) == fields(again) == fields(missed)
+            shift = -1e-4 * min(abs(part.denom) for part in missed.parts)
             hit = corrected_amplitude(*mvectors, pair_shift=shift, **kw)
-            miss = corrected_amplitude(*copies(mvectors), pair_shift=shift, **kw)
+            miss = fresh(corrected_amplitude, mvectors, pair_shift=shift, **kw)
             assert fields(hit.base) == fields(miss.base)
             assert repr(tuple(hit)[1:]) == repr(tuple(miss)[1:])
 
@@ -1098,16 +1122,17 @@ class TestLastCallMemo:
         # rest-frame spinors carry signed zeros; a hit keeps every one of them
         vectors = compton_kinematics(1.0, 0.0)
         for fn in COMPTON_VIEWS:
-            hit, fresh = fn(*vectors), fn(*copies(vectors))
-            for part, expected in zip(hit.parts, fresh.parts):
+            hit = fn(*vectors)
+            missed = fresh(fn, vectors)
+            for part, expected in zip(hit.parts, missed.parts):
                 for z, w in zip((part.omega1, part.omega2), (expected.omega1, expected.omega2)):
                     assert math.copysign(1.0, z.real) == math.copysign(1.0, w.real)
                     assert math.copysign(1.0, z.imag) == math.copysign(1.0, w.imag)
-            assert fields(hit) == fields(fresh)
+            assert fields(hit) == fields(missed)
 
-    def test_value_equal_vectors_are_a_miss(self):
-        # the memo keys on identity: momenta equal in value but with other
-        # zero signs are evaluated afresh, never served the stored spinors
+    def test_flipped_zero_vectors_are_a_miss(self):
+        # momenta equal in value but with other zero signs differ in bits, so
+        # they are evaluated afresh, never served the stored spinors
         differs = []
         for vectors in (compton_kinematics(1.0, 0.0), compton_kinematics(0.8, 1.2)):
             flipped = flipped_zeros(vectors)
@@ -1115,66 +1140,121 @@ class TestLastCallMemo:
             for fn in COMPTON_VIEWS:
                 before = fields(fn(*vectors))
                 after = fields(fn(*flipped))
-                assert after == fields(fn(*copies(flipped)))
+                assert after == fields(fresh(fn, flipped))
                 differs.append(after != before)
         # a value-keyed memo would have served the wrong zero signs here
         assert any(differs)
 
+    def test_hit_rule(self, monkeypatch):
+        # one _require_process call per index-free table built
+        counts = count_calls(monkeypatch, "_require_process")
+        compton = compton_kinematics(0.8, 1.2)  # the rest frame: exact zeros
+        moller = moller_kinematics(4.0, 1.2)
+        wider = Constants(V=2.0)
+
+        def numpy_floats(vectors):
+            return tuple(FourVector(*map(np.float64, v)) for v in vectors)
+
+        def next_float(vectors):
+            head, *rest = vectors
+            return (FourVector(math.nextafter(head.t, math.inf), *head[1:]), *rest)
+
+        variants = [  # (momenta, constants, normalization, tables built)
+            (lambda v: v, NATURAL, "box", 0),  # the very objects
+            (copies, NATURAL, "box", 0),  # equal bits
+            (copies, Constants(), "box", 0),  # equal constants in a fresh object
+            (flipped_zeros, NATURAL, "box", 1),  # equal values, other zero signs
+            (numpy_floats, NATURAL, "box", 1),  # equal values, not Python floats
+            (next_float, NATURAL, "box", 1),
+            (copies, wider, "box", 1),
+            (copies, Constants(V=1), "box", 1),  # equal values, an int constant
+            (copies, NATURAL, "covariant", 1),
+        ]
+        processes = ((compton_total, compton, UNRELATED_COMPTON),
+                     (moller_total, moller, UNRELATED_MOLLER))
+        for transform, constants, normalization, built in variants:
+            for fn, vectors, unrelated in processes:
+                fn(*unrelated)
+                fn(*vectors)
+                before = counts["_require_process"]
+                fn(*transform(vectors), constants=constants, normalization=normalization)
+                assert counts["_require_process"] - before == built
+
+    def test_sixteen_index_sets_build_one_table(self, monkeypatch):
+        counts = count_calls(monkeypatch, "_require_process", "spin_pair", "transverse_basis")
+        vectors = compton_cm_kinematics(1.3, 1.1, Boost((0.3, -0.4, 0.5)))
+        for spins, pols in SPIN_POL_SETS:
+            for fn in COMPTON_VIEWS:
+                fn(*copies(vectors), spins=spins, pols=pols)
+        # the spinor pairs of p, p_out and the two intermediate momenta
+        assert counts == {"_require_process": 1, "spin_pair": 4, "transverse_basis": 2}
+        mvectors = moller_kinematics(4.5, 0.9, Boost((0.3, -0.4, 0.5)))
+        for spins in MOLLER_SPIN_SETS:
+            moller_total(*copies(mvectors), spins=spins)
+        assert counts == {"_require_process": 2, "spin_pair": 8, "transverse_basis": 3}
+
     def test_interleaved_calls_never_stale(self):
-        rng = np.random.default_rng(71)
-        vector_sets = [compton_cm_kinematics(1.0, 1.0),
-                       compton_cm_kinematics(0.5, 2.0, Boost.along_z(0.4))]
+        # each set also with flipped zeros: equal values, other bits
+        compton_sets = [compton_cm_kinematics(1.0, 1.0),
+                        compton_kinematics(0.5, 2.0, Boost.along_z(0.4))]
         moller_sets = [moller_kinematics(4.0, 1.0), moller_kinematics(3.0, 2.0, Boost.along_z(0.4))]
+        compton_sets += [flipped_zeros(vectors) for vectors in compton_sets]
+        moller_sets += [flipped_zeros(vectors) for vectors in moller_sets]
         constants = [NATURAL, Constants(V=2.0)]
         norms = ["box", "covariant"]
-        expected = {}
-        for (i, vectors), fn, spins, pols, c, norm in itertools.product(
-                enumerate(vector_sets), COMPTON_VIEWS, INDEX_PAIRS, INDEX_PAIRS, (0, 1), norms):
-            expected[i, fn, spins, pols, c, norm] = fields(fn(
-                *copies(vectors), spins=spins, pols=pols, constants=constants[c],
-                normalization=norm))
-        for (i, vectors), spins, c, norm in itertools.product(
-                enumerate(moller_sets), itertools.product((1, 2), repeat=4), (0, 1), norms):
-            expected[i, moller_total, spins, c, norm] = fields(moller_total(
-                *copies(vectors), spins=spins, constants=constants[c], normalization=norm))
-        for _ in range(600):
-            i, c, norm = int(rng.integers(2)), int(rng.integers(2)), norms[rng.integers(2)]
+        rng = np.random.default_rng(71)
+        calls = []
+        for _ in range(1200):
+            i, c, norm = int(rng.integers(4)), int(rng.integers(2)), norms[rng.integers(2)]
             if rng.uniform() < 0.7:
                 fn = COMPTON_VIEWS[rng.integers(3)]
-                spins, pols = INDEX_PAIRS[rng.integers(4)], INDEX_PAIRS[rng.integers(4)]
-                result = fn(*vector_sets[i], spins=spins, pols=pols, constants=constants[c],
-                            normalization=norm)
-                assert fields(result) == expected[i, fn, spins, pols, c, norm]
+                kw = {"spins": INDEX_PAIRS[rng.integers(4)], "pols": INDEX_PAIRS[rng.integers(4)]}
             else:
-                spins = tuple(int(s) for s in rng.integers(1, 3, size=4))
-                result = moller_total(*moller_sets[i], spins=spins, constants=constants[c],
-                                      normalization=norm)
-                assert fields(result) == expected[i, moller_total, spins, c, norm]
+                fn, kw = moller_total, {"spins": MOLLER_SPIN_SETS[rng.integers(16)]}
+            # the stored objects, or fresh copies of the momenta and the constants
+            calls.append((fn, i, c, norm, tuple(kw.items()), bool(rng.integers(2))))
+
+        def evaluate(call, vectors=None):
+            fn, i, c, norm, kw, copied = call
+            if vectors is None:
+                vectors = (compton_sets if fn is not moller_total else moller_sets)[i]
+                vectors = copies(vectors) if copied else vectors
+            consts = Constants(*constants[c]) if copied else constants[c]
+            return fields(fn(*vectors, constants=consts, normalization=norm, **dict(kw)))
+
+        # each expected result is the first call on fresh copies after an unrelated set
+        expected = {}
+        for call in calls:
+            key = call[:5]
+            if key not in expected:
+                fn, i = call[:2]
+                sets = compton_sets if fn is not moller_total else moller_sets
+                expected[key] = evaluate(call, fresh(lambda *vectors: vectors, sets[i]))
+        for call in calls:
+            assert evaluate(call) == expected[call[:5]]
 
     def test_setup_and_channels_computed_once(self, monkeypatch):
-        counts = {"setup": 0, "channel": 0, "moller": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(amplitudes, "_compton_setup",
-                            counted("setup", amplitudes._compton_setup))
-        monkeypatch.setattr(amplitudes, "_compton_channel",
-                            counted("channel", amplitudes._compton_channel))
-        monkeypatch.setattr(amplitudes, "_moller", counted("moller", amplitudes._moller))
+        counts = count_calls(monkeypatch, "_compton_setup", "_compton_channel", "_moller")
         vectors = compton_cm_kinematics(1.0, 0.9, Boost.along_z(0.3))
         for fn in COMPTON_VIEWS:
             fn(*vectors, spins=(2, 1), pols=(1, 2))
-        assert counts == {"setup": 1, "channel": 2, "moller": 0}
+        assert list(counts.values()) == [1, 2, 0]
+        # equal bits hit, with the rows of the last index set
         compton_total(*copies(vectors), spins=(2, 1), pols=(1, 2))
-        assert counts == {"setup": 2, "channel": 4, "moller": 0}
+        assert list(counts.values()) == [1, 2, 0]
+        # other indices build rows from the stored table
+        compton_total(*copies(vectors), spins=(1, 1), pols=(1, 2))
+        assert list(counts.values()) == [1, 4, 0]
+        # a true miss builds everything again
+        compton_total(*flipped_zeros(vectors), spins=(1, 1), pols=(1, 2))
+        assert list(counts.values()) == [2, 6, 0]
         mvectors = moller_kinematics(4.0, 0.9)
         base = moller_total(*mvectors)
         corrected_amplitude(*mvectors, pair_shift=-1e-4 * min(abs(p.denom) for p in base.parts))
-        assert counts["moller"] == 1
+        moller_total(*copies(mvectors))
+        assert counts["_moller"] == 1
+        moller_total(*copies(mvectors), spins=(2, 1, 1, 2))
+        assert counts["_moller"] == 2
 
     @pytest.mark.parametrize("fn", COMPTON_VIEWS)
     def test_setup_error_raised_again(self, fn):
@@ -1188,7 +1268,7 @@ class TestLastCallMemo:
         for _ in range(2):
             with pytest.raises(ConfigError, match="coupling scale"):
                 fn(*vectors, constants=bad)
-        assert fields(fn(*vectors)) == fields(fn(*copies(vectors)))
+        assert fields(fn(*vectors)) == fields(fresh(fn, vectors))
 
     def test_channel_pole_raised_again_and_memo_kept(self):
         vectors = compton_cm_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.9999999999999999))
@@ -1221,6 +1301,27 @@ class TestLastCallMemo:
             moller_total(*good, spins=(1, 1, 1, True))
         assert amplitudes._moller_memo is kept
 
+    def test_errors_on_a_hit_leave_both_memos(self):
+        # channel 2 of these kinematics is fine and channel 1 sits on a pole
+        vectors = compton_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.999999999999999))
+        moller_total(*moller_kinematics(4.0, 1.0))
+        failing = [
+            (PoleEncountered, compton_pair_A, copies(vectors), {}),
+            (PoleEncountered, compton_total, copies(vectors), {"spins": (2, 2)}),
+            (ValueError, compton_total, copies(vectors), {"pols": (1, 3)}),
+            (ValueError, moller_total, copies(moller_kinematics(4.0, 1.0)), {"spins": (1, 0, 1, 1)}),
+            (ValueError, moller_total, copies(moller_kinematics(4.0, 1.0)),
+             {"normalization": "unit"}),
+        ]
+        for error, fn, objects, kw in failing:
+            compton_pair_B(*vectors)
+            kept = (amplitudes._compton_memo, amplitudes._moller_memo)
+            for _ in range(2):
+                with pytest.raises(error):
+                    fn(*objects, **kw)
+                assert amplitudes._compton_memo is kept[0]
+                assert amplitudes._moller_memo is kept[1]
+
     def test_index_checks_run_on_a_hit(self):
         # (1, True) == (1, 1), so only a check before the lookup rejects it
         vectors = compton_cm_kinematics(1.0, 1.0)
@@ -1244,12 +1345,12 @@ class TestLastCallMemo:
         margins = [r.provenance["guard_margins"] for r in results]
         assert len({id(d) for d in provenances}) == len(results)
         assert len({id(d) for d in margins}) == len(results)
-        expected = fields(compton_total(*copies(vectors)))
+        expected = fields(fresh(compton_total, vectors))
         for r in results:
             r.provenance["guard_margins"]["min_denominator"] = -1.0
             r.provenance["extra"] = 1
         assert fields(compton_total(*vectors)) == expected
-        assert moller_total(*mvectors).provenance == moller_total(*copies(mvectors)).provenance
+        assert moller_total(*mvectors).provenance == fresh(moller_total, mvectors).provenance
 
     def test_frame_recorded_per_call(self):
         vectors = compton_cm_kinematics(1.0, 1.0)
@@ -1315,8 +1416,8 @@ class TestIndexCounts:
         first = compton_total(*vectors, spins=spins)
         spins[1] = 1
         assert fields(compton_total(*vectors, spins=spins)) == fields(
-            compton_total(*copies(vectors), spins=(1, 1)))
-        assert fields(first) == fields(compton_total(*copies(vectors), spins=(1, 2)))
+            fresh(compton_total, vectors, spins=(1, 1)))
+        assert fields(first) == fields(fresh(compton_total, vectors, spins=(1, 2)))
 
 
 SPIN_POL_SETS = tuple(itertools.product(INDEX_PAIRS, INDEX_PAIRS))
@@ -1375,6 +1476,28 @@ class TestRotationInvariance:
             assert abs(got - compton_want) <= 1e-13 * compton_want
             for got, want in zip(moller_spin_sums(rotated(moller, rotation)), moller_want):
                 assert abs(got - want) <= 1e-13 * want
+
+
+class TestThomsonLimit:
+    """Spin-summed |total|^2 in the electron rest frame tends to the Thomson factor 1 + cos^2.
+
+    With omega' = omega / (1 + (omega/m)(1 - cos theta)), the bracket of Peskin &
+    Schroeder (5.87), omega'/omega + omega/omega' - sin^2 theta, is 1 + cos^2 theta
+    + O(omega^2), eta and each factor m / E of the box spinors are 1 + O(omega^2),
+    and the prefactors f(omega)^2 f(omega')^2 go as 1 / (omega omega'). So over
+    the 16 index sets R(theta) = S(theta) / S(pi/2) is
+    (1 + cos^2 theta)(1 - (omega/m) cos theta + O(omega^2)).
+    """
+
+    @pytest.mark.parametrize("theta", [0.4, 1.0, 2.3, 3.0])
+    def test_first_order_coefficient(self, theta):
+        cos = math.cos(theta)
+        for omega in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            # each sum is 16 calls on one momentum set
+            ratio = (compton_spin_sum(compton_kinematics(omega, theta))
+                     / compton_spin_sum(compton_kinematics(omega, math.pi / 2.0)))
+            coefficient = (ratio / (1.0 + cos * cos) - 1.0) / (omega * cos)
+            assert abs(coefficient + 1.0) < 10.0 * omega
 
 
 class TestSoftPhotonAnchor:

@@ -798,6 +798,18 @@ class TestEffectiveCoupling:
         with pytest.raises(ConfigError, match="must be finite"):
             effective_coupling(omega1, omega2, 0.0, 10.0)
 
+    @pytest.mark.parametrize("omega1, omega2, rate", [(1e200, 1e200, "-inf"),
+                                                      (1e200 + 1e200j, 1e200, "(nan+nanj)")],
+                             ids=["real", "complex"])
+    def test_overflowing_rate_is_config_error(self, omega1, omega2, rate):
+        # finite inputs whose product overflows: the error magnus_second_order raises
+        with pytest.raises(ConfigError) as caught:
+            effective_coupling(omega1, omega2, 0.0, 1.0)
+        assert str(caught.value) == ("second-order couplings overflow: "
+                                     f"omega1 omega2 / (e1 - e2) = {rate}")
+        with pytest.raises(ConfigError, match="second-order couplings overflow"):
+            magnus_second_order(lambda_with_arms(complex(omega1), complex(omega2), 0.0, 1.0))
+
 
 def lambda_with_arms(omega1, omega2, e_outer, e_middle):
     """Levels (e_outer, e_middle, e_outer) with omega1 at (0, 1) and omega2 at (1, 2)."""
@@ -893,6 +905,17 @@ class TestEliminatePairLevel:
     def test_degenerate_pair_rejected(self):
         with pytest.raises(PoleEncountered):
             eliminate_pair_level(four_level(e_pair=10.0))
+
+    @pytest.mark.parametrize("system, shifted", [
+        (four_level(pair=1e200), "inf"),
+        (complex_four_level(pair=1e200 + 1e200j), "nan"),
+    ], ids=["real", "complex"])
+    def test_overflowing_shift_is_named(self, system, shifted):
+        # finite couplings whose |O|^2 / (E_j - E_4) overflows, not "must be finite"
+        with pytest.raises(ConfigError) as caught:
+            eliminate_pair_level(system)
+        assert str(caught.value) == ("second-order couplings overflow: the shifted energy "
+                                     f"of level 1 is {shifted}")
 
     def test_couplings_preserved(self):
         sys4 = four_level()
