@@ -18,7 +18,8 @@ angles, frames, spins, polarizations, constants and both normalizations, on
 a last-call memo miss, on a hit with the very objects and on one with equal
 copies; a spin sweep, all 16 index sets of each process in a row on fresh
 equal copies of one momentum set and then of its flipped-zero copies;
-`corrected_amplitude`,
+a momentum set with one Compton channel on its pole, each view in both
+orders on misses and on equal copies; `corrected_amplitude`,
 `pair_shift_sample` and `boost_scan`; the analytic fields of `dynamics` on
 seeded 2-4-level systems at two values of hbar, some with signed-zero
 coupling parts: `magnus_second_order`'s `matrix` and `period`,
@@ -280,6 +281,30 @@ def spin_sweep_cases(out: Corpus, boosts) -> None:
                                      constants=Constants(*constants), **kwargs)
 
 
+def one_pole_cases(out: Corpus) -> None:
+    """The views on a momentum set whose channel 1 sits on its pole and channel 2 does not.
+
+    compton_pair_B is served and the other two views raise. Each order of the
+    views runs on misses, an unrelated set before every call, and on fresh
+    equal copies, where each call after the first finds the table a served
+    call left.
+    """
+    vectors = compton_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.999999999999999))
+    views = (compton_pair_A, compton_pair_B, compton_total)
+    for order in (views, views[::-1]):
+        label = ",".join(view.__name__ for view in order)
+        for normalization in NORMALIZATIONS:
+            for spins, pols in itertools.product(INDEX_PAIRS, INDEX_PAIRS):
+                kwargs = {"spins": spins, "pols": pols, "normalization": normalization}
+                for mode in ("miss", "copies"):
+                    miss()
+                    for view in order:
+                        if mode == "miss":
+                            miss()
+                        out.case(f"one pole [{label}] {mode} {view.__name__} spins={spins} "
+                                 f"pols={pols} {normalization}", view, *copies(vectors), **kwargs)
+
+
 def vacuum_cases(out: Corpus, rng: random.Random, boosts) -> None:
     for j, frame in enumerate((None, boosts[1], boosts[4], boosts[5])):
         for e_cm, theta in ((2.3, 0.4), (4.0, 1.1), (9.0, 2.8)):
@@ -458,6 +483,7 @@ def main() -> int:
     kinematics_cases(out, rng, boosts)
     amplitude_cases(out, rng, boosts)
     spin_sweep_cases(out, boosts)
+    one_pole_cases(out)
     vacuum_cases(out, rng, boosts)
     boost_scan_cases(out, rng)
     dynamics_cases(out, rng)
