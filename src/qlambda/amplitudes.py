@@ -27,20 +27,23 @@ Callers ask for several views of one momentum set: compton_pair_A,
 compton_pair_B and compton_total for the two-diagram cross-check,
 moller_total again inside vacuum.corrected_amplitude, and a spin sum all 16
 spin and polarization index sets. So each process family keeps a last-call
-memo of one entry: the index-free table of a momentum set (guards, eta, both
+memo of one shape, (objects, normalization, table, rows). The table is the
+index-free work of a momentum set, built whole on a miss: guards, eta, both
 spinors of each electron and polarizations of each photon, coupling factors,
-and per Compton channel the intermediate spinors and pair states,
-denominators and propagator factor) and the rows of the last index set. It
-serves a call with the same normalization on the very momenta and Constants
-(`is`), or on equal ones whose components are Python floats with equal bits;
-value alone is no key, as -0.0 == 0.0 yet the sign of a momentum's zero
-component reaches the signs of spinor zeros. Each row, and the Moller
-evaluation, holds its parts and their values as `DiagramAmplitude.value`
-gives them, and every view's total is their in-order sum. Every call still
-checks its indices and builds a fresh result, with its own frame, process
-label and provenance and guard_margins dicts, so a hit is bit for bit a
-fresh evaluation. Errors are never stored: a call that raises leaves the
-memo as it was, and raises again when repeated.
+and for each Compton channel the intermediate spinors and pair states,
+denominators and propagator factor. The rows are the index-dependent work of
+the last index set, one per Compton channel and one for Moller; a Compton
+channel's pole guards run with its row, so one view serves while the other
+channel sits on its pole. One lookup, `_recall`, serves both memos: a call
+with the same normalization on the very momenta and Constants (`is`), or on
+equal ones whose components are Python floats with equal bits; value alone
+is no key, as -0.0 == 0.0 yet the sign of a momentum's zero component
+reaches the signs of spinor zeros. Each row holds its parts and their values
+as `DiagramAmplitude.value` gives them, and every view's total is their
+in-order sum. Every call still checks its indices and builds a fresh
+result, with its own frame, process label and provenance and guard_margins
+dicts, so a hit is bit for bit a fresh evaluation. Errors are never stored:
+a call that raises leaves the memo as it was, and raises again when repeated.
 
 Guard labels and part names are module constants; a guard formats its
 message only when it raises.
@@ -276,10 +279,9 @@ def _result(process, parts, values, eta_value, closed, textbook, frame, margins,
                                            textbook, ratio, provenance))
 
 
-# the last-call memos of the module docstring, each one tuple replaced in a
-# single assignment: Compton (objects, normalization, table, channel slots),
-# each slot None or (entry, indices, *row), and Moller (objects,
-# normalization, table, spins, evaluation)
+# the last-call memos of the module docstring, each (objects, normalization,
+# table, rows) and replaced in a single assignment; Compton's rows are one
+# slot per channel, None or (indices, *row), Moller's the one row (spins, *row)
 _compton_memo = None
 _moller_memo = None
 _FLOATS = {float}
@@ -300,21 +302,26 @@ def _indices(process: str, kind: str, indices, count: int) -> tuple:
     return indices
 
 
-def _same_inputs(known, objects) -> bool:
-    """Whether a memo keyed on `known` serves `objects`: the very objects, or equal floats' bits."""
-    if known != objects:
-        return False
-    if all(map(operator.is_, known, objects)):
-        return True
-    old, new = sum(known, ()), sum(objects, ())
-    return set(map(type, old + new)) == _FLOATS and _bits(*old) == _bits(*new)
+def _recall(memo, objects, normalization):
+    """The (table, rows) of a last-call memo that serves these inputs, else None: the same
+    normalization, and the very objects or equal ones of Python floats with equal bits."""
+    if memo is None or memo[1] != normalization or memo[0] != objects:
+        return None
+    known = memo[0]
+    if not all(map(operator.is_, known, objects)):
+        old, new = sum(known, ()), sum(objects, ())
+        if set(map(type, old + new)) != _FLOATS or _bits(*old) != _bits(*new):
+            return None
+    return memo[2:]
 
 
 def _compton_setup(p, k, p_out, k_out, constants, normalization):
-    """The index-free table: guards, eta, the spinor pairs of p and p_out, and per channel
-    q and its two vertices, each as polarization pair, slot and prefactor.
+    """The index-free table: guards, eta, the spinor pairs of p and p_out, and per channel q,
+    its two vertices, each as polarization pair, slot and prefactor, the intermediate spinors
+    and pair states, both denominators, q^2 - m^2 and the coupling factor.
 
-    A vertex's slot is the place of its photon's index in `pols`.
+    A vertex's slot is the place of its photon's index in `pols`. A channel's pole guards
+    run with its row, so one channel serves while the other sits on its pole.
     """
     m = constants.m_e
     scale, on_shell, conservation = _require_process((p, k), (p_out, k_out), (m, 0.0, m, 0.0),
@@ -329,31 +336,27 @@ def _compton_setup(p, k, p_out, k_out, constants, normalization):
     # each vertex carries the prefactor of the photon attached to it
     f_in = coupling_prefactor(eta_value, k.t, constants)
     f_out = coupling_prefactor(eta_value, k_out.t, constants)
-    table = ((q_absorb, basis_in, 0, f_in, basis_out, 1, f_out),
-             (p - k_out, basis_out, 1, f_out, basis_in, 0, f_in))
-    return scale, on_shell, conservation, eta_value, u_pair, u_out_pair, table
-
-
-def _compton_channel(tag, setup, entry, indices, m, normalization):
-    """Channel `tag`'s slot: its index-free entry, built when None, the indices and their row.
-
-    The entry holds the intermediate spinors and pair states, denominators, pole
-    margins, q^2 - m^2 and prefactors; the row the parts, values and closed forms.
-    """
-    scale, _, _, _, u_pair, u_out_pair, table = setup
-    spins, pols = indices
-    q, basis_first, first, f_first, basis_second, second, f_second = table[tag - 1]
-    if entry is None:
+    table = []
+    for q, basis_first, first, f_first, basis_second, second, f_second in (
+            (q_absorb, basis_in, 0, f_in, basis_out, 1, f_out),
+            (p - k_out, basis_out, 1, f_out, basis_in, 0, f_in)):
         u_1, u_2, e_q = spin_pair(q.x, q.y, q.z, m, normalization)
-        d_fwd = q.t - e_q
-        d_bwd = -(q.t + e_q)
-        where_fwd, where_bwd = _CHANNEL_POLES[tag - 1]
-        margins = (_guard_pole(d_fwd, scale, where_fwd), _guard_pole(d_bwd, scale, where_bwd))
         # spin sums are (slash + m) / (2 E_q) for box spinors, / (2 m) for covariant
         norm = e_q / m if normalization == "covariant" else 1.0
-        entry = (((u_1, pair_spinor(u_1)), (u_2, pair_spinor(u_2))), d_fwd, d_bwd, margins,
-                 minkowski_dot(q, q) - m * m, f_first * f_second * norm)
-    mids, d_fwd, d_bwd, margins, propagator, factor = entry
+        table.append((q, basis_first, first, f_first, basis_second, second, f_second,
+                      ((u_1, pair_spinor(u_1)), (u_2, pair_spinor(u_2))), q.t - e_q,
+                      -(q.t + e_q), minkowski_dot(q, q) - m * m, f_first * f_second * norm))
+    return scale, on_shell, conservation, eta_value, u_pair, u_out_pair, tuple(table)
+
+
+def _compton_channel(tag, setup, indices, m):
+    """Channel `tag`'s row for these indices, once the channel's two pole guards pass."""
+    scale, _, _, _, u_pair, u_out_pair, table = setup
+    spins, pols = indices
+    (q, basis_first, first, f_first, basis_second, second, f_second, mids, d_fwd, d_bwd,
+     propagator, factor) = table[tag - 1]
+    where_fwd, where_bwd = _CHANNEL_POLES[tag - 1]
+    margins = (_guard_pole(d_fwd, scale, where_fwd), _guard_pole(d_bwd, scale, where_bwd))
     row = slash_row(u_out_pair[spins[1] - 1], basis_second[pols[second] - 1])
     col = slash_column(basis_first[pols[first] - 1], u_pair[spins[0] - 1])
     parts, values = [], []
@@ -365,7 +368,7 @@ def _compton_channel(tag, setup, entry, indices, m, normalization):
         values += (_second_order(1.0 * fwd_1, fwd_2, d_fwd),
                    _second_order(1.0 * bwd_1, bwd_2, d_bwd))
     bare = slash_sandwich(row, q, m, col) / propagator
-    return entry, indices, tuple(parts), tuple(values), factor * bare, bare, margins
+    return indices, tuple(parts), tuple(values), factor * bare, bare, margins
 
 
 def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, normalization, frame):
@@ -390,35 +393,31 @@ def _compton(process, channels, p, k, p_out, k_out, spins, pols, constants, norm
     electron the row ubar' slash(eps'), and each intermediate spinor and its
     pair state is contracted against them.
 
-    The table, and each channel's entry and row, come from the last-call memo
-    when it serves the call; a channel's entry and row are built on first request.
+    The table, and each channel's row of the last indices, come from the
+    last-call memo when it serves the call.
     """
     global _compton_memo
     pols = _indices("compton", "polarization", pols, 2)
     spins = _indices("compton", "spin", spins, 2)
     objects = (p, k, p_out, k_out, constants)
     indices = (spins, pols)
-    memo = _compton_memo
-    if memo is not None and memo[1] == normalization and _same_inputs(memo[0], objects):
-        setup, slots = memo[2], memo[3]
-    else:
-        setup, slots = _compton_setup(p, k, p_out, k_out, constants, normalization), (None, None)
+    setup, rows = (_recall(_compton_memo, objects, normalization)
+                   or (_compton_setup(p, k, p_out, k_out, constants, normalization), (None, None)))
     parts = part_values = ()
     closed = textbook = None
     min_denominator = math.inf
     for tag in channels:
-        slot = slots[tag - 1]
-        if slot is None or slot[1] != indices:
-            slot = _compton_channel(tag, setup, slot and slot[0], indices, constants.m_e,
-                                    normalization)
-            slots = (slot, slots[1]) if tag == 1 else (slots[0], slot)
-        _, _, row_parts, row_values, row_closed, row_textbook, (fwd, bwd) = slot
+        row = rows[tag - 1]
+        if row is None or row[0] != indices:
+            row = _compton_channel(tag, setup, indices, constants.m_e)
+            rows = (row, rows[1]) if tag == 1 else (rows[0], row)
+        _, row_parts, row_values, row_closed, row_textbook, (fwd, bwd) = row
         parts += row_parts
         part_values += row_values
         closed = row_closed if closed is None else closed + row_closed
         textbook = row_textbook if textbook is None else textbook + row_textbook
         min_denominator = min(min_denominator, fwd, bwd)
-    _compton_memo = (objects, normalization, setup, slots)
+    _compton_memo = (objects, normalization, setup, rows)
     _, on_shell, conservation, eta_value = setup[:4]
     return _result(process, parts, part_values, eta_value, closed, textbook, frame,
                    (min_denominator, on_shell, conservation))
@@ -504,54 +503,51 @@ def moller_total(
     comparison contracts the two currents with the metric,
     J_beam . g . J_target / (p1-p2)^2.
 
-    The table comes from the last-call memo when it serves the call, and the
-    evaluation too when the spins equal.
+    The table, and the row of the last spins, come from the last-call memo
+    when it serves the call.
     """
     global _moller_memo
     spins = _indices("moller", "spin", spins, 4)
     objects = (p1, q1, p2, q2, constants)
-    memo = _moller_memo
-    if memo is not None and memo[1] == normalization and _same_inputs(memo[0], objects):
-        table, evaluation = memo[2], memo[4] if memo[3] == spins else None
-    else:
-        table = evaluation = None
-    if evaluation is None:
-        table, evaluation = _moller(p1, q1, p2, q2, spins, constants, normalization, table)
-    _moller_memo = (objects, normalization, table, spins, evaluation)
-    parts, part_values, eta_value, closed, tb, margins, transfer2, e_k = evaluation
+    table, row = (_recall(_moller_memo, objects, normalization)
+                  or (_moller_setup(p1, q1, p2, q2, constants, normalization), None))
+    if row is None or row[0] != spins:
+        row = _moller(table, spins)
+    _moller_memo = (objects, normalization, table, row)
+    _, parts, part_values, eta_value, closed, tb, margins, transfer2, e_k = row
     return _result("moller", parts, part_values, eta_value, closed, tb, frame, margins,
                    transfer_squared=float(transfer2), photon_energy=e_k)
 
 
-def _moller(p1, q1, p2, q2, spins, constants, normalization, table):
-    """The index-free table, built when it is None, and moller_total's evaluation for these spins.
+def _moller_setup(p1, q1, p2, q2, constants, normalization):
+    """The index-free table: spinor pairs, polarizations, prefactor, energies and guards."""
+    m = constants.m_e
+    scale, on_shell, conservation = _require_process((p1, q1), (p2, q2), (m, m, m, m),
+                                                     _MOLLER_LABELS)
+    k = p1 - p2
+    transfer2 = minkowski_dot(k, k)
+    if abs(transfer2) < 1e-12 * scale * scale:
+        raise ForwardSingularity(f"(p1-p2)^2 = {transfer2!r} vanishes")
+    # kinematic energies are natural-units throughout; constants enter the
+    # coupling prefactors only
+    k3 = (k.x, k.y, k.z)
+    e_k = math.hypot(*k3)
+    eta_value = eta(p1 + q1)
+    f = coupling_prefactor(eta_value, e_k, constants)
+    d_fwd = k.t - e_k
+    d_bwd = -(k.t + e_k)
+    min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
+                          _guard_pole(d_bwd, scale, "exchange crossed ordering"))
+    return (spin_pair(p1.x, p1.y, p1.z, m, normalization),
+            spin_pair(q1.x, q1.y, q1.z, m, normalization),
+            spin_pair(p2.x, p2.y, p2.z, m, normalization),
+            spin_pair(q2.x, q2.y, q2.z, m, normalization), transverse_basis(*k3),
+            f, k.t, e_k, d_fwd, d_bwd, eta_value, (min_denominator, on_shell, conservation),
+            transfer2)
 
-    The table holds the spinor pairs, polarizations, prefactor, energies, denominators and guards.
-    """
-    if table is None:
-        m = constants.m_e
-        scale, on_shell, conservation = _require_process((p1, q1), (p2, q2), (m, m, m, m),
-                                                         _MOLLER_LABELS)
-        k = p1 - p2
-        transfer2 = minkowski_dot(k, k)
-        if abs(transfer2) < 1e-12 * scale * scale:
-            raise ForwardSingularity(f"(p1-p2)^2 = {transfer2!r} vanishes")
-        # kinematic energies are natural-units throughout; constants enter the
-        # coupling prefactors only
-        k3 = (k.x, k.y, k.z)
-        e_k = math.hypot(*k3)
-        eta_value = eta(p1 + q1)
-        f = coupling_prefactor(eta_value, e_k, constants)
-        d_fwd = k.t - e_k
-        d_bwd = -(k.t + e_k)
-        min_denominator = min(_guard_pole(d_fwd, scale, "exchange forward ordering"),
-                              _guard_pole(d_bwd, scale, "exchange crossed ordering"))
-        table = (spin_pair(p1.x, p1.y, p1.z, m, normalization),
-                 spin_pair(q1.x, q1.y, q1.z, m, normalization),
-                 spin_pair(p2.x, p2.y, p2.z, m, normalization),
-                 spin_pair(q2.x, q2.y, q2.z, m, normalization), transverse_basis(*k3),
-                 f, k.t, e_k, d_fwd, d_bwd, eta_value, (min_denominator, on_shell, conservation),
-                 transfer2)
+
+def _moller(table, spins):
+    """moller_total's row for these spins: the currents' parts, values and closed forms."""
     (p1_pair, q1_pair, p2_pair, q2_pair, basis, f, k0, e_k, d_fwd, d_bwd, eta_value, margins,
      transfer2) = table
     s_p1, s_q1, s_p2, s_q2 = spins
@@ -571,7 +567,7 @@ def _moller(p1, q1, p2, q2, spins, constants, normalization, table):
         closed += e_k * beam * target / (k0 * k0 - e_k * e_k)
     tb = (j_beam[0] * j_target[0] - j_beam[1] * j_target[1] - j_beam[2] * j_target[2]
           - j_beam[3] * j_target[3]) / transfer2
-    return table, (tuple(parts), tuple(values), eta_value, closed, tb, margins, transfer2, e_k)
+    return spins, tuple(parts), tuple(values), eta_value, closed, tb, margins, transfer2, e_k
 
 
 class BoostScanRow(namedtuple("BoostScanRow",

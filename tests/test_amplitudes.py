@@ -1322,6 +1322,44 @@ class TestLastCallMemo:
                 assert amplitudes._compton_memo is kept[0]
                 assert amplitudes._moller_memo is kept[1]
 
+    def test_both_memos_have_one_shape(self):
+        vectors = compton_cm_kinematics(1.0, 0.9)
+        mvectors = moller_kinematics(4.0, 0.9)
+        compton_pair_B(*vectors, spins=(2, 1), pols=(1, 2), normalization="covariant")
+        moller_total(*mvectors, spins=(1, 2, 2, 1), normalization="covariant")
+        for memo, objects in ((amplitudes._compton_memo, (*vectors, NATURAL)),
+                              (amplitudes._moller_memo, (*mvectors, NATURAL))):
+            assert len(memo) == 4
+            assert memo[0] == objects and all(map(lambda a, b: a is b, memo[0], objects))
+            assert memo[1] == "covariant"
+            assert amplitudes._recall(memo, copies(objects[:4]) + (Constants(),),
+                                      "covariant") == memo[2:]
+            assert amplitudes._recall(memo, objects, "box") is None
+        # a row per Compton channel, the one a view asked for built; one row for Moller
+        first, second = amplitudes._compton_memo[3]
+        assert first is None and second[0] == ((2, 1), (1, 2))
+        assert amplitudes._moller_memo[3][0] == (1, 2, 2, 1)
+
+    def test_one_channel_on_a_pole_builds_one_table(self, monkeypatch):
+        # channel 1 of these kinematics sits on its pole and channel 2 does not
+        vectors = compton_kinematics(1.0, math.pi / 3.0, Boost.along_z(0.999999999999999))
+        counts = count_calls(monkeypatch, "_compton_setup", "_compton_channel")
+        compton_total(*UNRELATED_COMPTON)
+        for fn in (compton_pair_A, compton_total):
+            with pytest.raises(PoleEncountered, match="channel 1 forward ordering"):
+                fn(*copies(vectors))
+        assert counts == {"_compton_setup": 3, "_compton_channel": 4}
+        served = fields(compton_pair_B(*copies(vectors)))
+        assert counts == {"_compton_setup": 4, "_compton_channel": 5}
+        # on the stored table: channel 1's guards raise as its row is built, and
+        # channel 2's row is served again
+        for fn in (compton_pair_A, compton_total):
+            with pytest.raises(PoleEncountered, match="channel 1 forward ordering"):
+                fn(*copies(vectors))
+        assert fields(compton_pair_B(*copies(vectors))) == served
+        assert counts == {"_compton_setup": 4, "_compton_channel": 7}
+        assert served == fields(fresh(compton_pair_B, vectors))
+
     def test_index_checks_run_on_a_hit(self):
         # (1, True) == (1, 1), so only a check before the lookup rejects it
         vectors = compton_cm_kinematics(1.0, 1.0)
