@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -193,8 +194,14 @@ def _cylindrical_coordinates(px, py, pz, k_list, k_norm: float):
 
 
 def _density_scale(constants: Constants) -> float:
-    """-2 P0, the kernel's density scale, with P0 = coupling_prefactor(1, 1)^2."""
-    return -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
+    """-2 P0, the kernel's density scale, with P0 = coupling_prefactor(1, 1)^2.
+
+    The one place -2 P0 is formed: a scale that overflows is a ConfigError.
+    """
+    scale = -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
+    if not math.isfinite(scale):
+        raise ConfigError("density scale -2 (e c hbar)^2 / (V eps0) is not a finite float")
+    return scale
 
 
 def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon_energy: float):
@@ -277,13 +284,18 @@ class GridSpec(namedtuple("GridSpec", "n_radial n_theta n_phi")):
     """Log-radial grid x Gauss rule in the angle to k for the momentum sum.
 
     `n_phi` is accepted and has no effect: the summed density does not depend
-    on the azimuth about k. `n_theta` above _MAX_N_THETA or
+    on the azimuth about k. A size that is not an int or a numpy integer (a
+    bool, a float even when integral), `n_theta` above _MAX_N_THETA or
     `n_radial * n_theta` above _MAX_GRID_NODES is a ConfigError.
     """
 
     __slots__ = ()
 
     def __new__(cls, n_radial=96, n_theta=16, n_phi=8):
+        for name, size in zip(cls._fields, (n_radial, n_theta, n_phi)):
+            if type(size) is not int and (isinstance(size, bool)
+                                          or not isinstance(size, numbers.Integral)):
+                raise ConfigError(f"grid sizes must be integers, got {name}={size!r}")
         if n_radial < 4 or n_theta < 2 or n_phi < 1:
             raise ConfigError("grid too small: need n_radial >= 4, n_theta >= 2, n_phi >= 1")
         if n_theta > _MAX_N_THETA or n_radial * n_theta > _MAX_GRID_NODES:
@@ -465,13 +477,15 @@ def total_shift(
     The profile runs in two sweeps, in this order: the Gauss nodes of the
     coarse panels and of the doubled grid together, then the cutoff edges.
     RealPairThreshold is raised by the first sweep that reaches the
-    threshold, and GridTooCoarse, when doubling the radial panel count
-    moves the result by more than refine_tol, before the edge sweep. The
+    threshold. ConfigError follows it when the integral overflows, then
+    GridTooCoarse, when doubling the radial panel count moves the result
+    by more than refine_tol, both before the edge sweep, and ConfigError
+    when a tail estimate overflows after it; no overflow warns. The
     scalar arguments are checked with math.isfinite: ConfigError for a
     non-finite k3, cutoff, photon_energy or refine_tol, a negative
     refine_tol (0 demands an exact match), a cutoff above _MAX_CUTOFF, or
-    a coupling scale that is not a finite normal float, all before the
-    first sweep. `n_threads` is accepted and has no effect: the momentum
+    a coupling scale that is not a finite normal float or whose -2 P0 is
+    not finite, all before the first sweep. `n_threads` is accepted and has no effect: the momentum
     sum runs as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
@@ -497,8 +511,9 @@ def total_shift(
         raise ConfigError(f"cutoff {cutoff!r} exceeds {_MAX_CUTOFF:g}")
     if photon_energy is None:
         photon_energy = k_norm
-    # P0 at V = 1, see _MEASURE
-    p0 = coupling_prefactor(1.0, 1.0, constants.with_volume(1.0)) ** 2
+    # -2 P0 at V = 1, see _MEASURE; halving it is exact
+    scale = _density_scale(constants.with_volume(1.0))
+    p0 = -0.5 * scale
     log_range = (math.log(1e-4 * m), math.log(cutoff))
     n_radial = grid.n_radial
 
@@ -506,9 +521,16 @@ def total_shift(
     # the coarse linspace step is exactly twice the doubled grid's, so its edges
     # are bit for bit the even ones; a copy, so the report does not hold fine_edges
     edges = fine_edges[::2].copy()
-    panel_sums = _panel_sums(fine_edges, k_norm, grid, m, photon_energy, -2.0 * p0)
-    total = float(panel_sums[:n_radial].sum())
-    refined = float(panel_sums[n_radial:].sum())
+    # a coupling too large for these momenta overflows in the sweep; the check
+    # below turns that into a ConfigError. The panel sums share one sign, so
+    # every partial sum is finite once the total is
+    with np.errstate(over="ignore", invalid="ignore"):
+        panel_sums = _panel_sums(fine_edges, k_norm, grid, m, photon_energy, scale)
+        total = float(panel_sums[:n_radial].sum())
+        refined = float(panel_sums[n_radial:].sum())
+    if not (math.isfinite(total) and math.isfinite(refined)):
+        raise ConfigError(f"the pair shift overflows: -2 P0 = {scale!r} is too large "
+                          f"for these momenta")
     # an all-underflowed integral has no relative move; NaN does not trip the guard
     refine_delta = abs(total - refined) / abs(refined) if refined else math.nan
     if refine_delta > refine_tol:
@@ -535,7 +557,11 @@ def total_shift(
 
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
     tail_estimates = _cubed_measure(shape, cutoffs)
-    tail_estimates *= p0
+    with np.errstate(over="ignore"):
+        tail_estimates *= p0
+    if not np.isfinite(tail_estimates).all():
+        raise ConfigError(f"a tail estimate overflows: P0 = {p0!r} is too large "
+                          f"for these momenta")
 
     report = ConvergenceReport(
         cutoffs, partial_sums, tail_estimates, fitted_slope, refine_delta
@@ -544,11 +570,23 @@ def total_shift(
 
 
 def correction_factor(delta_e: float, photon_energy: float, pair_shift: float) -> float:
-    """First-order multiplier (shift / E_k) ((dE)^2 + E_k^2) / ((dE)^2 - E_k^2)."""
+    """First-order multiplier (shift / E_k) ((dE)^2 + E_k^2) / ((dE)^2 - E_k^2).
+
+    Raises PoleEncountered at (dE)^2 = E_k^2, ZeroWavevector at E_k = 0, and
+    ConfigError when (dE)^2 - E_k^2 or the factor is not a finite float.
+    """
     denom = delta_e * delta_e - photon_energy * photon_energy
     if denom == 0.0:
         raise PoleEncountered("correction factor pole at (dE)^2 = E_k^2")
-    return (pair_shift / photon_energy) * (delta_e * delta_e + photon_energy**2) / denom
+    if photon_energy == 0.0:
+        raise ZeroWavevector("correction factor undefined for E_k = 0")
+    if math.isfinite(denom):
+        # E_k^2 is then in range, so the power cannot overflow
+        factor = (pair_shift / photon_energy) * (delta_e * delta_e + photon_energy**2) / denom
+        if math.isfinite(factor):
+            return factor
+    raise ConfigError(f"correction factor is not a finite float: dE = {delta_e!r}, "
+                      f"E_k = {photon_energy!r}, pair shift = {pair_shift!r}")
 
 
 class CorrectedAmplitude(namedtuple("CorrectedAmplitude",
@@ -630,13 +668,16 @@ def corrected_pair_coupling(
 ) -> complex:
     """Pair coupling rescaled by sqrt(factor_cm / factor_here).
 
-    Both factors must be nonzero and share a sign; in the zero-momentum frame
-    they coincide and the rescale is 1.
+    Both factors must be nonzero and share a sign (else SignMismatch), and
+    their ratio must be a positive finite float (else ConfigError); in the
+    zero-momentum frame they coincide and the rescale is 1.
     """
     if factor_here == 0.0 or factor_cm == 0.0 or (factor_here > 0.0) != (factor_cm > 0.0):
         raise SignMismatch(
             f"correction factors must share a sign: cm={factor_cm!r} here={factor_here!r}"
         )
-    return pair_coupling(p3, k3, s, s_out, alpha, constants) * math.sqrt(
-        factor_cm / factor_here
-    )
+    ratio = factor_cm / factor_here
+    if not 0.0 < ratio < math.inf:
+        raise ConfigError(f"correction factor ratio cm / here = {ratio!r} is not a positive "
+                          f"finite float: cm={factor_cm!r} here={factor_here!r}")
+    return pair_coupling(p3, k3, s, s_out, alpha, constants) * math.sqrt(ratio)

@@ -772,6 +772,33 @@ class TestUnderflowingVacpol:
         assert -4.2 < doc["fitted_slope"] < -3.8
 
 
+class TestOverflowingVacpol:
+    """Runs whose coupling overflows -2 P0 or the integral, in a fresh interpreter under
+    error::RuntimeWarning: each exits 2 with one message and writes no artifact."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--constant", "eps0", "6e-310"], "density scale -2 (e c hbar)^2 / (V eps0) is not "
+                                           "a finite float"),
+        (["--constant", "e", "1.2e154"], "density scale -2 (e c hbar)^2 / (V eps0) is not "
+                                         "a finite float"),
+        (["--constant", "m_e", "1e50", "--k", "0", "0", "1e50", "--cutoff", "1e52",
+          "--constant", "e", "1e130"], "the pair shift overflows: -2 P0 = -2e+260 is too "
+                                       "large for these momenta"),
+    ])
+    def test_exits_2_without_artifacts(self, tmp_path, argv, message):
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]),
+                   PYTHONWARNINGS="error::RuntimeWarning")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlambda.cli", "vacpol", *argv, "--out", str(out),
+             "--summary", str(summary)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"configuration error: {message}\n"
+        assert not out.exists() and not summary.exists()
+
+
 class TestFormatFlag:
     @pytest.mark.parametrize("command", [
         ["boost-scan", "--process", "compton"],

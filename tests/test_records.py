@@ -153,6 +153,13 @@ def test_default_provenance_is_a_fresh_dict():
      "grid too large: need n_theta <= 1024 and n_radial * n_theta <= 262144"),
     (lambda: GridSpec(n_radial=1024, n_theta=512), ConfigError,
      "grid too large: need n_theta <= 1024 and n_radial * n_theta <= 262144"),
+    (lambda: GridSpec(n_radial=8.5), ConfigError, "grid sizes must be integers, got n_radial=8.5"),
+    (lambda: GridSpec(n_radial=math.nan), ConfigError,
+     "grid sizes must be integers, got n_radial=nan"),
+    (lambda: GridSpec(n_theta=16.0), ConfigError, "grid sizes must be integers, got n_theta=16.0"),
+    (lambda: GridSpec(n_phi=True), ConfigError, "grid sizes must be integers, got n_phi=True"),
+    (lambda: GridSpec(n_radial="96"), ConfigError,
+     "grid sizes must be integers, got n_radial='96'"),
     (lambda: LevelSystem([[0.0]], np.zeros((1, 1))), ConfigError,
      "energies must be a list of numbers, got shape (1, 1)"),
     (lambda: LevelSystem([0.0], np.zeros((1, 1))), ConfigError,
@@ -171,6 +178,11 @@ def test_constructor_checks(build, error, message):
         build()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_grid_sizes_accept_numpy_integers():
+    grid = GridSpec(n_radial=np.int64(48), n_theta=np.int32(8), n_phi=np.uint8(4))
+    assert grid == GridSpec(48, 8, 4)
 
 
 def test_with_volume_keeps_the_other_constants():

@@ -11,6 +11,7 @@ from qlambda.errors import (
     ConfigError,
     CorrectionTooLarge,
     GridTooCoarse,
+    PoleEncountered,
     RealPairThreshold,
     SignMismatch,
     ZeroWavevector,
@@ -929,3 +930,87 @@ class TestCorrectedPairCoupling:
             corrected_pair_coupling((0.1, 0.2, 0.3), K3, 1, 1, 1, 1e-4, -1e-4)
         with pytest.raises(SignMismatch):
             corrected_pair_coupling((0.1, 0.2, 0.3), K3, 1, 1, 1, 0.0, 1e-4)
+
+    @pytest.mark.parametrize("factor_cm, factor_here, ratio", [
+        (math.inf, 1.0, "inf"),
+        (1.0, math.inf, "0.0"),
+        (-math.inf, -1e-4, "inf"),
+        (1e300, 1e-300, "inf"),
+        (1e-300, 1e300, "0.0"),
+    ])
+    def test_ratio_out_of_range(self, factor_cm, factor_here, ratio):
+        # each once gave a NaN or zero coupling without an error
+        with pytest.raises(ConfigError, match=f"cm / here = {ratio} is not a positive finite"):
+            corrected_pair_coupling((0.1, 0.2, 0.3), K3, 1, 1, 1, factor_cm, factor_here)
+
+
+class TestCorrectionFactorDomain:
+    def test_zero_photon_energy(self):
+        # once a bare ZeroDivisionError
+        with pytest.raises(ZeroWavevector, match="undefined for E_k = 0"):
+            correction_factor(1.0, 0.0, 1e-3)
+
+    def test_pole_comes_first(self):
+        with pytest.raises(PoleEncountered, match="pole at"):
+            correction_factor(0.0, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("args", [
+        (1e200, 1.0, 1e-3),  # once nan: inf / inf
+        (1.0, 1e200, 1e-3),  # once an OverflowError from E_k**2
+        (math.nan, 1.0, 1e-3),
+        (2.0, 1.0, math.inf),
+        (2.0, 1e-300, 1e300),  # the factor itself overflows
+    ])
+    def test_not_finite(self, args):
+        with pytest.raises(ConfigError, match="correction factor is not a finite float"):
+            correction_factor(*args)
+
+    def test_finite_values_keep_their_bits(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            delta_e, e_k, shift = (float(x) for x in rng.uniform(-3.0, 3.0, 3))
+            expected = (shift / e_k) * (delta_e * delta_e + e_k**2) / (delta_e * delta_e
+                                                                       - e_k * e_k)
+            assert correction_factor(delta_e, e_k, shift).hex() == expected.hex()
+
+
+class TestOverflowingCoupling:
+    """A coupling whose -2 P0, integral or tail estimates overflow is a ConfigError."""
+
+    @pytest.mark.parametrize("constants", [Constants(eps0=6e-310), Constants(e=1.2e154)])
+    def test_density_scale(self, monkeypatch, constants):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept with an overflowing density scale")
+
+        monkeypatch.setattr(vacuum, "_radial_profile", no_sweep)
+        message = r"density scale -2 \(e c hbar\)\^2 / \(V eps0\) is not a finite float"
+        for call in (lambda: vacuum._density_scale(constants),
+                     lambda: total_shift(K3, 1e4, constants=constants),
+                     lambda: vacuum.pair_shift_sample((0.1, 0.2, 0.3), K3, constants)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
+    def test_scale_is_the_old_product(self):
+        for constants in (NATURAL, Constants(e=1e150), Constants(eps0=1e-300, V=3.0)):
+            expected = -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
+            assert vacuum._density_scale(constants).hex() == expected.hex()
+            assert (-0.5 * expected).hex() == (coupling_prefactor(1.0, 1.0, constants) ** 2).hex()
+
+    def test_integral(self):
+        with pytest.raises(ConfigError, match="the pair shift overflows: -2 P0 = -2e"):
+            total_shift((0.0, 0.0, 1e50), 1e52, constants=Constants(m_e=1e50, e=1e130))
+
+    def test_tail_estimates(self, monkeypatch):
+        # the edge sweep runs at unit coupling; a shape this large overflows once
+        # scaled by P0, which no reported number may do
+        radial_profile = vacuum._radial_profile
+
+        def large_edges(radius_sets, *args):
+            profile = radial_profile(radius_sets, *args)
+            if len(radius_sets) == 1:
+                profile *= 1e307
+            return profile
+
+        monkeypatch.setattr(vacuum, "_radial_profile", large_edges)
+        with pytest.raises(ConfigError, match="a tail estimate overflows"):
+            total_shift(K3, 1e4, constants=Constants(e=1e10))
