@@ -284,9 +284,10 @@ class GridSpec(namedtuple("GridSpec", "n_radial n_theta n_phi")):
     """Log-radial grid x Gauss rule in the angle to k for the momentum sum.
 
     `n_phi` is accepted and has no effect: the summed density does not depend
-    on the azimuth about k. A size that is not an int or a numpy integer (a
-    bool, a float even when integral), `n_theta` above _MAX_N_THETA or
-    `n_radial * n_theta` above _MAX_GRID_NODES is a ConfigError.
+    on the azimuth about k. Sizes are stored as int. A size that is not an
+    int or a numpy integer (a bool, a float even when integral), `n_theta`
+    above _MAX_N_THETA or `n_radial * n_theta` above _MAX_GRID_NODES is a
+    ConfigError.
     """
 
     __slots__ = ()
@@ -296,6 +297,8 @@ class GridSpec(namedtuple("GridSpec", "n_radial n_theta n_phi")):
             if type(size) is not int and (isinstance(size, bool)
                                           or not isinstance(size, numbers.Integral)):
                 raise ConfigError(f"grid sizes must be integers, got {name}={size!r}")
+        # Python ints: a numpy integer's product below could wrap past the cap
+        n_radial, n_theta, n_phi = int(n_radial), int(n_theta), int(n_phi)
         if n_radial < 4 or n_theta < 2 or n_phi < 1:
             raise ConfigError("grid too small: need n_radial >= 4, n_theta >= 2, n_phi >= 1")
         if n_theta > _MAX_N_THETA or n_radial * n_theta > _MAX_GRID_NODES:

@@ -183,6 +183,10 @@ def test_constructor_checks(build, error, message):
 def test_grid_sizes_accept_numpy_integers():
     grid = GridSpec(n_radial=np.int64(48), n_theta=np.int32(8), n_phi=np.uint8(4))
     assert grid == GridSpec(48, 8, 4)
+    assert tuple(map(type, grid)) == (int, int, int)
+    # stored as Python ints, whose node-count product does not wrap
+    with pytest.raises(ConfigError, match="grid too large"):
+        GridSpec(n_radial=np.int64(2**62), n_theta=np.int64(4))
 
 
 def test_with_volume_keeps_the_other_constants():
