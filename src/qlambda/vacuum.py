@@ -560,11 +560,11 @@ def total_shift(
 
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
     tail_estimates = _cubed_measure(shape, cutoffs)
-    with np.errstate(over="ignore"):
-        tail_estimates *= p0
-    if not np.isfinite(tail_estimates).all():
+    # no estimate is positive, so none overflows when the smallest times P0 is finite
+    if not math.isfinite(float(tail_estimates.min()) * p0):
         raise ConfigError(f"a tail estimate overflows: P0 = {p0!r} is too large "
                           f"for these momenta")
+    tail_estimates *= p0
 
     report = ConvergenceReport(
         cutoffs, partial_sums, tail_estimates, fitted_slope, refine_delta
