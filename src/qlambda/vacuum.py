@@ -484,7 +484,8 @@ def total_shift(
     threshold. ConfigError follows it when the integral overflows, then
     GridTooCoarse, when doubling the radial panel count moves the result
     by more than refine_tol, both before the edge sweep, and ConfigError
-    when a tail estimate overflows after it; no overflow warns. The
+    when a tail estimate overflows after it; with P0 above 1 the first sweep
+    runs with numpy's overflow warnings off, so its overflow does not warn. The
     scalar arguments are checked with math.isfinite: ConfigError for a
     non-finite k3, cutoff, photon_energy or refine_tol, a negative
     refine_tol (0 demands an exact match), a cutoff above _MAX_CUTOFF, or
