@@ -223,10 +223,13 @@ def cmd_vacpol(args) -> int:
                                        photon_energy=args.photon_energy,
                                        refine_tol=args.refine_tol)
     _write_csv(args.out, report)
+    # JSON has no NaN: a slope or delta that is undefined is written as null
+    slope, delta = (value if math.isfinite(value) else None
+                    for value in (report.fitted_slope, report.refine_delta))
     summary = {
         "pair_shift": shift,
-        "fitted_slope": report.fitted_slope,
-        "refine_delta": report.refine_delta,
+        "fitted_slope": slope,
+        "refine_delta": delta,
         "cutoff": float(args.cutoff),
         "photon_energy": args.photon_energy
         if args.photon_energy is not None

@@ -13,7 +13,6 @@ the scattering module.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import numbers
@@ -104,10 +103,8 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _cylindrical_terms(
-    p_sq, p_perp2, p_par, k_norm: float, m: float, photon_energy: float, scale: float
-):
-    """E', spinor factor and shift density in cylindrical coordinates about k.
+def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_energy: float):
+    """E', spinor factor and unit-coupling shift density in cylindrical coordinates about k.
 
     `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` are arrays,
     `p_perp2` and `p_par` of one shape, or the Python floats of one sample;
@@ -127,9 +124,8 @@ def _cylindrical_terms(
     cannot overflow, and a |k|^2 that underflows drops out instead of
     dividing. The squared prefactor P0 eta1^2 / C (C = E + E') times the
     bracket 1/(w - C) - 1/(w + C) is -2 P0 (m^2 / E'^2) / (C^2 - w^2), with
-    P0 = coupling_prefactor(1, 1)^2; `scale` is the caller's -2 P0
-    (`_density_scale`), so a pass at unit coupling passes -2.0 and needs no
-    Constants of its own. The bracket has poles at w = +-C, so
+    P0 = coupling_prefactor(1, 1)^2; the kernel returns it at P0 = 1 and
+    needs no Constants. The bracket has poles at w = +-C, so
     RealPairThreshold is raised once |w| reaches C at any momentum; scaling
     the smallest C by 1 - 1e-12 rounds exactly as scaling each C would.
 
@@ -137,7 +133,7 @@ def _cylindrical_terms(
     temporary of this call: on arrays it writes in place, so a grid block
     allocates one array per new name and none per operation, and on the
     floats of a single sample it rebinds. The density is grouped as
-    ((m^2 / E'^2) / (C^2 - w^2)) spinor (-2 P0): each step stays in range wherever
+    ((m^2 / E'^2) / (C^2 - w^2)) spinor (-2): each step stays in range wherever
     the density itself is, from |p| ~ 1e150 (where E'^2 (C^2 - w^2) would
     overflow) down to m ~ 1e-150 (where (spinor / E'^2) / (C^2 - w^2),
     with m^2 folded into P0, would overflow as 1 / m^4).
@@ -170,7 +166,7 @@ def _cylindrical_terms(
     combined -= photon_energy * photon_energy
     density /= combined
     density *= spinor
-    density *= scale
+    density *= -2.0
     return e_pk, spinor, density
 
 
@@ -195,9 +191,10 @@ def _cylindrical_coordinates(px, py, pz, k_list, k_norm: float):
 
 
 def _density_scale(constants: Constants) -> float:
-    """-2 P0, the kernel's density scale, with P0 = coupling_prefactor(1, 1)^2.
+    """-2 P0, the density scale, with P0 = coupling_prefactor(1, 1)^2.
 
     The one place -2 P0 is formed: a scale that overflows is a ConfigError.
+    Halving it gives P0 exactly, the factor each result applies once.
     """
     scale = -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
     if not math.isfinite(scale):
@@ -209,15 +206,17 @@ def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon
     """eta1, spinor factor and shift density for momenta of shape (..., 3).
 
     The Cartesian entry to `_cylindrical_terms` for arrays of momenta;
-    eta1 = m / E' comes from the kernel's E'.
+    eta1 = m / E' comes from the kernel's E', and the density is scaled by P0.
     """
+    p0 = -0.5 * _density_scale(constants)
     k_list = k3.tolist()
     k_norm = math.hypot(*k_list)
     m = constants.m_e
     e_pk, spinor_factor, density = _cylindrical_terms(
         *_cylindrical_coordinates(*p3s.transpose(-1, *range(p3s.ndim - 1)), k_list, k_norm),
-        k_norm, m, photon_energy, _density_scale(constants),
+        k_norm, m, photon_energy,
     )
+    density *= p0
     return m / e_pk, spinor_factor, density
 
 
@@ -239,9 +238,10 @@ def pair_shift_sample(
 ) -> PairShiftSample:
     """Shift density at one pair momentum, with its provenance fields.
 
-    The kernel runs on the Python floats of the components. Raises
-    ConfigError for a non-finite p3, k3 or photon_energy, or for momenta
-    whose squared energies overflow.
+    The kernel runs on the Python floats of the components; its density is
+    scaled by P0 here. Raises ConfigError for a non-finite p3, k3 or
+    photon_energy, for momenta whose squared energies overflow, and for a
+    density that overflows once scaled.
     """
     p3 = np.array(p3, dtype=float)
     k3 = np.array(k3, dtype=float)
@@ -259,10 +259,14 @@ def pair_shift_sample(
         raise ConfigError(f"|p| + |k| + m = {reach:.3g} must have a finite square")
     if photon_energy is None:
         photon_energy = k_norm
+    scale = _density_scale(constants)
     e_pk, spinor_factor, density = _cylindrical_terms(
-        *_cylindrical_coordinates(*p_list, k_list, k_norm), k_norm, constants.m_e,
-        photon_energy, _density_scale(constants),
+        *_cylindrical_coordinates(*p_list, k_list, k_norm), k_norm, constants.m_e, photon_energy
     )
+    density *= -0.5 * scale
+    if not math.isfinite(density):
+        raise ConfigError(f"the shift density overflows: -2 P0 = {scale!r} is too large "
+                          f"for this momentum")
     p3.setflags(write=False)
     k3.setflags(write=False)
     return tuple.__new__(PairShiftSample, (p3, k3, float(constants.m_e / e_pk),
@@ -335,15 +339,9 @@ class ConvergenceReport(namedtuple("ConvergenceReport", (
         }
 
 
-def _radial_profile(
-    radius_sets: tuple[np.ndarray, ...],
-    k_norm: float,
-    grid: GridSpec,
-    m: float,
-    photon_energy: float,
-    scale: float,
-) -> np.ndarray:
-    """Angular integral of the density at each radius, in one sweep of blocks.
+def _radial_profile(radius_sets: tuple[np.ndarray, ...], k_norm: float, grid: GridSpec,
+                    m: float, photon_energy: float) -> np.ndarray:
+    """Angular integral of the unit-coupling density at each radius, in one sweep of blocks.
 
     The summed density depends only on |p| and the angle to k, so the polar
     axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
@@ -356,8 +354,7 @@ def _radial_profile(
     same value the broadcast product gives, but numpy's broadcast multiply
     runs its inner loop once per angle row and takes about twice as long
     (6-8 against 2-3 us per 4096-point grid). Radii run along the last
-    axis, so the per-radius E, E^2 broadcast over contiguous rows. `scale`
-    is the kernel's density scale -2 P0.
+    axis, so the per-radius E, E^2 broadcast over contiguous rows.
 
     `radius_sets` is a sequence of radius arrays; the profile holds all
     their radii in order, flattened. Each set is blocked from its own first
@@ -379,7 +376,7 @@ def _radial_profile(
             r_sq = block * block
             _, _, dens = _cylindrical_terms(
                 r_sq, np.dot(sin_sq_column, r_sq[None]), np.dot(cos_column, block[None]),
-                k_norm, m, photon_energy, scale,
+                k_norm, m, photon_energy,
             )
             np.dot(angular, dens, out=profile[offset + start:offset + start + block.size])
         offset += radii.size
@@ -405,14 +402,8 @@ def _panel_nodes(fine_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, radii
 
 
-def _panel_sums(
-    fine_edges: np.ndarray,
-    k_norm: float,
-    grid: GridSpec,
-    m: float,
-    photon_energy: float,
-    scale: float,
-) -> np.ndarray:
+def _panel_sums(fine_edges: np.ndarray, k_norm: float, grid: GridSpec, m: float,
+                photon_energy: float) -> np.ndarray:
     """Panel-wise Gauss quadrature in log radius on two radial grids at once.
 
     Returns the panel sums of the coarse grid, every other edge of the
@@ -422,9 +413,8 @@ def _panel_sums(
     """
     half, radii = _panel_nodes(fine_edges)
     n_coarse = fine_edges.size // 2
-    profile = _radial_profile(
-        (radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m, photon_energy, scale
-    )
+    profile = _radial_profile((radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m,
+                              photon_energy)
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
     integrand = _cubed_measure(profile.reshape(radii.shape), radii)
     del radii  # the weights below take its place at the grid caps' peak
@@ -473,10 +463,10 @@ def total_shift(
     linspace, off by about 1e-13 relative, and at least 8.8e-5 relative
     apart, so the window is cut at 1 - 1e-9 of cutoff / 100 and does not
     depend on which way that edge rounds.
-    F is the profile at unit coupling, P0 = (e c hbar)^2 / (V eps0) = 1:
-    the centring removes log P0 anyway, and the coupling-free profile stays
-    in range where P0 F underflows (e = 1e-150 at a cutoff of 1e60). The
-    tail estimates are that profile's _MEASURE r^3 F times P0.
+    Both sweeps run at unit coupling, P0 = (e c hbar)^2 / (V eps0) = 1, and
+    P0 is applied once to each reported total, partial sum and tail
+    estimate: F stays in range where P0 F underflows (e = 1e-150 at a
+    cutoff of 1e60), and the centred fit removes log P0 anyway.
 
     The profile runs in two sweeps, in this order: the Gauss nodes of the
     coarse panels and of the doubled grid together, then the cutoff edges.
@@ -484,14 +474,13 @@ def total_shift(
     threshold. ConfigError follows it when the integral overflows, then
     GridTooCoarse, when doubling the radial panel count moves the result
     by more than refine_tol, both before the edge sweep, and ConfigError
-    when a tail estimate overflows after it; with P0 above 1 the first sweep
-    runs with numpy's overflow warnings off, so its overflow does not warn. The
-    scalar arguments are checked with math.isfinite: ConfigError for a
-    non-finite k3, cutoff, photon_energy or refine_tol, a negative
-    refine_tol (0 demands an exact match), a cutoff above _MAX_CUTOFF, or
-    a coupling scale that is not a finite normal float or whose -2 P0 is
-    not finite, all before the first sweep. `n_threads` is accepted and has
-    no effect: the momentum sum runs as one vectorized pass.
+    when a tail estimate overflows after it. The scalar arguments are
+    checked with math.isfinite: ConfigError for a non-finite k3, cutoff,
+    photon_energy or refine_tol, a negative refine_tol (0 demands an exact
+    match), a cutoff above _MAX_CUTOFF, or a coupling scale that is not a
+    finite normal float or whose -2 P0 is not finite, all before the first
+    sweep. `n_threads` is accepted and has no effect: the momentum sum runs
+    as one vectorized pass.
     """
     k3 = np.asarray(k3, dtype=float)
     k_list = k3.tolist()
@@ -526,15 +515,10 @@ def total_shift(
     # the coarse linspace step is exactly twice the doubled grid's, so its edges
     # are bit for bit the even ones; a copy, so the report does not hold fine_edges
     edges = fine_edges[::2].copy()
-    # a coupling too large for these momenta overflows in the sweep; the check
-    # below turns that into a ConfigError. At P0 <= 1 no value of the sweep
-    # exceeds its value at unit coupling, so only a larger P0 turns numpy's
-    # overflow warnings off, which costs about 1 % of the sweep. The panel
-    # sums share one sign, so every partial sum is finite once the total is
-    with np.errstate(over="ignore", invalid="ignore") if p0 > 1.0 else contextlib.nullcontext():
-        panel_sums = _panel_sums(fine_edges, k_norm, grid, m, photon_energy, scale)
-        total = float(panel_sums[:n_radial].sum())
-        refined = float(panel_sums[n_radial:].sum())
+    panel_sums = _panel_sums(fine_edges, k_norm, grid, m, photon_energy)
+    # a coupling too large for these momenta overflows here, in Python floats
+    total = float(panel_sums[:n_radial].sum()) * p0
+    refined = float(panel_sums[n_radial:].sum()) * p0
     if not (math.isfinite(total) and math.isfinite(refined)):
         raise ConfigError(f"the pair shift overflows: -2 P0 = {scale!r} is too large "
                           f"for these momenta")
@@ -547,11 +531,10 @@ def total_shift(
         )
 
     cutoffs = edges[1:]
+    # the panel sums share one sign, so every partial sum is finite once the total is
     partial_sums = np.cumsum(panel_sums[:n_radial])
-    # the edge sweep runs at unit coupling, scale -2 P0 = -2: the density is
-    # P0 times a coupling-free shape, and the slope fit reads the shape
-    # alone, which stays in range where P0 times it (about e^2 p^-4) underflows
-    shape = _radial_profile((cutoffs,), k_norm, grid, m, photon_energy, -2.0)
+    partial_sums *= p0
+    shape = _radial_profile((cutoffs,), k_norm, grid, m, photon_energy)
 
     # closed-form least squares about the means; a one-radius window has no slope
     window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
@@ -675,10 +658,12 @@ def corrected_pair_coupling(
 ) -> complex:
     """Pair coupling rescaled by sqrt(factor_cm / factor_here).
 
-    Both factors must be nonzero and share a sign (else SignMismatch), and
-    their ratio must be a positive finite float (else ConfigError); in the
-    zero-momentum frame they coincide and the rescale is 1.
+    The factors must not be NaN (else ConfigError), must be nonzero and share
+    a sign (else SignMismatch), and their ratio must be a positive finite
+    float (else ConfigError); in the zero-momentum frame the rescale is 1.
     """
+    if math.isnan(factor_cm) or math.isnan(factor_here):
+        raise ConfigError(f"a correction factor is NaN: cm={factor_cm!r} here={factor_here!r}")
     if factor_here == 0.0 or factor_cm == 0.0 or (factor_here > 0.0) != (factor_cm > 0.0):
         raise SignMismatch(
             f"correction factors must share a sign: cm={factor_cm!r} here={factor_here!r}"

@@ -782,8 +782,9 @@ class TestOverflowingVacpol:
         (["--constant", "e", "1.2e154"], "density scale -2 (e c hbar)^2 / (V eps0) is not "
                                          "a finite float"),
         (["--constant", "m_e", "1e50", "--k", "0", "0", "1e50", "--cutoff", "1e52",
-          "--constant", "e", "1e130"], "the pair shift overflows: -2 P0 = -2e+260 is too "
-                                       "large for these momenta"),
+          "--constant", "e", "1e131"], "the pair shift overflows: -2 P0 = "
+                                       "-1.9999999999999997e+262 is too large for these "
+                                       "momenta"),
     ])
     def test_exits_2_without_artifacts(self, tmp_path, argv, message):
         out, summary = tmp_path / "c.csv", tmp_path / "s.json"
@@ -797,6 +798,45 @@ class TestOverflowingVacpol:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"configuration error: {message}\n"
         assert not out.exists() and not summary.exists()
+
+
+class TestUndefinedVacpolDiagnostics:
+    """A slope or refinement delta that is undefined is written as null, in a fresh
+    interpreter under error::RuntimeWarning; both runs once wrote NaN."""
+
+    def run(self, tmp_path, argv):
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(qlambda.__file__).parents[1]),
+                   PYTHONWARNINGS="error::RuntimeWarning")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlambda.cli", "vacpol", *argv, "--out", str(out),
+             "--summary", str(summary)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        return json.loads(summary.read_text(), parse_constant=reject)
+
+    def test_one_radius_fit_window(self, tmp_path):
+        doc = self.run(tmp_path, ["--n-radial", "4", "--n-theta", "8", "--cutoff", "1e6",
+                                  "--refine-tol", "100"])
+        assert doc["fitted_slope"] is None
+        assert doc["pair_shift"] < 0.0 and 0.0 < doc["refine_delta"] < 100.0
+
+    def test_underflowing_total(self, tmp_path):
+        doc = self.run(tmp_path, ["--constant", "m_e", "1e-150", "--constant", "e", "1.5e-154",
+                                  "--k", "0", "0", "5e-151", "--cutoff", "1e-146"])
+        assert doc["refine_delta"] is None
+        assert doc["pair_shift"] == 0.0 and -4.2 < doc["fitted_slope"] < -3.8
+
+    def test_largest_finite_shift(self, tmp_path):
+        # the shift is 1e260 times the e = 1 run, a finite float; e = 1e131 exits 2
+        doc = self.run(tmp_path, ["--constant", "m_e", "1e50", "--k", "0", "0", "1e50",
+                                  "--cutoff", "1e52", "--constant", "e", "1e130"])
+        assert -1.8e308 < doc["pair_shift"] < -1e308
 
 
 class TestFormatFlag:

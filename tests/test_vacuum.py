@@ -442,7 +442,6 @@ class TestCylindricalKernel:
         # one kernel: Python floats of one sample and the array path agree bit for
         # bit, element by element, from |p| = 1e150 down to m = 1e-150, signed zeros included
         rng = np.random.default_rng(38)
-        constants = Constants(m_e=m)
         p3s = rng.normal(size=(300, 3)) * m * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1))
         p3s[:6] = [[1e150, 0.0, 0.0], [0.0, -1e150, 1e149], [-0.0, 0.3 * m, -0.0],
                    [0.0, -0.0, m], [-0.0, -0.0, -2.0 * m], [0.2 * m, -0.0, 0.0]]
@@ -452,12 +451,11 @@ class TestCylindricalKernel:
             k_list = k3.tolist()
             k_norm = math.hypot(*k_list)
             coordinates = vacuum._cylindrical_coordinates(*p3s.T, k_list, k_norm)
-            scale = vacuum._density_scale(constants)
             for energy in (k_norm, 0.0, -0.5 * k_norm, 1.5 * m):
-                arrays = vacuum._cylindrical_terms(*coordinates, k_norm, m, energy, scale)
+                arrays = vacuum._cylindrical_terms(*coordinates, k_norm, m, energy)
                 for i in range(len(p3s)):
                     floats = vacuum._cylindrical_terms(
-                        *(float(c[i]) for c in coordinates), k_norm, m, energy, scale)
+                        *(float(c[i]) for c in coordinates), k_norm, m, energy)
                     assert all(type(term) is float for term in floats)
                     assert [term.hex() for term in floats] == [
                         float(array[i]).hex() for array in arrays]
@@ -465,7 +463,8 @@ class TestCylindricalKernel:
     def test_sample_equals_grid_node(self):
         # along, against and across k = (0, 0, |k|) the Cartesian reduction is exact
         # for radii with exact squares, so a sample is the grid kernel's density
-        # at the (r, cos theta) node, bit for bit
+        # at the (r, cos theta) node times P0, bit for bit
+        p0 = coupling_prefactor(1.0, 1.0, NATURAL) ** 2
         radii = np.array([2.0**-30 * 1.125, 0.375, 1.25, 3.0, 2.0**40 * 1.5])
         cos_t = np.array([-1.0, 0.0, 1.0])
         for k_norm in (0.5, 2.75):
@@ -473,14 +472,13 @@ class TestCylindricalKernel:
                 w = k_norm if energy is None else energy
                 _, _, grid = vacuum._cylindrical_terms(
                     radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
-                    np.multiply.outer(cos_t, radii), k_norm, 1.0, w,
-                    vacuum._density_scale(NATURAL))
+                    np.multiply.outer(cos_t, radii), k_norm, 1.0, w)
                 for j, r in enumerate(radii.tolist()):
                     for node, p3 in ((0, (0.0, 0.0, -r)), (1, (r, 0.0, 0.0)),
                                      (1, (0.0, r, 0.0)), (2, (0.0, 0.0, r))):
                         sample = vacuum.pair_shift_sample(p3, (0.0, 0.0, k_norm),
                                                           photon_energy=energy)
-                        assert sample.shift_density.hex() == float(grid[node, j]).hex()
+                        assert sample.shift_density.hex() == float(grid[node, j] * p0).hex()
 
     def test_sample_runs_without_numpy_math(self, monkeypatch):
         # a sample builds its two read-only arrays and nothing else from numpy
@@ -503,17 +501,16 @@ class TestCylindricalKernel:
         k_norm = float(np.linalg.norm(k3))
         grid = (radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
                 np.multiply.outer(cos_t, radii))
-        scale = vacuum._density_scale(NATURAL)
 
         def two_sets(radii, other, *rest):
             return vacuum._radial_profile((radii, other), *rest)
 
         fine_edges = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 17))
         calls = [
-            (vacuum._cylindrical_terms, grid, (k_norm, 1.0, 1.3, scale)),
+            (vacuum._cylindrical_terms, grid, (k_norm, 1.0, 1.3)),
             (vacuum._density_terms, (p3s, k3), (NATURAL, 1.3)),
-            (two_sets, (radii, 2.0 * radii), (k_norm, GridSpec(), 1.0, 1.3, scale)),
-            (vacuum._panel_sums, (fine_edges,), (k_norm, GridSpec(), 1.0, 1.3, scale)),
+            (two_sets, (radii, 2.0 * radii), (k_norm, GridSpec(), 1.0, 1.3)),
+            (vacuum._panel_sums, (fine_edges,), (k_norm, GridSpec(), 1.0, 1.3)),
         ]
         for fn, arrays, rest in calls:
             copies = [array.copy() for array in arrays]
@@ -585,9 +582,9 @@ class TestRadialProfile:
     @pytest.mark.parametrize("energy", [None, 1.3, -1.0])
     def test_matches_mpmath_oracle(self, k_norm, energy):
         omega = k_norm if energy is None else energy
-        profile = vacuum._radial_profile(
-            (self.RADII,), k_norm, GridSpec(), 1.0, omega, vacuum._density_scale(NATURAL)
-        )
+        # the sweep runs at unit coupling; the oracle carries P0 = e^2
+        profile = vacuum._radial_profile((self.RADII,), k_norm, GridSpec(), 1.0, omega)
+        profile *= coupling_prefactor(1.0, 1.0, NATURAL) ** 2
         for radius, value in zip(self.RADII, profile):
             reference = oracle_profile(radius, k_norm, omega)
             assert value == pytest.approx(reference, rel=1e-13, abs=0.0), radius
@@ -611,8 +608,9 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
     """total_shift composed of three separate passes, each its own _radial_profile call.
 
     The coarse panels, the panels of the doubled grid and the cutoff edges run
-    one after another, each grid blocked alone; the report is assembled as
-    total_shift documents it. Returns (total, report fields by name).
+    one after another at unit coupling, each grid blocked alone, and P0 is
+    applied once to each result; the report is assembled as total_shift
+    documents it. Returns (total, report fields by name).
     """
     k_norm = math.hypot(*k3)
     m = constants.m_e
@@ -627,22 +625,22 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
         lo, hi = log_edges[:-1], log_edges[1:]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         radii = np.exp(mid[:, None] + half[:, None] * gl_nodes)
-        profile = vacuum._radial_profile((radii,), k_norm, grid, m, w, -2.0 * p0)
+        profile = vacuum._radial_profile((radii,), k_norm, grid, m, w)
         integrand = vacuum._cubed_measure(profile.reshape(radii.shape), radii)
         panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
-        return edges, float(panel_sums.sum()), panel_sums
+        return edges, float(panel_sums.sum()) * p0, panel_sums
 
     edges, total, panel_sums = integrate(grid.n_radial)
     _, refined, _ = integrate(2 * grid.n_radial)
     cutoffs = edges[1:]
-    shape = vacuum._radial_profile((cutoffs,), k_norm, grid, m, w, -2.0)
+    shape = vacuum._radial_profile((cutoffs,), k_norm, grid, m, w)
     window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
     log_p, log_f = np.log(cutoffs[window]), np.log(np.abs(shape[window]))
     log_p -= log_p.sum() / log_p.size
     log_f -= log_f.sum() / log_f.size
     return total, {
         "cutoffs": cutoffs,
-        "partial_sums": np.cumsum(panel_sums),
+        "partial_sums": np.cumsum(panel_sums) * p0,
         "tail_estimates": vacuum._cubed_measure(shape, cutoffs) * p0,
         "fitted_slope": float(log_p @ log_f) / float(log_p @ log_p),
         "refine_delta": abs(total - refined) / abs(refined),
@@ -943,6 +941,18 @@ class TestCorrectedPairCoupling:
         with pytest.raises(ConfigError, match=f"cm / here = {ratio} is not a positive finite"):
             corrected_pair_coupling((0.1, 0.2, 0.3), K3, 1, 1, 1, factor_cm, factor_here)
 
+    @pytest.mark.parametrize("factor_cm, factor_here", [
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (-1e-4, math.nan),
+        (math.nan, math.nan),
+        (math.nan, math.inf),
+    ])
+    def test_nan_factor(self, factor_cm, factor_here):
+        # a NaN factor once passed for a sign mismatch, a physics-domain error
+        with pytest.raises(ConfigError, match="a correction factor is NaN"):
+            corrected_pair_coupling((0.1, 0.2, 0.3), K3, 1, 1, 1, factor_cm, factor_here)
+
 
 class TestCorrectionFactorDomain:
     def test_zero_photon_energy(self):
@@ -997,8 +1007,22 @@ class TestOverflowingCoupling:
             assert (-0.5 * expected).hex() == (coupling_prefactor(1.0, 1.0, constants) ** 2).hex()
 
     def test_integral(self):
-        with pytest.raises(ConfigError, match="the pair shift overflows: -2 P0 = -2e"):
-            total_shift((0.0, 0.0, 1e50), 1e52, constants=Constants(m_e=1e50, e=1e130))
+        # at e = 1e130 the shift is -1.1e308, a finite float; at 1e131 it overflows
+        with pytest.raises(ConfigError, match=r"the pair shift overflows: "
+                                              r"-2 P0 = -1\.9999999999999997e\+262"):
+            total_shift((0.0, 0.0, 1e50), 1e52, constants=Constants(m_e=1e50, e=1e131))
+
+    def test_sample(self):
+        # the unit density is finite just below the threshold; times P0 = 1e300 it
+        # overflows, where the sample once returned -inf
+        args = ((0.0, 0.0, -0.25), (0.0, 0.0, 0.5), Constants(e=1e150))
+        energy = 2.0 * math.sqrt(1.0625) * (1.0 - 1e-11)
+        message = r"the shift density overflows: -2 P0 = -1\.9999999999999998e\+300 is too "
+        for call in (vacuum.pair_shift_sample, shift_density):
+            with pytest.raises(ConfigError, match=message):
+                call(*args, photon_energy=energy)
+        finite = vacuum.pair_shift_sample(*args[:2], Constants(e=1e140), photon_energy=energy)
+        assert math.isfinite(finite.shift_density) and finite.shift_density < 0.0
 
     def test_tail_estimates(self, monkeypatch):
         # the edge sweep runs at unit coupling; a shape this large overflows once
@@ -1014,3 +1038,38 @@ class TestOverflowingCoupling:
         monkeypatch.setattr(vacuum, "_radial_profile", large_edges)
         with pytest.raises(ConfigError, match="a tail estimate overflows"):
             total_shift(K3, 1e4, constants=Constants(e=1e10))
+
+
+class TestCouplingScalingLaw:
+    """The shift is P0 = coupling_prefactor(1, 1)^2 times a coupling-free integral.
+
+    Every sweep runs at unit coupling and P0 is applied once per result, so the
+    fields at charge e are the e = 1 fields times P0 bit for bit, from the
+    couplings whose per-point densities would be subnormal floats up to a
+    shift next to the largest float.
+    """
+
+    @staticmethod
+    def check(k3, cutoff, m, e):
+        unit, unit_report = total_shift(k3, cutoff, constants=Constants(m_e=m, e=1.0))
+        constants = Constants(m_e=m, e=e)
+        p0 = coupling_prefactor(1.0, 1.0, constants) ** 2
+        shift, report = total_shift(k3, cutoff, constants=constants)
+        assert shift.hex() == (unit * p0).hex()
+        for name in ("partial_sums", "tail_estimates"):
+            assert hex_values(getattr(report, name)) == hex_values(
+                getattr(unit_report, name) * p0), name
+        assert report.fitted_slope.hex() == unit_report.fitted_slope.hex()
+        return report.refine_delta, unit_report.refine_delta
+
+    @pytest.mark.parametrize("e", [1e-153, 1e-150, 1e-140, 1e-100, 1e-10, 1e10, 1e100])
+    def test_fields_are_the_unit_run_times_p0(self, e):
+        refine_delta, unit = self.check(K3, 1e60, 1.0, e)
+        assert refine_delta == pytest.approx(unit, rel=1e-9, abs=0.0)
+
+    def test_largest_finite_shift(self):
+        # the shift is -1.1e308 here; refine_delta sits at the rounding floor
+        refine_delta, unit = self.check((0.0, 0.0, 1e50), 1e52, 1e50, 1e130)
+        assert abs(refine_delta - unit) <= 1e-15
+        with pytest.raises(ConfigError, match="the pair shift overflows"):
+            total_shift((0.0, 0.0, 1e50), 1e52, constants=Constants(m_e=1e50, e=1e131))
