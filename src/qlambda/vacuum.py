@@ -10,6 +10,11 @@ density over all momenta with a momentum cutoff gives the level shift whose
 cutoff convergence is diagnosed here. The first-order corrected exchange
 amplitude and the frame-compensating coupling rescale close the loop back to
 the scattering module.
+
+k enters the integral only through E' = E_{p+k}, so `total_shift` keeps the
+radial half of its grid, which depends on (m, cutoff, n_radial) alone, in a
+last-call memo of the `amplitudes` design: built whole on a miss, replaced
+by a call that returns, so a k-scan at one cutoff builds it once.
 """
 from __future__ import annotations
 
@@ -41,8 +46,10 @@ _MAX_CUTOFF = 1e60
 # the grid. Peak RSS of a fresh process making one call at each cap (CPython
 # 3.11, numpy 2.4): 47 MB at 256 x 1024, of which 17 MB is leggauss's
 # 1024 x 1024 companion matrix, 29 MB the interpreter and under 0.5 MB the
-# call's own arrays; 64 MB at 131072 x 2, where at most two arrays of one
-# value per Gauss node of both radial grids (12.6 MB each) are alive at once.
+# call's own arrays; 73 MB at 131072 x 2, where three arrays of one value per
+# Gauss node of both radial grids (12.6 MB each) are alive at once: the grid
+# table's radii and weights, which its memo keeps after the call, and the
+# profile. The default grid's table is 20 KB.
 _MAX_N_THETA = 1024
 _MAX_GRID_NODES = 2**18
 # Grid points per kernel call in _radial_profile. Each temporary of a block is
@@ -60,9 +67,17 @@ CORRECTION_GUARD = 0.1
 _MEASURE = 1.0 / (2.0 * math.pi) ** 3
 
 
+def _three_vector(name: str, vector) -> np.ndarray:
+    """`vector` as a new float array of 3 numbers; any other shape is a ConfigError."""
+    array = np.array(vector, dtype=float)
+    if array.shape != (3,):
+        raise ConfigError(f"{name} must be 3 numbers, got an array of shape {array.shape}")
+    return array
+
+
 def outgoing_eta(p3, k3, m: float) -> float:
     """Rest-mass-over-energy factor of the electron at momentum p + k."""
-    return m / on_shell_energy(np.add(p3, k3, dtype=float), m)
+    return m / on_shell_energy(_three_vector("p3", p3) + _three_vector("k3", k3), m)
 
 
 def pair_coupling(
@@ -79,13 +94,13 @@ def pair_coupling(
     from the outgoing eta and E_p + E_{p+k}, the energies of the spinors. The
     polarization is real, so the reversed process is the complex conjugate.
     """
-    kx, ky, kz = map(float, k3)
+    kx, ky, kz = _three_vector("k3", k3).tolist()
     if kx == ky == kz == 0.0:
         raise ZeroWavevector("pair coupling undefined for k = 0")
     _require_index("polarization", alpha)
     _require_index("spin", s)
     _require_index("spin", s_out)
-    px, py, pz = map(float, p3)
+    px, py, pz = _three_vector("p3", p3).tolist()
     m = constants.m_e
     *u_p, e_p = spin_pair(px, py, pz, m)
     *u_pk, e_pk = spin_pair(px + kx, py + ky, pz + kz, m)
@@ -128,6 +143,9 @@ def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_ene
     needs no Constants. The bracket has poles at w = +-C, so
     RealPairThreshold is raised once |w| reaches C at any momentum; scaling
     the smallest C by 1 - 1e-12 rounds exactly as scaling each C would.
+    Over all p the smallest C is sqrt(|k|^2 + 4 m^2), at p = -k/2; an array
+    is not scanned when |w| lies 1e-10 relative below that, far beyond the
+    few ulps by which a computed C can fall short, as none can reach it.
 
     The inputs are only read. Every augmented assignment below acts on a
     temporary of this call: on arrays it writes in place, so a grid block
@@ -148,7 +166,9 @@ def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_ene
     e_pk_sq += spinor
     e_pk = sqrt(e_pk_sq)
     combined = e_pk + e_p
-    smallest = combined if type(combined) is float else np.minimum.reduce(combined, axis=None)
+    smallest = combined if type(combined) is float else (
+        math.inf if abs(photon_energy) < math.hypot(k_norm, 2.0 * m) * (1.0 - 1e-10)
+        else np.minimum.reduce(combined, axis=None))
     if abs(photon_energy) >= smallest * (1.0 - 1e-12):
         raise RealPairThreshold(
             f"photon energy {photon_energy!r} reaches the pair threshold"
@@ -245,6 +265,10 @@ def pair_shift_sample(
     """
     p3 = np.array(p3, dtype=float)
     k3 = np.array(k3, dtype=float)
+    if p3.shape != (3,) or k3.shape != (3,):
+        # one of them is not 3 numbers: the first such raises, named
+        _three_vector("p3", p3)
+        _three_vector("k3", k3)
     p_list, k_list = p3.tolist(), k3.tolist()
     p_norm, k_norm = math.hypot(*p_list), math.hypot(*k_list)
     for name, value, norm in (("p", p3, p_norm), ("k", k3, k_norm),
@@ -360,7 +384,8 @@ def _radial_profile(radius_sets: tuple[np.ndarray, ...], k_norm: float, grid: Gr
     their radii in order, flattened. Each set is blocked from its own first
     radius, as if it ran alone: BLAS sums the rows of a block's last
     partial SIMD group in another order, so a block that straddled two sets
-    would move values of either by an ulp.
+    would move values of either by an ulp. The radii are only read, so the
+    read-only arrays of total_shift's grid table pass as they are.
     """
     cos_t, weights = _gauss_rule(grid.n_theta)
     cos_column = cos_t[:, None]
@@ -383,14 +408,24 @@ def _radial_profile(radius_sets: tuple[np.ndarray, ...], k_norm: float, grid: Gr
     return profile
 
 
-def _panel_nodes(fine_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-widths and 4-point Gauss radii of the log-radius panels of two grids.
+# the last-call memo of total_shift, (key, table) with key = (m, cutoff, n_radial) and
+# table = _grid_table(*key), replaced in a single assignment by a call that returns and
+# read in a single unpacking, so a concurrent call never pairs a key with another table
+_grid_memo = (None, None)
 
-    The coarse grid is every other edge of the doubled grid `fine_edges`;
-    its panels come first, then those of `fine_edges`. The radii have shape
-    (panels, 4). The exponential runs in place, and the log edges die with
-    this call, so the grid caps' peak holds one radius array.
+
+def _grid_table(m: float, cutoff: float, n_radial: int) -> tuple:
+    """The k-independent half of total_shift's grid: read-only arrays of one value per radius.
+
+    (cutoffs, radii, weights, window, log_p, spread): the coarse cutoff
+    edges; the 4-point Gauss radii of the log-radius panels of the coarse
+    and then the doubled grid, shape (3 n_radial, 4), and their Gauss
+    weights times the panel half-widths; the fit window, its centred log
+    radii and their spread log_p @ log_p. The coarse linspace step is twice
+    the doubled grid's, so its edges are bit for bit the even ones.
     """
+    fine_edges = np.exp(np.linspace(math.log(1e-4 * m), math.log(cutoff), 2 * n_radial + 1))
+    cutoffs = fine_edges[2::2].copy()
     log_fine = np.log(fine_edges)
     lo = np.concatenate((log_fine[:-1:2], log_fine[:-1]))
     hi = np.concatenate((log_fine[2::2], log_fine[1:]))
@@ -399,26 +434,29 @@ def _panel_nodes(fine_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     radii = half[:, None] * _gauss_rule(4)[0]
     radii += mid[:, None]
     np.exp(radii, out=radii)
-    return half, radii
+    weights = half[:, None] * _gauss_rule(4)[1]
+    window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
+    log_p = np.log(cutoffs[window])
+    log_p -= log_p.sum() / log_p.size
+    for array in (cutoffs, radii, weights, window, log_p):
+        array.setflags(write=False)
+    return cutoffs, radii, weights, window, log_p, float(log_p @ log_p)
 
 
-def _panel_sums(fine_edges: np.ndarray, k_norm: float, grid: GridSpec, m: float,
-                photon_energy: float) -> np.ndarray:
+def _panel_sums(radii: np.ndarray, weights: np.ndarray, k_norm: float, grid: GridSpec,
+                m: float, photon_energy: float) -> np.ndarray:
     """Panel-wise Gauss quadrature in log radius on two radial grids at once.
 
-    Returns the panel sums of the coarse grid, every other edge of the
-    doubled grid `fine_edges`, followed by those of `fine_edges`. The Gauss
-    nodes of both grids run through the kernel in one `_radial_profile`
-    sweep, each grid blocked from its own first node.
+    Returns the panel sums of _grid_table's `radii` and `weights`, coarse
+    grid first. The Gauss nodes of both grids run through the kernel in one
+    `_radial_profile` sweep, each grid blocked from its own first node.
     """
-    half, radii = _panel_nodes(fine_edges)
-    n_coarse = fine_edges.size // 2
+    n_coarse = radii.shape[0] // 3
     profile = _radial_profile((radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m,
                               photon_energy)
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
     integrand = _cubed_measure(profile.reshape(radii.shape), radii)
-    del radii  # the weights below take its place at the grid caps' peak
-    return np.einsum("pi,pi->p", half[:, None] * _gauss_rule(4)[1], integrand)
+    return np.einsum("pi,pi->p", weights, integrand)
 
 
 def _cubed_measure(profile: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -466,7 +504,11 @@ def total_shift(
     Both sweeps run at unit coupling, P0 = (e c hbar)^2 / (V eps0) = 1, and
     P0 is applied once to each reported total, partial sum and tail
     estimate: F stays in range where P0 F underflows (e = 1e-150 at a
-    cutoff of 1e60), and the centred fit removes log P0 anyway.
+    cutoff of 1e60), and the centred fit removes log P0 anyway. The
+    refinement delta |S_c - S_f| / |S_f| is formed from the unit-coupling
+    totals, so it is the same at every charge and guards the grid also
+    where the reported totals underflow. The radial grid comes from the
+    module's last-call memo; the report's cutoffs are a copy of its edges.
 
     The profile runs in two sweeps, in this order: the Gauss nodes of the
     coarse panels and of the doubled grid together, then the cutoff edges.
@@ -482,7 +524,8 @@ def total_shift(
     sweep. `n_threads` is accepted and has no effect: the momentum sum runs
     as one vectorized pass.
     """
-    k3 = np.asarray(k3, dtype=float)
+    global _grid_memo
+    k3 = _three_vector("k3", k3)
     k_list = k3.tolist()
     if not all(map(math.isfinite, k_list)):
         raise ConfigError(f"k must be finite, got {k3}")
@@ -508,41 +551,37 @@ def total_shift(
     # -2 P0 at V = 1, see _MEASURE; halving it is exact
     scale = _density_scale(constants.with_volume(1.0))
     p0 = -0.5 * scale
-    log_range = (math.log(1e-4 * m), math.log(cutoff))
     n_radial = grid.n_radial
+    key = (m, float(cutoff), n_radial)
+    memo_key, memo_table = _grid_memo
+    table = memo_table if memo_key == key else _grid_table(*key)
+    cutoffs, radii, weights, window, log_p, spread = table
 
-    fine_edges = np.exp(np.linspace(*log_range, 2 * n_radial + 1))
-    # the coarse linspace step is exactly twice the doubled grid's, so its edges
-    # are bit for bit the even ones; a copy, so the report does not hold fine_edges
-    edges = fine_edges[::2].copy()
-    panel_sums = _panel_sums(fine_edges, k_norm, grid, m, photon_energy)
+    panel_sums = _panel_sums(radii, weights, k_norm, grid, m, photon_energy)
+    unit_total = float(panel_sums[:n_radial].sum())
+    unit_refined = float(panel_sums[n_radial:].sum())
     # a coupling too large for these momenta overflows here, in Python floats
-    total = float(panel_sums[:n_radial].sum()) * p0
-    refined = float(panel_sums[n_radial:].sum()) * p0
-    if not (math.isfinite(total) and math.isfinite(refined)):
+    total = unit_total * p0
+    if not (math.isfinite(total) and math.isfinite(unit_refined * p0)):
         raise ConfigError(f"the pair shift overflows: -2 P0 = {scale!r} is too large "
                           f"for these momenta")
-    # an all-underflowed integral has no relative move; NaN does not trip the guard
-    refine_delta = abs(total - refined) / abs(refined) if refined else math.nan
+    # the move at unit coupling, in range where the totals times P0 underflow;
+    # an all-underflowed integral has no relative move, and NaN does not trip the guard
+    refine_delta = abs(unit_total - unit_refined) / abs(unit_refined) if unit_refined else math.nan
     if refine_delta > refine_tol:
         raise GridTooCoarse(
             f"doubling the radial grid moved the result by "
             f"{refine_delta:.3e} (> {refine_tol:g})"
         )
 
-    cutoffs = edges[1:]
     # the panel sums share one sign, so every partial sum is finite once the total is
     partial_sums = np.cumsum(panel_sums[:n_radial])
     partial_sums *= p0
     shape = _radial_profile((cutoffs,), k_norm, grid, m, photon_energy)
 
     # closed-form least squares about the means; a one-radius window has no slope
-    window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
-    log_p = np.log(cutoffs[window])
     log_f = np.log(np.abs(shape[window]))
-    log_p -= log_p.sum() / log_p.size
     log_f -= log_f.sum() / log_f.size
-    spread = float(log_p @ log_p)
     fitted_slope = float(log_p @ log_f) / spread if spread else math.nan
 
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
@@ -553,8 +592,10 @@ def total_shift(
                           f"for these momenta")
     tail_estimates *= p0
 
+    _grid_memo = (key, table)
+    # a copy of the cutoffs, so a caller that writes into the report cannot reach the memo
     report = ConvergenceReport(
-        cutoffs, partial_sums, tail_estimates, fitted_slope, refine_delta
+        cutoffs.copy(), partial_sums, tail_estimates, fitted_slope, refine_delta
     )
     return total, report
 

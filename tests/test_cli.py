@@ -801,8 +801,9 @@ class TestOverflowingVacpol:
 
 
 class TestUndefinedVacpolDiagnostics:
-    """A slope or refinement delta that is undefined is written as null, in a fresh
-    interpreter under error::RuntimeWarning; both runs once wrote NaN."""
+    """A slope that is undefined is written as null, in a fresh interpreter under
+    error::RuntimeWarning, where it was once written as NaN; a total that underflows
+    keeps a finite refinement delta."""
 
     def run(self, tmp_path, argv):
         out, summary = tmp_path / "c.csv", tmp_path / "s.json"
@@ -827,9 +828,12 @@ class TestUndefinedVacpolDiagnostics:
         assert doc["pair_shift"] < 0.0 and 0.0 < doc["refine_delta"] < 100.0
 
     def test_underflowing_total(self, tmp_path):
-        doc = self.run(tmp_path, ["--constant", "m_e", "1e-150", "--constant", "e", "1.5e-154",
-                                  "--k", "0", "0", "5e-151", "--cutoff", "1e-146"])
-        assert doc["refine_delta"] is None
+        # the total times P0 underflows to zero, and once wrote refine_delta as null;
+        # the delta is the move of the unit-coupling sums, the same at every charge
+        args = ["--constant", "m_e", "1e-150", "--k", "0", "0", "5e-151", "--cutoff", "1e-146"]
+        doc = self.run(tmp_path, [*args, "--constant", "e", "1.5e-154"])
+        natural = self.run(tmp_path, args)
+        assert doc["refine_delta"] == natural["refine_delta"] and 0.0 < doc["refine_delta"] < 1e-13
         assert doc["pair_shift"] == 0.0 and -4.2 < doc["fitted_slope"] < -3.8
 
     def test_largest_finite_shift(self, tmp_path):

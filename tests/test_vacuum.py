@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,17 @@ from qlambda.errors import (
     ZeroWavevector,
 )
 from qlambda.dirac import polarization_column, u_spinor, vertex_bilinear
-from qlambda.lorentz import NATURAL, Constants, FourVector, eta, moller_kinematics, on_shell_energy
+from qlambda.lorentz import (
+    NATURAL,
+    Boost,
+    Constants,
+    FourVector,
+    boost,
+    cm_boost,
+    eta,
+    moller_kinematics,
+    on_shell_energy,
+)
 from qlambda.pauli import bar_dot, slash_column, spin_pair, transverse_basis
 from qlambda.vacuum import (
     GridSpec,
@@ -32,6 +43,13 @@ from qlambda.vacuum import (
 )
 
 K3 = np.array([0.0, 0.0, 0.5])
+
+
+@pytest.fixture(autouse=True)
+def empty_grid_memo(monkeypatch):
+    # each test starts from an empty total_shift grid memo, so that whether its
+    # first call hits does not depend on the test run before it
+    monkeypatch.setattr(vacuum, "_grid_memo", (None, None))
 
 
 class TestPairCoupling:
@@ -210,6 +228,31 @@ class TestNonFiniteSampleInput:
                        ((1e150, 1e150, 0.0), (-1e150, 0.0, 1e-300))):
             sample = vacuum.pair_shift_sample(p3, k3)
             assert math.isfinite(sample.spinor_factor) and sample.shift_density <= 0.0
+
+
+class TestThreeVectorShape:
+    # two components once raised a bare unpacking ValueError, a nested vector a
+    # TypeError, and total_shift integrated a four-vector at |k| = 7.02
+    @pytest.mark.parametrize("bad", [(0.0, 0.5), (0.0, 0.0, 0.5, 7.0), [[0.0, 0.0, 0.5]]])
+    def test_rejected_at_every_entry_point(self, bad):
+        p3 = (0.3, -0.2, 0.7)
+        calls = {
+            "k3": (lambda: total_shift(bad, 1e4), lambda: pair_coupling(p3, bad),
+                   lambda: outgoing_eta(p3, bad, 1.0), lambda: vacuum.pair_shift_sample(p3, bad),
+                   lambda: shift_density(p3, bad), lambda: corrected_pair_coupling(p3, bad)),
+            "p3": (lambda: pair_coupling(bad, K3), lambda: outgoing_eta(bad, K3, 1.0),
+                   lambda: vacuum.pair_shift_sample(bad, K3), lambda: shift_density(bad, K3),
+                   lambda: corrected_pair_coupling(bad, K3)),
+        }
+        message = rf"^{{}} must be 3 numbers, got an array of shape {re.escape(str(np.shape(bad)))}$"
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ConfigError, match=message.format(name)):
+                    fn()
+
+    def test_both_wrong_names_p3(self):
+        with pytest.raises(ConfigError, match="^p3 must be 3 numbers"):
+            vacuum.pair_shift_sample((0.3,), (0.0, 0.5))
 
 
 class TestMassScaling:
@@ -505,12 +548,12 @@ class TestCylindricalKernel:
         def two_sets(radii, other, *rest):
             return vacuum._radial_profile((radii, other), *rest)
 
-        fine_edges = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 17))
+        _, panel_radii, panel_weights, *_ = vacuum._grid_table(1.0, 1e4, 8)
         calls = [
             (vacuum._cylindrical_terms, grid, (k_norm, 1.0, 1.3)),
             (vacuum._density_terms, (p3s, k3), (NATURAL, 1.3)),
             (two_sets, (radii, 2.0 * radii), (k_norm, GridSpec(), 1.0, 1.3)),
-            (vacuum._panel_sums, (fine_edges,), (k_norm, GridSpec(), 1.0, 1.3)),
+            (vacuum._panel_sums, (panel_radii, panel_weights), (k_norm, GridSpec(), 1.0, 1.3)),
         ]
         for fn, arrays, rest in calls:
             copies = [array.copy() for array in arrays]
@@ -628,10 +671,11 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
         profile = vacuum._radial_profile((radii,), k_norm, grid, m, w)
         integrand = vacuum._cubed_measure(profile.reshape(radii.shape), radii)
         panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
-        return edges, float(panel_sums.sum()) * p0, panel_sums
+        return edges, float(panel_sums.sum()), panel_sums
 
-    edges, total, panel_sums = integrate(grid.n_radial)
-    _, refined, _ = integrate(2 * grid.n_radial)
+    edges, unit_total, panel_sums = integrate(grid.n_radial)
+    _, unit_refined, _ = integrate(2 * grid.n_radial)
+    total = unit_total * p0
     cutoffs = edges[1:]
     shape = vacuum._radial_profile((cutoffs,), k_norm, grid, m, w)
     window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
@@ -643,7 +687,7 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
         "partial_sums": np.cumsum(panel_sums) * p0,
         "tail_estimates": vacuum._cubed_measure(shape, cutoffs) * p0,
         "fitted_slope": float(log_p @ log_f) / float(log_p @ log_p),
-        "refine_delta": abs(total - refined) / abs(refined),
+        "refine_delta": abs(unit_total - unit_refined) / abs(unit_refined),
     }
 
 
@@ -807,8 +851,11 @@ class TestTotalShiftBounds:
             total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8), refine_tol=0.0)
 
     def test_refine_delta_is_the_guarded_move(self):
-        coarse, report = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8))
-        fine, _ = total_shift(K3, 1e3, GridSpec(n_radial=96, n_theta=8))
+        # the move of the totals at unit coupling, P0 = 1 at e = 1
+        _, report = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8))
+        unit = Constants(e=1.0)
+        coarse, _ = total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=8), unit)
+        fine, _ = total_shift(K3, 1e3, GridSpec(n_radial=96, n_theta=8), unit)
         assert report.refine_delta == abs(coarse - fine) / abs(fine)
         assert 0.0 < report.refine_delta < 1e-3
         assert report.to_json_dict()["refine_delta"] == report.refine_delta
@@ -842,6 +889,106 @@ class TestTotalShiftBounds:
             total_shift(K3, 1e4, constants=constants, photon_energy=5.0)
         with pytest.raises(ConfigError, match="coupling scale"):
             vacuum.pair_shift_sample((0.1, 0.0, 0.0), K3, constants, photon_energy=5.0)
+
+
+def report_fields(result):
+    shift, report = result
+    return [shift.hex(), *(hex_values(getattr(report, name))
+                           for name in ("cutoffs", "partial_sums", "tail_estimates")),
+            report.fitted_slope.hex(), report.refine_delta.hex()]
+
+
+class TestGridMemo:
+    """total_shift keeps the k-independent half of its grid, one read-only table per
+    (m, cutoff, n_radial), in a last-call memo written only by a call that returns."""
+
+    OTHER = GridSpec(n_radial=48)
+    VECTORS = moller_kinematics(4.0, 1.0, Boost((0.3, -0.2, 0.4)))
+
+    def k_scan(self):
+        p1, q1, p2, _ = self.VECTORS
+        to_cm = cm_boost(p1 + q1)
+        k_cm = (boost(to_cm, p1) - boost(to_cm, p2)).spatial
+        return [((0.0, 0.0, 0.5), None), ((0.3, -0.4, 0.2), None), ((1.0, 2.0, -0.5), None),
+                ((0.0, 0.0, 0.5), 1.3), ((0.3, -0.4, 0.2), -1.0), (k_cm, None)]
+
+    def test_hits_are_bit_for_bit_misses(self, monkeypatch):
+        built = []
+        grid_table = vacuum._grid_table
+
+        def counted(*key):
+            built.append(key)
+            return grid_table(*key)
+
+        monkeypatch.setattr(vacuum, "_grid_table", counted)
+        total_shift(K3, 1e4, self.OTHER)
+        hits = [report_fields(total_shift(k3, 1e4, photon_energy=w)) for k3, w in self.k_scan()]
+        factor = cm_correction_factor(*self.VECTORS, cutoff=1e4)
+        assert built == [(1.0, 1e4, 48), (1.0, 1e4, 96)]
+        for (k3, w), hit in zip(self.k_scan(), hits):
+            total_shift(K3, 1e4, self.OTHER)
+            assert report_fields(total_shift(k3, 1e4, photon_energy=w)) == hit
+        total_shift(K3, 1e4, self.OTHER)
+        assert cm_correction_factor(*self.VECTORS, cutoff=1e4).hex() == factor.hex()
+        assert len(built) == 2 + 2 * len(hits) + 2
+
+    @pytest.mark.parametrize("k3, cutoff, grid, m, energy", TestOneSweep.CASES)
+    def test_hit_and_miss_match_three_passes(self, k3, cutoff, grid, m, energy):
+        constants = Constants(m_e=m)
+        k3 = tuple(m * c for c in k3)
+        energy = None if energy is None else m * energy
+        reference, fields = three_pass_reference(k3, m * cutoff, grid, constants, energy)
+        expected = report_fields((reference, vacuum.ConvergenceReport(**fields)))
+        for _ in range(2):  # a miss, then a hit
+            result = total_shift(k3, m * cutoff, grid, constants, photon_energy=energy,
+                                 refine_tol=100.0)
+            assert report_fields(result) == expected
+
+    def test_a_call_that_raises_leaves_the_memo(self):
+        total_shift(K3, 1e4)
+        memo = vacuum._grid_memo
+        for args, kwargs, error in (
+            ((K3, 1e3, GridSpec(n_radial=48, n_theta=8)), {"refine_tol": 0.0}, GridTooCoarse),
+            ((K3, 1e3, GridSpec(n_radial=4, n_theta=8)), {"photon_energy": 2.5}, RealPairThreshold),
+            ((K3, 1e4), {"photon_energy": 2.5}, RealPairThreshold),
+        ):
+            for _ in range(2):
+                with pytest.raises(error):
+                    total_shift(*args, **kwargs)
+                assert vacuum._grid_memo is memo
+
+    def test_report_arrays_do_not_reach_the_memo(self):
+        first = total_shift(K3, 1e4)
+        expected = report_fields(first)
+        report = first[1]
+        for name in ("cutoffs", "partial_sums", "tail_estimates"):
+            getattr(report, name)[:] = np.nan
+        assert report_fields(total_shift(K3, 1e4)) == expected
+        for array in vacuum._grid_memo[1][:5]:
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("k3", [(0.0, 0.0, 0.5), (1.0, 2.0, -0.5)])
+    def test_threshold_bound(self, k3):
+        grid, cutoff = GridSpec(n_radial=24, n_theta=8), 1e3
+        k_norm = math.hypot(*k3)
+        bound = math.hypot(k_norm, 2.0) * (1.0 - 1e-10)
+        # below sqrt(|k|^2 + 4 m^2), the least E + E' over all momenta, no grid point
+        # can reach the threshold
+        shift, _ = total_shift(k3, cutoff, grid, photon_energy=math.nextafter(bound, 0.0),
+                               refine_tol=1e300)
+        assert math.isfinite(shift)
+        # the grid's own smallest E + E', over the Gauss nodes of both radial grids and
+        # the cutoff edges; just above it the threshold is reached
+        cutoffs, radii, *_ = vacuum._grid_table(1.0, cutoff, grid.n_radial)
+        r = np.concatenate((radii.ravel(), cutoffs))
+        cos_t, _ = np.polynomial.legendre.leggauss(grid.n_theta)
+        p_par, p_perp2 = np.multiply.outer(cos_t, r), np.multiply.outer(1.0 - cos_t * cos_t, r * r)
+        combined = np.sqrt(r * r + 1.0) + np.sqrt(p_perp2 + (p_par + k_norm) ** 2 + 1.0)
+        smallest = float(combined.min())
+        assert smallest > bound
+        for energy in (smallest * (1.0 + 1e-13), -smallest * (1.0 + 1e-13)):
+            with pytest.raises(RealPairThreshold):
+                total_shift(k3, cutoff, grid, photon_energy=energy, refine_tol=1e300)
 
 
 class TestCorrectedAmplitude:
@@ -1046,7 +1193,8 @@ class TestCouplingScalingLaw:
     Every sweep runs at unit coupling and P0 is applied once per result, so the
     fields at charge e are the e = 1 fields times P0 bit for bit, from the
     couplings whose per-point densities would be subnormal floats up to a
-    shift next to the largest float.
+    shift next to the largest float; refine_delta, formed from the unit
+    coupling sums, keeps its bits at every charge.
     """
 
     @staticmethod
@@ -1065,11 +1213,11 @@ class TestCouplingScalingLaw:
     @pytest.mark.parametrize("e", [1e-153, 1e-150, 1e-140, 1e-100, 1e-10, 1e10, 1e100])
     def test_fields_are_the_unit_run_times_p0(self, e):
         refine_delta, unit = self.check(K3, 1e60, 1.0, e)
-        assert refine_delta == pytest.approx(unit, rel=1e-9, abs=0.0)
+        assert refine_delta.hex() == unit.hex()
 
     def test_largest_finite_shift(self):
         # the shift is -1.1e308 here; refine_delta sits at the rounding floor
         refine_delta, unit = self.check((0.0, 0.0, 1e50), 1e52, 1e50, 1e130)
-        assert abs(refine_delta - unit) <= 1e-15
+        assert refine_delta.hex() == unit.hex()
         with pytest.raises(ConfigError, match="the pair shift overflows"):
             total_shift((0.0, 0.0, 1e50), 1e52, constants=Constants(m_e=1e50, e=1e131))
