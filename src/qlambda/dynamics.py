@@ -72,25 +72,40 @@ class LevelSystem(namedtuple("LevelSystem", "energies couplings")):
             raise ConfigError(f"couplings must be {n}x{n}, got {couplings.shape}")
         # at most 4 x 4: the checks run on Python values
         rows = couplings.tolist()
-        entries = [c for row in rows for c in row]
         levels = energies.tolist()
-        if not (all(map(math.isfinite, levels)) and all(map(cmath.isfinite, entries))):
+        if not (all(map(math.isfinite, levels))
+                and all(map(cmath.isfinite, chain.from_iterable(rows)))):
             raise ConfigError("energies and couplings must be finite")
         # every gap is at most the spread, so a finite spread keeps them all finite
         spread = max(levels) - min(levels)
         if not math.isfinite(spread):
             raise ConfigError(f"energy spread max - min = {spread!r} is not a finite float")
-        # hypot of the parts: abs of a complex raises where its modulus overflows.
-        # Both sides are halved so the scale stays finite and the test meaningful;
-        # only a residual far beyond any finite scale can still reach inf.
-        scale = max(0.5, *[math.hypot(0.5 * z.real, 0.5 * z.imag) for z in entries])
-        # the residual at (k, j) is minus the conjugate of the one at (j, k)
-        residuals = [0.5 * rows[j][k] - 0.5 * rows[k][j].conjugate()
-                     for j in range(n) for k in range(j, n)]
-        asymmetry = max([math.hypot(d.real, d.imag) for d in residuals])
+        # hypot of the halved parts, in one pass over j <= k: abs of a complex raises
+        # where its modulus overflows. Both sides are halved so the scale stays
+        # finite and the test meaningful; only a residual far beyond any finite
+        # scale can still reach inf. The residual at (k, j) is minus the conjugate
+        # of the one at (j, k), so (j, k) alone gives its modulus.
+        scale, asymmetry = 0.5, 0.0
+        for j, row in enumerate(rows):
+            for k in range(j, n):
+                z, w = row[k], rows[k][j]
+                modulus = math.hypot(0.5 * z.real, 0.5 * z.imag)
+                if modulus > scale:
+                    scale = modulus
+                # an exactly Hermitian pair, a zero pair included, has residual 0
+                # and |w| = |z|: the full test gives the same floats
+                if w == z.conjugate():
+                    continue
+                modulus = math.hypot(0.5 * w.real, 0.5 * w.imag)
+                if modulus > scale:
+                    scale = modulus
+                # 0.5 z - 0.5 conj(w)
+                modulus = math.hypot(0.5 * z.real - 0.5 * w.real, 0.5 * z.imag + 0.5 * w.imag)
+                if modulus > asymmetry:
+                    asymmetry = modulus
         if asymmetry > _HERMITICITY_TOL * scale:
             raise ConfigError("couplings must be Hermitian")
-        if any(rows[j][j] != 0.0 for j in range(n)):
+        if any([rows[j][j] for j in range(n)]):
             raise ConfigError("couplings must have zero diagonal")
         energies.setflags(write=False)
         couplings.setflags(write=False)
@@ -263,22 +278,24 @@ def _match_tol(energies: list[float]) -> float:
     return _ENERGY_MATCH_RTOL * max(1.0, *map(abs, energies))
 
 
-def _coupled_edges(system: LevelSystem) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """src, dst and gap |E_j - E_k| of every directed coupled edge j -> k, in np.nonzero order.
+def _coupled_edges(system: LevelSystem) -> list[tuple[int, int, complex, float]]:
+    """(j, k, coupling, gap |E_j - E_k|) of every directed coupled edge j -> k, row-major.
 
     Raises DegenerateLevels for a gap that matches under the level-match rule.
     """
     energies = system.energies.tolist()
     tol = _match_tol(energies)
-    gaps = []
+    edges = []
     # Hermiticity holds to a tolerance only, so a transpose may be zero
-    src, dst = np.nonzero(system.couplings)
-    for j, k in zip(src.tolist(), dst.tolist()):
-        gap = abs(energies[j] - energies[k])
-        if gap <= tol:
-            raise DegenerateLevels(f"coupled levels {j} and {k} are degenerate (gap {gap!r})")
-        gaps.append(gap)
-    return src, dst, gaps
+    for j, row in enumerate(system.couplings.tolist()):
+        for k, coupling in enumerate(row):
+            if coupling:
+                gap = abs(energies[j] - energies[k])
+                if gap <= tol:
+                    raise DegenerateLevels(f"coupled levels {j} and {k} are degenerate "
+                                           f"(gap {gap!r})")
+                edges.append((j, k, coupling, gap))
+    return edges
 
 
 def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
@@ -289,7 +306,7 @@ def base_period(system: LevelSystem, hbar: float = 1.0) -> float:
     gap completes a whole number of cycles. Only an uncoupled system has
     period inf: one that over- or underflows raises ConfigError.
     """
-    return _common_period(_coupled_edges(system)[2], hbar)
+    return _common_period([edge[3] for edge in _coupled_edges(system)], hbar)
 
 
 def _common_period(gaps: list[float], hbar: float) -> float:
@@ -320,22 +337,29 @@ def _common_period(gaps: list[float], hbar: float) -> float:
     return period
 
 
-def _secular_matrix(system: LevelSystem, path_j, path_l, path_k) -> np.ndarray:
-    """Analytic second-order averaged Hamiltonian from the paths j -> l -> k.
+def _secular_matrix(system: LevelSystem, edges: list) -> tuple[list[list[complex]], list[tuple]]:
+    """Analytic second-order averaged Hamiltonian, as rows, and the paths j -> l -> k.
 
-    Entry (j, k) sums O_jl O_lk / (E_k - E_l) over its paths in ascending l
-    whenever E_j and E_k coincide; entries between levels of different energy
-    average away at full periods. The diagonal reproduces the usual
-    second-order level shifts.
+    The paths are (j, k, e, f) with e = (j -> l) and f = (l -> k) indices into
+    `edges` of _coupled_edges, in row-major order of (e, f), so each entry
+    (j, k) meets its paths in ascending l. Entry (j, k) sums
+    O_jl O_lk / (E_k - E_l) over them whenever E_j and E_k coincide; entries
+    between levels of different energy average away at full periods. The
+    diagonal reproduces the usual second-order level shifts.
     """
     energies = system.energies.tolist()
-    couplings = system.couplings.tolist()
     tol = _match_tol(energies)
-    out = np.zeros_like(system.couplings)
-    for j, l, k in zip(path_j, path_l, path_k):
-        if abs(energies[j] - energies[k]) <= tol:
-            out[j, k] += _second_order(couplings[j][l], couplings[l][k], energies[k] - energies[l])
-    return out
+    leaving = [[] for _ in energies]
+    for f, (l, k, o_lk, _) in enumerate(edges):
+        leaving[l].append((f, k, o_lk))
+    out = [[0j] * len(energies) for _ in energies]
+    paths = []
+    for e, (j, l, o_jl, _) in enumerate(edges):
+        for f, k, o_lk in leaving[l]:
+            paths.append((j, k, e, f))
+            if abs(energies[j] - energies[k]) <= tol:
+                out[j][k] += _second_order(o_jl, o_lk, energies[k] - energies[l])
+    return out, paths
 
 
 @functools.cache
@@ -364,13 +388,11 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
     to quadrature accuracy. Raises ConfigError when a level gap over hbar,
     or 1 / hbar, overflows, and when either result does.
     """
-    src, dst, gaps = _coupled_edges(system)
-    period = _common_period(gaps, hbar)
-    # the paths j -> l -> k as edge pairs (e, f) with dst[e] == src[f], in row-major order
-    first, second = np.nonzero(dst[:, None] == src[None, :])
-    path_j, path_k = src[first], dst[second]
-    analytic = _secular_matrix(system, path_j.tolist(), dst[first].tolist(), path_k.tolist())
+    edges = _coupled_edges(system)
+    period = _common_period([edge[3] for edge in edges], hbar)
+    secular, paths = _secular_matrix(system, edges)
     if math.isinf(period):
+        analytic = np.array(secular)
         return EffectiveHamiltonian(analytic, period, np.zeros_like(analytic))
 
     # every gap is at most the spread of the levels, so this bounds all of them
@@ -379,26 +401,27 @@ def magnus_second_order(system: LevelSystem, hbar: float = 1.0) -> EffectiveHami
         raise ConfigError(f"level gaps / hbar overflow for hbar = {hbar!r}")
     nodes, weights = _unit_gauss_rule()
     sigma = period * nodes
-    coupling = system.couplings[src, dst][:, None]
-    angle = np.outer((system.energies[src] - system.energies[dst]) / hbar, sigma)
+    coupling = np.array([edge[2] for edge in edges])[:, None]
+    angle = np.array([(levels[j] - levels[k]) / hbar for j, k, _, _ in edges])[:, None] * sigma
     half = np.exp(0.5j * angle)
     # sinc(angle / 2 pi) = sin(angle / 2) / (angle / 2) with sin(angle / 2) = Im half;
     # every edge has a nonzero gap, so angle != 0
     sinc = half.imag / (0.5 * angle)
-    comm = np.zeros(analytic.shape, dtype=complex)
     # couplings too large for their squares over a period overflow in these
     # products; the finiteness check below turns that into a ConfigError
     with np.errstate(over="ignore", invalid="ignore"):
         k_outer = coupling * (half * half)
         inner_int = (coupling * sigma) * half * sinc
         # weights on [0, 1] already divide the integral over the period by its length
-        gram = (k_outer * weights) @ inner_int.T
-        np.add.at(comm, (path_j, path_k), (gram - gram.T)[first, second])
-        numeric = -0.5j / hbar * comm
-    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        gram = ((k_outer * weights) @ inner_int.T).tolist()
+        comm = [[0j] * len(levels) for _ in levels]
+        for j, k, e, f in paths:
+            comm[j][k] += gram[e][f] - gram[f][e]
+        numeric = -0.5j / hbar * np.array(comm)
+    if not all(map(cmath.isfinite, chain(chain.from_iterable(secular), numeric.ravel().tolist()))):
         raise ConfigError("second-order couplings overflow: coupling^2 / gap or its "
                           "integral over the period is not a finite float")
-    return EffectiveHamiltonian(analytic, period, numeric)
+    return EffectiveHamiltonian(np.array(secular), period, numeric)
 
 
 def effective_coupling(omega1: complex, omega2: complex, e1: float, e2: float) -> complex:
@@ -430,20 +453,21 @@ def eliminate_pair_level(system: LevelSystem) -> LevelSystem:
     """
     if system.n_levels != 4:
         raise ConfigError("pair-level elimination expects a 4-level system")
-    row = system.couplings[3, :3]
-    nonzero = np.flatnonzero(row)
-    energies = system.energies[:3].copy()
+    levels = system.energies.tolist()
+    row = system.couplings[3].tolist()
+    partners = [j for j in range(3) if row[j]]
+    energies = levels[:3]
     couplings = system.couplings[:3, :3]  # LevelSystem copies it
-    if nonzero.size == 0:
+    if not partners:
         return LevelSystem(energies, couplings)
-    if nonzero.size > 1:
+    if len(partners) > 1:
         raise ConfigError("eliminated level must couple to exactly one other level")
-    j = int(nonzero[0])
-    omega = complex(row[j])
-    gap = float(system.energies[j] - system.energies[3])
-    if abs(gap) <= _match_tol(system.energies.tolist()):
+    j = partners[0]
+    omega = row[j]
+    gap = levels[j] - levels[3]
+    if abs(gap) <= _match_tol(levels):
         raise PoleEncountered("eliminated level is degenerate with its partner")
-    shifted = float(energies[j]) + _second_order(omega, omega.conjugate(), gap).real
+    shifted = levels[j] + _second_order(omega, omega.conjugate(), gap).real
     if not math.isfinite(shifted):
         raise ConfigError(f"second-order couplings overflow: the shifted energy of level {j} is "
                           f"{shifted!r}")

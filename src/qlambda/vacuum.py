@@ -46,10 +46,11 @@ _MAX_CUTOFF = 1e60
 # the grid. Peak RSS of a fresh process making one call at each cap (CPython
 # 3.11, numpy 2.4): 47 MB at 256 x 1024, of which 17 MB is leggauss's
 # 1024 x 1024 companion matrix, 29 MB the interpreter and under 0.5 MB the
-# call's own arrays; 73 MB at 131072 x 2, where three arrays of one value per
+# call's own arrays; 77 MB at 131072 x 2, where three arrays of one value per
 # Gauss node of both radial grids (12.6 MB each) are alive at once: the grid
-# table's radii and weights, which its memo keeps after the call, and the
-# profile. The default grid's table is 20 KB.
+# table's radii, the profile and the node weights that _panel_sums forms from
+# the table's per-panel half-widths (3.1 MB). After the call the memo keeps the
+# radii, the half-widths and the edges, 17 MB. The default grid's table is 13 KB.
 _MAX_N_THETA = 1024
 _MAX_GRID_NODES = 2**18
 # Grid points per kernel call in _radial_profile. Each temporary of a block is
@@ -68,8 +69,12 @@ _MEASURE = 1.0 / (2.0 * math.pi) ** 3
 
 
 def _three_vector(name: str, vector) -> np.ndarray:
-    """`vector` as a new float array of 3 numbers; any other shape is a ConfigError."""
-    array = np.array(vector, dtype=float)
+    """`vector` as a new float array of 3 numbers; any other shape, a ragged vector or
+    a value that is not a number is a ConfigError naming `name`."""
+    try:
+        array = np.array(vector, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be 3 numbers: {exc}") from None
     if array.shape != (3,):
         raise ConfigError(f"{name} must be 3 numbers, got an array of shape {array.shape}")
     return array
@@ -263,12 +268,8 @@ def pair_shift_sample(
     photon_energy, for momenta whose squared energies overflow, and for a
     density that overflows once scaled.
     """
-    p3 = np.array(p3, dtype=float)
-    k3 = np.array(k3, dtype=float)
-    if p3.shape != (3,) or k3.shape != (3,):
-        # one of them is not 3 numbers: the first such raises, named
-        _three_vector("p3", p3)
-        _three_vector("k3", k3)
+    p3 = _three_vector("p3", p3)
+    k3 = _three_vector("k3", k3)
     p_list, k_list = p3.tolist(), k3.tolist()
     p_norm, k_norm = math.hypot(*p_list), math.hypot(*k_list)
     for name, value, norm in (("p", p3, p_norm), ("k", k3, k_norm),
@@ -417,12 +418,12 @@ _grid_memo = (None, None)
 def _grid_table(m: float, cutoff: float, n_radial: int) -> tuple:
     """The k-independent half of total_shift's grid: read-only arrays of one value per radius.
 
-    (cutoffs, radii, weights, window, log_p, spread): the coarse cutoff
+    (cutoffs, radii, half, window, log_p, spread): the coarse cutoff
     edges; the 4-point Gauss radii of the log-radius panels of the coarse
-    and then the doubled grid, shape (3 n_radial, 4), and their Gauss
-    weights times the panel half-widths; the fit window, its centred log
-    radii and their spread log_p @ log_p. The coarse linspace step is twice
-    the doubled grid's, so its edges are bit for bit the even ones.
+    and then the doubled grid, shape (3 n_radial, 4), and the half-widths of
+    those panels, one per panel; the fit window, its centred log radii and
+    their spread log_p @ log_p. The coarse linspace step is twice the
+    doubled grid's, so its edges are bit for bit the even ones.
     """
     fine_edges = np.exp(np.linspace(math.log(1e-4 * m), math.log(cutoff), 2 * n_radial + 1))
     cutoffs = fine_edges[2::2].copy()
@@ -434,28 +435,32 @@ def _grid_table(m: float, cutoff: float, n_radial: int) -> tuple:
     radii = half[:, None] * _gauss_rule(4)[0]
     radii += mid[:, None]
     np.exp(radii, out=radii)
-    weights = half[:, None] * _gauss_rule(4)[1]
     window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
     log_p = np.log(cutoffs[window])
     log_p -= log_p.sum() / log_p.size
-    for array in (cutoffs, radii, weights, window, log_p):
+    for array in (cutoffs, radii, half, window, log_p):
         array.setflags(write=False)
-    return cutoffs, radii, weights, window, log_p, float(log_p @ log_p)
+    return cutoffs, radii, half, window, log_p, float(log_p @ log_p)
 
 
-def _panel_sums(radii: np.ndarray, weights: np.ndarray, k_norm: float, grid: GridSpec,
+def _panel_sums(radii: np.ndarray, half: np.ndarray, k_norm: float, grid: GridSpec,
                 m: float, photon_energy: float) -> np.ndarray:
     """Panel-wise Gauss quadrature in log radius on two radial grids at once.
 
-    Returns the panel sums of _grid_table's `radii` and `weights`, coarse
-    grid first. The Gauss nodes of both grids run through the kernel in one
-    `_radial_profile` sweep, each grid blocked from its own first node.
+    Returns the panel sums of _grid_table's `radii` and panel half-widths
+    `half`, coarse grid first. The Gauss nodes of both grids run through the
+    kernel in one `_radial_profile` sweep, each grid blocked from its own
+    first node. The node weights, half-width times Gauss weight, are formed
+    per call as one rank-1 product, so the memo keeps one value per panel,
+    not one per node; np.dot forms it about 3.5x faster than the broadcast
+    product, with the same floats, since each entry is one rounded product.
     """
     n_coarse = radii.shape[0] // 3
     profile = _radial_profile((radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m,
                               photon_energy)
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
     integrand = _cubed_measure(profile.reshape(radii.shape), radii)
+    weights = np.dot(half[:, None], _gauss_rule(4)[1][None])
     return np.einsum("pi,pi->p", weights, integrand)
 
 
@@ -555,9 +560,9 @@ def total_shift(
     key = (m, float(cutoff), n_radial)
     memo_key, memo_table = _grid_memo
     table = memo_table if memo_key == key else _grid_table(*key)
-    cutoffs, radii, weights, window, log_p, spread = table
+    cutoffs, radii, half, window, log_p, spread = table
 
-    panel_sums = _panel_sums(radii, weights, k_norm, grid, m, photon_energy)
+    panel_sums = _panel_sums(radii, half, k_norm, grid, m, photon_energy)
     unit_total = float(panel_sums[:n_radial].sum())
     unit_refined = float(panel_sums[n_radial:].sum())
     # a coupling too large for these momenta overflows here, in Python floats

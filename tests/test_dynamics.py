@@ -76,10 +76,55 @@ def random_system(n, seed):
     return LevelSystem(rng.normal(size=n), couplings)
 
 
-def loop_paths(system):
-    """j, l and k of every path j -> l -> k of two nonzero couplings, ascending in (j, l, k)."""
-    coupled = system.couplings != 0
-    return [axis.tolist() for axis in np.nonzero(coupled[:, :, None] & coupled[None, :, :])]
+def numpy_magnus(system, hbar=1.0):
+    """Reference: magnus_second_order's (matrix, period, numeric_matrix) as numpy bookkeeping.
+
+    The same float operations in the same order, with the edges from np.nonzero,
+    the paths from a broadcast comparison, fancy indexing and np.add.at, so the
+    Python edge list and path sums of magnus_second_order can be compared
+    byte for byte.
+    """
+    energies = system.energies.tolist()
+    couplings = system.couplings.tolist()
+    tol = dynamics._match_tol(energies)
+    src, dst = np.nonzero(system.couplings)
+    gaps = []
+    for j, k in zip(src.tolist(), dst.tolist()):
+        gap = abs(energies[j] - energies[k])
+        if gap <= tol:
+            raise DegenerateLevels(f"coupled levels {j} and {k} are degenerate (gap {gap!r})")
+        gaps.append(gap)
+    period = dynamics._common_period(gaps, hbar)
+    first, second = np.nonzero(dst[:, None] == src[None, :])
+    path_j, path_l, path_k = src[first], dst[first], dst[second]
+    analytic = np.zeros_like(system.couplings)
+    for j, l, k in zip(path_j.tolist(), path_l.tolist(), path_k.tolist()):
+        if abs(energies[j] - energies[k]) <= tol:
+            analytic[j, k] += couplings[j][l] * couplings[l][k] / (energies[k] - energies[l])
+    if math.isinf(period):
+        return analytic, period, np.zeros_like(analytic)
+    nodes, weights = dynamics._unit_gauss_rule()
+    sigma = period * nodes
+    coupling = system.couplings[src, dst][:, None]
+    angle = np.outer((system.energies[src] - system.energies[dst]) / hbar, sigma)
+    half = np.exp(0.5j * angle)
+    sinc = half.imag / (0.5 * angle)
+    comm = np.zeros(analytic.shape, dtype=complex)
+    k_outer = coupling * (half * half)
+    inner_int = (coupling * sigma) * half * sinc
+    gram = (k_outer * weights) @ inner_int.T
+    np.add.at(comm, (path_j, path_k), (gram - gram.T)[first, second])
+    return analytic, period, -0.5j / hbar * comm
+
+
+def commensurate_system(seed):
+    """2-4 integer levels with repeats, complex couplings between unequal levels only."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    energies = rng.integers(-3, 4, size=n).astype(float)
+    couplings = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1)
+    couplings *= (rng.random((n, n)) < 0.7) & (energies[:, None] != energies[None, :])
+    return LevelSystem(energies, couplings + couplings.conj().T)
 
 
 def loop_secular(system):
@@ -264,6 +309,58 @@ class TestLevelSystem:
         else:
             with pytest.raises(ConfigError, match=message):
                 LevelSystem([0.0, 1.0], couplings)
+
+    @pytest.mark.parametrize("modulus", [0.1, 4.0, 3e5, 1e300])
+    def test_hermiticity_decision_at_one_ulp(self, modulus):
+        # asymmetry 0.5 |im z| against _HERMITICITY_TOL * scale, scale = max(0.5, |z| / 2):
+        # at the threshold and one ulp below the couplings pass, one ulp above they fail
+        scale = max(0.5, 0.5 * modulus)
+        threshold = dynamics._HERMITICITY_TOL * scale
+        for asymmetry, accepted in ((math.nextafter(threshold, 0.0), True), (threshold, True),
+                                    (math.nextafter(threshold, math.inf), False)):
+            z = complex(modulus, 2.0 * asymmetry)
+            couplings = [[0.0, z], [modulus, 0.0]]
+            if accepted:
+                assert LevelSystem([0.0, 1.0], couplings).couplings[0, 1] == z
+            else:
+                with pytest.raises(ConfigError, match="couplings must be Hermitian"):
+                    LevelSystem([0.0, 1.0], couplings)
+
+    def test_hermiticity_residual_of_a_transpose_pair(self):
+        # the residual at (j, k) is 0.5 z - 0.5 conj(w): a real part on one side and an
+        # imaginary part on both, every entry read once per pair j <= k
+        # of the lower entry; scale = |z| / 2 = 1.80, so the threshold is 1.80e-14
+        eps = dynamics._HERMITICITY_TOL
+        z = complex(2.0, 3.0)
+        for w, accepted in ((complex(2.0 - 2.0 * eps, -3.0), True),
+                            (complex(2.0 - 8.0 * eps, -3.0), False),
+                            (complex(2.0, -3.0 + 2.0 * eps), True),
+                            (complex(2.0, -3.0 - 8.0 * eps), False)):
+            couplings = [[0, 0, z], [0, 0, 0], [w, 0, 0]]
+            if accepted:
+                LevelSystem([0.0, 1.0, 2.0], couplings)
+            else:
+                with pytest.raises(ConfigError, match="couplings must be Hermitian"):
+                    LevelSystem([0.0, 1.0, 2.0], couplings)
+        # a diagonal with an imaginary part fails the Hermiticity test first
+        with pytest.raises(ConfigError, match="couplings must be Hermitian"):
+            LevelSystem([0.0, 1.0], [[1j, 0], [0, 0]])
+
+    def test_an_exactly_hermitian_pair_still_sets_the_scale(self):
+        # (0, 1) is exactly Hermitian, so its residual is 0 and is not formed, but its
+        # |z| / 2 = 2.5e5 is the scale that the residual a of (0, 2) is tested against
+        big = complex(3e5, -4e5)
+        threshold = dynamics._HERMITICITY_TOL * 2.5e5
+        for asymmetry, accepted in ((threshold, True), (math.nextafter(threshold, math.inf), False)):
+            couplings = [[0, big, complex(1.0, 2.0 * asymmetry)], [big.conjugate(), 0, 0],
+                         [1.0, 0, 0]]
+            if accepted:
+                LevelSystem([0.0, 1.0, 2.0], couplings)
+            else:
+                with pytest.raises(ConfigError, match="couplings must be Hermitian"):
+                    LevelSystem([0.0, 1.0, 2.0], couplings)
+        # signed zeros compare equal: this pair is exactly Hermitian
+        LevelSystem([0.0, 1.0], [[0, complex(-0.0, 1.0)], [complex(0.0, -1.0), 0]])
 
     def test_energy_spread_must_be_finite(self):
         with pytest.raises(ConfigError, match=r"energy spread max - min = inf is not a finite"):
@@ -535,6 +632,21 @@ class TestEvolve:
         assert len(lines) == len(traj.times) + 1
 
 
+class TestPopulations:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bit_identical_to_real_and_imaginary_squares(self, layout):
+        # subnormal, signed-zero and near-overflow parts, in any memory layout
+        values = [0.0, -0.0, 5e-324, -1e-160, 9e153, -8.5e153, 1.0 / 3.0, 2.0 ** -537]
+        rng = np.random.default_rng(3)
+        states = np.array([[complex(*rng.choice(values, 2)) for _ in range(3)] for _ in range(12)])
+        states = {"C": states, "F": np.asfortranarray(states), "strided": states[::2, ::-1]}[layout]
+        traj = Trajectory(np.arange(states.shape[0], dtype=float), states)
+        expected = states.real**2 + states.imag**2
+        got = traj.populations()
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, states)
+
+
 class TestInteractionFrame:
     def test_t_zero_is_bare_couplings(self):
         sys3 = lambda_system()
@@ -687,7 +799,7 @@ class TestMagnus:
         ],
     )
     def test_overflow_is_a_config_error(self, system, analytic_finite):
-        analytic = dynamics._secular_matrix(system, *loop_paths(system))
+        analytic, _ = dynamics._secular_matrix(system, dynamics._coupled_edges(system))
         assert np.isfinite(analytic).all() == analytic_finite
         with pytest.raises(ConfigError, match="second-order couplings overflow"):
             magnus_second_order(system)
@@ -713,14 +825,47 @@ class TestMagnus:
         # integer levels with repeats and no coupling between equal levels: every
         # gap is commensurate and nonzero, and the resonant entries off the
         # diagonal collect paths through more than one level
-        rng = np.random.default_rng(seed)
-        n = 2 + seed % 3
-        energies = rng.integers(-3, 4, size=n).astype(float)
-        couplings = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1)
-        couplings *= (rng.random((n, n)) < 0.7) & (energies[:, None] != energies[None, :])
-        system = LevelSystem(energies, couplings + couplings.conj().T)
+        system = commensurate_system(seed)
         analytic = magnus_second_order(system, hbar=hbar).matrix
         assert analytic.tobytes() == loop_secular(system).tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_python_bookkeeping_is_bit_identical_to_numpy(self, seed, hbar):
+        # the edge list, the paths and both path sums on Python values change no bit
+        # of matrix, period or numeric_matrix against the numpy formulation
+        system = commensurate_system(seed)
+        eff = magnus_second_order(system, hbar=hbar)
+        analytic, period, numeric = numpy_magnus(system, hbar=hbar)
+        assert eff.period.hex() == period.hex()
+        for got, want in ((eff.matrix, analytic), (eff.numeric_matrix, numeric)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("system", [
+        *benchmark_systems().values(),
+        complex_four_level(),
+        chain_four_level(),
+        fully_coupled_four_level(),
+        # Hermitian within tolerance: the one-sided lower entry is an edge with no
+        # transpose, so the paths through it differ from their mirror images
+        LevelSystem([0.0, 2.0, 1.0], [[0, 0, 0.1], [1e-16, 0, 0], [0.1, 0, 0]]),
+        LevelSystem([0.0, 10.0, 0.0], np.zeros((3, 3))),
+    ])
+    def test_bit_identical_to_numpy_on_named_systems(self, system):
+        eff = magnus_second_order(system, hbar=0.7)
+        analytic, period, numeric = numpy_magnus(system, hbar=0.7)
+        assert eff.period == period
+        assert eff.matrix.tobytes() == analytic.tobytes()
+        assert eff.numeric_matrix.tobytes() == numeric.tobytes()
+
+    def test_degenerate_one_sided_edge_raises_as_numpy(self):
+        system = LevelSystem([0.0, 0.0, 1.0], [[0, 0, 0.1], [1e-16, 0, 0], [0.1, 0, 0]])
+        with pytest.raises(DegenerateLevels) as reference:
+            numpy_magnus(system)
+        with pytest.raises(DegenerateLevels) as caught:
+            magnus_second_order(system)
+        assert str(caught.value) == str(reference.value)
 
     def test_hermitian(self):
         eff = magnus_second_order(lambda_system(omega1=0.2 + 0.1j))

@@ -231,12 +231,11 @@ class TestNonFiniteSampleInput:
 
 
 class TestThreeVectorShape:
-    # two components once raised a bare unpacking ValueError, a nested vector a
-    # TypeError, and total_shift integrated a four-vector at |k| = 7.02
-    @pytest.mark.parametrize("bad", [(0.0, 0.5), (0.0, 0.0, 0.5, 7.0), [[0.0, 0.0, 0.5]]])
-    def test_rejected_at_every_entry_point(self, bad):
+    @staticmethod
+    def entry_points(bad):
+        """Every vacuum entry point with `bad` as its k3 or its p3, by argument name."""
         p3 = (0.3, -0.2, 0.7)
-        calls = {
+        return {
             "k3": (lambda: total_shift(bad, 1e4), lambda: pair_coupling(p3, bad),
                    lambda: outgoing_eta(p3, bad, 1.0), lambda: vacuum.pair_shift_sample(p3, bad),
                    lambda: shift_density(p3, bad), lambda: corrected_pair_coupling(p3, bad)),
@@ -244,8 +243,30 @@ class TestThreeVectorShape:
                    lambda: vacuum.pair_shift_sample(bad, K3), lambda: shift_density(bad, K3),
                    lambda: corrected_pair_coupling(bad, K3)),
         }
+
+    # two components once raised a bare unpacking ValueError, a nested vector a
+    # TypeError, and total_shift integrated a four-vector at |k| = 7.02
+    @pytest.mark.parametrize("bad", [(0.0, 0.5), (0.0, 0.0, 0.5, 7.0), [[0.0, 0.0, 0.5]]])
+    def test_rejected_at_every_entry_point(self, bad):
         message = rf"^{{}} must be 3 numbers, got an array of shape {re.escape(str(np.shape(bad)))}$"
-        for name, fns in calls.items():
+        for name, fns in self.entry_points(bad).items():
+            for fn in fns:
+                with pytest.raises(ConfigError, match=message.format(name)):
+                    fn()
+
+    # each once raised numpy's bare ValueError, TypeError or OverflowError from
+    # np.array(..., dtype=float)
+    @pytest.mark.parametrize("bad, reason", [
+        ([[0, 0], [0.5]], "inhomogeneous shape"),
+        ([0.1, [0.2], 0.3], "inhomogeneous shape"),
+        ("abc", "could not convert string to float: 'abc'"),
+        ((0.1, "x", 0.3), "could not convert string to float: 'x'"),
+        ({}, "not 'dict'"),
+        ((10**400, 0.0, 0.5), "int too large to convert to float"),
+    ])
+    def test_unconvertible_rejected_at_every_entry_point(self, bad, reason):
+        message = rf"^{{}} must be 3 numbers: .*{re.escape(reason)}"
+        for name, fns in self.entry_points(bad).items():
             for fn in fns:
                 with pytest.raises(ConfigError, match=message.format(name)):
                     fn()
@@ -548,12 +569,12 @@ class TestCylindricalKernel:
         def two_sets(radii, other, *rest):
             return vacuum._radial_profile((radii, other), *rest)
 
-        _, panel_radii, panel_weights, *_ = vacuum._grid_table(1.0, 1e4, 8)
+        _, panel_radii, panel_half, *_ = vacuum._grid_table(1.0, 1e4, 8)
         calls = [
             (vacuum._cylindrical_terms, grid, (k_norm, 1.0, 1.3)),
             (vacuum._density_terms, (p3s, k3), (NATURAL, 1.3)),
             (two_sets, (radii, 2.0 * radii), (k_norm, GridSpec(), 1.0, 1.3)),
-            (vacuum._panel_sums, (panel_radii, panel_weights), (k_norm, GridSpec(), 1.0, 1.3)),
+            (vacuum._panel_sums, (panel_radii, panel_half), (k_norm, GridSpec(), 1.0, 1.3)),
         ]
         for fn, arrays, rest in calls:
             copies = [array.copy() for array in arrays]
@@ -943,6 +964,19 @@ class TestGridMemo:
             result = total_shift(k3, m * cutoff, grid, constants, photon_energy=energy,
                                  refine_tol=100.0)
             assert report_fields(result) == expected
+
+    @pytest.mark.parametrize("m, cutoff, n_radial", [
+        (1.0, 1e3, 4), (1.0, 1e4, 96), (1e-150, 1e-140, 48), (1e50, 1e60, 192),
+        (1.0, 1e4, vacuum._MAX_GRID_NODES // 2),
+    ])
+    def test_half_widths_give_the_node_weights_bit_for_bit(self, m, cutoff, n_radial):
+        # the table keeps one half-width per panel, and _panel_sums forms the node
+        # weights as a rank-1 product: the same floats as the broadcast product
+        _, radii, half, *_ = vacuum._grid_table(m, cutoff, n_radial)
+        assert half.shape == (3 * n_radial,) and radii.shape == (3 * n_radial, 4)
+        w4 = vacuum._gauss_rule(4)[1]
+        rank_one = np.dot(half[:, None], w4[None])
+        assert rank_one.tobytes() == (half[:, None] * w4).tobytes()
 
     def test_a_call_that_raises_leaves_the_memo(self):
         total_shift(K3, 1e4)
