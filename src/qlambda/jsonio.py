@@ -4,7 +4,8 @@ In: `read_json` reads and `parse_json` parses every input document, each
 failure a ConfigError, and `json_floats` is the one number rule of input.
 Out: every float of every artifact, JSON or CSV, is printed with
 FLOAT_FORMAT: 17 significant digits and '.' decimal separator, so repeated
-runs produce byte-identical artifacts regardless of locale.
+runs produce byte-identical artifacts regardless of locale. An undefined value,
+None or a non-finite float, is null in JSON and an empty key-value CSV field.
 """
 from __future__ import annotations
 
@@ -87,9 +88,7 @@ def _format(obj, level: int) -> str:
         return str(int(obj))
     if isinstance(obj, numbers.Real):  # float and numpy floats
         value = float(obj)
-        if not math.isfinite(value):
-            return json.dumps(value)  # Infinity / -Infinity / NaN, as json.dumps
-        return FLOAT_FORMAT % value
+        return FLOAT_FORMAT % value if math.isfinite(value) else "null"
     if isinstance(obj, complex):
         return _format([obj.real, obj.imag], level)
     return json.dumps(obj)
@@ -97,6 +96,11 @@ def _format(obj, level: int) -> str:
 
 def dump_json(obj) -> str:
     return _format(obj, 0) + "\n"
+
+
+def _csv_field(value) -> str:
+    # a number of a key-value CSV; an undefined one, None or non-finite, is empty
+    return FLOAT_FORMAT % value if value is not None and math.isfinite(value) else ""
 
 
 def dump_key_value_csv(doc: dict) -> str:
@@ -109,12 +113,12 @@ def dump_key_value_csv(doc: dict) -> str:
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
         elif isinstance(value, (list, tuple)):
             if all(isinstance(v, (int, float)) for v in value):
-                lines.append(f"{prefix},{';'.join(FLOAT_FORMAT % float(v) for v in value)}")
+                lines.append(f"{prefix},{';'.join(map(_csv_field, value))}")
             else:
                 for i, v in enumerate(value):
                     emit(f"{prefix}[{i}]", v)
-        elif isinstance(value, float):
-            lines.append(f"{prefix},{FLOAT_FORMAT % value}")
+        elif isinstance(value, float) or value is None:
+            lines.append(f"{prefix},{_csv_field(value)}")
         else:
             lines.append(f"{prefix},{value}")
 

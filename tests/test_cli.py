@@ -22,6 +22,11 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+def reject_constant(constant):
+    """json.loads parse_constant for a strict reader: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 @pytest.fixture
 def lambda_file(tmp_path):
     couplings = np.zeros((3, 3), dtype=complex)
@@ -115,9 +120,10 @@ class TestLambdaSim:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         pops = rows[:, 1::2] ** 2 + rows[:, 2::2] ** 2
         assert np.max(np.abs(pops - pops[0])) < 1e-12
-        doc = json.loads((tmp_path / "s.json").read_text())
-        # no coupling: no period, no rate to predict and no Magnus cross-check
-        assert doc["period"] == float("inf")
+        doc = json.loads((tmp_path / "s.json").read_text(), parse_constant=reject_constant)
+        # no coupling: no period, no rate to predict and no Magnus cross-check; the
+        # infinite period is undefined and written null, as JSON has no Infinity
+        assert doc["period"] is None
         assert doc["predicted_rate"] is None and doc["relative_deviation"] is None
         assert doc["magnus_residual"] is None
 
@@ -262,6 +268,17 @@ class TestAmplitudeCommands:
         doc = json.loads(out.read_text())
         assert doc["eta"] == 1.0
         assert len(doc["parts"]) == 8
+
+    def test_undefined_textbook_ratio_is_an_empty_csv_field(self, tmp_path):
+        # forward scattering with crossed polarizations: the textbook total vanishes,
+        # so the ratio is undefined
+        out = tmp_path / "amp.csv"
+        assert main(["compton", "--theta", "0", "--pols", "1", "2", "--format", "csv",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "textbook_ratio," in lines
+        values = [v for line in lines[1:] for v in line.split(",", 1)[1].split(";")]
+        assert not set(values) & {"None", "nan", "inf", "-inf"}
 
     def test_moller_forward_exit_4(self, tmp_path):
         rc = main(["moller", "--theta", "0", "--out", str(tmp_path / "m.json")])
@@ -721,16 +738,13 @@ class TestTinyPhotonEnergy:
 
 class TestTinyWavevectorVacpol:
     def test_summary_is_strict_json(self, tmp_path):
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         shifts = []
         for size in ("1e-300", "1e-160", "1e-8"):
             summary = tmp_path / f"s{size}.json"
             rc = main(["vacpol", "--k", size, "0", "0", "--out", str(tmp_path / "c.csv"),
                        "--summary", str(summary)])
             assert rc == 0
-            doc = json.loads(summary.read_text(), parse_constant=reject)
+            doc = json.loads(summary.read_text(), parse_constant=reject_constant)
             assert doc["photon_energy"] == float(size)
             shifts.append(doc["pair_shift"])
         assert max(shifts) - min(shifts) <= 1e-12 * abs(shifts[-1])
@@ -751,10 +765,7 @@ class TestUnderflowingVacpol:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        return json.loads(summary.read_text(), parse_constant=reject)
+        return json.loads(summary.read_text(), parse_constant=reject_constant)
 
     def test_tiny_mass_scales_the_natural_run(self, tmp_path):
         from qlambda.vacuum import total_shift
@@ -816,10 +827,7 @@ class TestUndefinedVacpolDiagnostics:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        return json.loads(summary.read_text(), parse_constant=reject)
+        return json.loads(summary.read_text(), parse_constant=reject_constant)
 
     def test_one_radius_fit_window(self, tmp_path):
         doc = self.run(tmp_path, ["--n-radial", "4", "--n-theta", "8", "--cutoff", "1e6",

@@ -12,7 +12,14 @@ import pytest
 from qlambda.amplitudes import BoostScanRow, BoostScanTable
 from qlambda.dynamics import Trajectory
 from qlambda.errors import ConfigError
-from qlambda.jsonio import dump_json, json_floats, parse_json, read_json, write_table
+from qlambda.jsonio import (
+    dump_json,
+    dump_key_value_csv,
+    json_floats,
+    parse_json,
+    read_json,
+    write_table,
+)
 from qlambda.vacuum import ConvergenceReport
 
 # -0.0, the smallest subnormal, a huge value, non-finite values and whole numbers
@@ -74,6 +81,35 @@ def test_json_floats_keep_17_digits():
     text = dump_json({"values": values, "z": complex(-0.0, 5e-324)})
     assert json.loads(text)["values"] == values
     assert '\n  "z": [\n    -0,\n    4.9406564584124654e-324\n  ]' in text
+
+
+# the non-finite floats of Python and numpy: each is an undefined artifact value
+UNDEFINED = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]
+UNDEFINED_IDS = ["nan", "inf", "-inf", "numpy-nan", "numpy--inf"]
+
+
+def reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("value", UNDEFINED, ids=UNDEFINED_IDS)
+def test_dump_json_writes_undefined_as_null(value):
+    text = dump_json({"x": value, "xs": [0.5, value]})
+    assert text == '{\n  "x": null,\n  "xs": [\n    0.5,\n    null\n  ]\n}\n'
+    assert json.loads(text, parse_constant=reject) == {"x": None, "xs": [0.5, None]}
+
+
+@pytest.mark.parametrize("value", UNDEFINED + [None], ids=UNDEFINED_IDS + ["none"])
+def test_key_value_csv_writes_undefined_as_an_empty_field(value):
+    text = dump_key_value_csv({"x": value, "g": {"y": value}, "xs": [0.5, value]})
+    xs = "xs,0.5;" if value is not None else "xs[0],0.5\nxs[1],"
+    assert text == f"key,value\nx,\ng.y,\n{xs}\n"
+
+
+def test_key_value_csv_keeps_defined_values():
+    doc = {"f": 0.1, "i": 3, "b": True, "s": "box", "xs": [1, -0.0, 5e-324]}
+    assert dump_key_value_csv(doc) == (
+        "key,value\nf,0.10000000000000001\ni,3\nb,True\ns,box\nxs,1;-0;4.9406564584124654e-324\n")
 
 
 @pytest.mark.parametrize("body", [

@@ -46,10 +46,10 @@ K3 = np.array([0.0, 0.0, 0.5])
 
 
 @pytest.fixture(autouse=True)
-def empty_grid_memo(monkeypatch):
-    # each test starts from an empty total_shift grid memo, so that whether its
+def empty_grid_cache():
+    # each test starts from an empty total_shift grid cache, so that whether its
     # first call hits does not depend on the test run before it
-    monkeypatch.setattr(vacuum, "_grid_memo", (None, None))
+    vacuum._grid_table.cache_clear()
 
 
 class TestPairCoupling:
@@ -921,7 +921,7 @@ def report_fields(result):
 
 class TestGridMemo:
     """total_shift keeps the k-independent half of its grid, one read-only table per
-    (m, cutoff, n_radial), in a last-call memo written only by a call that returns."""
+    (m, cutoff, n_radial), in the one-entry lru_cache of _grid_table."""
 
     OTHER = GridSpec(n_radial=48)
     VECTORS = moller_kinematics(4.0, 1.0, Boost((0.3, -0.2, 0.4)))
@@ -933,25 +933,19 @@ class TestGridMemo:
         return [((0.0, 0.0, 0.5), None), ((0.3, -0.4, 0.2), None), ((1.0, 2.0, -0.5), None),
                 ((0.0, 0.0, 0.5), 1.3), ((0.3, -0.4, 0.2), -1.0), (k_cm, None)]
 
-    def test_hits_are_bit_for_bit_misses(self, monkeypatch):
-        built = []
-        grid_table = vacuum._grid_table
-
-        def counted(*key):
-            built.append(key)
-            return grid_table(*key)
-
-        monkeypatch.setattr(vacuum, "_grid_table", counted)
+    def test_hits_are_bit_for_bit_misses(self):
+        info = vacuum._grid_table.cache_info
         total_shift(K3, 1e4, self.OTHER)
         hits = [report_fields(total_shift(k3, 1e4, photon_energy=w)) for k3, w in self.k_scan()]
         factor = cm_correction_factor(*self.VECTORS, cutoff=1e4)
-        assert built == [(1.0, 1e4, 48), (1.0, 1e4, 96)]
+        # one build per grid: the k-scan and the CM correction hit the default grid's table
+        assert (info().misses, info().hits) == (2, len(hits))
         for (k3, w), hit in zip(self.k_scan(), hits):
             total_shift(K3, 1e4, self.OTHER)
             assert report_fields(total_shift(k3, 1e4, photon_energy=w)) == hit
         total_shift(K3, 1e4, self.OTHER)
         assert cm_correction_factor(*self.VECTORS, cutoff=1e4).hex() == factor.hex()
-        assert len(built) == 2 + 2 * len(hits) + 2
+        assert (info().misses, info().hits) == (2 + 2 * len(hits) + 2, len(hits))
 
     @pytest.mark.parametrize("k3, cutoff, grid, m, energy", TestOneSweep.CASES)
     def test_hit_and_miss_match_three_passes(self, k3, cutoff, grid, m, energy):
@@ -978,18 +972,24 @@ class TestGridMemo:
         rank_one = np.dot(half[:, None], w4[None])
         assert rank_one.tobytes() == (half[:, None] * w4).tobytes()
 
-    def test_a_call_that_raises_leaves_the_memo(self):
-        total_shift(K3, 1e4)
-        memo = vacuum._grid_memo
+    def test_the_call_after_a_raising_call_matches_a_fresh_build(self):
+        # a call that raises leaves the table it built in the cache; the table is a
+        # pure function of its key, so the next call reads what a fresh build gives
+        info = vacuum._grid_table.cache_info
         for args, kwargs, error in (
             ((K3, 1e3, GridSpec(n_radial=48, n_theta=8)), {"refine_tol": 0.0}, GridTooCoarse),
             ((K3, 1e3, GridSpec(n_radial=4, n_theta=8)), {"photon_energy": 2.5}, RealPairThreshold),
             ((K3, 1e4), {"photon_energy": 2.5}, RealPairThreshold),
         ):
+            vacuum._grid_table.cache_clear()
+            fresh = report_fields(total_shift(*args, refine_tol=100.0))
+            vacuum._grid_table.cache_clear()
             for _ in range(2):
                 with pytest.raises(error):
-                    total_shift(*args, **kwargs)
-                assert vacuum._grid_memo is memo
+                    total_shift(*args, **{"refine_tol": 100.0, **kwargs})
+                hits = info().hits
+                assert report_fields(total_shift(*args, refine_tol=100.0)) == fresh
+                assert (info().misses, info().hits) == (1, hits + 1)
 
     def test_report_arrays_do_not_reach_the_memo(self):
         first = total_shift(K3, 1e4)
@@ -998,8 +998,9 @@ class TestGridMemo:
         for name in ("cutoffs", "partial_sums", "tail_estimates"):
             getattr(report, name)[:] = np.nan
         assert report_fields(total_shift(K3, 1e4)) == expected
-        for array in vacuum._grid_memo[1][:5]:
+        for array in vacuum._grid_table(1.0, 1e4, GridSpec().n_radial)[:5]:
             assert not array.flags.writeable
+        assert vacuum._grid_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("k3", [(0.0, 0.0, 0.5), (1.0, 2.0, -0.5)])
     def test_threshold_bound(self, k3):
