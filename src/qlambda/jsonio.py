@@ -9,6 +9,7 @@ None or a non-finite float, is null in JSON and an empty key-value CSV field.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -127,7 +128,13 @@ def dump_key_value_csv(doc: dict) -> str:
 
 
 def write_table(fh, columns, rows) -> None:
-    """CSV with one header line of `columns`, then each row of floats in FLOAT_FORMAT."""
+    """CSV with one header line of `columns`, then each row of floats in FLOAT_FORMAT.
+
+    `rows` is any iterable of rows of one value per column. The table is
+    formatted with one `%` of the row template repeated once per row on all
+    values in order, the bytes that formatting each row apart gives.
+    """
     fh.write(",".join(columns) + "\n")
+    rows = list(rows)
     template = ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
-    fh.write("".join(template % tuple(row) for row in rows))
+    fh.write((template * len(rows)) % tuple(itertools.chain.from_iterable(rows)))

@@ -14,7 +14,11 @@ the scattering module.
 k enters the integral only through E' = E_{p+k}, so the radial half of
 `total_shift`'s grid, which depends on (m, cutoff, n_radial) alone, is a
 read-only table in a one-entry `functools.lru_cache`: a k-scan at one cutoff
-builds it once.
+builds it once. It holds each radius's r^2, E^2 and E, so the kernel's
+blocks only slice them, and the angle columns and weights are built once
+per angular node count. The kernel leaves out the density's exact factor
+-2: the angular weights of `total_shift` carry it, and a sample multiplies
+by -2 P0 in one product.
 """
 from __future__ import annotations
 
@@ -44,15 +48,16 @@ from .pauli import _require_index, bar_dot, slash_column, spin_pair, transverse_
 _MAX_CUTOFF = 1e60
 # The kernel runs in blocks of _BLOCK_POINTS, so its memory does not grow with
 # the grid. Peak RSS of a fresh process making one call at each cap (CPython
-# 3.11, numpy 2.4): 47 MB at 256 x 1024, of which 17 MB is leggauss's
+# 3.11, numpy 2.4, 2 vCPUs): 46.7 MB at 256 x 1024, of which 17 MB is leggauss's
 # 1024 x 1024 companion matrix, 29 MB the interpreter and under 0.5 MB the
-# call's own arrays; 77 MB at 131072 x 2, where three arrays of one value per
+# call's own arrays; 115.7 MB at 131072 x 2, where six arrays of one value per
 # Gauss node of both radial grids (12.6 MB each) are alive at once: the grid
-# table's radii, the profile and the node weights that _panel_sums forms from
-# the table's per-panel half-widths (3.1 MB). After the call _grid_table's cache
-# keeps the radii, the half-widths and the edges, 17 MB, until the next key's table
-# is built, before that call's sweep: a second call at 131072 x 2 and another cutoff
-# peaks at 78 MB. The default grid's table is 13 KB.
+# table's radii and their r^2, E^2 and E, the profile and the node weights that
+# _panel_sums forms from the table's per-panel half-widths (3.1 MB). After the
+# call _grid_table's cache keeps the whole table, 58 MB, until the next key's
+# table is built, before that call's sweep: a second call at 131072 x 2 and
+# another cutoff peaks at 155.7 MB, with both tables alive. The default grid's
+# table is 42 KB, and one call on it peaks at 30.9 MB.
 _MAX_N_THETA = 1024
 _MAX_GRID_NODES = 2**18
 # Grid points per kernel call in _radial_profile. Each temporary of a block is
@@ -125,13 +130,26 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_energy: float):
-    """E', spinor factor and unit-coupling shift density in cylindrical coordinates about k.
+def _energies(p_sq, m: float):
+    """E^2 = |p|^2 + m^2 and E = sqrt(E^2) of an array of |p|^2 or of one Python float.
 
-    `p_sq = |p|^2`, `p_perp2 = |p x khat|^2` and `p_par = p.khat` are arrays,
-    `p_perp2` and `p_par` of one shape, or the Python floats of one sample;
-    E = sqrt(|p|^2 + m^2) is evaluated on the shape of `p_sq`, so a grid
-    passes it once per radius. A sample takes math.sqrt and compares its one
+    A float |p|^2 takes math.sqrt and an array np.sqrt; both are correctly
+    rounded, so a sample's E is bit for bit the grid's at the same |p|^2.
+    """
+    e_sq = p_sq + m * m
+    return e_sq, (math.sqrt if type(p_sq) is float else np.sqrt)(e_sq)
+
+
+def _cylindrical_terms(e_p_sq, e_p, p_perp2, p_par, k_norm: float, m: float,
+                       photon_energy: float):
+    """E', spinor factor and the kernel's density in cylindrical coordinates about k.
+
+    `e_p_sq = E^2 = |p|^2 + m^2` and `e_p = E` are formed by `_energies`,
+    `p_perp2 = |p x khat|^2` and `p_par = p.khat` by `_cylindrical_coordinates`;
+    they are arrays, `p_perp2` and `p_par` of one shape and E^2, E of a shape
+    that broadcasts against it, or the Python floats of one sample. A grid
+    passes E^2 and E once per radius, sliced from total_shift's grid table,
+    so no block forms them. A sample takes math.sqrt and compares its one
     C with the threshold directly, so it creates no numpy scalar; both
     square roots are correctly rounded, and every other step is the same
     operation on either kind, so a sample is bit for bit the grid's value at
@@ -146,8 +164,13 @@ def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_ene
     cannot overflow, and a |k|^2 that underflows drops out instead of
     dividing. The squared prefactor P0 eta1^2 / C (C = E + E') times the
     bracket 1/(w - C) - 1/(w + C) is -2 P0 (m^2 / E'^2) / (C^2 - w^2), with
-    P0 = coupling_prefactor(1, 1)^2; the kernel returns it at P0 = 1 and
-    needs no Constants. The bracket has poles at w = +-C, so
+    P0 = coupling_prefactor(1, 1)^2. The kernel returns
+    (m^2 / E'^2) / (C^2 - w^2) times the spinor factor, the density over
+    -2 P0, and needs no Constants: the exact factor -2 is applied once per
+    product by the caller, on total_shift's angular weights (`_angular_rule`)
+    or with P0 in `_density_scale`'s -2 P0, so each product is the same real
+    number before rounding that scaling the density by -2 first would give.
+    The bracket has poles at w = +-C, so
     RealPairThreshold is raised once |w| reaches C at any momentum; scaling
     the smallest C by 1 - 1e-12 rounds exactly as scaling each C would.
     Over all p the smallest C is sqrt(|k|^2 + 4 m^2), at p = -k/2; an array
@@ -158,15 +181,13 @@ def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_ene
     temporary of this call: on arrays it writes in place, so a grid block
     allocates one array per new name and none per operation, and on the
     floats of a single sample it rebinds. The density is grouped as
-    ((m^2 / E'^2) / (C^2 - w^2)) spinor (-2): each step stays in range wherever
+    ((m^2 / E'^2) / (C^2 - w^2)) spinor: each step stays in range wherever
     the density itself is, from |p| ~ 1e150 (where E'^2 (C^2 - w^2) would
     overflow) down to m ~ 1e-150 (where (spinor / E'^2) / (C^2 - w^2),
     with m^2 folded into P0, would overflow as 1 / m^4).
     """
     sqrt = math.sqrt if type(p_par) is float else np.sqrt
     m_sq = m * m
-    e_p_sq = p_sq + m_sq
-    e_p = sqrt(e_p_sq)
     spinor = p_perp2 + m_sq
     e_pk_sq = p_par + k_norm
     e_pk_sq *= e_pk_sq
@@ -193,7 +214,6 @@ def _cylindrical_terms(p_sq, p_perp2, p_par, k_norm: float, m: float, photon_ene
     combined -= photon_energy * photon_energy
     density /= combined
     density *= spinor
-    density *= -2.0
     return e_pk, spinor, density
 
 
@@ -221,7 +241,11 @@ def _density_scale(constants: Constants) -> float:
     """-2 P0, the density scale, with P0 = coupling_prefactor(1, 1)^2.
 
     The one place -2 P0 is formed: a scale that overflows is a ConfigError.
-    Halving it gives P0 exactly, the factor each result applies once.
+    A sample's and `_density_terms`' kernel density is multiplied by it
+    once, which applies the kernel's factor -2 and P0 in one product.
+    total_shift's sweeps carry the -2 on their angular weights instead
+    (`_angular_rule`), and halving the scale gives P0 exactly, the factor
+    each of its results applies once.
     """
     scale = -2.0 * coupling_prefactor(1.0, 1.0, constants) ** 2
     if not math.isfinite(scale):
@@ -233,17 +257,17 @@ def _density_terms(p3s: np.ndarray, k3: np.ndarray, constants: Constants, photon
     """eta1, spinor factor and shift density for momenta of shape (..., 3).
 
     The Cartesian entry to `_cylindrical_terms` for arrays of momenta;
-    eta1 = m / E' comes from the kernel's E', and the density is scaled by P0.
+    eta1 = m / E' comes from the kernel's E', and the density is scaled by -2 P0.
     """
-    p0 = -0.5 * _density_scale(constants)
+    scale = _density_scale(constants)
     k_list = k3.tolist()
     k_norm = math.hypot(*k_list)
     m = constants.m_e
+    p_sq, p_perp2, p_par = _cylindrical_coordinates(
+        *p3s.transpose(-1, *range(p3s.ndim - 1)), k_list, k_norm)
     e_pk, spinor_factor, density = _cylindrical_terms(
-        *_cylindrical_coordinates(*p3s.transpose(-1, *range(p3s.ndim - 1)), k_list, k_norm),
-        k_norm, m, photon_energy,
-    )
-    density *= p0
+        *_energies(p_sq, m), p_perp2, p_par, k_norm, m, photon_energy)
+    density *= scale
     return m / e_pk, spinor_factor, density
 
 
@@ -266,7 +290,7 @@ def pair_shift_sample(
     """Shift density at one pair momentum, with its provenance fields.
 
     The kernel runs on the Python floats of the components; its density is
-    scaled by P0 here. Raises ConfigError for a non-finite p3, k3 or
+    scaled by -2 P0 here. Raises ConfigError for a non-finite p3, k3 or
     photon_energy, for momenta whose squared energies overflow, and for a
     density that overflows once scaled.
     """
@@ -287,16 +311,17 @@ def pair_shift_sample(
     if photon_energy is None:
         photon_energy = k_norm
     scale = _density_scale(constants)
+    m = constants.m_e
+    p_sq, p_perp2, p_par = _cylindrical_coordinates(*p_list, k_list, k_norm)
     e_pk, spinor_factor, density = _cylindrical_terms(
-        *_cylindrical_coordinates(*p_list, k_list, k_norm), k_norm, constants.m_e, photon_energy
-    )
-    density *= -0.5 * scale
+        *_energies(p_sq, m), p_perp2, p_par, k_norm, m, photon_energy)
+    density *= scale
     if not math.isfinite(density):
         raise ConfigError(f"the shift density overflows: -2 P0 = {scale!r} is too large "
                           f"for this momentum")
     p3.setflags(write=False)
     k3.setflags(write=False)
-    return tuple.__new__(PairShiftSample, (p3, k3, float(constants.m_e / e_pk),
+    return tuple.__new__(PairShiftSample, (p3, k3, float(m / e_pk),
                                            float(spinor_factor), float(density)))
 
 
@@ -366,45 +391,74 @@ class ConvergenceReport(namedtuple("ConvergenceReport", (
         }
 
 
-def _radial_profile(radius_sets: tuple[np.ndarray, ...], k_norm: float, grid: GridSpec,
-                    m: float, photon_energy: float) -> np.ndarray:
+@functools.cache
+def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only cos(theta) column, sin^2(theta) column and weights of the n-node angle rule.
+
+    Built once per n from `_gauss_rule(n)`. The weights are
+    -2.0 * (2 pi w_i): 2 pi w_i covers the sphere, and the -2 is the exact
+    factor the kernel leaves out, so each product of the angular sum is the
+    real number the kernel's density times -2 and 2 pi w_i would give.
+    """
+    cos_t, weights = _gauss_rule(n)
+    rule = (cos_t[:, None], (1.0 - cos_t * cos_t)[:, None], -2.0 * (2.0 * math.pi * weights))
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+def _radius_set(radii: np.ndarray, m: float) -> tuple[np.ndarray, ...]:
+    """(r, r^2, E^2, E) of `radii`, each flat and read-only: what a sweep reads per radius.
+
+    E^2 = r^2 + m^2 and E come from `_energies`, the values a sample forms
+    at |p| = r, so a block slices them instead of the kernel forming them.
+    """
+    r = radii.ravel()
+    r_sq = r * r
+    radius_set = (r, r_sq, *_energies(r_sq, m))
+    for array in radius_set:
+        array.setflags(write=False)
+    return radius_set
+
+
+def _radial_profile(radius_sets: tuple[tuple[np.ndarray, ...], ...], k_norm: float,
+                    grid: GridSpec, m: float, photon_energy: float) -> np.ndarray:
     """Angular integral of the unit-coupling density at each radius, in one sweep of blocks.
 
     The summed density depends only on |p| and the angle to k, so the polar
     axis is put on k and one Gauss rule in cos(theta), weights 2 pi w_i,
-    covers the whole sphere. The kernel takes the (node, radius) grid of
+    covers the whole sphere; `_angular_rule` carries them times the
+    kernel's -2. The kernel takes the (node, radius) grid of
     r^2 sin^2(theta) and r cos(theta) directly, at most _BLOCK_POINTS points
     at a time (one radius per block if n_theta exceeds it). The sin^2 and
-    cos columns are formed once per sweep, and each block's grids are their
-    rank-1 products with the block's row of radii, one `np.dot` of inner
-    dimension 1 each: every element is one correctly rounded product, the
-    same value the broadcast product gives, but numpy's broadcast multiply
-    runs its inner loop once per angle row and takes about twice as long
-    (6-8 against 2-3 us per 4096-point grid). Radii run along the last
-    axis, so the per-radius E, E^2 broadcast over contiguous rows.
+    cos columns are built once per n_theta, and each block's grids are their
+    rank-1 products with the block's row of r^2 and of radii, one `np.dot`
+    of inner dimension 1 each: every element is one correctly rounded
+    product, the same value the broadcast product gives, but numpy's
+    broadcast multiply runs its inner loop once per angle row and takes
+    about twice as long (6-8 against 2-3 us per 4096-point grid). Radii run
+    along the last axis, so the per-radius E, E^2 broadcast over contiguous
+    rows.
 
-    `radius_sets` is a sequence of radius arrays; the profile holds all
-    their radii in order, flattened. Each set is blocked from its own first
-    radius, as if it ran alone: BLAS sums the rows of a block's last
-    partial SIMD group in another order, so a block that straddled two sets
-    would move values of either by an ulp. The radii are only read, so the
-    read-only arrays of total_shift's grid table pass as they are.
+    `radius_sets` is a sequence of `_radius_set` tuples (r, r^2, E^2, E);
+    the profile holds all their radii in order. Each set is blocked from
+    its own first radius, as if it ran alone: BLAS sums the rows of a
+    block's last partial SIMD group in another order, so a block that
+    straddled two sets would move values of either by an ulp. A block
+    slices its r^2, E^2 and E from the set, and the arrays are only read,
+    so the read-only sets of total_shift's grid table pass as they are.
     """
-    cos_t, weights = _gauss_rule(grid.n_theta)
-    cos_column = cos_t[:, None]
-    sin_sq_column = (1.0 - cos_t * cos_t)[:, None]
-    angular = 2.0 * math.pi * weights
+    cos_column, sin_sq_column, angular = _angular_rule(grid.n_theta)
     cols = max(1, _BLOCK_POINTS // grid.n_theta)
-    profile = np.empty(sum(radii.size for radii in radius_sets))
+    profile = np.empty(sum(radius_set[0].size for radius_set in radius_sets))
     offset = 0
-    for radii in radius_sets:
-        radii = radii.ravel()
+    for radii, r_sq, e_sq, e in radius_sets:
         for start in range(0, radii.size, cols):
-            block = radii[start:start + cols]
-            r_sq = block * block
+            stop = start + cols
+            block = radii[start:stop]
             _, _, dens = _cylindrical_terms(
-                r_sq, np.dot(sin_sq_column, r_sq[None]), np.dot(cos_column, block[None]),
-                k_norm, m, photon_energy,
+                e_sq[start:stop], e[start:stop], np.dot(sin_sq_column, r_sq[None, start:stop]),
+                np.dot(cos_column, block[None]), k_norm, m, photon_energy,
             )
             np.dot(angular, dens, out=profile[offset + start:offset + start + block.size])
         offset += radii.size
@@ -415,13 +469,16 @@ def _radial_profile(radius_sets: tuple[np.ndarray, ...], k_norm: float, grid: Gr
 def _grid_table(m: float, cutoff: float, n_radial: int) -> tuple:
     """The k-independent half of total_shift's grid: read-only arrays of one value per radius.
 
-    (cutoffs, radii, half, window, log_p, spread): the coarse cutoff
-    edges; the 4-point Gauss radii of the log-radius panels of the coarse
-    and then the doubled grid, shape (3 n_radial, 4), and the half-widths of
-    those panels, one per panel; the fit window, its centred log radii and
-    their spread log_p @ log_p. The coarse linspace step is twice the
-    doubled grid's, so its edges are bit for bit the even ones. Every caller
-    shares the cached table of the last key, so its arrays are read-only.
+    (cutoffs, radii, half, window, log_p, spread, radius_sets): the coarse
+    cutoff edges; the 4-point Gauss radii of the log-radius panels of the
+    coarse and then the doubled grid, shape (3 n_radial, 4), and the
+    half-widths of those panels, one per panel; the fit window, its centred
+    log radii and their spread log_p @ log_p; and the `_radius_set`
+    (r, r^2, E^2, E) of the coarse radii, the doubled grid's radii and the
+    cutoff edges, the three sets total_shift's sweeps read. The coarse
+    linspace step is twice the doubled grid's, so its edges are bit for bit
+    the even ones. Every caller shares the cached table of the last key, so
+    its arrays are read-only.
     """
     fine_edges = np.exp(np.linspace(math.log(1e-4 * m), math.log(cutoff), 2 * n_radial + 1))
     cutoffs = fine_edges[2::2].copy()
@@ -438,24 +495,25 @@ def _grid_table(m: float, cutoff: float, n_radial: int) -> tuple:
     log_p -= log_p.sum() / log_p.size
     for array in (cutoffs, radii, half, window, log_p):
         array.setflags(write=False)
-    return cutoffs, radii, half, window, log_p, float(log_p @ log_p)
+    radius_sets = tuple(_radius_set(r, m) for r in (radii[:n_radial], radii[n_radial:], cutoffs))
+    return cutoffs, radii, half, window, log_p, float(log_p @ log_p), radius_sets
 
 
-def _panel_sums(radii: np.ndarray, half: np.ndarray, k_norm: float, grid: GridSpec,
-                m: float, photon_energy: float) -> np.ndarray:
+def _panel_sums(radii: np.ndarray, half: np.ndarray, node_sets: tuple, k_norm: float,
+                grid: GridSpec, m: float, photon_energy: float) -> np.ndarray:
     """Panel-wise Gauss quadrature in log radius on two radial grids at once.
 
     Returns the panel sums of _grid_table's `radii` and panel half-widths
-    `half`, coarse grid first. The Gauss nodes of both grids run through the
-    kernel in one `_radial_profile` sweep, each grid blocked from its own
-    first node. The node weights, half-width times Gauss weight, are formed
-    per call as one rank-1 product, so the cache keeps one value per panel,
-    not one per node; np.dot forms it about 3.5x faster than the broadcast
-    product, with the same floats, since each entry is one rounded product.
+    `half`, coarse grid first; `node_sets` are the table's radius sets of
+    the coarse and the doubled grid's radii. The Gauss nodes of both grids
+    run through the kernel in one `_radial_profile` sweep, each grid
+    blocked from its own first node. The node weights, half-width times
+    Gauss weight, are formed per call as one rank-1 product, so the cache
+    keeps one value per panel, not one per node; np.dot forms it about
+    3.5x faster than the broadcast product, with the same floats, since
+    each entry is one rounded product.
     """
-    n_coarse = radii.shape[0] // 3
-    profile = _radial_profile((radii[:n_coarse], radii[n_coarse:]), k_norm, grid, m,
-                              photon_energy)
+    profile = _radial_profile(node_sets, k_norm, grid, m, photon_energy)
     # measure: p^2 dp / (2 pi)^3, with dp = p du on the log axis
     integrand = _cubed_measure(profile.reshape(radii.shape), radii)
     weights = np.dot(half[:, None], _gauss_rule(4)[1][None])
@@ -512,6 +570,11 @@ def total_shift(
     totals, so it is the same at every charge and guards the grid also
     where the reported totals underflow. The radial grid is the cached
     _grid_table; the report's cutoffs are a copy of its edges.
+    The unit-coupling profile falls as about -4 m^2 / r^4 at large r, so a
+    tiny mass puts its large-r values below the normal floats: at
+    m = 1e-150 it is subnormal from r ~ 1e2 and zero from r ~ 1e6. The tail
+    estimates there keep only the few digits a subnormal float holds, or
+    read zero, and a fit window where the profile is zero has no slope, NaN.
 
     The profile runs in two sweeps, in this order: the Gauss nodes of the
     coarse panels and of the doubled grid together, then the cutoff edges.
@@ -554,9 +617,10 @@ def total_shift(
     scale = _density_scale(constants.with_volume(1.0))
     p0 = -0.5 * scale
     n_radial = grid.n_radial
-    cutoffs, radii, half, window, log_p, spread = _grid_table(m, float(cutoff), n_radial)
+    cutoffs, radii, half, window, log_p, spread, (*node_sets, edge_set) = _grid_table(
+        m, float(cutoff), n_radial)
 
-    panel_sums = _panel_sums(radii, half, k_norm, grid, m, photon_energy)
+    panel_sums = _panel_sums(radii, half, node_sets, k_norm, grid, m, photon_energy)
     unit_total = float(panel_sums[:n_radial].sum())
     unit_refined = float(panel_sums[n_radial:].sum())
     # a coupling too large for these momenta overflows here, in Python floats
@@ -576,12 +640,16 @@ def total_shift(
     # the panel sums share one sign, so every partial sum is finite once the total is
     partial_sums = np.cumsum(panel_sums[:n_radial])
     partial_sums *= p0
-    shape = _radial_profile((cutoffs,), k_norm, grid, m, photon_energy)
+    shape = _radial_profile((edge_set,), k_norm, grid, m, photon_energy)
 
-    # closed-form least squares about the means; a one-radius window has no slope
-    log_f = np.log(np.abs(shape[window]))
-    log_f -= log_f.sum() / log_f.size
-    fitted_slope = float(log_p @ log_f) / spread if spread else math.nan
+    # closed-form least squares about the means; a one-radius window has no slope, and
+    # a window where the profile underflows to zero has no log to fit
+    fitted_slope = math.nan
+    window_shape = np.abs(shape[window])
+    if spread and window_shape.all():
+        log_f = np.log(window_shape)
+        log_f -= log_f.sum() / log_f.size
+        fitted_slope = float(log_p @ log_f) / spread
 
     # profile ~ A p^-4 beyond the fit window, so the remainder integral is F(p) p
     tail_estimates = _cubed_measure(shape, cutoffs)

@@ -835,6 +835,14 @@ class TestUndefinedVacpolDiagnostics:
         assert doc["fitted_slope"] is None
         assert doc["pair_shift"] < 0.0 and 0.0 < doc["refine_delta"] < 100.0
 
+    def test_underflowed_fit_window(self, tmp_path):
+        # the top edges' unit-coupling profile, about m^2 / r^4 = 1e-420, underflows to
+        # zero; the slope fit once warned as it took the log of those zeros
+        doc = self.run(tmp_path, ["--constant", "m_e", "1e-150", "--k", "0", "0", "5e-151",
+                                  "--cutoff", "1e30"])
+        assert doc["fitted_slope"] is None
+        assert doc["pair_shift"] < 0.0 and 0.0 < doc["refine_delta"] < 0.01
+
     def test_underflowing_total(self, tmp_path):
         # the total times P0 underflows to zero, and once wrote refine_delta as null;
         # the delta is the move of the unit-coupling sums, the same at every charge

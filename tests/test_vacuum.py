@@ -18,6 +18,7 @@ from qlambda.errors import (
     ZeroWavevector,
 )
 from qlambda.dirac import polarization_column, u_spinor, vertex_bilinear
+from qlambda.jsonio import dump_json
 from qlambda.lorentz import (
     NATURAL,
     Boost,
@@ -514,12 +515,14 @@ class TestCylindricalKernel:
                    np.array([1e-100 * m, -0.0, 0.0])):
             k_list = k3.tolist()
             k_norm = math.hypot(*k_list)
-            coordinates = vacuum._cylindrical_coordinates(*p3s.T, k_list, k_norm)
+            p_sq, *cylindrical = vacuum._cylindrical_coordinates(*p3s.T, k_list, k_norm)
             for energy in (k_norm, 0.0, -0.5 * k_norm, 1.5 * m):
-                arrays = vacuum._cylindrical_terms(*coordinates, k_norm, m, energy)
+                arrays = vacuum._cylindrical_terms(*vacuum._energies(p_sq, m), *cylindrical,
+                                                   k_norm, m, energy)
                 for i in range(len(p3s)):
                     floats = vacuum._cylindrical_terms(
-                        *(float(c[i]) for c in coordinates), k_norm, m, energy)
+                        *vacuum._energies(float(p_sq[i]), m),
+                        *(float(c[i]) for c in cylindrical), k_norm, m, energy)
                     assert all(type(term) is float for term in floats)
                     assert [term.hex() for term in floats] == [
                         float(array[i]).hex() for array in arrays]
@@ -527,22 +530,23 @@ class TestCylindricalKernel:
     def test_sample_equals_grid_node(self):
         # along, against and across k = (0, 0, |k|) the Cartesian reduction is exact
         # for radii with exact squares, so a sample is the grid kernel's density
-        # at the (r, cos theta) node times P0, bit for bit
-        p0 = coupling_prefactor(1.0, 1.0, NATURAL) ** 2
+        # at the (r, cos theta) node times -2 P0, bit for bit
+        scale = -2.0 * coupling_prefactor(1.0, 1.0, NATURAL) ** 2
         radii = np.array([2.0**-30 * 1.125, 0.375, 1.25, 3.0, 2.0**40 * 1.5])
         cos_t = np.array([-1.0, 0.0, 1.0])
         for k_norm in (0.5, 2.75):
             for energy in (None, 0.0, 1.3):
                 w = k_norm if energy is None else energy
                 _, _, grid = vacuum._cylindrical_terms(
-                    radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
+                    radii * radii + 1.0, np.sqrt(radii * radii + 1.0),
+                    np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
                     np.multiply.outer(cos_t, radii), k_norm, 1.0, w)
                 for j, r in enumerate(radii.tolist()):
                     for node, p3 in ((0, (0.0, 0.0, -r)), (1, (r, 0.0, 0.0)),
                                      (1, (0.0, r, 0.0)), (2, (0.0, 0.0, r))):
                         sample = vacuum.pair_shift_sample(p3, (0.0, 0.0, k_norm),
                                                           photon_energy=energy)
-                        assert sample.shift_density.hex() == float(grid[node, j] * p0).hex()
+                        assert sample.shift_density.hex() == float(grid[node, j] * scale).hex()
 
     def test_sample_runs_without_numpy_math(self, monkeypatch):
         # a sample builds its two read-only arrays and nothing else from numpy
@@ -563,18 +567,20 @@ class TestCylindricalKernel:
         p3s = rng.normal(size=(64, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(64, 1))
         k3 = np.array([0.3, -0.4, 0.2])
         k_norm = float(np.linalg.norm(k3))
-        grid = (radii * radii, np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
+        grid = (radii * radii + 1.0, np.sqrt(radii * radii + 1.0),
+                np.multiply.outer(1.0 - cos_t * cos_t, radii * radii),
                 np.multiply.outer(cos_t, radii))
 
-        def two_sets(radii, other, *rest):
-            return vacuum._radial_profile((radii, other), *rest)
+        def two_sets(*arrays):
+            return vacuum._radial_profile((arrays[:4], arrays[4:]), k_norm, GridSpec(), 1.0, 1.3)
 
-        _, panel_radii, panel_half, *_ = vacuum._grid_table(1.0, 1e4, 8)
+        _, panel_radii, panel_half, *_, (coarse, fine, _) = vacuum._grid_table(1.0, 1e4, 8)
         calls = [
             (vacuum._cylindrical_terms, grid, (k_norm, 1.0, 1.3)),
             (vacuum._density_terms, (p3s, k3), (NATURAL, 1.3)),
-            (two_sets, (radii, 2.0 * radii), (k_norm, GridSpec(), 1.0, 1.3)),
-            (vacuum._panel_sums, (panel_radii, panel_half), (k_norm, GridSpec(), 1.0, 1.3)),
+            (two_sets, (*radius_set(radii, 1.0), *radius_set(2.0 * radii, 1.0)), ()),
+            (vacuum._panel_sums, (panel_radii, panel_half),
+             ((coarse, fine), k_norm, GridSpec(), 1.0, 1.3)),
         ]
         for fn, arrays, rest in calls:
             copies = [array.copy() for array in arrays]
@@ -605,10 +611,18 @@ class TestCylindricalKernel:
             return leggauss(n)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        # the angle columns are cached from the rule, so both caches start empty
         vacuum._gauss_rule.cache_clear()
+        vacuum._angular_rule.cache_clear()
         for n_theta in (8, 16, 8, 16):
             total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=n_theta))
         assert sorted(built) == [4, 8, 16]
+
+
+def radius_set(radii, m):
+    """(r, r^2, E^2, E) of `radii`, flat: a `_radius_set` formed here, apart from the grid cache."""
+    r = np.ravel(radii)
+    return r, r * r, r * r + m * m, np.sqrt(r * r + m * m)
 
 
 def oracle_profile(radius, k_norm, photon_energy):
@@ -647,7 +661,8 @@ class TestRadialProfile:
     def test_matches_mpmath_oracle(self, k_norm, energy):
         omega = k_norm if energy is None else energy
         # the sweep runs at unit coupling; the oracle carries P0 = e^2
-        profile = vacuum._radial_profile((self.RADII,), k_norm, GridSpec(), 1.0, omega)
+        profile = vacuum._radial_profile((radius_set(self.RADII, 1.0),), k_norm, GridSpec(),
+                                         1.0, omega)
         profile *= coupling_prefactor(1.0, 1.0, NATURAL) ** 2
         for radius, value in zip(self.RADII, profile):
             reference = oracle_profile(radius, k_norm, omega)
@@ -674,7 +689,9 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
     The coarse panels, the panels of the doubled grid and the cutoff edges run
     one after another at unit coupling, each grid blocked alone, and P0 is
     applied once to each result; the report is assembled as total_shift
-    documents it. Returns (total, report fields by name).
+    documents it. Each pass forms its own radii, r^2, E^2 and E, so the
+    reference does not read the grid cache. Returns (total, report fields by
+    name).
     """
     k_norm = math.hypot(*k3)
     m = constants.m_e
@@ -689,7 +706,7 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
         lo, hi = log_edges[:-1], log_edges[1:]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         radii = np.exp(mid[:, None] + half[:, None] * gl_nodes)
-        profile = vacuum._radial_profile((radii,), k_norm, grid, m, w)
+        profile = vacuum._radial_profile((radius_set(radii, m),), k_norm, grid, m, w)
         integrand = vacuum._cubed_measure(profile.reshape(radii.shape), radii)
         panel_sums = np.einsum("pi,pi->p", half[:, None] * gl_weights, integrand)
         return edges, float(panel_sums.sum()), panel_sums
@@ -698,7 +715,7 @@ def three_pass_reference(k3, cutoff, grid, constants, photon_energy):
     _, unit_refined, _ = integrate(2 * grid.n_radial)
     total = unit_total * p0
     cutoffs = edges[1:]
-    shape = vacuum._radial_profile((cutoffs,), k_norm, grid, m, w)
+    shape = vacuum._radial_profile((radius_set(cutoffs, m),), k_norm, grid, m, w)
     window = cutoffs >= cutoff / 100.0 * (1.0 - 1e-9)
     log_p, log_f = np.log(cutoffs[window]), np.log(np.abs(shape[window]))
     log_p -= log_p.sum() / log_p.size
@@ -798,6 +815,27 @@ class TestFittedSlope:
         assert report.fitted_slope == reference.fitted_slope
         assert -4.2 < report.fitted_slope < -3.8
         assert np.all(report.tail_estimates <= 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_window_has_no_slope(self, monkeypatch):
+        # at m = 1e-150 and a cutoff of 1e30 the top edges' unit-coupling profile,
+        # about m^2 / r^4 = 1e-420, underflows to zero: the slope is NaN, written null,
+        # and no log of a zero is taken
+        profiles = []
+        radial_profile = vacuum._radial_profile
+
+        def recorded(*args):
+            profile = radial_profile(*args)
+            profiles.append(profile.copy())
+            return profile
+
+        monkeypatch.setattr(vacuum, "_radial_profile", recorded)
+        shift, report = total_shift((0.0, 0.0, 5e-151), 1e30, constants=Constants(m_e=1e-150))
+        window = report.cutoffs >= 1e28 * (1.0 - 1e-9)
+        assert np.any(profiles[-1][window] == 0.0)
+        assert math.isnan(report.fitted_slope)
+        assert shift < 0.0 and np.all(report.tail_estimates <= 0.0)
+        assert '"fitted_slope": null' in dump_json(report.to_json_dict())
 
     @pytest.mark.filterwarnings("error")
     def test_one_point_window_has_no_slope(self):
@@ -998,9 +1036,85 @@ class TestGridMemo:
         for name in ("cutoffs", "partial_sums", "tail_estimates"):
             getattr(report, name)[:] = np.nan
         assert report_fields(total_shift(K3, 1e4)) == expected
-        for array in vacuum._grid_table(1.0, 1e4, GridSpec().n_radial)[:5]:
-            assert not array.flags.writeable
         assert vacuum._grid_table.cache_info().misses == 1
+
+    @pytest.mark.parametrize("m, cutoff, n_radial", [
+        (1.0, 1e4, 96), (1e-150, 1e-140, 48), (1e50, 1e60, 7),
+    ])
+    def test_every_table_array_is_read_only(self, m, cutoff, n_radial):
+        def arrays(entry):
+            if isinstance(entry, tuple):
+                for item in entry:
+                    yield from arrays(item)
+            elif isinstance(entry, np.ndarray):
+                yield entry
+
+        table = vacuum._grid_table(m, cutoff, n_radial)
+        found = list(arrays(table))
+        # cutoffs, radii, half, window, log_p and (r, r^2, E^2, E) of three radius sets
+        assert len(found) == 5 + 3 * 4
+        for array in found:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+    @pytest.mark.parametrize("m", [1e-150, 1.0, 1e50])
+    @pytest.mark.parametrize("n_theta", [16, 96, 1024])
+    def test_cached_radius_terms_are_the_per_block_values(self, m, n_theta):
+        # each block once formed r^2 = r * r, E^2 = r^2 + m^2 and E = sqrt(E^2) of its own
+        # radii; the table's sets must hold those floats, sliced at any block boundary
+        cutoffs, radii, _, _, _, _, radius_sets = vacuum._grid_table(m, 1e4 * m, 48)
+        assert [radius_set[0].tobytes() for radius_set in radius_sets] == [
+            radii[:48].tobytes(), radii[48:].tobytes(), cutoffs.tobytes()]
+        cols = max(1, vacuum._BLOCK_POINTS // n_theta)
+        for r, r_sq, e_sq, e in radius_sets:
+            for start in range(0, r.size, cols):
+                block = r[start:start + cols].copy()
+                fresh_sq = block * block
+                fresh_e_sq = fresh_sq + m * m
+                for cached, fresh in ((r_sq, fresh_sq), (e_sq, fresh_e_sq),
+                                      (e, np.sqrt(fresh_e_sq))):
+                    assert hex_values(cached[start:start + cols]) == hex_values(fresh)
+
+    def test_angle_columns_read_only_and_built_once_per_node_count(self, monkeypatch):
+        built = []
+        gauss_rule = vacuum._gauss_rule
+
+        def counted(n):
+            built.append(n)
+            return gauss_rule(n)
+
+        monkeypatch.setattr(vacuum, "_gauss_rule", counted)
+        vacuum._angular_rule.cache_clear()
+        for n_theta in (8, 16, 8, 16):
+            total_shift(K3, 1e3, GridSpec(n_radial=48, n_theta=n_theta))
+        assert sorted(n for n in built if n != 4) == [8, 16]
+        for n_theta in (8, 16):
+            cos_t, weights = gauss_rule(n_theta)
+            columns = vacuum._angular_rule(n_theta)
+            # the columns the sweep once formed, and the weights times the kernel's -2
+            assert [column.tobytes() for column in columns] == [
+                cos_t[:, None].tobytes(), (1.0 - cos_t * cos_t)[:, None].tobytes(),
+                (-2.0 * (2.0 * math.pi * weights)).tobytes()]
+            for column in columns:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column.flat[0] = 0.0
+
+    def test_three_pass_reference_does_not_read_the_cache(self, monkeypatch):
+        # the reference forms its own radii, r^2, E^2 and E, so a table bug cannot
+        # carry into the reference that the table's results are compared with
+        k3, cutoff, grid, m, energy = TestOneSweep.CASES[3]
+        shift, report = total_shift(k3, cutoff, grid, Constants(m_e=m), photon_energy=energy,
+                                    refine_tol=100.0)
+
+        def no_table(*args):
+            raise AssertionError("the reference read the grid table")
+
+        monkeypatch.setattr(vacuum, "_grid_table", no_table)
+        reference, fields = three_pass_reference(k3, cutoff, grid, Constants(m_e=m), energy)
+        assert report_fields((shift, report)) == report_fields(
+            (reference, vacuum.ConvergenceReport(**fields)))
 
     @pytest.mark.parametrize("k3", [(0.0, 0.0, 0.5), (1.0, 2.0, -0.5)])
     def test_threshold_bound(self, k3):
